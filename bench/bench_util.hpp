@@ -19,6 +19,8 @@
 
 #include <sys/resource.h>
 
+#include "crypto/sha256.hpp"
+
 namespace roleshare::bench {
 
 inline void print_header(const char* experiment_id, const char* title) {
@@ -197,8 +199,9 @@ inline void write_text_file(const std::string& path,
 /// Writes BENCH_<name>.json next to the binary's working directory:
 /// a flat object of numeric and string fields (timings, config, headline
 /// results) so the perf trajectory can be tracked without scraping stdout.
-/// The building git SHA and the process's peak RSS are appended to every
-/// file automatically.
+/// The building git SHA, the process's peak RSS and the SHA-256
+/// compression CPUID selected (timings move with it) are appended to
+/// every file automatically.
 inline void emit_json(const std::string& name, const JsonFields& fields) {
   const std::string path = "BENCH_" + name + ".json";
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -222,6 +225,9 @@ inline void emit_json(const std::string& name, const JsonFields& fields) {
     }
   }
   std::fprintf(out, ",\n  \"peak_rss_bytes\": %.17g", peak_rss_bytes());
+  std::fprintf(out, ",\n  \"sha256_impl\": \"%s\"",
+               json_escape(std::string(crypto::sha256_implementation()))
+                   .c_str());
   std::fprintf(out, ",\n  \"git_sha\": \"%s\"\n}\n",
                json_escape(git_sha()).c_str());
   std::fclose(out);

@@ -1,14 +1,19 @@
 // E9 — substrate microbenchmarks (google-benchmark): the primitives whose
 // throughput bounds experiment wall-clock — SHA-256, VRF+sortition, gossip
 // propagation, vote tallying, and a full simulated consensus round — plus
-// batched-vs-scalar head-to-heads for the fixed-template hashing and
-// batch sortition paths the round engine's hot loop uses. Each fixed-path
-// bench self-checks its digests against the streaming path at setup: the
-// template must be bit-identical, not just fast.
+// head-to-heads for the portable vs CPUID-selected SHA-256 compression
+// and for the fixed-template hashing and batch sortition paths the round
+// engine's hot loop uses. Each fast-path bench self-checks its digests
+// against the reference path at setup: it must be bit-identical, not
+// just fast.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "consensus/votes.hpp"
 #include "crypto/sha256.hpp"
@@ -29,6 +34,65 @@ void BM_Sha256_1KiB(benchmark::State& state) {
                           1024);
 }
 BENCHMARK(BM_Sha256_1KiB);
+
+// -- Portable vs selected compression --------------------------------------
+//
+// One 64-byte block per iteration through sha256_compress_portable and
+// through sha256_compress (whatever CPUID selected; the label names it).
+// Each iteration feeds the state back into the block so the calls chain.
+
+/// 256 distinct blocks, checked at setup: the selected compression must
+/// produce the portable states bit for bit, or the bench aborts.
+std::vector<std::array<std::uint8_t, 64>> make_checked_blocks() {
+  std::vector<std::array<std::uint8_t, 64>> blocks(256);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const crypto::Digest lo = crypto::sha256("block-lo" + std::to_string(i));
+    const crypto::Digest hi = crypto::sha256("block-hi" + std::to_string(i));
+    std::copy(lo.begin(), lo.end(), blocks[i].begin());
+    std::copy(hi.begin(), hi.end(), blocks[i].begin() + 32);
+  }
+  std::array<std::uint32_t, 8> selected = crypto::sha256_initial_state();
+  std::array<std::uint32_t, 8> portable = selected;
+  for (const auto& block : blocks) {
+    crypto::sha256_compress(selected, block.data());
+    crypto::sha256_compress_portable(portable, block.data());
+    if (selected != portable) {
+      std::fprintf(stderr, "FATAL: sha256_compress (%s) != portable\n",
+                   std::string(crypto::sha256_implementation()).c_str());
+      std::abort();
+    }
+  }
+  return blocks;
+}
+
+template <void (*Compress)(std::array<std::uint32_t, 8>&,
+                           const std::uint8_t*)>
+void compress_loop(benchmark::State& state) {
+  auto blocks = make_checked_blocks();
+  std::array<std::uint32_t, 8> words = crypto::sha256_initial_state();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto& block = blocks[i++ & 255];
+    Compress(words, block.data());
+    block[0] = static_cast<std::uint8_t>(words[0]);
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          64);
+}
+
+void BM_Sha256Compress_Portable(benchmark::State& state) {
+  compress_loop<&crypto::sha256_compress_portable>(state);
+  state.SetLabel("portable");
+}
+BENCHMARK(BM_Sha256Compress_Portable);
+
+void BM_Sha256Compress_Selected(benchmark::State& state) {
+  compress_loop<&crypto::sha256_compress>(state);
+  state.SetLabel(std::string(crypto::sha256_implementation()));
+}
+BENCHMARK(BM_Sha256Compress_Selected);
 
 void BM_VrfEvaluate(benchmark::State& state) {
   const crypto::KeyPair key = crypto::KeyPair::derive(1, 1);

@@ -113,6 +113,28 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("partial_format changed", out)
 
+    def test_sha256_impl_flip_is_called_out_and_still_gated(self):
+        baseline = {"bench": "round_latency", "sha256_impl": "portable",
+                    "wall_ms": 100.0}
+        current = {"bench": "round_latency", "sha256_impl": "x86-sha-ni",
+                   "wall_ms": 60.0}
+        code, out = run_compare(baseline, current)
+        self.assertEqual(code, 0, out)
+        self.assertIn(
+            "sha256_impl changed ('portable' -> 'x86-sha-ni')", out)
+        # The call-out explains a delta; it never waives the wall gate.
+        code, out = run_compare(current, baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("sha256_impl changed", out)
+        self.assertIn("REGRESSION", out)
+
+    def test_same_sha256_impl_is_silent(self):
+        doc = {"bench": "round_latency", "sha256_impl": "x86-sha-ni",
+               "wall_ms": 100.0}
+        code, out = run_compare(doc, doc)
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("sha256_impl", out)
+
 
 if __name__ == "__main__":
     unittest.main()

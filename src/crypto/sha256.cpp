@@ -4,6 +4,12 @@
 
 #include "util/require.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define ROLESHARE_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace roleshare::crypto {
 
 namespace {
@@ -38,8 +44,8 @@ void Sha256::process_block(const std::uint8_t* block) {
   sha256_compress(state_, block);
 }
 
-void sha256_compress(std::array<std::uint32_t, 8>& state_,
-                     const std::uint8_t* block) {
+void sha256_compress_portable(std::array<std::uint32_t, 8>& state_,
+                              const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[4 * i]} << 24) |
@@ -84,6 +90,107 @@ void sha256_compress(std::array<std::uint32_t, 8>& state_,
   state_[6] += g;
   state_[7] += h;
 }
+
+namespace {
+
+#ifdef ROLESHARE_SHA256_X86
+
+/// One block through the x86 SHA extensions. Compiled for the extension
+/// by this attribute alone, so the rest of the build keeps its baseline
+/// ISA; it only ever runs after cpu_has_sha_extensions() said yes.
+/// sha256rnds2 does two rounds on the state packed as (ABEF, CDGH);
+/// sha256msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_x86(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // (a, b, c, d), (e, f, g, h) -> (ABEF, CDGH), high lane first.
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);    // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);  // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[g % 4] holds message words 4g..4g+3 once group g is reached.
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+        byte_swap);
+  }
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    if (g >= 4) {
+      // W[4g..4g+3] from W[4g-16..4g-1]: sigma0 terms, the W[t-7] terms,
+      // then the sigma1 terms.
+      const __m128i prev = w[(g + 3) & 3];
+      const __m128i t7 = _mm_alignr_epi8(prev, w[(g + 2) & 3], 4);
+      w[g & 3] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]), t7),
+          prev);
+    }
+    const __m128i msg = _mm_add_epi32(
+        w[g & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                      &kRoundConstants[static_cast<std::size_t>(4 * g)])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  // (ABEF, CDGH) -> (a, b, c, d), (e, f, g, h).
+  tmp = _mm_shuffle_epi32(abef, 0x1B);   // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);  // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));
+}
+
+/// CPUID leaf 7 EBX bit 29 (SHA), plus the SSSE3 and SSE4.1 shuffles
+/// and blends the packing above uses (leaf 1 ECX bits 9 and 19).
+bool cpu_has_sha_extensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && ssse3 && sse41;
+}
+
+#endif  // ROLESHARE_SHA256_X86
+
+struct CompressImpl {
+  void (*compress)(std::array<std::uint32_t, 8>&, const std::uint8_t*);
+  std::string_view name;
+};
+
+/// Picks the compression once per process; there is deliberately no
+/// build option, flag or environment variable that overrides CPUID.
+const CompressImpl& selected_compress() {
+  static const CompressImpl impl = [] {
+#ifdef ROLESHARE_SHA256_X86
+    if (cpu_has_sha_extensions())
+      return CompressImpl{&sha256_compress_x86, "x86-sha-ni"};
+#endif
+    return CompressImpl{&sha256_compress_portable, "portable"};
+  }();
+  return impl;
+}
+
+}  // namespace
+
+void sha256_compress(std::array<std::uint32_t, 8>& state,
+                     const std::uint8_t* block) {
+  selected_compress().compress(state, block);
+}
+
+std::string_view sha256_implementation() { return selected_compress().name; }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   RS_REQUIRE(!finalized_, "Sha256 reused after finalize");
@@ -180,7 +287,9 @@ Sha256Fixed::Sha256Fixed(std::size_t message_len) : len_(message_len) {
 void Sha256Fixed::write(std::size_t offset, const std::uint8_t* bytes,
                         std::size_t count) {
   RS_REQUIRE(offset + count <= len_, "Sha256Fixed write out of range");
-  std::memcpy(block_.data() + offset, bytes, count);
+  // An empty write may come with a null pointer (an empty vector's
+  // data()), which memcpy must never be passed.
+  if (count != 0) std::memcpy(block_.data() + offset, bytes, count);
 }
 
 Digest Sha256Fixed::digest() const {

@@ -44,8 +44,22 @@ Digest sha256(std::string_view text);
 /// Raw SHA-256 compression: folds one 64-byte block into `state`. The
 /// streaming Sha256 context and the fixed-layout fast path below share
 /// this single implementation, so their digests cannot diverge.
+///
+/// The implementation is chosen once per process from CPUID: the x86
+/// SHA extensions where the CPU has them, otherwise the portable loop
+/// below. Both produce identical states for every input.
 void sha256_compress(std::array<std::uint32_t, 8>& state,
                      const std::uint8_t* block);
+
+/// The portable FIPS 180-4 compression loop: the fallback on CPUs (and
+/// targets) without SHA instructions, and the reference the hardware
+/// path is tested against.
+void sha256_compress_portable(std::array<std::uint32_t, 8>& state,
+                              const std::uint8_t* block);
+
+/// Name of the compression sha256_compress runs in this process
+/// ("x86-sha-ni" or "portable"), for stamping perf numbers.
+std::string_view sha256_implementation();
 
 /// The SHA-256 initialization vector (FIPS 180-4 §5.3.3).
 std::array<std::uint32_t, 8> sha256_initial_state();

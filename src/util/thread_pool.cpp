@@ -111,12 +111,17 @@ namespace {
 /// no heap allocation on this path. The error of the *lowest* failing
 /// index is kept (first_error_index guards the update), matching the
 /// previous per-index error array without its O(n) allocation.
+///
+/// Lifetime: the caller returns (and its frame dies) as soon as it sees
+/// live == 0, so a worker's last touch of this state must be the
+/// done_mutex unlock that publishes that zero. live is therefore read
+/// and written only under done_mutex.
 struct ParallelForState {
   std::size_t n = 0;
   const std::function<void(std::size_t)>* body = nullptr;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> live{0};
   std::mutex done_mutex;
+  std::size_t live = 0;  // guarded by done_mutex
   std::condition_variable done;
   std::mutex error_mutex;
   std::size_t first_error_index = ~std::size_t{0};
@@ -138,10 +143,8 @@ struct ParallelForState {
         record_error(i);
       }
     }
-    if (live.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      done.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(done_mutex);
+    if (--live == 0) done.notify_all();
   }
 };
 
@@ -165,11 +168,11 @@ void ThreadPool::parallel_for_indexed(
       }
     }
   } else {
-    state.live.store(fan_out);
+    state.live = fan_out;  // before any worker can see the state
     for (std::size_t w = 0; w < fan_out; ++w)
       submit([s = &state] { s->claim_loop(); });
     std::unique_lock<std::mutex> lock(state.done_mutex);
-    state.done.wait(lock, [&] { return state.live.load() == 0; });
+    state.done.wait(lock, [&] { return state.live == 0; });
   }
   if (state.first_error) std::rethrow_exception(state.first_error);
 }

@@ -42,6 +42,16 @@ TEST(BenchUtil, EmitJsonAlwaysRecordsGitSha) {
   EXPECT_NE(json.find(git_sha()), std::string::npos);
 }
 
+TEST(BenchUtil, EmitJsonAlwaysRecordsSha256Impl) {
+  // Hashing-bound timings move with the compression CPUID picked, so
+  // every BENCH file names it.
+  emit_json("test_sha256_impl", {});
+  const std::string json = read_and_remove("BENCH_test_sha256_impl.json");
+  EXPECT_NE(json.find("\"sha256_impl\": \"" +
+                      std::string(crypto::sha256_implementation()) + "\""),
+            std::string::npos);
+}
+
 TEST(BenchUtil, EmitJsonAlwaysRecordsPeakRss) {
   // The memory-trajectory field behind the exact-vs-streaming story: a
   // positive byte count on every supported platform.

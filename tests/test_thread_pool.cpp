@@ -77,5 +77,27 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   EXPECT_EQ(total.load(), 5 * (99 * 100 / 2));
 }
 
+// The per-call state lives on the caller's stack. If the last worker
+// published live == 0 before locking the call's done_mutex, the caller
+// could return and the next call build its state in the same stack slot
+// while that worker still locked the dead mutex (a hang or crash; a race
+// under TSan). Tiny back-to-back batches on a full-width pool make that
+// window as wide as it gets, and pool teardown between lifetimes joins
+// every worker.
+TEST(ThreadPool, BackToBackTinyBatchesAcrossPoolLifetimes) {
+  constexpr int kLifetimes = 8;
+  constexpr int kCallsPerLifetime = 4000;
+  for (int life = 0; life < kLifetimes; ++life) {
+    ThreadPool pool(4);
+    std::size_t total = 0;
+    for (int call = 0; call < kCallsPerLifetime; ++call) {
+      std::atomic<std::size_t> sum{0};
+      pool.parallel_for_indexed(4, [&](std::size_t i) { sum += i + 1; });
+      total += sum.load();
+    }
+    EXPECT_EQ(total, std::size_t{kCallsPerLifetime} * 10) << "life " << life;
+  }
+}
+
 }  // namespace
 }  // namespace roleshare::util
