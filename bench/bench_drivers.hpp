@@ -15,19 +15,24 @@
 //                           header + panel_meta + run_panel as
 //                           run_sharded_panels consumes them, plus
 //                           series_json (finalize one merged partial
-//                           into the deterministic series snapshot).
+//                           into the deterministic series snapshot) and
+//                           write_series, the one series-document writer.
 //   make_<bench>_driver     per-bench factory; also returns the parsed
 //                           knob values the bench main prints.
-//   ShardableBench          type-erased driver for the orchestrator:
-//                           run_window (worker side, wraps
-//                           run_sharded_panels) + fold/write_series
-//                           (coordinator side, the merge_partials fold
-//                           discipline: in-window-order typed merges,
-//                           then write_series_document over [0, runs)).
+//   ShardableBench          type-erased driver for the orchestrator and
+//                           merge_partials: run_window (worker side,
+//                           wraps run_sharded_panels) + fold/write_series
+//                           (reduce side: in-window-order typed merges,
+//                           then the series document over [0, runs)).
+//   merge_partial_files     merge_partials' reduce step: the registry
+//                           bench rebuilt from a shard header, folding
+//                           shard files instead of orchestrated windows.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -56,6 +61,23 @@ struct PanelDriver {
   /// Finalizes one fully-merged panel partial into the panel's
   /// deterministic "series" object of the series document.
   std::function<util::json::Value(const PartialT&)> series_json;
+
+  /// Writes the series document of `partials` over runs
+  /// [run_begin, run_end): panel i is panel_meta(i) plus its "series".
+  /// Bench mains, the orchestrator and merge_partials all write through
+  /// here, which is what keeps their files byte-identical.
+  void write_series(const std::string& path, std::size_t run_begin,
+                    std::size_t run_end,
+                    const std::vector<PartialT>& partials) const {
+    util::json::Value panels = util::json::Value::array();
+    for (std::size_t i = 0; i < panel_count; ++i) {
+      util::json::Value panel = panel_meta(i);
+      panel.set("series", series_json(partials[i]));
+      panels.push_back(std::move(panel));
+    }
+    write_series_document(path, header, run_begin, run_end,
+                          std::move(panels));
+  }
 };
 
 // ---------------------------------------------------------------- fig3
@@ -478,6 +500,9 @@ inline StrategicDriver make_strategic_driver(int argc, char** argv) {
 namespace longhorizon {
 inline constexpr double kDefectionRates[] = {0.0, 0.10, 0.30};
 inline constexpr std::size_t kPanels = 3;
+inline constexpr double kAlpha = 0.30;
+inline constexpr double kBeta = 0.30;
+inline constexpr double kTopFraction = 0.01;
 }  // namespace longhorizon
 
 struct LongHorizonDriver {
@@ -501,19 +526,30 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
   d.threads = arg_threads(argc, argv);
   d.inner_threads = arg_inner_threads(argc, argv);
   d.agg = arg_agg(argc, argv);
-  d.alpha = arg_real(argc, argv, "alpha", 0.30);
-  d.beta = arg_real(argc, argv, "beta", 0.30);
-  d.top_fraction = arg_real(argc, argv, "top-fraction", 0.01);
+  d.alpha = arg_real(argc, argv, "alpha", longhorizon::kAlpha);
+  d.beta = arg_real(argc, argv, "beta", longhorizon::kBeta);
+  d.top_fraction =
+      arg_real(argc, argv, "top-fraction", longhorizon::kTopFraction);
 
   d.panels.bench_name = "fig_longhorizon";
   d.panels.runs = d.runs;
   d.panels.panel_count = longhorizon::kPanels;
+  std::vector<std::pair<std::string, util::json::Value>> echo = {
+      {"nodes", d.nodes},
+      {"runs", d.runs},
+      {"rounds", d.rounds},
+      {"agg", sim::to_string(d.agg)}};
+  // These knobs joined the header after documents already existed, so
+  // they are echoed only away from their defaults: default-config
+  // documents and store keys keep their bytes, and any other value
+  // still reaches the store key and the resume/fold header check.
+  if (d.alpha != longhorizon::kAlpha) echo.emplace_back("alpha", d.alpha);
+  if (d.beta != longhorizon::kBeta) echo.emplace_back("beta", d.beta);
+  if (d.top_fraction != longhorizon::kTopFraction)
+    echo.emplace_back("top_fraction", d.top_fraction);
   d.panels.header = shard_document_header(
       std::string(sim::LongHorizonPayload::kKind), "fig_longhorizon",
-      {{"nodes", d.nodes},
-       {"runs", d.runs},
-       {"rounds", d.rounds},
-       {"agg", sim::to_string(d.agg)}});
+      std::move(echo));
   d.panels.panel_meta = [](std::size_t panel) {
     util::json::Value v = util::json::Value::object();
     v.set("defection_rate", longhorizon::kDefectionRates[panel]);
@@ -545,16 +581,16 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
 
 // --------------------------------------------- type-erased orchestration
 
-/// A bench the orchestrator can drive without knowing its partial type.
-/// The worker side calls run_window (run_sharded_panels under the
-/// coordinator-supplied knobs); the coordinator side folds each finished
-/// window's partial-document bytes IN WINDOW ORDER and finally writes
-/// the series document — the exact merge_partials discipline, which is
-/// why the output is byte-identical to a single-process --series-out.
+/// A bench the orchestrator and merge_partials can drive without knowing
+/// its partial type. The worker side calls run_window
+/// (run_sharded_panels under the coordinator-supplied knobs); the reduce
+/// side folds each finished window's partial-document bytes IN WINDOW
+/// ORDER and finally writes the series document through the driver's
+/// write_series — the same path a single-process --series-out takes,
+/// which is why the output is byte-identical to it.
 struct ShardableBench {
   std::string bench_name;
   std::size_t runs = 0;
-  std::size_t panel_count = 0;
   /// The shard-document header dump — the HELLO config echo.
   std::string config_echo;
   std::function<orch::WindowOutcome(const ShardKnobs&)> run_window;
@@ -564,6 +600,9 @@ struct ShardableBench {
   /// Writes the final series document; callable once every window in
   /// [0, runs) has been folded.
   std::function<void(const std::string& series_out)> write_series;
+  /// The folded [0, runs) partial document (what a single-process
+  /// --partial-out would hold); same precondition as write_series.
+  std::function<util::json::Value()> folded_document;
 };
 
 template <typename PartialT>
@@ -579,7 +618,6 @@ ShardableBench make_shardable_bench(PanelDriver<PartialT> driver) {
   ShardableBench bench;
   bench.bench_name = driver.bench_name;
   bench.runs = driver.runs;
-  bench.panel_count = driver.panel_count;
   bench.config_echo = driver.header.dump();
   bench.run_window = [driver](const ShardKnobs& knobs) {
     const ShardExecution<PartialT> exec = run_sharded_panels<PartialT>(
@@ -596,19 +634,9 @@ ShardableBench make_shardable_bench(PanelDriver<PartialT> driver) {
   bench.fold = [driver, state](const std::string& bytes,
                                std::size_t run_begin, std::size_t run_end,
                                const std::string& origin) {
-    const util::json::Value doc = sim::decode_partial_document(bytes, origin);
-    ShardExecution<PartialT> exec;
-    load_partial_document(doc, origin, driver.header, driver.panel_count,
-                          exec);
-    if (!exec.complete() || exec.window_begin != run_begin ||
-        exec.window_end != run_end) {
-      throw std::runtime_error(
-          origin + " covers runs [" + std::to_string(exec.window_begin) +
-          ", " + std::to_string(exec.cursor) + ") of window [" +
-          std::to_string(exec.window_begin) + ", " +
-          std::to_string(exec.window_end) + ") — expected finished window [" +
-          std::to_string(run_begin) + ", " + std::to_string(run_end) + ")");
-    }
+    ShardExecution<PartialT> exec = load_finished_window<PartialT>(
+        bytes, origin, driver.header, driver.panel_meta, driver.panel_count,
+        run_begin, run_end);
     if (!state->any) {
       state->partials = std::move(exec.partials);
       state->begin = run_begin;
@@ -627,21 +655,22 @@ ShardableBench make_shardable_bench(PanelDriver<PartialT> driver) {
       state->partials[i].merge(exec.partials[i]);
     state->end = run_end;
   };
-  bench.write_series = [driver, state](const std::string& series_out) {
-    if (!state->any || state->begin != 0 || state->end != driver.runs) {
+  const auto folded = [runs = driver.runs,
+                       state]() -> const std::vector<PartialT>& {
+    if (!state->any || state->begin != 0 || state->end != runs) {
       throw std::runtime_error(
-          "orchestrate: series requested but only runs [" +
-          std::to_string(state->begin) + ", " + std::to_string(state->end) +
-          ") of [0, " + std::to_string(driver.runs) + ") are folded");
+          "only runs [" + std::to_string(state->begin) + ", " +
+          std::to_string(state->end) + ") of [0, " + std::to_string(runs) +
+          ") are folded");
     }
-    util::json::Value panels = util::json::Value::array();
-    for (std::size_t i = 0; i < driver.panel_count; ++i) {
-      util::json::Value v = driver.panel_meta(i);
-      v.set("series", driver.series_json(state->partials[i]));
-      panels.push_back(std::move(v));
-    }
-    write_series_document(series_out, driver.header, 0, driver.runs,
-                          std::move(panels));
+    return state->partials;
+  };
+  bench.write_series = [driver, folded](const std::string& series_out) {
+    driver.write_series(series_out, 0, driver.runs, folded());
+  };
+  bench.folded_document = [driver, folded]() {
+    return partial_document(driver.header, 0, driver.runs, driver.runs,
+                            folded(), driver.panel_meta);
   };
   return bench;
 }
@@ -670,6 +699,104 @@ inline ShardableBench make_shardable_bench(const std::string& bench,
   throw std::invalid_argument("--bench=" + bench +
                               " is not shard-capable — pick one of: " +
                               kShardableBenchNames);
+}
+
+/// The registry bench that wrote a shard-document header, rebuilt from
+/// the header alone: every echoed field becomes the flag that sets it
+/// ("nodes": 60 -> --nodes=60, "top_fraction" -> --top-fraction=...)
+/// and the factory parses that argv as the bench main would. Fields no
+/// factory parses ("kind", "trim") are ignored; whatever the rebuilt
+/// bench echoes, load_partial_document compares against every document
+/// folded into it.
+inline ShardableBench shardable_bench_of(const util::json::Value& header) {
+  std::vector<std::string> args = {"merge_partials"};
+  for (const auto& [key, value] : header.as_object()) {
+    if (is_window_key(key)) continue;
+    std::string flag = key;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    args.push_back("--" + flag + "=" +
+                   (value.is_string() ? value.as_string() : value.dump()));
+  }
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return make_shardable_bench(header.at("bench").as_string(),
+                              static_cast<int>(argv.size()), argv.data());
+}
+
+/// The reduce step of a sharded sweep (the merge_partials CLI). Reads
+/// every shard file — `format` "auto" takes either codec per file, "json"
+/// or "bin" requires it of all of them — rebuilds the bench from the
+/// first shard's header, refuses any set that does not tile [0, runs)
+/// before merging (sim::check_shard_tiling), then folds the shards in
+/// run order through ShardableBench::fold and writes `series_out` with
+/// write_series: the orchestrator's reduce path, fed from files. With
+/// `store_dir` the folded [0, runs) document is also published (in the
+/// required format, binary under auto), so a later whole-range bench
+/// run is a cache hit. Every refusal names the offending file.
+inline void merge_partial_files(const std::vector<std::string>& paths,
+                                const std::string& series_out,
+                                const std::string& format,
+                                const std::string& store_dir) {
+  std::optional<sim::PartialFormat> required;
+  if (format != "auto") required = sim::parse_partial_format(format);
+  struct Shard {
+    std::string bytes;
+    sim::ShardWindow window;
+  };
+  std::vector<Shard> shards;
+  std::optional<ShardableBench> bench;
+  for (const std::string& path : paths) {
+    std::string bytes = read_text_file(path);
+    const sim::PartialFormat on_disk = sim::detect_partial_format(bytes, path);
+    if (required && on_disk != *required) {
+      throw std::invalid_argument(
+          "shard " + path + " is " + sim::to_string(on_disk) +
+          " but --format=" + format + " requires every shard to be " +
+          sim::to_string(*required));
+    }
+    std::printf("[shard] %s: %zu bytes, %s\n", path.c_str(), bytes.size(),
+                sim::to_string(on_disk));
+    const util::json::Value doc = sim::decode_partial_document(bytes, path);
+    if (!bench) {
+      try {
+        bench = shardable_bench_of(doc);
+      } catch (const std::exception& e) {
+        throw std::invalid_argument("shard " + path + ": " + e.what());
+      }
+    }
+    shards.push_back({std::move(bytes),
+                      {doc.at("run_begin").as_size(),
+                       doc.at("run_end").as_size(),
+                       doc.at("window_end").as_size(), path}});
+  }
+  if (!bench) throw std::invalid_argument("no shard files to merge");
+
+  std::vector<sim::ShardWindow> windows;
+  for (const Shard& shard : shards) windows.push_back(shard.window);
+  sim::check_shard_tiling(std::move(windows), bench->runs);
+  std::sort(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
+    return a.window.run_begin < b.window.run_begin;
+  });
+  std::printf("merging %zu %s shards, runs [0, %zu)\n", shards.size(),
+              bench->bench_name.c_str(), bench->runs);
+  for (const Shard& shard : shards) {
+    bench->fold(shard.bytes, shard.window.run_begin, shard.window.run_end,
+                shard.window.label);
+  }
+  bench->write_series(series_out);
+
+  if (store_dir.empty()) return;
+  const sim::PartialFormat publish =
+      required.value_or(sim::PartialFormat::Binary);
+  const std::string bytes =
+      sim::partial_codec(publish).encode(bench->folded_document());
+  const std::string entry = sim::ResultStore(store_dir).insert(
+      store_key_of(util::json::parse(bench->config_echo), 0, bench->runs),
+      bytes);
+  std::printf("[store] published merged runs [0, %zu) to %s (%zu bytes, "
+              "%s)\n",
+              bench->runs, entry.c_str(), bytes.size(),
+              sim::to_string(publish));
 }
 
 }  // namespace roleshare::bench

@@ -23,9 +23,10 @@
 //                             accumulator state at O(rounds) memory.
 //   --run-begin=B --run-end=E execute only global runs [B, E) — one shard
 //                             of a multi-process sweep.
-//   --partial-out=FILE        write the shard's mergeable partial (JSON)
-//                             instead of a figure; feed the files from
-//                             all shards to merge_partials.
+//   --partial-out=FILE        write the shard's mergeable partial
+//                             instead of a figure (--format={json,bin},
+//                             default json); feed the files from all
+//                             shards to merge_partials.
 //   --checkpoint-every=R      rewrite the partial every R runs with a
 //                             resume cursor, so a crashed shard loses at
 //                             most R runs of work.
@@ -80,7 +81,6 @@ int main(int argc, char** argv) {
       {"agg", sim::to_string(d.agg)}};
 
   std::size_t accumulator_bytes = 0;
-  util::json::Value series_panels = util::json::Value::array();
   for (std::size_t i = 0; i < d.panels.panel_count; ++i) {
     const sim::DefectionSeries series =
         exec.partials[i].finalize(bench::fig3::kTrim);
@@ -96,16 +96,11 @@ int main(int argc, char** argv) {
         "mean_final_pct_" +
             std::to_string(static_cast<int>(bench::fig3::kRates[i] * 100)),
         mean_final);
-
-    util::json::Value panel = d.panels.panel_meta(i);
-    panel.set("series", bench::defection_series_json(series));
-    series_panels.push_back(std::move(panel));
   }
 
   if (!series_out.empty()) {
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
+                          exec.partials);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

@@ -59,16 +59,12 @@ int main(int argc, char** argv) {
       {"inner_threads", static_cast<double>(d.inner_threads)},
       {"agg", sim::to_string(d.agg)}};
   std::size_t accumulator_bytes = 0;
-  util::json::Value series_panels = util::json::Value::array();
 
   for (std::size_t i = 0; i < d.panels.panel_count; ++i) {
     const sim::RewardExperimentResult result = exec.partials[i].finalize();
     json_fields.emplace_back(
         "mean_bi_" + std::string(1, bench::fig6::kPanels[i]), result.mean_bi);
     accumulator_bytes += result.accumulator_bytes;
-    util::json::Value panel = d.panels.panel_meta(i);
-    panel.set("series", bench::reward_series_json(result));
-    series_panels.push_back(std::move(panel));
 
     std::printf("\n--- Fig 6(%c): stakes %s ---\n", bench::fig6::kPanels[i],
                 bench::fig6::specs()[i].name().c_str());
@@ -102,9 +98,8 @@ int main(int argc, char** argv) {
   }
 
   if (!series_out.empty()) {
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
+                          exec.partials);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

@@ -88,15 +88,8 @@ int main(int argc, char** argv) {
   }
 
   if (!series_out.empty()) {
-    util::json::Value series_panels = util::json::Value::array();
-    for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel) {
-      util::json::Value v = d.panels.panel_meta(panel);
-      v.set("series", bench::longhorizon_series_json(results[panel]));
-      series_panels.push_back(std::move(v));
-    }
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
+                          exec.partials);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

@@ -6,20 +6,22 @@
 //   $ ./fig3_defection --runs=8 --run-begin=4 --run-end=8 --partial-out=s1.json
 //   $ ./merge_partials --series-out=merged.json s0.json s1.json
 //
-// The experiment family is auto-detected from the shard documents' "kind"
-// field (defection = fig3/scenario_sweep, reward = fig6/fig7, strategic =
-// strategic_ensemble); mixing kinds, configs or panel layouts across the
-// shard set is refused loudly, naming both sides. Shards may be listed in
-// any order; before any merge the whole set is validated to tile the full
-// run range [0, runs) exactly — no overlaps, no gaps, no unfinished
-// checkpoints (a partial whose run_end < window_end must be resumed via
-// the bench's --partial-in first). That tiling is the contract that makes
-// an exact-backend merge bit-identical to a single-process execution (the
-// CI smoke jobs diff merged.json against an unsharded --series-out byte
-// for byte). Streaming-backend partials merge within the documented
-// reservoir error bound instead.
+// The bench is rebuilt from the first shard's header through the same
+// registry orchestrate uses (fig3_defection, fig6_bi_distributions,
+// fig7_reward_comparison, scenario_sweep, strategic_ensemble,
+// fig_longhorizon), and every shard is folded by that bench's
+// ShardableBench::fold in run order — so a merge is the orchestrator's
+// reduce path fed from files (bench::merge_partial_files). Shards may be
+// listed in any order; before any merge the whole set must tile the
+// full run range [0, runs) exactly — no overlaps, no gaps, no
+// unfinished checkpoints (resume those via the bench's --partial-in
+// first). Each fold refuses a shard of another kind, bench, config or
+// panel layout, naming the file. Under the exact backend the merged
+// series is byte-identical to a single-process --series-out; streaming
+// partials merge within the documented reservoir error bound instead.
+// The per-panel numbers are in the series file; the bench prints them.
 //
-// Shard files are read through sim::decode_partial_document, so JSON and
+// Shards are read through sim::decode_partial_document, so JSON and
 // framed-binary shards (bench --format=bin) interoperate freely — the
 // format is auto-detected per file from its leading bytes and printed
 // with the byte size. --format={auto,json,bin} (default auto) makes an
@@ -30,228 +32,20 @@
 // the whole window is a cache hit.
 //
 // Exit codes: 0 on success, 1 on malformed/incompatible/missing shards.
-#include <algorithm>
 #include <cstdio>
-#include <optional>
+#include <exception>
 #include <string>
 #include <vector>
 
+#include "bench_drivers.hpp"
 #include "bench_util.hpp"
-#include "shard_util.hpp"
-#include "sim/defection_experiment.hpp"
-#include "sim/longhorizon.hpp"
-#include "sim/partial.hpp"
-#include "sim/partial_codec.hpp"
-#include "sim/result_store.hpp"
-#include "sim/reward_experiment.hpp"
-#include "sim/strategic_loop.hpp"
-#include "util/json.hpp"
 
 using namespace roleshare;
-
-namespace {
-
-struct ShardFile {
-  std::string path;
-  util::json::Value doc;
-};
-
-/// Document members every shard document carries around its config echo;
-/// everything else in the header must agree verbatim across shards.
-bool is_window_key(const std::string& key) {
-  return key == "run_begin" || key == "run_end" || key == "window_end" ||
-         key == "panels";
-}
-
-void check_headers_match(const ShardFile& reference, const ShardFile& file) {
-  for (const auto& [key, value] : reference.doc.as_object()) {
-    if (is_window_key(key)) continue;
-    const util::json::Value* other = file.doc.find(key);
-    if (other == nullptr) {
-      throw std::invalid_argument("shard " + file.path +
-                                  " is missing header field \"" + key +
-                                  "\" that " + reference.path + " carries");
-    }
-    if (other->dump() != value.dump()) {
-      throw std::invalid_argument("shard " + file.path +
-                                  " disagrees on \"" + key + "\": " +
-                                  other->dump() + " vs " + value.dump() +
-                                  " in " + reference.path);
-    }
-  }
-  // Symmetric: a shard carrying header fields the reference lacks is just
-  // as mismatched — validation must not depend on argument order.
-  for (const auto& [key, value] : file.doc.as_object()) {
-    if (is_window_key(key)) continue;
-    if (reference.doc.find(key) == nullptr) {
-      throw std::invalid_argument("shard " + file.path +
-                                  " carries extra header field \"" + key +
-                                  "\" that " + reference.path + " lacks");
-    }
-  }
-}
-
-/// The panel-identity fields (everything but "partial"), used to check
-/// that all shards share one panel layout and to rebuild series panels.
-util::json::Value panel_meta_of(const util::json::Value& panel) {
-  util::json::Value meta = util::json::Value::object();
-  for (const auto& [key, value] : panel.as_object())
-    if (key != "partial") meta.set(key, value);
-  return meta;
-}
-
-/// Merges every shard's panel partials in window order. The envelope
-/// inside each partial re-checks kind / spec hash / backend / contiguity,
-/// so a shard that slipped past the document-level validation still
-/// cannot corrupt the merge silently.
-template <typename PartialT>
-struct MergedPanels {
-  std::vector<PartialT> partials;
-  std::vector<util::json::Value> metas;
-};
-
-template <typename PartialT>
-MergedPanels<PartialT> merge_panels(const std::vector<ShardFile>& files) {
-  MergedPanels<PartialT> merged;
-  std::vector<std::string> meta_dumps;
-  for (const ShardFile& file : files) {
-    const auto& panels = file.doc.at("panels").as_array();
-    if (panels.empty())
-      throw std::invalid_argument("shard " + file.path + " has no panels");
-    if (merged.partials.empty()) {
-      for (const util::json::Value& panel : panels) {
-        merged.partials.push_back(PartialT::from_json(panel.at("partial")));
-        merged.metas.push_back(panel_meta_of(panel));
-        meta_dumps.push_back(merged.metas.back().dump());
-      }
-      continue;
-    }
-    if (panels.size() != merged.partials.size())
-      throw std::invalid_argument("shard " + file.path + " has " +
-                                  std::to_string(panels.size()) +
-                                  " panels, the first shard has " +
-                                  std::to_string(merged.partials.size()));
-    for (std::size_t i = 0; i < panels.size(); ++i) {
-      if (panel_meta_of(panels[i]).dump() != meta_dumps[i])
-        throw std::invalid_argument("shard " + file.path +
-                                    " has a different panel layout at "
-                                    "panel " + std::to_string(i));
-      merged.partials[i].merge(PartialT::from_json(panels[i].at("partial")));
-    }
-  }
-  return merged;
-}
-
-util::json::Value series_header(const util::json::Value& shard_doc) {
-  util::json::Value header = util::json::Value::object();
-  for (const auto& [key, value] : shard_doc.as_object())
-    if (!is_window_key(key)) header.set(key, value);
-  return header;
-}
-
-/// Publishes the merged full-range partial to the result store, so a
-/// later bench invocation over the whole window ([0, runs)) is served
-/// from cache instead of recomputing every shard's work.
-template <typename PartialT>
-void publish_merged(const std::string& store_dir,
-                    const util::json::Value& shard_doc,
-                    std::size_t runs_total,
-                    const MergedPanels<PartialT>& merged,
-                    sim::PartialFormat format) {
-  if (store_dir.empty()) return;
-  const util::json::Value header = series_header(shard_doc);
-  const std::function<util::json::Value(std::size_t)> panel_meta =
-      [&](std::size_t i) { return merged.metas[i]; };
-  const std::string bytes = sim::partial_codec(format).encode(
-      bench::partial_document(header, 0, runs_total, runs_total,
-                              merged.partials, panel_meta));
-  sim::ResultStore store(store_dir);
-  const std::string path =
-      store.insert(bench::store_key_of(header, 0, runs_total), bytes);
-  std::printf("[store] published merged runs [0, %zu) to %s (%zu bytes, "
-              "%s)\n",
-              runs_total, path.c_str(), bytes.size(),
-              sim::to_string(format));
-}
-
-/// Kind-specific finalize + series snapshot + stdout summary.
-util::json::Value finalize_defection(
-    const MergedPanels<sim::DefectionPartial>& merged, double trim) {
-  util::json::Value panels = util::json::Value::array();
-  for (std::size_t i = 0; i < merged.partials.size(); ++i) {
-    const sim::DefectionSeries series = merged.partials[i].finalize(trim);
-    std::printf("\n--- panel %zu: %s ---\n", i + 1,
-                merged.metas[i].dump().c_str());
-    bench::print_defection_table(series);
-    std::printf("mean final%% = %.1f | runs with chain progress = %.0f%%\n",
-                bench::mean_final_pct(series),
-                series.runs_with_progress * 100);
-    util::json::Value panel = merged.metas[i];
-    panel.set("series", bench::defection_series_json(series));
-    panels.push_back(std::move(panel));
-  }
-  return panels;
-}
-
-util::json::Value finalize_reward(
-    const MergedPanels<sim::RewardPartial>& merged) {
-  util::json::Value panels = util::json::Value::array();
-  for (std::size_t i = 0; i < merged.partials.size(); ++i) {
-    const sim::RewardExperimentResult result = merged.partials[i].finalize();
-    std::printf("panel %zu %s: mean B_i = %.4f Algos, mean alpha=%.4f "
-                "beta=%.4f, infeasible=%zu\n",
-                i + 1, merged.metas[i].dump().c_str(), result.mean_bi,
-                result.mean_alpha, result.mean_beta,
-                result.infeasible_rounds);
-    util::json::Value panel = merged.metas[i];
-    panel.set("series", bench::reward_series_json(result));
-    panels.push_back(std::move(panel));
-  }
-  return panels;
-}
-
-util::json::Value finalize_longhorizon(
-    const MergedPanels<sim::LongHorizonPartial>& merged) {
-  util::json::Value panels = util::json::Value::array();
-  for (std::size_t i = 0; i < merged.partials.size(); ++i) {
-    const sim::LongHorizonResult result = merged.partials[i].finalize();
-    std::printf("panel %zu %s: end gini = %.4f, end top-share = %.4f, "
-                "defector corr = %.4f, paid = %.1f Algos\n",
-                i + 1, merged.metas[i].dump().c_str(), result.mean_end_gini,
-                result.mean_end_top_share, result.mean_end_defector_corr,
-                result.mean_paid_algos);
-    util::json::Value panel = merged.metas[i];
-    panel.set("series", bench::longhorizon_series_json(result));
-    panels.push_back(std::move(panel));
-  }
-  return panels;
-}
-
-util::json::Value finalize_strategic(
-    const MergedPanels<sim::StrategicPartial>& merged) {
-  util::json::Value panels = util::json::Value::array();
-  for (std::size_t i = 0; i < merged.partials.size(); ++i) {
-    const sim::StrategicEnsembleResult result =
-        merged.partials[i].finalize();
-    std::printf("panel %zu %s: cooperation at horizon = %.0f%%, mean total "
-                "reward = %.4f Algos\n",
-                i + 1, merged.metas[i].dump().c_str(),
-                result.mean_final_cooperation * 100,
-                result.mean_total_reward_algos);
-    util::json::Value panel = merged.metas[i];
-    panel.set("series", bench::strategic_series_json(result));
-    panels.push_back(std::move(panel));
-  }
-  return panels;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string series_out =
       bench::arg_string(argc, argv, "series-out", "MERGED_series.json");
-  const std::string format_arg =
-      bench::arg_string(argc, argv, "format", "auto");
+  const std::string format = bench::arg_string(argc, argv, "format", "auto");
   const std::string store_dir = bench::arg_string(argc, argv, "store", "");
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
@@ -271,96 +65,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // --format=auto accepts any mix; an explicit choice is a requirement
-    // on every input file. The store publication (if any) reuses the
-    // pinned format, defaulting to the compact binary form under auto.
-    std::optional<sim::PartialFormat> required_format;
-    if (format_arg != "auto")
-      required_format = sim::parse_partial_format(format_arg);
-    const sim::PartialFormat publish_format =
-        required_format.value_or(sim::PartialFormat::Binary);
-
-    std::vector<ShardFile> files;
-    for (const std::string& path : paths) {
-      const std::string bytes = bench::read_text_file(path);
-      const sim::PartialFormat format =
-          sim::detect_partial_format(bytes, path);
-      if (required_format && format != *required_format) {
-        throw std::invalid_argument(
-            "shard " + path + " is " + sim::to_string(format) +
-            " but --format=" + format_arg + " requires every shard to be " +
-            sim::to_string(*required_format));
-      }
-      std::printf("[shard] %s: %zu bytes, %s\n", path.c_str(), bytes.size(),
-                  sim::to_string(format));
-      files.push_back({path, sim::decode_partial_document(bytes, path)});
-    }
-
-    // Every shard must be the same experiment kind — auto-detected from
-    // the first file, cross-checked against all others.
-    const std::string kind = files.front().doc.at("kind").as_string();
-    for (const ShardFile& file : files) {
-      const std::string& file_kind = file.doc.at("kind").as_string();
-      if (file_kind != kind) {
-        throw std::invalid_argument(
-            "refusing to merge across experiment kinds: " +
-            files.front().path + " is \"" + kind + "\", " + file.path +
-            " is \"" + file_kind + "\"");
-      }
-      check_headers_match(files.front(), file);
-    }
-
-    std::sort(files.begin(), files.end(),
-              [](const ShardFile& a, const ShardFile& b) {
-                return a.doc.at("run_begin").as_size() <
-                       b.doc.at("run_begin").as_size();
-              });
-    const util::json::Value& header = files.front().doc;
-    const std::size_t runs_total = header.at("runs").as_size();
-
-    // Pre-flight: the shard set must tile [0, runs) exactly — overlaps,
-    // gaps, missing shards and unfinished checkpoints are all named
-    // before any merge work starts.
-    std::vector<sim::ShardWindow> windows;
-    for (const ShardFile& file : files) {
-      windows.push_back({file.doc.at("run_begin").as_size(),
-                         file.doc.at("run_end").as_size(),
-                         file.doc.at("window_end").as_size(), file.path});
-    }
-    sim::check_shard_tiling(std::move(windows), runs_total);
-
-    const sim::AggBackend agg =
-        sim::parse_agg_backend(header.at("agg").as_string());
-    std::printf("merging %zu %s shards, runs [0, %zu), agg=%s\n",
-                files.size(), kind.c_str(), runs_total,
-                sim::to_string(agg));
-
-    util::json::Value series_panels;
-    if (kind == sim::DefectionPayload::kKind) {
-      const auto merged = merge_panels<sim::DefectionPartial>(files);
-      series_panels =
-          finalize_defection(merged, header.at("trim").as_number());
-      publish_merged(store_dir, header, runs_total, merged, publish_format);
-    } else if (kind == sim::RewardPayload::kKind) {
-      const auto merged = merge_panels<sim::RewardPartial>(files);
-      series_panels = finalize_reward(merged);
-      publish_merged(store_dir, header, runs_total, merged, publish_format);
-    } else if (kind == sim::StrategicPayload::kKind) {
-      const auto merged = merge_panels<sim::StrategicPartial>(files);
-      series_panels = finalize_strategic(merged);
-      publish_merged(store_dir, header, runs_total, merged, publish_format);
-    } else if (kind == sim::LongHorizonPayload::kKind) {
-      const auto merged = merge_panels<sim::LongHorizonPartial>(files);
-      series_panels = finalize_longhorizon(merged);
-      publish_merged(store_dir, header, runs_total, merged, publish_format);
-    } else {
-      throw std::invalid_argument("unknown experiment kind \"" + kind +
-                                  "\" (expected \"defection\", \"reward\", "
-                                  "\"strategic\" or \"longhorizon\")");
-    }
-
-    bench::write_series_document(series_out, series_header(header), 0,
-                                 runs_total, std::move(series_panels));
+    bench::merge_partial_files(paths, series_out, format, store_dir);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ERROR: %s\n", e.what());

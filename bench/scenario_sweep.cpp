@@ -50,14 +50,6 @@ double series_mean(const std::vector<double>& xs) {
   return xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
 }
 
-double mean_final_pct(const sim::DefectionSeries& series) {
-  double sum = 0.0;
-  for (const sim::RoundAggregate& agg : series.rounds) sum += agg.final_pct;
-  return series.rounds.empty()
-             ? 0.0
-             : sum / static_cast<double>(series.rounds.size());
-}
-
 bool bit_identical(const sim::DefectionSeries& a,
                    const sim::DefectionSeries& b) {
   if (a.rounds.size() != b.rounds.size()) return false;
@@ -123,7 +115,6 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   bool churn_varies = true;
   std::size_t accumulator_bytes = 0;
-  util::json::Value series_panels = util::json::Value::array();
   for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel) {
     const bench::scenario::PolicyCase& policy =
         bench::scenario::panel_policy(panel);
@@ -131,14 +122,8 @@ int main(int argc, char** argv) {
     const double level = bench::scenario::kLevels[i];
     const sim::DefectionSeries series =
         exec.partials[panel].finalize(bench::scenario::kTrim);
-    {
-      util::json::Value v = d.panels.panel_meta(panel);
-      v.set("series", bench::defection_series_json(series));
-      series_panels.push_back(std::move(v));
-    }
-
     accumulator_bytes += series.accumulator_bytes;
-    const double final_pct = mean_final_pct(series);
+    const double final_pct = bench::mean_final_pct(series);
     const double coop_pct = series_mean(series.cooperation_series);
     std::printf("%10s %6.0f%% %8.1f %7.1f %6zu..%-6zu %9.0f%%\n",
                 policy.name, level * 100, final_pct, coop_pct,
@@ -175,9 +160,8 @@ int main(int argc, char** argv) {
   }
 
   if (!series_out.empty()) {
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
+                          exec.partials);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

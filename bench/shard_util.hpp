@@ -171,9 +171,12 @@ inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
 }
 
 /// The config-echo header both document kinds share. `kind` is the
-/// experiment family ("defection" / "reward" / "strategic") merge_partials
-/// dispatches on; `echo` is the bench's own config summary and must be a
-/// pure function of the knobs (no wall time, no git SHA).
+/// experiment family ("defection" / "reward" / "strategic" /
+/// "longhorizon"); `echo` is the bench's own config summary and must be
+/// a pure function of the knobs (no wall time, no git SHA). Every field
+/// is named after the flag that sets it ("top_fraction" is
+/// --top-fraction), which is how merge_partials rebuilds the bench from
+/// a shard's header.
 inline util::json::Value shard_document_header(
     const std::string& kind, const std::string& bench,
     std::vector<std::pair<std::string, util::json::Value>> echo) {
@@ -204,22 +207,6 @@ util::json::Value partial_document(
   }
   doc.set("panels", std::move(panels));
   return doc;
-}
-
-/// Encodes + writes a partial document through the chosen codec;
-/// returns the byte size on disk (the BENCH_*.json size-win field).
-template <typename PartialT>
-std::size_t write_partial_document(
-    const std::string& path, const util::json::Value& header,
-    std::size_t run_begin, std::size_t run_end, std::size_t window_end,
-    const std::vector<PartialT>& partials,
-    const std::function<util::json::Value(std::size_t)>& panel_meta,
-    sim::PartialFormat format = sim::PartialFormat::Json) {
-  const std::string bytes = sim::partial_codec(format).encode(
-      partial_document(header, run_begin, run_end, window_end, partials,
-                       panel_meta));
-  write_text_file(path, bytes);
-  return bytes.size();
 }
 
 /// The result-store key of one (header, window): the spec hash digests
@@ -273,16 +260,23 @@ struct ShardExecution {
   bool complete() const { return cursor == window_end; }
 };
 
+/// Document members outside the config echo: the window and the panels.
+inline bool is_window_key(const std::string& key) {
+  return key == "run_begin" || key == "run_end" || key == "window_end" ||
+         key == "panels";
+}
+
 /// Validates a decoded partial document against this invocation's header
 /// and panel layout, then adopts its partials and window into `exec`.
 /// `origin` names the byte source ("--partial-in file X", "store entry
-/// Y") in every refusal. Shared by the resume and cache-hit paths.
+/// Y", a shard path) in every refusal. Shared by resume, store hits, the
+/// orchestrator fold and merge_partials.
 template <typename PartialT>
-void load_partial_document(const util::json::Value& doc,
-                           const std::string& origin,
-                           const util::json::Value& header,
-                           std::size_t panel_count,
-                           ShardExecution<PartialT>& exec) {
+void load_partial_document(
+    const util::json::Value& doc, const std::string& origin,
+    const util::json::Value& header,
+    const std::function<util::json::Value(std::size_t)>& panel_meta,
+    std::size_t panel_count, ShardExecution<PartialT>& exec) {
   const std::string& doc_kind = doc.at("kind").as_string();
   const std::string& kind = header.at("kind").as_string();
   if (doc_kind != kind) {
@@ -293,8 +287,10 @@ void load_partial_document(const util::json::Value& doc,
   // The document's config echo must match this invocation BEFORE any run
   // executes or any cached result is adopted — resuming (or serving) a
   // 10k-run shard under the wrong knobs must not burn or fake a
-  // sub-window of compute. (The envelope's spec hash re-checks on merge
-  // as the authoritative guard.)
+  // sub-window of compute. The comparison is symmetric: a field the
+  // document carries but this bench does not echo (another bench's
+  // knob, or a knob set away from its default) is as foreign as a
+  // differing value. (The envelope's spec hash re-checks on merge.)
   for (const auto& [key, value] : header.as_object()) {
     const util::json::Value* other = doc.find(key);
     if (other == nullptr || other->dump() != value.dump()) {
@@ -302,6 +298,13 @@ void load_partial_document(const util::json::Value& doc,
           origin + " was produced under a different config: \"" + key +
           "\" is " + (other ? other->dump() : std::string("absent")) +
           " there, this invocation has " + value.dump());
+    }
+  }
+  for (const auto& [key, value] : doc.as_object()) {
+    if (!is_window_key(key) && header.find(key) == nullptr) {
+      throw std::invalid_argument(
+          origin + " was produced under a different config: \"" + key +
+          "\" is " + value.dump() + " there, this invocation has none");
     }
   }
   const auto& panels = doc.at("panels").as_array();
@@ -312,11 +315,46 @@ void load_partial_document(const util::json::Value& doc,
                                 std::to_string(panel_count));
   }
   exec.partials.clear();
-  for (const util::json::Value& panel : panels)
-    exec.partials.push_back(PartialT::from_json(panel.at("partial")));
+  for (std::size_t i = 0; i < panels.size(); ++i) {
+    util::json::Value id = util::json::Value::object();
+    for (const auto& [key, value] : panels[i].as_object())
+      if (key != "partial") id.set(key, value);
+    const std::string expected = panel_meta(i).dump();
+    if (id.dump() != expected) {
+      throw std::invalid_argument(origin + " panel " + std::to_string(i) +
+                                  " is " + id.dump() + ", this bench's is " +
+                                  expected);
+    }
+    exec.partials.push_back(PartialT::from_json(panels[i].at("partial")));
+  }
   exec.window_begin = doc.at("run_begin").as_size();
   exec.cursor = doc.at("run_end").as_size();
   exec.window_end = doc.at("window_end").as_size();
+}
+
+/// Decodes `bytes` (either codec) as the FINISHED window [begin, end) —
+/// the one check a store hit, the orchestrator fold and merge_partials
+/// share. Throws naming `origin` on an unfinished checkpoint or another
+/// window.
+template <typename PartialT>
+ShardExecution<PartialT> load_finished_window(
+    const std::string& bytes, const std::string& origin,
+    const util::json::Value& header,
+    const std::function<util::json::Value(std::size_t)>& panel_meta,
+    std::size_t panel_count, std::size_t begin, std::size_t end) {
+  ShardExecution<PartialT> exec;
+  load_partial_document(sim::decode_partial_document(bytes, origin), origin,
+                        header, panel_meta, panel_count, exec);
+  if (!exec.complete() || exec.window_begin != begin ||
+      exec.window_end != end) {
+    throw std::invalid_argument(
+        origin + " covers runs [" + std::to_string(exec.window_begin) +
+        ", " + std::to_string(exec.cursor) + ") of window [" +
+        std::to_string(exec.window_begin) + ", " +
+        std::to_string(exec.window_end) + ") — expected finished window [" +
+        std::to_string(begin) + ", " + std::to_string(end) + ")");
+  }
+  return exec;
 }
 
 /// The checkpointed shard driver every figure bench runs its panels
@@ -340,12 +378,22 @@ ShardExecution<PartialT> run_sharded_panels(
   exec.window_begin = knobs.shard.whole() ? 0 : knobs.shard.begin;
   exec.window_end = knobs.shard.whole() ? knobs.runs : knobs.shard.end;
   exec.cursor = exec.window_begin;
+  // The executed state as --format bytes; its size is the BENCH_*.json
+  // size-win field.
+  const auto encode = [&]() {
+    std::string bytes = sim::partial_codec(knobs.format)
+                            .encode(partial_document(
+                                header, exec.window_begin, exec.cursor,
+                                exec.window_end, exec.partials, panel_meta));
+    exec.partial_bytes = bytes.size();
+    return bytes;
+  };
 
   if (!knobs.partial_in.empty()) {
     const util::json::Value doc = sim::decode_partial_document(
         read_text_file(knobs.partial_in), knobs.partial_in);
     load_partial_document(doc, "--partial-in file " + knobs.partial_in,
-                          header, panel_count, exec);
+                          header, panel_meta, panel_count, exec);
     // The window comes from the file; an explicit CLI window that
     // disagrees must not be silently overridden.
     if (!knobs.shard.whole() && (knobs.shard.begin != exec.window_begin ||
@@ -373,21 +421,9 @@ ShardExecution<PartialT> run_sharded_panels(
         store_key_of(header, exec.window_begin, exec.window_end);
     if (const auto cached = store.lookup(key)) {
       try {
-        const std::string origin = "store entry " + store.entry_path(key);
-        const util::json::Value doc =
-            sim::decode_partial_document(*cached, origin);
-        ShardExecution<PartialT> hit;
-        load_partial_document(doc, origin, header, panel_count, hit);
-        if (!hit.complete() || hit.window_begin != exec.window_begin ||
-            hit.window_end != exec.window_end) {
-          throw std::invalid_argument(
-              origin + " covers runs [" + std::to_string(hit.window_begin) +
-              ", " + std::to_string(hit.cursor) + ") of window [" +
-              std::to_string(hit.window_begin) + ", " +
-              std::to_string(hit.window_end) +
-              ") — not this invocation's finished window");
-        }
-        exec = std::move(hit);
+        exec = load_finished_window<PartialT>(
+            *cached, "store entry " + store.entry_path(key), header,
+            panel_meta, panel_count, exec.window_begin, exec.window_end);
         exec.store_hit = true;
         std::printf("[store] cache hit: %s — runs [%zu, %zu) served "
                     "without recomputation\n",
@@ -423,9 +459,7 @@ ShardExecution<PartialT> run_sharded_panels(
         knobs.stop_after > 0 && exec.executed >= knobs.stop_after;
     if (!knobs.partial_out.empty() && !exec.complete() &&
         (hit_stop || knobs.checkpoint_every > 0)) {
-      exec.partial_bytes = write_partial_document(
-          knobs.partial_out, header, exec.window_begin, exec.cursor,
-          exec.window_end, exec.partials, panel_meta, knobs.format);
+      write_text_file(knobs.partial_out, encode());
       std::printf("[checkpoint] wrote %s at run cursor %zu of window "
                   "[%zu, %zu)\n",
                   knobs.partial_out.c_str(), exec.cursor, exec.window_begin,
@@ -446,12 +480,7 @@ ShardExecution<PartialT> run_sharded_panels(
   // re-encoded rather than copied so the bytes written under
   // --format=X are identical whether or not the store served the run.
   if (!knobs.partial_out.empty() || !knobs.store_dir.empty()) {
-    const std::string bytes =
-        sim::partial_codec(knobs.format)
-            .encode(partial_document(header, exec.window_begin, exec.cursor,
-                                     exec.window_end, exec.partials,
-                                     panel_meta));
-    exec.partial_bytes = bytes.size();
+    const std::string bytes = encode();
     if (!knobs.partial_out.empty()) write_text_file(knobs.partial_out, bytes);
     if (!knobs.store_dir.empty() && !exec.store_hit) {
       sim::ResultStore store(knobs.store_dir);

@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
       {"inner_threads", static_cast<double>(d.inner_threads)},
       {"agg", sim::to_string(d.agg)}};
   std::size_t accumulator_bytes = 0;
-  util::json::Value series_panels = util::json::Value::array();
 
   for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel) {
     const sim::StrategicEnsembleResult result =
@@ -89,16 +88,11 @@ int main(int argc, char** argv) {
     json_fields.emplace_back(
         std::string("total_reward_") + bench::strategic::kSchemeNames[panel],
         result.mean_total_reward_algos);
-
-    util::json::Value v = d.panels.panel_meta(panel);
-    v.set("series", bench::strategic_series_json(result));
-    series_panels.push_back(std::move(v));
   }
 
   if (!series_out.empty()) {
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
+                          exec.partials);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

@@ -72,19 +72,15 @@ class RoundEngine {
 
   /// Runs the next round (chain height determines the round number),
   /// appends the agreed block to the network's chain, and returns the
-  /// per-node outcomes.
+  /// per-node outcomes: run_round_into on a fresh workspace and result.
   RoundResult run_round();
 
-  /// Same, on caller-owned working memory: `ws` supplies every buffer the
-  /// round needs and keeps its capacity for the next call (see
-  /// round_workspace.hpp for the reuse contract).
-  RoundResult run_round(RoundWorkspace& ws);
-
-  /// Fully recycled form — the round's working buffers come from `ws` and
+  /// The reusable form — the round's working buffers come from `ws` and
   /// the outputs are rebuilt in place inside `result` (its vectors and
-  /// role snapshots keep their capacity). In steady state this is the
-  /// zero-allocation path. Results are bit-identical to run_round()
-  /// regardless of what either object previously held.
+  /// role snapshots keep their capacity; see round_workspace.hpp for the
+  /// reuse contract). In steady state this is the zero-allocation path.
+  /// Results are bit-identical to run_round() regardless of what either
+  /// object previously held.
   ///
   /// Under CommitteeModel::Sampled this dispatches to the sparse core on a
   /// context rebuilt from the ledger (O(N) per round) and expands the full

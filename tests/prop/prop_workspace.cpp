@@ -100,12 +100,14 @@ PROP_TEST_WITH_PARAMS(PropWorkspace, DirtyReuseIsBitIdentical, 8) {
 
         for (std::size_t r = 0; r < 2; ++r) {
           const RoundResult fresh = engine_fresh.run_round();
-          const RoundResult reused = engine_ws.run_round(ws);
+          RoundResult reused;  // fresh result on the dirty workspace
+          engine_ws.run_round_into(reused, ws);
           engine_into.run_round_into(recycled, ws);
 
           Verdict v = same_result(fresh, reused,
                                   "round " + std::to_string(r) +
-                                      " run_round(ws) vs fresh");
+                                      " fresh result, dirty workspace vs "
+                                      "fresh");
           if (!v.ok) return v;
           v = same_result(fresh, recycled,
                           "round " + std::to_string(r) +

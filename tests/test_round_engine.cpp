@@ -210,8 +210,9 @@ TEST(RoundEngine, WorkspaceOverloadMatchesAllocatingRunRound) {
   RoundEngine ea(a, params_for(a));
   RoundEngine eb(b, params_for(b));
   RoundWorkspace ws;
+  RoundResult with_ws;
   for (int r = 0; r < 2; ++r) {
-    const RoundResult with_ws = ea.run_round(ws);
+    ea.run_round_into(with_ws, ws);
     const RoundResult fresh = eb.run_round();
     expect_results_equal(with_ws, fresh);
   }
