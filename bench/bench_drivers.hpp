@@ -724,21 +724,17 @@ inline ShardableBench shardable_bench_of(const util::json::Value& header) {
 }
 
 /// The reduce step of a sharded sweep (the merge_partials CLI). Reads
-/// every shard file — `format` "auto" takes either codec per file, "json"
-/// or "bin" requires it of all of them — rebuilds the bench from the
-/// first shard's header, refuses any set that does not tile [0, runs)
-/// before merging (sim::check_shard_tiling), then folds the shards in
-/// run order through ShardableBench::fold and writes `series_out` with
-/// write_series: the orchestrator's reduce path, fed from files. With
-/// `store_dir` the folded [0, runs) document is also published (in the
-/// required format, binary under auto), so a later whole-range bench
-/// run is a cache hit. Every refusal names the offending file.
+/// every shard file (RSBP, or JSON from an earlier build), rebuilds the
+/// bench from the first shard's header, refuses any set that does not
+/// tile [0, runs) before merging (sim::check_shard_tiling), then folds
+/// the shards in run order through ShardableBench::fold and writes
+/// `series_out` with write_series: the orchestrator's reduce path, fed
+/// from files. With `store_dir` the folded [0, runs) document is also
+/// published, so a later whole-range bench run is a cache hit. Every
+/// refusal names the offending file.
 inline void merge_partial_files(const std::vector<std::string>& paths,
                                 const std::string& series_out,
-                                const std::string& format,
                                 const std::string& store_dir) {
-  std::optional<sim::PartialFormat> required;
-  if (format != "auto") required = sim::parse_partial_format(format);
   struct Shard {
     std::string bytes;
     sim::ShardWindow window;
@@ -747,15 +743,7 @@ inline void merge_partial_files(const std::vector<std::string>& paths,
   std::optional<ShardableBench> bench;
   for (const std::string& path : paths) {
     std::string bytes = read_text_file(path);
-    const sim::PartialFormat on_disk = sim::detect_partial_format(bytes, path);
-    if (required && on_disk != *required) {
-      throw std::invalid_argument(
-          "shard " + path + " is " + sim::to_string(on_disk) +
-          " but --format=" + format + " requires every shard to be " +
-          sim::to_string(*required));
-    }
-    std::printf("[shard] %s: %zu bytes, %s\n", path.c_str(), bytes.size(),
-                sim::to_string(on_disk));
+    std::printf("[shard] %s: %zu bytes\n", path.c_str(), bytes.size());
     const util::json::Value doc = sim::decode_partial_document(bytes, path);
     if (!bench) {
       try {
@@ -786,17 +774,13 @@ inline void merge_partial_files(const std::vector<std::string>& paths,
   bench->write_series(series_out);
 
   if (store_dir.empty()) return;
-  const sim::PartialFormat publish =
-      required.value_or(sim::PartialFormat::Binary);
   const std::string bytes =
-      sim::partial_codec(publish).encode(bench->folded_document());
+      sim::partial_codec(kPartialFormat).encode(bench->folded_document());
   const std::string entry = sim::ResultStore(store_dir).insert(
       store_key_of(util::json::parse(bench->config_echo), 0, bench->runs),
       bytes);
-  std::printf("[store] published merged runs [0, %zu) to %s (%zu bytes, "
-              "%s)\n",
-              bench->runs, entry.c_str(), bytes.size(),
-              sim::to_string(publish));
+  std::printf("[store] published merged runs [0, %zu) to %s (%zu bytes)\n",
+              bench->runs, entry.c_str(), bytes.size());
 }
 
 }  // namespace roleshare::bench

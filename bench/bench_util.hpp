@@ -20,6 +20,7 @@
 #include <sys/resource.h>
 
 #include "crypto/sha256.hpp"
+#include "util/atomic_file.hpp"
 
 namespace roleshare::bench {
 
@@ -186,14 +187,13 @@ inline std::string read_text_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Writes a whole file; throws std::runtime_error naming the path on
-/// failure.
+/// Replaces a whole file through a temp file and a rename, so a failed
+/// or killed rewrite (a --partial-in=X --partial-out=X checkpoint)
+/// leaves the previous file intact; throws std::runtime_error naming the
+/// path on failure.
 inline void write_text_file(const std::string& path,
                             const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << content;
-  if (!out) throw std::runtime_error("short write to " + path);
+  util::write_file_atomically(path, content);
 }
 
 /// Writes BENCH_<name>.json next to the binary's working directory:

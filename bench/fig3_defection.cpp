@@ -23,10 +23,9 @@
 //                             accumulator state at O(rounds) memory.
 //   --run-begin=B --run-end=E execute only global runs [B, E) — one shard
 //                             of a multi-process sweep.
-//   --partial-out=FILE        write the shard's mergeable partial
-//                             instead of a figure (--format={json,bin},
-//                             default json); feed the files from all
-//                             shards to merge_partials.
+//   --partial-out=FILE        write the shard's mergeable partial (an
+//                             RSBP frame) instead of a figure; feed the
+//                             files from all shards to merge_partials.
 //   --checkpoint-every=R      rewrite the partial every R runs with a
 //                             resume cursor, so a crashed shard loses at
 //                             most R runs of work.

@@ -20,8 +20,8 @@
 //
 // Sharding / checkpointing (DESIGN.md §6): --run-begin/--run-end +
 // --partial-out produce a mergeable shard; --checkpoint-every +
-// --partial-in resume; --format={json,bin} picks the partial encoding;
-// --store=DIR serves finished windows from the content-addressed cache.
+// --partial-in resume; --store=DIR serves finished windows from the
+// content-addressed cache.
 // merge_partials folds shard files byte-identically (exact backend).
 #include <cstdio>
 #include <vector>

@@ -32,7 +32,7 @@
 //   --max-attempts=N       abort after N failed attempts of one window.
 //
 // Worker-level knobs forwarded into run_sharded_panels: --window (runs
-// per assignment), --checkpoint-every, --format={json,bin}, --store=DIR.
+// per assignment), --checkpoint-every, --store=DIR. Spools are RSBP.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -72,7 +72,6 @@ int run(int argc, char** argv) {
   const std::string series_out =
       bench::arg_string(argc, argv, "series-out", "");
   const std::string store_dir = bench::arg_string(argc, argv, "store", "");
-  const sim::PartialFormat format = bench::arg_partial_format(argc, argv);
   const bool verbose = bench::arg_int(argc, argv, "verbose", 0) != 0;
   std::string spool_dir = bench::arg_string(argc, argv, "spool-dir", "");
   if (spool_dir.empty()) spool_dir = bench_name + ".orch";
@@ -103,14 +102,13 @@ int run(int argc, char** argv) {
   bench::print_header("Orchestrate",
                       "coordinator + worker agents over one bench");
   std::printf("bench=%s runs=%zu window=%zu workers=%zu lease=%.1fs "
-              "max-attempts=%zu%s%s%s store=%s format=%s\n",
+              "max-attempts=%zu%s%s%s store=%s\n",
               bench_name.c_str(), job.runs, job.window, job.workers,
               job.lease_seconds, job.max_attempts,
               kill_after > 0 ? " KILL-INJECTION" : "",
               drop_assignments > 0 ? " DROP-INJECTION" : "",
               reissue >= 0 ? " REISSUE-INJECTION" : "",
-              store_dir.empty() ? "(none)" : store_dir.c_str(),
-              sim::to_string(format));
+              store_dir.empty() ? "(none)" : store_dir.c_str());
 
   // Worker agents are forked, not exec'd: the child re-derives the
   // bench from THIS argv (same factory, same bytes) and speaks the wire
@@ -140,7 +138,6 @@ int run(int argc, char** argv) {
         knobs.partial_in = assignment.resume_path;
         knobs.checkpoint_every = checkpoint_every;
         knobs.stop_after = stop_after;
-        knobs.format = format;
         knobs.store_dir = store_dir;
         knobs.on_checkpoint = on_checkpoint;
         return mine.run_window(knobs);

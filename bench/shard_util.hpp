@@ -18,19 +18,19 @@
 //                   "run_begin", "run_end", "window_end",
 //                   "panels": [{panel id fields..., "series": {...}}]}
 //
-// Partial files travel through a sim::PartialCodec: --format=json (the
-// historical text form) or --format=bin (framed binary columnar,
-// DESIGN.md §9). Reads always auto-detect from the leading bytes, so
-// resume and merge interoperate across formats; series files stay JSON
-// text (they are the byte-diff artifact). Resuming a checkpoint whose
-// on-disk format differs from --format is audited up front
-// (audit_resume_format): an explicit --format that disagrees fails
-// naming both formats, no explicit flag inherits the checkpoint's
-// format with a note — either way the rewritten file is re-encoded
-// whole in exactly one format, never a mix. With --store=DIR a finished
-// window is also published to (and served from) a content-addressed
-// sim::ResultStore keyed by spec hash + backend + window — re-running
-// an identical (config, window) becomes a cache hit, not a recompute.
+// Partial files are written as RSBP frames (kPartialFormat, DESIGN.md
+// §9): checksummed, so a corrupted shard or checkpoint is refused naming
+// the file instead of merged as other numbers. Reads auto-detect from
+// the leading bytes, so JSON files from earlier builds still resume and
+// merge; a resumed JSON chain is rewritten whole as RSBP. Series files
+// stay JSON text (they are the byte-diff artifact). Every partial and
+// series file is replaced through a temp file and a rename
+// (write_text_file), so a failed rewrite keeps the previous file — the
+// only resume state under --partial-in=X --partial-out=X. With
+// --store=DIR a finished window is also published to (and served from)
+// a content-addressed sim::ResultStore keyed by spec hash + backend +
+// window — re-running an identical (config, window) becomes a cache
+// hit, not a recompute.
 //
 // A partial file with run_end < window_end is an *unfinished
 // checkpoint*: the writer intended to execute up to window_end but
@@ -67,12 +67,10 @@ inline sim::AggBackend arg_agg(int argc, char** argv) {
   return sim::parse_agg_backend(arg_string(argc, argv, "agg", "exact"));
 }
 
-/// --format={json,bin}: the partial-file encoding this process WRITES
-/// (reads always auto-detect). Defaults to json, fails loudly otherwise.
-inline sim::PartialFormat arg_partial_format(int argc, char** argv) {
-  return sim::parse_partial_format(
-      arg_string(argc, argv, "format", "json"));
-}
+/// The encoding of every partial file, checkpoint, spool and store entry
+/// the shard workflow writes.
+inline constexpr sim::PartialFormat kPartialFormat =
+    sim::PartialFormat::Binary;
 
 /// --run-begin=B / --run-end=E select the global run window [B, E) this
 /// process executes; either side defaults (to 0 / `runs`) when only the
@@ -106,11 +104,9 @@ struct ShardKnobs {
   std::string partial_in;            // resume from this checkpoint file
   std::string partial_out;           // shard-worker mode when non-empty
   /// Encoding of everything this process writes (reads auto-detect).
-  sim::PartialFormat format = sim::PartialFormat::Json;
-  /// True when --format was passed on the command line (as opposed to
-  /// the json default applying). Decides how a resume reacts to a
-  /// checkpoint in the other format — see audit_resume_format.
-  bool format_explicit = false;
+  /// No flag sets it; only tests (writing an earlier build's JSON) and
+  /// the benchmark do.
+  sim::PartialFormat format = kPartialFormat;
   /// Content-addressed result store directory; empty = no store.
   std::string store_dir;
   /// Invoked with the resume cursor after every mid-window checkpoint
@@ -118,33 +114,6 @@ struct ShardKnobs {
   /// worker's PROGRESS hook. Null = no observer.
   std::function<void(std::size_t)> on_checkpoint;
 };
-
-/// Resume-format audit. Rewrites re-encode the FULL document through
-/// knobs.format, so a resumed chain can never emit a half-and-half
-/// file — but it CAN silently flip a bin checkpoint chain back to json
-/// (the default), inflating every subsequent checkpoint and confusing
-/// the partial_bytes trend. So: an explicit --format that disagrees
-/// with the checkpoint's detected on-disk format is an error naming
-/// both formats; no explicit flag inherits the checkpoint's format,
-/// with a printed note. No-op when there is nothing to resume.
-inline void audit_resume_format(ShardKnobs& knobs) {
-  if (knobs.partial_in.empty()) return;
-  const sim::PartialFormat on_disk = sim::detect_partial_format(
-      read_text_file(knobs.partial_in), knobs.partial_in);
-  if (on_disk == knobs.format) return;
-  if (knobs.format_explicit) {
-    throw std::invalid_argument(
-        "--format=" + std::string(sim::to_string(knobs.format)) +
-        " conflicts with --partial-in checkpoint " + knobs.partial_in +
-        ", which is " + sim::to_string(on_disk) +
-        " — drop --format to continue the chain in " +
-        sim::to_string(on_disk) + ", or re-encode the checkpoint first");
-  }
-  std::printf("[resume] inheriting %s format from %s (no explicit "
-              "--format; the chain stays in one encoding)\n",
-              sim::to_string(on_disk), knobs.partial_in.c_str());
-  knobs.format = on_disk;
-}
 
 inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
   ShardKnobs knobs;
@@ -156,8 +125,6 @@ inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
       static_cast<std::size_t>(arg_int(argc, argv, "stop-after", 0));
   knobs.partial_in = arg_string(argc, argv, "partial-in", "");
   knobs.partial_out = arg_string(argc, argv, "partial-out", "");
-  knobs.format = arg_partial_format(argc, argv);
-  knobs.format_explicit = !arg_string(argc, argv, "format", "").empty();
   knobs.store_dir = arg_string(argc, argv, "store", "");
   if (knobs.partial_out.empty() &&
       (knobs.checkpoint_every > 0 || knobs.stop_after > 0 ||
@@ -166,7 +133,6 @@ inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
         "--checkpoint-every / --stop-after / --partial-in require "
         "--partial-out (the executed state must be persisted somewhere)");
   }
-  audit_resume_format(knobs);
   return knobs;
 }
 
@@ -249,7 +215,7 @@ struct ShardExecution {
   std::size_t cursor = 0;      // first run NOT executed
   std::size_t window_end = 0;
   /// Bytes of the last partial document persisted (file or store) —
-  /// the per-format size-win field of BENCH_*_shard.json.
+  /// the partial_bytes field of BENCH_*_shard.json.
   std::size_t partial_bytes = 0;
   /// True when the window was served from the result store instead of
   /// being recomputed.
@@ -378,8 +344,8 @@ ShardExecution<PartialT> run_sharded_panels(
   exec.window_begin = knobs.shard.whole() ? 0 : knobs.shard.begin;
   exec.window_end = knobs.shard.whole() ? knobs.runs : knobs.shard.end;
   exec.cursor = exec.window_begin;
-  // The executed state as --format bytes; its size is the BENCH_*.json
-  // size-win field.
+  // The executed state as knobs.format bytes; its size is the
+  // partial_bytes field of BENCH_*_shard.json.
   const auto encode = [&]() {
     std::string bytes = sim::partial_codec(knobs.format)
                             .encode(partial_document(
@@ -477,8 +443,9 @@ ShardExecution<PartialT> run_sharded_panels(
   // The window is complete (freshly executed, resumed to completion, or
   // a cache hit). Encode the finished document ONCE: --partial-out gets
   // it as a file, --store publishes it content-addressed. A cache hit is
-  // re-encoded rather than copied so the bytes written under
-  // --format=X are identical whether or not the store served the run.
+  // re-encoded rather than copied, so the bytes written are identical
+  // whether or not the store served the run (and an entry from an
+  // earlier build comes out as RSBP).
   if (!knobs.partial_out.empty() || !knobs.store_dir.empty()) {
     const std::string bytes = encode();
     if (!knobs.partial_out.empty()) write_text_file(knobs.partial_out, bytes);
@@ -486,10 +453,9 @@ ShardExecution<PartialT> run_sharded_panels(
       sim::ResultStore store(knobs.store_dir);
       const std::string path = store.insert(
           store_key_of(header, exec.window_begin, exec.window_end), bytes);
-      std::printf("[store] published runs [%zu, %zu) to %s (%zu bytes, "
-                  "%s)\n",
+      std::printf("[store] published runs [%zu, %zu) to %s (%zu bytes)\n",
                   exec.window_begin, exec.window_end, path.c_str(),
-                  bytes.size(), sim::to_string(knobs.format));
+                  bytes.size());
     }
   }
   return exec;
@@ -499,8 +465,8 @@ ShardExecution<PartialT> run_sharded_panels(
 /// invocation is done (either --stop-after checkpointed and stopped, or
 /// the shard partial is on disk) and the caller should exit 0 without
 /// producing a figure. Emits BENCH_<bench>_shard.json (partial byte
-/// size per format, cache-hit flag, wall time) so the binary-vs-json
-/// size win lands in the perf trajectory.
+/// size, cache-hit flag, wall time) so shard sizes land in the perf
+/// trajectory.
 template <typename PartialT>
 bool shard_worker_done(const ShardExecution<PartialT>& exec,
                        const ShardKnobs& knobs,
@@ -509,10 +475,9 @@ bool shard_worker_done(const ShardExecution<PartialT>& exec,
   if (!done) return false;
   if (exec.complete()) {
     std::printf("\n[shard] wrote partial for runs [%zu, %zu) of %zu to %s "
-                "(%zu bytes, %s%s)\n",
+                "(%zu bytes%s)\n",
                 exec.window_begin, exec.cursor, knobs.runs,
                 knobs.partial_out.c_str(), exec.partial_bytes,
-                sim::to_string(knobs.format),
                 exec.store_hit ? ", store hit" : "");
   }
   emit_json(header.at("bench").as_string() + "_shard",
@@ -520,7 +485,6 @@ bool shard_worker_done(const ShardExecution<PartialT>& exec,
              {"run_end", static_cast<double>(exec.cursor)},
              {"window_end", static_cast<double>(exec.window_end)},
              {"partial_bytes", static_cast<double>(exec.partial_bytes)},
-             {"partial_format", sim::to_string(knobs.format)},
              {"store_hit", exec.store_hit ? 1.0 : 0.0},
              {"wall_ms", wall_ms}});
   return true;

@@ -17,10 +17,10 @@
 // resumes exactly like fig3/fig6/fig7 (DESIGN.md §6):
 //
 //   $ ./strategic_ensemble --runs=9 --run-begin=0 --run-end=3 \
-//       --partial-out=s0.json
+//       --partial-out=s0.bin
 //   $ ./strategic_ensemble --runs=9 --run-begin=3 --run-end=9 \
-//       --checkpoint-every=2 --partial-out=s1.json
-//   $ ./merge_partials --series-out=merged.json s0.json s1.json
+//       --checkpoint-every=2 --partial-out=s1.bin
+//   $ ./merge_partials --series-out=merged.json s0.bin s1.bin
 #include <cstdio>
 #include <string>
 

@@ -21,11 +21,10 @@ worth flagging (`bit_identical` flipping to "no" is always an error;
 `allocs_per_round_steady` growing beyond the threshold is a warning,
 since allocation counts are a contract the workspace refactor
 established but legitimately move with config changes; `partial_bytes`
-from the shard workers tracks the on-disk partial size per format —
-growth warns, and a `partial_format` flip between baseline and current
-is called out since sizes are only comparable within one format; a
-`sha256_impl` flip is called out the same way, since every hashing-bound
-timing moves with the SHA-256 compression CPUID selected).
+from the shard workers tracks the on-disk partial size — growth warns;
+a `sha256_impl` flip between baseline and current is called out, since
+every hashing-bound timing moves with the SHA-256 compression CPUID
+selected).
 
 Timing noise caveat: single-run wall times on shared CI runners jitter;
 the 10% default threshold is deliberately loose. Use a tighter threshold
@@ -87,15 +86,6 @@ def main() -> int:
             if cval != "yes":
                 failures.append(f"{name}: determinism gate broken "
                                 f"({bval!r} -> {cval!r})")
-            continue
-        if name == "partial_format":
-            # Shard partial sizes are only comparable within one format;
-            # a json-vs-bin baseline mismatch makes partial_bytes noise.
-            if bval != cval:
-                warnings.append(
-                    f"partial_format changed ({bval!r} -> {cval!r}); "
-                    f"partial_bytes deltas reflect the format, not a "
-                    f"regression")
             continue
         if name == "sha256_impl":
             # The hardware and portable compressions differ severalfold

@@ -104,15 +104,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("determinism gate broken", out)
 
-    def test_partial_format_flip_warns_not_fails(self):
-        baseline = {"bench": "fig6_shard", "partial_format": "json",
-                    "partial_bytes": 1000.0}
-        current = {"bench": "fig6_shard", "partial_format": "bin",
-                   "partial_bytes": 400.0}
-        code, out = run_compare(baseline, current)
-        self.assertEqual(code, 0, out)
-        self.assertIn("partial_format changed", out)
-
     def test_sha256_impl_flip_is_called_out_and_still_gated(self):
         baseline = {"bench": "round_latency", "sha256_impl": "portable",
                     "wall_ms": 100.0}

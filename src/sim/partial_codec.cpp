@@ -170,8 +170,6 @@ Value decode_tree(framed::Reader& r,
 
 class JsonCodec final : public PartialCodec {
  public:
-  PartialFormat format() const override { return PartialFormat::Json; }
-
   std::string encode(const Value& doc) const override {
     return doc.dump() + "\n";
   }
@@ -188,8 +186,6 @@ class JsonCodec final : public PartialCodec {
 
 class BinaryCodec final : public PartialCodec {
  public:
-  PartialFormat format() const override { return PartialFormat::Binary; }
-
   std::string encode(const Value& doc) const override {
     // Columns go first so the reader resolves references in file order;
     // the second walk assigns indices in the same DFS order the first
@@ -245,14 +241,6 @@ const char* to_string(PartialFormat format) {
   }
   throw std::invalid_argument("unknown PartialFormat value " +
                               std::to_string(static_cast<int>(format)));
-}
-
-PartialFormat parse_partial_format(std::string_view name) {
-  if (name == "json") return PartialFormat::Json;
-  if (name == "bin" || name == "binary") return PartialFormat::Binary;
-  throw std::invalid_argument("unknown partial format \"" +
-                              std::string(name) +
-                              "\" (expected \"json\" or \"bin\")");
 }
 
 const PartialCodec& partial_codec(PartialFormat format) {

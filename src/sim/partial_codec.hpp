@@ -8,14 +8,16 @@
 // members, %.17g doubles). A PartialCodec turns one such document into
 // bytes and back:
 //
-//   JsonCodec    the historical format: doc.dump() + "\n". Text,
-//                greppable, ~20 bytes per double.
-//   BinaryCodec  a framed columnar encoding (util/framed_io): magic
-//                "RSBP" + version, a "columns" section holding every
-//                all-finite numeric array as a raw f64 column, and a
-//                "tree" section with the tagged structure referencing
-//                the columns by index. ~8 bytes per sample — the format
-//                that makes 10k-run exact-mode shards practical.
+//   BinaryCodec  the one encoding the shard workflow writes: a framed
+//                columnar encoding (util/framed_io), magic "RSBP" +
+//                version, a "columns" section holding every all-finite
+//                numeric array as a raw f64 column, and a "tree" section
+//                with the tagged structure referencing the columns by
+//                index. Every section is checksummed, so a corrupted
+//                file is refused instead of read as other numbers.
+//   JsonCodec    doc.dump() + "\n", the text form earlier builds wrote.
+//                Still read, so their files load; written only by tests
+//                and the benchmark, which times both codecs.
 //
 // The codec contract, enforced by tests/prop/prop_partial_codec.cpp:
 // for every document D, decode(encode(D)) dumps byte-identically to
@@ -28,8 +30,9 @@
 //
 // Format detection (detect_partial_format) is by leading bytes: the
 // binary magic wins, otherwise the first non-whitespace byte must open a
-// JSON document. merge_partials and --partial-in resume reads always
-// auto-detect, so shards of mixed formats interoperate.
+// JSON document. Every read (merge_partials, --partial-in, store hits,
+// the orchestrator fold) detects, so JSON files from earlier builds
+// still load.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +45,12 @@ namespace roleshare::sim {
 
 enum class PartialFormat : std::uint8_t { Json, Binary };
 
-/// "json" / "bin" — the --format knob vocabulary and the BENCH_*.json
-/// tag. Both directions fail loudly on unknown input.
+/// "json" / "bin"; fails loudly on a value outside the enum.
 const char* to_string(PartialFormat format);
-PartialFormat parse_partial_format(std::string_view name);
 
 class PartialCodec {
  public:
   virtual ~PartialCodec() = default;
-
-  virtual PartialFormat format() const = 0;
 
   /// Serializes one shard-partial document.
   virtual std::string encode(const util::json::Value& doc) const = 0;
@@ -76,18 +75,5 @@ PartialFormat detect_partial_format(std::string_view bytes,
 /// merge_partials shard arguments, result-store payloads).
 util::json::Value decode_partial_document(std::string_view bytes,
                                           std::string_view origin);
-
-/// Encodes an ExperimentPartial (or anything with to_json) directly.
-template <typename PartialT>
-std::string encode_partial(const PartialT& partial, PartialFormat format) {
-  return partial_codec(format).encode(partial.to_json());
-}
-
-/// Decodes an ExperimentPartial of either format; the payload's
-/// cross-kind guard still applies.
-template <typename PartialT>
-PartialT decode_partial(std::string_view bytes, std::string_view origin) {
-  return PartialT::from_json(decode_partial_document(bytes, origin));
-}
 
 }  // namespace roleshare::sim

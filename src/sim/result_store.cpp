@@ -1,15 +1,13 @@
 #include "sim/result_store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
-#include <unistd.h>
-
+#include "util/atomic_file.hpp"
 #include "util/framed_io.hpp"
 #include "util/require.hpp"
 
@@ -135,30 +133,7 @@ std::optional<ResultStore::EntryStat> ResultStore::stat(
 std::string ResultStore::insert(const ResultKey& key,
                                 std::string_view payload) {
   const std::string final_path = entry_path(key);
-  // Unique temp name per writer: pid + a process-wide counter. The temp
-  // lives in the store directory so the rename stays within one
-  // filesystem (atomic on POSIX).
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string tmp_path =
-      final_path + ".tmp." +
-      std::to_string(static_cast<unsigned long>(::getpid())) + "." +
-      std::to_string(counter.fetch_add(1));
-
-  const std::string bytes = encode_entry(key, payload);
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write " + tmp_path);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) throw std::runtime_error("short write to " + tmp_path);
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path);
-    throw std::runtime_error("cannot publish store entry " + final_path +
-                             ": " + ec.message());
-  }
+  util::write_file_atomically(final_path, encode_entry(key, payload));
   return final_path;
 }
 

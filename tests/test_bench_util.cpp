@@ -1,14 +1,22 @@
 // BENCH_*.json emission: numeric + string fields, escaping, and the
-// always-present git_sha provenance field.
+// always-present git_sha provenance field; whole-file writes that keep
+// the previous file on failure; the shard knob parsing.
 #include "bench_util.hpp"
 
 #include <gtest/gtest.h>
 
+#include "bench_drivers.hpp"
 #include "shard_util.hpp"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace roleshare::bench {
 namespace {
@@ -119,57 +127,89 @@ TEST(BenchUtil, EmitJsonEscapesStringValues) {
             std::string::npos);
 }
 
-TEST(BenchUtil, AuditResumeFormatGuardsCheckpointFormatFlips) {
-  // A bin checkpoint resumed under the json default must NOT silently
-  // flip the chain back to json: the audit inherits the on-disk format
-  // when --format was defaulted, and refuses (naming both formats) when
-  // it was explicit. Detection only sniffs leading bytes, so a minimal
-  // document through the real codec is enough.
-  const std::string bin_path = "audit_fmt_bin.partial";
-  const std::string json_path = "audit_fmt_json.partial";
-  util::json::Value doc = util::json::Value::object();
-  doc.set("kind", "defection");
-  write_text_file(
-      bin_path, sim::partial_codec(sim::PartialFormat::Binary).encode(doc));
-  write_text_file(json_path, doc.dump() + "\n");
+TEST(BenchUtil, FailedWriteKeepsThePreviousFile) {
+  // A rewrite that fails part-way (here: a 20-byte file size limit) must
+  // throw naming the path and leave the previous file byte-identical —
+  // under --partial-in=X --partial-out=X it is the only resume state.
+  const std::string path = ::testing::TempDir() + "bench_util_keep_" +
+                           std::to_string(::getpid()) + ".partial";
+  const std::string previous(50, 'p');
+  write_text_file(path, previous);
 
-  ShardKnobs knobs;
-  knobs.partial_in = bin_path;
-  knobs.partial_out = "audit_fmt_out.partial";
-  knobs.format = sim::PartialFormat::Json;  // the default
-  knobs.format_explicit = false;
-  audit_resume_format(knobs);
-  EXPECT_EQ(knobs.format, sim::PartialFormat::Binary);  // inherited
-
-  knobs.format = sim::PartialFormat::Json;
-  knobs.format_explicit = true;  // user demanded json over a bin file
-  try {
-    audit_resume_format(knobs);
-    FAIL() << "explicit --format mismatch must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("json"), std::string::npos) << what;
-    EXPECT_NE(what.find("bin"), std::string::npos) << what;
-    EXPECT_NE(what.find(bin_path), std::string::npos) << what;
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = 20;
+  std::vector<std::string> errors;
+  std::vector<std::string> left_behind;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const bool limit_set = ::setrlimit(RLIMIT_FSIZE, &limited) == 0;
+  for (const std::size_t size : {std::size_t{100}, std::size_t{100000}}) {
+    if (!limit_set) break;
+    try {
+      write_text_file(path, std::string(size, 'n'));
+      errors.push_back("");
+    } catch (const std::runtime_error& e) {
+      errors.push_back(e.what());
+    }
+    left_behind.push_back(read_text_file(path));
   }
+  // Restore before anything can print (gtest's output is a file write).
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
 
-  // Matching formats (either way) and an empty partial_in are no-ops.
-  knobs.partial_in = json_path;
-  knobs.format = sim::PartialFormat::Json;
-  audit_resume_format(knobs);
-  EXPECT_EQ(knobs.format, sim::PartialFormat::Json);
-  knobs.partial_in.clear();
-  knobs.format_explicit = true;
-  audit_resume_format(knobs);  // nothing to resume, nothing to audit
+  ASSERT_TRUE(limit_set);
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    EXPECT_NE(errors[i].find(path), std::string::npos)
+        << "write " << i << ": "
+        << (errors[i].empty() ? "returned normally" : errors[i]);
+    EXPECT_EQ(left_behind[i], previous) << "write " << i;
+  }
+  std::remove(path.c_str());
+}
 
-  std::remove(bin_path.c_str());
-  std::remove(json_path.c_str());
+TEST(BenchUtil, AuditResumeFormatGuardsCheckpointFormatFlips) {
+  // An unfinished JSON checkpoint, as an earlier build wrote it, resumes
+  // to completion; the rewritten --partial-out is an RSBP frame holding
+  // the uninterrupted run's document.
+  const std::string dir = ::testing::TempDir() + "bench_util_resume_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const char* argv_c[] = {"prog", "--nodes=60", "--runs=6", "--rounds=3"};
+  const ShardableBench bench = make_shardable_bench(
+      "fig3_defection", 4, const_cast<char**>(argv_c));
+
+  ShardKnobs uninterrupted;
+  uninterrupted.runs = bench.runs;
+  uninterrupted.partial_out = dir + "/uninterrupted.bin";
+  bench.run_window(uninterrupted);
+
+  ShardKnobs earlier_build;
+  earlier_build.runs = bench.runs;
+  earlier_build.partial_out = dir + "/ck.partial";
+  earlier_build.stop_after = 2;
+  earlier_build.format = sim::PartialFormat::Json;
+  ASSERT_FALSE(bench.run_window(earlier_build).complete);
+  ASSERT_EQ(read_text_file(earlier_build.partial_out).substr(0, 1), "{");
+
+  ShardKnobs resume;
+  resume.runs = bench.runs;
+  resume.partial_in = earlier_build.partial_out;
+  resume.partial_out = earlier_build.partial_out;
+  EXPECT_TRUE(bench.run_window(resume).complete);
+  const std::string resumed = read_text_file(resume.partial_out);
+  EXPECT_EQ(resumed.substr(0, 4), "RSBP");
+  EXPECT_EQ(
+      sim::decode_partial_document(resumed, resume.partial_out).dump(),
+      sim::decode_partial_document(
+          read_text_file(uninterrupted.partial_out), "uninterrupted")
+          .dump());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BenchUtil, ArgShardKnobsWiresFormatAudit) {
-  // End-to-end through the argv surface the bench mains use: a json
-  // checkpoint with an explicit --format=bin fails at knob-parse time,
-  // before any run executes; with no --format the chain inherits json.
+  // The written encoding is not a command-line choice: a JSON
+  // --partial-in and a stray --format=json still yield RSBP.
   const std::string path = "audit_fmt_argv.partial";
   util::json::Value doc = util::json::Value::object();
   doc.set("kind", "defection");
@@ -180,16 +220,13 @@ TEST(BenchUtil, ArgShardKnobsWiresFormatAudit) {
                            const_cast<char**>(args.data()), 8);
   };
   const std::string in_flag = "--partial-in=" + path;
-  EXPECT_THROW(
-      knobs_for({in_flag.c_str(), "--partial-out=o.partial", "--format=bin"}),
-      std::invalid_argument);
-  const ShardKnobs inherited =
-      knobs_for({in_flag.c_str(), "--partial-out=o.partial"});
-  EXPECT_EQ(inherited.format, sim::PartialFormat::Json);
-  EXPECT_FALSE(inherited.format_explicit);
-  const ShardKnobs explicit_json =
-      knobs_for({in_flag.c_str(), "--partial-out=o.partial", "--format=json"});
-  EXPECT_TRUE(explicit_json.format_explicit);
+  EXPECT_EQ(knobs_for({}).format, sim::PartialFormat::Binary);
+  EXPECT_EQ(knobs_for({in_flag.c_str(), "--partial-out=o.partial"}).format,
+            sim::PartialFormat::Binary);
+  EXPECT_EQ(knobs_for({in_flag.c_str(), "--partial-out=o.partial",
+                       "--format=json"})
+                .format,
+            sim::PartialFormat::Binary);
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,8 @@
 // The merge_partials reduce step (bench::merge_partial_files) and the
 // header echo it rebuilds benches from: a shard header names every knob
 // that produced it, the registry rebuilds the same bench from it, shard
-// sets fold to the single-process series bytes, and every foreign shard
-// is refused naming its file.
+// sets fold to the single-process series bytes, and every foreign or
+// corrupted shard is refused naming its file.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -48,10 +48,11 @@ std::string test_dir() {
 }
 
 /// Writes window [begin, end) of `bench` to `path` — what
-/// `<bench> --run-begin --run-end --partial-out [--format]` writes.
+/// `<bench> --run-begin --run-end --partial-out` writes, or with
+/// `format` Json what an earlier build wrote.
 std::string write_shard(const ShardableBench& bench, std::size_t begin,
                         std::size_t end, const std::string& path,
-                        sim::PartialFormat format = sim::PartialFormat::Json,
+                        sim::PartialFormat format = kPartialFormat,
                         std::size_t stop_after = 0) {
   ShardKnobs knobs;
   knobs.runs = bench.runs;
@@ -78,12 +79,25 @@ util::json::Value with_member(const util::json::Value& object,
   return out;
 }
 
+/// Calls check(at, copy) for `bytes` with one bit of byte `at` flipped,
+/// at every offset of the first and last 64 bytes (the frame
+/// scaffolding) and at a stride through the payload between — the
+/// offsets PartialCodec.BinaryTruncationAndTrailingBytesRejected cuts at.
+template <typename CheckFn>
+void for_each_bit_flip(const std::string& bytes, CheckFn&& check) {
+  for (std::size_t at = 0; at < bytes.size();
+       at += (at < 64 || at + 64 > bytes.size()) ? 1 : 37) {
+    std::string copy = bytes;
+    copy[at] = static_cast<char>(copy[at] ^ (1 << (at % 8)));
+    check(at, copy);
+  }
+}
+
 /// The refusal merge_partial_files raises on `paths`, or "" if it merged.
 std::string refusal(const std::string& dir,
-                    const std::vector<std::string>& paths,
-                    const std::string& format = "auto") {
+                    const std::vector<std::string>& paths) {
   try {
-    merge_partial_files(paths, dir + "/refused.json", format, "");
+    merge_partial_files(paths, dir + "/refused.json", "");
   } catch (const std::exception& e) {
     return e.what();
   }
@@ -125,12 +139,12 @@ TEST(MergePartials, HeaderRebuildsTheBenchThatWroteIt) {
 TEST(MergePartials, OutOfOrderMixedFormatShardsMatchTheWholeRangeSeries) {
   const std::string dir = test_dir();
   const ShardableBench bench = bench_of("fig3_defection", kFig3);
-  const std::string s0 = write_shard(bench, 0, 2, dir + "/s0.json");
-  const std::string s1 = write_shard(bench, 2, 4, dir + "/s1.bin",
-                                     sim::PartialFormat::Binary);
-  const std::string s2 = write_shard(bench, 4, 6, dir + "/s2.bin",
-                                     sim::PartialFormat::Binary);
-  merge_partial_files({s2, s0, s1}, dir + "/merged.json", "auto", "");
+  // s0 is JSON, as an earlier build wrote it; reads still take it.
+  const std::string s0 = write_shard(bench, 0, 2, dir + "/s0.json",
+                                     sim::PartialFormat::Json);
+  const std::string s1 = write_shard(bench, 2, 4, dir + "/s1.bin");
+  const std::string s2 = write_shard(bench, 4, 6, dir + "/s2.bin");
+  merge_partial_files({s2, s0, s1}, dir + "/merged.json", "");
 
   // One process over the whole range, then write_series.
   ShardableBench whole = bench_of("fig3_defection", kFig3);
@@ -147,15 +161,14 @@ TEST(MergePartials, OutOfOrderMixedFormatShardsMatchTheWholeRangeSeries) {
 TEST(MergePartials, RefusalsNameTheOffendingFile) {
   const std::string dir = test_dir();
   const ShardableBench fig3 = bench_of("fig3_defection", kFig3);
-  const std::string s0 = write_shard(fig3, 0, 3, dir + "/s0.json");
-  const std::string s1 = write_shard(fig3, 3, 6, dir + "/s1.json");
+  const std::string s0 = write_shard(fig3, 0, 3, dir + "/s0.bin");
+  const std::string s1 = write_shard(fig3, 3, 6, dir + "/s1.bin");
   ASSERT_EQ(refusal(dir, {s1, s0}), "");  // the untouched pair merges
 
   const auto expect_refused = [&](const std::vector<std::string>& paths,
                                   const std::string& offender,
-                                  const std::string& reason,
-                                  const std::string& format = "auto") {
-    const std::string what = refusal(dir, paths, format);
+                                  const std::string& reason) {
+    const std::string what = refusal(dir, paths);
     EXPECT_NE(what.find(offender), std::string::npos)
         << "refusal does not name " << offender << ": " << what;
     EXPECT_NE(what.find(reason), std::string::npos)
@@ -166,22 +179,23 @@ TEST(MergePartials, RefusalsNameTheOffendingFile) {
   const std::string reward = write_shard(
       bench_of("fig7_reward_comparison",
                {"--nodes=3000", "--runs=6", "--rounds=2"}),
-      3, 6, dir + "/reward.json");
+      3, 6, dir + "/reward.bin");
   expect_refused({s0, reward}, reward, "kind");
 
   // The same kind from another bench.
   const std::string scenario = write_shard(
-      bench_of("scenario_sweep", kFig3), 3, 6, dir + "/scenario.json");
+      bench_of("scenario_sweep", kFig3), 3, 6, dir + "/scenario.bin");
   expect_refused({s0, scenario}, scenario, "scenario_sweep");
 
   // A differing header value.
   const std::string nodes70 = write_shard(
       bench_of("fig3_defection", {"--nodes=70", "--runs=6", "--rounds=3"}),
-      3, 6, dir + "/nodes70.json");
+      3, 6, dir + "/nodes70.bin");
   expect_refused({s0, nodes70}, nodes70, "\"nodes\"");
 
   // A header field this bench does not echo, and a differing panel id.
-  const util::json::Value doc = util::json::parse(read_text_file(s1));
+  const util::json::Value doc =
+      sim::decode_partial_document(read_text_file(s1), s1);
   const std::string extra = dir + "/extra.json";
   write_text_file(extra, with_member(doc, "extra", 1).dump());
   expect_refused({s0, extra}, extra, "\"extra\"");
@@ -196,16 +210,60 @@ TEST(MergePartials, RefusalsNameTheOffendingFile) {
 
   // An unfinished checkpoint and a gap, both before any fold.
   const std::string unfinished =
-      write_shard(fig3, 3, 6, dir + "/unfinished.json",
-                  sim::PartialFormat::Json, /*stop_after=*/1);
+      write_shard(fig3, 3, 6, dir + "/unfinished.bin", kPartialFormat,
+                  /*stop_after=*/1);
   expect_refused({s0, unfinished}, unfinished, "unfinished checkpoint");
-  const std::string late = write_shard(fig3, 4, 6, dir + "/late.json");
+  const std::string late = write_shard(fig3, 4, 6, dir + "/late.bin");
   expect_refused({s0, late}, late, "gap");
+  fs::remove_all(dir);
+}
 
-  // A JSON shard where --format=bin requires binary ones.
-  const std::string bin = write_shard(fig3, 3, 6, dir + "/s1.bin",
-                                      sim::PartialFormat::Binary);
-  expect_refused({bin, s0}, s0, "--format=bin", "bin");
+TEST(MergePartials, CorruptedShardIsRefusedNamingTheFile) {
+  // Every section of a written shard is checksummed, so one flipped bit
+  // anywhere fails the merge naming the file — it never merges as
+  // other numbers.
+  const std::string dir = test_dir();
+  const ShardableBench fig3 = bench_of("fig3_defection", kFig3);
+  const std::string s0 = write_shard(fig3, 0, 3, dir + "/s0.bin");
+  const std::string s1 = write_shard(fig3, 3, 6, dir + "/s1.bin");
+  ASSERT_EQ(refusal(dir, {s0, s1}), "");
+  const std::string corrupt = dir + "/corrupt.bin";
+  for_each_bit_flip(read_text_file(s0), [&](std::size_t at,
+                                            const std::string& bytes) {
+    write_text_file(corrupt, bytes);
+    const std::string what = refusal(dir, {corrupt, s1});
+    EXPECT_NE(what.find(corrupt), std::string::npos)
+        << "bit flip at byte " << at << ": "
+        << (what.empty() ? "merged" : what);
+  });
+  fs::remove_all(dir);
+}
+
+TEST(MergePartials, CorruptedCheckpointIsRefusedOnResume) {
+  // The same for --partial-in: a corrupted unfinished checkpoint is
+  // refused before any run executes.
+  const std::string dir = test_dir();
+  const ShardableBench fig3 = bench_of("fig3_defection", kFig3);
+  const std::string checkpoint = write_shard(
+      fig3, 0, 6, dir + "/ck.bin", kPartialFormat, /*stop_after=*/2);
+  const std::string corrupt = dir + "/corrupt.bin";
+  for_each_bit_flip(read_text_file(checkpoint), [&](std::size_t at,
+                                                    const std::string& bytes) {
+    write_text_file(corrupt, bytes);
+    ShardKnobs knobs;
+    knobs.runs = fig3.runs;
+    knobs.partial_in = corrupt;
+    knobs.partial_out = dir + "/resumed.bin";
+    std::string what;
+    try {
+      fig3.run_window(knobs);
+    } catch (const std::exception& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(corrupt), std::string::npos)
+        << "bit flip at byte " << at << ": "
+        << (what.empty() ? "resumed" : what);
+  });
   fs::remove_all(dir);
 }
 
@@ -213,10 +271,9 @@ TEST(MergePartials, StorePublishesTheFullRangeForALaterCacheHit) {
   const std::string dir = test_dir();
   const std::string store = dir + "/store";
   const ShardableBench bench = bench_of("fig3_defection", kFig3);
-  const std::string s0 = write_shard(bench, 0, 3, dir + "/s0.json");
-  const std::string s1 = write_shard(bench, 3, 6, dir + "/s1.bin",
-                                     sim::PartialFormat::Binary);
-  merge_partial_files({s1, s0}, dir + "/merged.json", "auto", store);
+  const std::string s0 = write_shard(bench, 0, 3, dir + "/s0.bin");
+  const std::string s1 = write_shard(bench, 3, 6, dir + "/s1.bin");
+  merge_partial_files({s1, s0}, dir + "/merged.json", store);
   EXPECT_TRUE(
       sim::ResultStore(store)
           .lookup(store_key_of(util::json::parse(bench.config_echo), 0,
@@ -267,12 +324,12 @@ TEST(LongHorizonHeader, ResumeUnderAnotherAlphaNamesIt) {
   const auto resume = [&](const std::vector<std::string>& written_under,
                           const std::vector<std::string>& resumed_under) {
     const std::string checkpoint = write_shard(
-        bench_of("fig_longhorizon", written_under), 0, 2, dir + "/ck.json");
+        bench_of("fig_longhorizon", written_under), 0, 2, dir + "/ck.bin");
     const ShardableBench bench = bench_of("fig_longhorizon", resumed_under);
     ShardKnobs knobs;
     knobs.runs = bench.runs;
     knobs.partial_in = checkpoint;
-    knobs.partial_out = dir + "/resumed.json";
+    knobs.partial_out = dir + "/resumed.bin";
     try {
       bench.run_window(knobs);
     } catch (const std::invalid_argument& e) {

@@ -71,10 +71,6 @@ std::string canonical_dump(const Value& doc) {
 TEST(PartialCodec, FormatNamesRoundTrip) {
   EXPECT_STREQ(to_string(PartialFormat::Json), "json");
   EXPECT_STREQ(to_string(PartialFormat::Binary), "bin");
-  EXPECT_EQ(parse_partial_format("json"), PartialFormat::Json);
-  EXPECT_EQ(parse_partial_format("bin"), PartialFormat::Binary);
-  EXPECT_EQ(parse_partial_format("binary"), PartialFormat::Binary);
-  EXPECT_THROW(parse_partial_format("yaml"), std::invalid_argument);
 }
 
 TEST(PartialCodec, BothFormatsDecodeToTheCanonicalDocument) {
@@ -83,7 +79,6 @@ TEST(PartialCodec, BothFormatsDecodeToTheCanonicalDocument) {
   for (const PartialFormat format :
        {PartialFormat::Json, PartialFormat::Binary}) {
     const PartialCodec& codec = partial_codec(format);
-    EXPECT_EQ(codec.format(), format);
     const std::string bytes = codec.encode(doc);
     const Value back = codec.decode(bytes, "round trip");
     EXPECT_EQ(back.dump(), want)
@@ -171,20 +166,20 @@ TEST(PartialCodec, RealPartialSurvivesEitherFormat) {
   const std::string want = canonical_dump(partial.to_json());
   for (const PartialFormat format :
        {PartialFormat::Json, PartialFormat::Binary}) {
-    const std::string bytes = encode_partial(partial, format);
-    const DefectionPartial back =
-        decode_partial<DefectionPartial>(bytes, "round trip");
+    const std::string bytes = partial_codec(format).encode(partial.to_json());
+    const DefectionPartial back = DefectionPartial::from_json(
+        decode_partial_document(bytes, "round trip"));
     EXPECT_EQ(canonical_dump(back.to_json()), want)
         << "format " << to_string(format);
   }
 }
 
 TEST(PartialCodec, ColumnarEncodingWinsOnSampleHeavyDocuments) {
-  // The size claim the binary format exists for: full-precision doubles
-  // print as ~20 text bytes but travel as 8 binary ones, so documents
-  // dominated by sample columns (10k-run exact shards) must shrink. (On
-  // tiny documents the per-key framing overhead can make binary larger —
-  // that's fine; nobody shards a 4-run experiment for size.)
+  // Full-precision doubles print as ~20 text bytes but travel as 8
+  // binary ones, so documents dominated by such sample columns shrink.
+  // Size is not why RSBP is the written format (its checksums are):
+  // short decimals average fewer than 8 text bytes, which makes a fig3
+  // shard larger in binary (DESIGN.md §9.2).
   Value doc = Value::object();
   doc.set("kind", "reward");
   Value samples = Value::array();
