@@ -15,7 +15,9 @@
 // The serial pass runs on a reused RoundWorkspace with the global
 // allocation counter bracketing each round, so the JSON also tracks heap
 // allocations per steady-state round — the reusable-workspace contract's
-// regression gate — plus the workspace's resident capacity.
+// regression gate — plus the workspace's resident capacity and the
+// gossip split: propagations the reachability certificate decided,
+// propagations that ran Dijkstra, and reach classes built (DESIGN.md §5).
 //
 // --sparse=1 switches to the CommitteeModel::Sampled comparison
 // (DESIGN.md §10): the sparse O(committee · log N) path vs the dense
@@ -64,6 +66,8 @@ struct PassResult {
   std::vector<std::uint64_t> allocs_per_round;
   /// Bytes reserved across the workspace's buffers after the last round.
   std::size_t workspace_bytes = 0;
+  /// Gossip counts summed over the pass's rounds.
+  sim::GossipCounts gossip;
   double wall_ms = 0.0;
 
   double ms_per_round() const {
@@ -118,6 +122,9 @@ PassResult run_pass(std::size_t nodes, std::size_t rounds,
     pass.none_fractions.push_back(result.none_fraction);
     pass.outcomes.push_back(result.outcomes);
     pass.proposals.push_back(result.proposals);
+    pass.gossip.certified += ws.gossip_counts.certified;
+    pass.gossip.exact += ws.gossip_counts.exact;
+    pass.gossip.classes += ws.gossip_counts.classes;
   }
   pass.wall_ms = timer.elapsed_ms();
   pass.workspace_bytes = ws.capacity_bytes();
@@ -159,6 +166,10 @@ Measurement measure_size(std::size_t nodes, std::size_t rounds,
                   m.serial.allocs_per_round.front()),
               static_cast<unsigned long long>(m.serial.steady_allocs()),
               static_cast<double>(m.serial.workspace_bytes) / 1024.0);
+  std::printf("  gossip: %zu certified + %zu exact propagations, "
+              "%zu reach classes\n",
+              m.serial.gossip.certified, m.serial.gossip.exact,
+              m.serial.gossip.classes);
 
   std::printf("parallel pass (%zu workers)...\n", workers);
   m.parallel = run_pass(nodes, rounds, seed, 0.05, inner_threads);
@@ -187,6 +198,10 @@ Measurement measure_size(std::size_t nodes, std::size_t rounds,
   fields.emplace_back(prefix + "allocs_per_round_steady",
                       m.serial.steady_allocs());
   fields.emplace_back(prefix + "workspace_bytes", m.serial.workspace_bytes);
+  fields.emplace_back(prefix + "certified_propagations",
+                      m.serial.gossip.certified);
+  fields.emplace_back(prefix + "exact_propagations", m.serial.gossip.exact);
+  fields.emplace_back(prefix + "reach_classes", m.serial.gossip.classes);
   fields.emplace_back(prefix + "bit_identical",
                       m.identical ? "yes" : "no");
   return m;

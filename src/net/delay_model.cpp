@@ -7,6 +7,10 @@
 namespace roleshare::net {
 
 UniformDelay::UniformDelay(TimeMs lo, TimeMs hi) : lo_(lo), hi_(hi) {
+  // An infinite hi passes lo <= hi, then samples NaN when uniform01()
+  // draws 0: (inf - lo) * 0.
+  RS_REQUIRE(std::isfinite(lo) && std::isfinite(hi),
+             "uniform delay lo and hi must be finite");
   RS_REQUIRE(lo >= 0.0 && lo <= hi, "uniform delay range");
 }
 
@@ -16,6 +20,8 @@ TimeMs UniformDelay::sample(util::Rng& rng, ledger::NodeId,
   return rng.uniform_real(lo_, hi_);
 }
 
+TimeMs UniformDelay::max_delay() const { return hi_; }
+
 std::string UniformDelay::name() const {
   return "UniformDelay[" + std::to_string(lo_) + "," + std::to_string(hi_) +
          "]ms";
@@ -23,6 +29,8 @@ std::string UniformDelay::name() const {
 
 ExponentialDelay::ExponentialDelay(TimeMs base, TimeMs mean_extra)
     : base_(base), mean_extra_(mean_extra) {
+  RS_REQUIRE(std::isfinite(base) && std::isfinite(mean_extra),
+             "exponential delay base and mean must be finite");
   RS_REQUIRE(base >= 0.0, "exponential delay base");
   RS_REQUIRE(mean_extra > 0.0, "exponential delay mean");
 }
@@ -36,12 +44,15 @@ TimeMs ExponentialDelay::sample(util::Rng& rng, ledger::NodeId,
   return base_ - mean_extra_ * std::log(u);
 }
 
+TimeMs ExponentialDelay::max_delay() const { return kNever; }
+
 std::string ExponentialDelay::name() const {
   return "ExpDelay[base=" + std::to_string(base_) +
          ",mean=" + std::to_string(mean_extra_) + "]ms";
 }
 
 ConstantDelay::ConstantDelay(TimeMs value) : value_(value) {
+  RS_REQUIRE(std::isfinite(value), "constant delay value must be finite");
   RS_REQUIRE(value >= 0.0, "constant delay");
 }
 
@@ -49,6 +60,8 @@ TimeMs ConstantDelay::sample(util::Rng&, ledger::NodeId,
                              ledger::NodeId) const {
   return value_;
 }
+
+TimeMs ConstantDelay::max_delay() const { return value_; }
 
 std::string ConstantDelay::name() const {
   return "ConstDelay[" + std::to_string(value_) + "]ms";

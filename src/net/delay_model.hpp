@@ -21,6 +21,11 @@ class DelayModel {
   virtual TimeMs sample(util::Rng& rng, ledger::NodeId from,
                         ledger::NodeId to) const = 0;
 
+  /// Finite upper bound on every sample (up to one rounding of the
+  /// sampling arithmetic), or kNever when samples are unbounded. The
+  /// gossip reachability certificate (gossip.hpp) rests on it.
+  virtual TimeMs max_delay() const = 0;
+
   virtual std::string name() const = 0;
 };
 
@@ -30,6 +35,7 @@ class UniformDelay final : public DelayModel {
   UniformDelay(TimeMs lo, TimeMs hi);
   TimeMs sample(util::Rng& rng, ledger::NodeId from,
                 ledger::NodeId to) const override;
+  TimeMs max_delay() const override;
   std::string name() const override;
 
  private:
@@ -44,6 +50,7 @@ class ExponentialDelay final : public DelayModel {
   ExponentialDelay(TimeMs base, TimeMs mean_extra);
   TimeMs sample(util::Rng& rng, ledger::NodeId from,
                 ledger::NodeId to) const override;
+  TimeMs max_delay() const override;
   std::string name() const override;
 
  private:
@@ -57,6 +64,7 @@ class ConstantDelay final : public DelayModel {
   explicit ConstantDelay(TimeMs value);
   TimeMs sample(util::Rng& rng, ledger::NodeId from,
                 ledger::NodeId to) const override;
+  TimeMs max_delay() const override;
   std::string name() const override;
 
  private:

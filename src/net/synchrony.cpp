@@ -1,5 +1,7 @@
 #include "net/synchrony.hpp"
 
+#include <cmath>
+
 #include "util/require.hpp"
 
 namespace roleshare::net {
@@ -9,6 +11,8 @@ SynchronyController::SynchronyController(SynchronyConfig config)
   RS_REQUIRE(config.degrade_probability >= 0.0 &&
                  config.degrade_probability <= 1.0,
              "degrade probability");
+  RS_REQUIRE(std::isfinite(config.degraded_delay_factor),
+             "degraded_delay_factor must be finite");
   RS_REQUIRE(config.degraded_delay_factor >= 1.0, "degraded delay factor");
 }
 

@@ -1,6 +1,7 @@
 #include "sim/round_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 
 #include "consensus/binary_ba.hpp"
@@ -19,6 +20,26 @@ using crypto::Hash256;
 using game::Strategy;
 using ledger::NodeId;
 
+/// Class slot of a propagation that runs exact Dijkstra (no certificate).
+constexpr std::uint32_t kExact = std::numeric_limits<std::uint32_t>::max();
+
+/// The reach class of `origin` when the certificate proves its message
+/// reaches every reachable node by `timeout`, else kExact. Counts the
+/// propagation either way.
+std::uint32_t certified_class(const net::GossipEngine& gossip,
+                              const net::RelaySet& relay,
+                              net::ReachClasses& reach, NodeId origin,
+                              net::TimeMs timeout, GossipCounts& counts) {
+  const std::uint32_t c = reach.classify(gossip, relay, origin);
+  if (c != net::ReachClasses::kNone &&
+      gossip.certifies(reach.depth_bound(origin), timeout)) {
+    ++counts.certified;
+    return c;
+  }
+  ++counts.exact;
+  return kExact;
+}
+
 /// Everything one voting step needs from the round. Per-node state is
 /// threaded through as contiguous arrays (structure-of-arrays): the step
 /// loops index stakes/strategies/online/roles directly instead of going
@@ -35,11 +56,16 @@ struct StepContext {
   Hash256 prev_seed;
   const net::RelaySet* relay_set = nullptr;
   const net::GossipEngine* gossip = nullptr;
+  /// The round's reach classes (classified serially, read in parallel)
+  /// and its gossip counts.
+  net::ReachClasses* reach = nullptr;
+  GossipCounts* counts = nullptr;
   /// Root of the round's gossip randomness; each (step, origin) propagation
   /// draws from the independent stream gossip_root.split(step).split(origin)
   /// so the fan-out order cannot change any sampled delay. The engine
   /// derives the per-origin seeds chunked — one split(step) per step, one
   /// derive_seeds block per vote batch — which yields the same streams.
+  /// A certified propagation's stream is never drawn.
   const util::Rng* gossip_root = nullptr;
   const util::InnerExecutor* exec = nullptr;
   /// Marked Committee for nodes that actually vote (observed roles).
@@ -55,8 +81,9 @@ void mark_committee(std::span<Role> roles, NodeId v) {
 /// Runs one voting step: elects the committee for `step`, collects votes
 /// from members for whom `value_of` returns a value, gossips each vote, and
 /// tallies each node's delay-filtered view against `quorum`. All per-node
-/// and per-vote loops fan out across ctx.exec; all working memory comes
-/// from `ws` and the per-node outcomes are rebuilt in place inside `out`.
+/// and per-vote loops fan out across ctx.exec (vote classification stays
+/// serial: it builds reach classes); all working memory comes from `ws`
+/// and the per-node outcomes are rebuilt in place inside `out`.
 template <typename ValueOf>
 void run_vote_step(const StepContext& ctx, std::uint32_t step,
                    std::uint64_t expected_stake, double quorum,
@@ -81,22 +108,36 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
         m.sortition));
   }
   const std::size_t nv = ws.votes.size();
+  const net::TimeMs deadline = ctx.params->step_timeout_ms;
 
-  // One Dijkstra per vote, each on its own (step, voter) delay stream —
-  // the heavy, irregular items, claimed per index. The per-origin streams
+  // A certified vote needs no arrival times: its reach class's mask is
+  // exactly the set of nodes it reaches by the deadline (DESIGN.md §5).
+  // Each other vote runs one Dijkstra on its own (step, voter) delay
+  // stream — the heavy, irregular items, claimed per index. The streams
   // are derived chunked: split(step) once, then one seed per origin.
+  ws.vote_class.resize(nv);
+  ws.exact.clear();
+  for (std::size_t i = 0; i < nv; ++i) {
+    ws.vote_class[i] =
+        certified_class(*ctx.gossip, *ctx.relay_set, *ctx.reach,
+                        ws.votes[i].voter, deadline, *ctx.counts);
+    if (ws.vote_class[i] == kExact)
+      ws.exact.push_back(static_cast<std::uint32_t>(i));
+  }
+  const std::size_t ne = ws.exact.size();
   const util::Rng step_stream = ctx.gossip_root->split(step);
-  ws.origin_labels.resize(nv);
-  ws.origin_seeds.resize(nv);
-  for (std::size_t i = 0; i < nv; ++i)
-    ws.origin_labels[i] = ws.votes[i].voter;
+  ws.origin_labels.resize(ne);
+  ws.origin_seeds.resize(ne);
+  for (std::size_t e = 0; e < ne; ++e)
+    ws.origin_labels[e] = ws.votes[ws.exact[e]].voter;
   step_stream.derive_seeds(ws.origin_labels, ws.origin_seeds);
-  if (ws.arrivals.size() < nv) ws.arrivals.resize(nv);
-  if (ws.scratch.size() < nv) ws.scratch.resize(nv);
-  ctx.exec->for_each_index(nv, [&](std::size_t i) {
-    util::Rng rng(ws.origin_seeds[i]);
-    ctx.gossip->propagate_into(ws.votes[i].voter, 0.0, *ctx.relay_set, rng,
-                               ws.arrivals[i], ws.scratch[i]);
+  if (ws.arrivals.size() < ne) ws.arrivals.resize(ne);
+  if (ws.scratch.size() < ne) ws.scratch.resize(ne);
+  ctx.exec->for_each_index(ne, [&](std::size_t e) {
+    util::Rng rng(ws.origin_seeds[e]);
+    ctx.gossip->propagate_into(ws.votes[ws.exact[e]].voter, 0.0,
+                               *ctx.relay_set, rng, ws.arrivals[e],
+                               ws.scratch[e]);
   });
 
   // Every receiving node verifies each vote's sortition proof; the check
@@ -108,38 +149,70 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
                                ws.valid, *ctx.exec);
 
   // Per-step tally tables, computed once instead of once per node: the
-  // compacted valid-vote list with weights, value ids into the distinct
-  // value set, and coin hashes (previously rehashed per receiving node).
+  // distinct value set (in vote order), then per valid vote its value id
+  // and coin hash (previously rehashed per receiving node). An exact vote
+  // joins the compacted list with its arrival row; a certified vote folds
+  // into its reach class's slot — per-value weight sums and the minimum
+  // coin hash, which is all the tally below reads of it.
   ws.counted.clear();
   ws.counted_rows.clear();
   ws.counted_weight.clear();
   ws.counted_value_id.clear();
   ws.counted_coin_hash.clear();
   ws.values.clear();
+  ws.slot_class.clear();
+  ws.slot_masks.clear();
+  ws.slot_weights.clear();
+  ws.slot_coin_hash.clear();
+  for (std::size_t i = 0; i < nv; ++i) {
+    if (ws.valid[i] != 0 && std::find(ws.values.begin(), ws.values.end(),
+                                      ws.votes[i].value) == ws.values.end())
+      ws.values.push_back(ws.votes[i].value);
+  }
+  const std::size_t distinct = ws.values.size();
   crypto::FixedHasher coin_layout("roleshare.coin");
   const std::size_t coin_slot = coin_layout.add_hash_slot();
   crypto::Sha256Fixed coin_fixed = coin_layout.build_template();
+  std::size_t row = 0;  // arrival row of the next exact vote
   for (std::size_t i = 0; i < nv; ++i) {
+    const std::uint32_t c = ws.vote_class[i];
+    const net::TimeMs* arrival = c == kExact ? ws.arrivals[row++].data()
+                                             : nullptr;
     if (ws.valid[i] == 0) continue;
-    std::uint32_t id = 0;
-    while (id < ws.values.size() && ws.values[id] != ws.votes[i].value) ++id;
-    if (id == ws.values.size()) ws.values.push_back(ws.votes[i].value);
+    const auto id = static_cast<std::uint32_t>(
+        std::find(ws.values.begin(), ws.values.end(), ws.votes[i].value) -
+        ws.values.begin());
     crypto::write_hash_slot(coin_fixed, coin_slot,
                             ws.votes[i].sortition.vrf.output);
-    ws.counted.push_back(static_cast<std::uint32_t>(i));
-    ws.counted_rows.push_back(ws.arrivals[i].data());
-    ws.counted_weight.push_back(ws.votes[i].weight);
-    ws.counted_value_id.push_back(id);
-    ws.counted_coin_hash.push_back(Hash256(coin_fixed.digest()));
+    const Hash256 coin_hash(coin_fixed.digest());
+    if (c == kExact) {
+      ws.counted.push_back(static_cast<std::uint32_t>(i));
+      ws.counted_rows.push_back(arrival);
+      ws.counted_weight.push_back(ws.votes[i].weight);
+      ws.counted_value_id.push_back(id);
+      ws.counted_coin_hash.push_back(coin_hash);
+      continue;
+    }
+    std::size_t slot = 0;
+    while (slot < ws.slot_class.size() && ws.slot_class[slot] != c) ++slot;
+    if (slot == ws.slot_class.size()) {
+      ws.slot_class.push_back(c);
+      ws.slot_masks.push_back(ctx.reach->mask(c).data());
+      ws.slot_weights.resize(ws.slot_weights.size() + distinct, 0);
+      ws.slot_coin_hash.push_back(coin_hash);
+    } else if (coin_hash < ws.slot_coin_hash[slot]) {
+      ws.slot_coin_hash[slot] = coin_hash;
+    }
+    ws.slot_weights[slot * distinct + id] += ws.votes[i].weight;
   }
 
   // Per-node tally over valid votes that arrive within the step timeout.
   // Flat accumulation over the tables above; the winner rule (weight
   // strictly above quorum, highest weight, tie toward the lower hash) and
   // the common coin (lsb of the minimum coin hash) are order-independent
-  // reductions, so this matches the per-node VoteCounter it replaces.
-  const net::TimeMs deadline = ctx.params->step_timeout_ms;
-  const std::size_t distinct = ws.values.size();
+  // reductions (integer sums and a minimum), so adding a whole class slot
+  // at once matches the per-node VoteCounter this replaces.
+  const std::size_t slots = ws.slot_class.size();
   const std::size_t counted_n = ws.counted.size();
   const std::size_t chunks = util::InnerExecutor::chunk_count(n);
   if (ws.tally_weights.size() < chunks * distinct)
@@ -155,6 +228,16 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
           for (std::size_t k = 0; k < distinct; ++k) w[k] = 0;
           bool any = false;
           Hash256 min_hash;
+          for (std::size_t s = 0; s < slots; ++s) {
+            if (ws.slot_masks[s][v] == 0) continue;
+            const std::uint64_t* sw = ws.slot_weights.data() + s * distinct;
+            for (std::size_t k = 0; k < distinct; ++k) w[k] += sw[k];
+            const Hash256& ch = ws.slot_coin_hash[s];
+            if (!any || ch < min_hash) {
+              min_hash = ch;
+              any = true;
+            }
+          }
           for (std::size_t j = 0; j < counted_n; ++j) {
             if (ws.counted_rows[j][v] > deadline) continue;
             w[ws.counted_value_id[j]] += ws.counted_weight[j];
@@ -201,6 +284,7 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& result,
 }
 
 void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
+  ws.gossip_counts = GossipCounts{};
   if (params_.committee_model == consensus::CommitteeModel::Sampled) {
     // Dense evaluation of the Sampled semantics: fresh context from the
     // ledger, sparse core, full-population expansion. The sparse entry
@@ -252,6 +336,7 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
     ws.relay.online[v] = live[v] && strategies[v] != Strategy::Offline;
     ws.relay.relays[v] = live[v] && strategies[v] == Strategy::Cooperate;
   }
+  ws.reach.reset(n);
 
   const Hash256 prev_seed = net.chain().current_seed();
   const Hash256 next_seed = net.chain().next_seed();
@@ -297,21 +382,36 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
   for (std::size_t p = 0; p < np; ++p)
     ws.proposal_hashes[p] = ws.proposals[p].block_hash();
 
-  // One gossip propagation per proposal, each on its own origin stream
+  // One gossip propagation per proposal. A certified one reads its reach
+  // class's mask; the rest run Dijkstra, each on its own origin stream
   // (seeds derived chunked from the proposer-step stream).
+  ws.proposal_class.resize(np);
+  ws.proposal_rows.assign(np, nullptr);
+  ws.proposal_exact.clear();
+  for (std::size_t p = 0; p < np; ++p) {
+    ws.proposal_class[p] = certified_class(
+        gossip, ws.relay, ws.reach, ws.proposals[p].proposer,
+        params_.proposal_timeout_ms, ws.gossip_counts);
+    if (ws.proposal_class[p] == kExact)
+      ws.proposal_exact.push_back(static_cast<std::uint32_t>(p));
+  }
+  const std::size_t npe = ws.proposal_exact.size();
   const util::Rng proposer_stream = gossip_root.split(consensus::kProposerStep);
-  ws.proposer_labels.resize(np);
-  ws.proposer_seeds.resize(np);
-  for (std::size_t p = 0; p < np; ++p)
-    ws.proposer_labels[p] = ws.proposals[p].proposer;
+  ws.proposer_labels.resize(npe);
+  ws.proposer_seeds.resize(npe);
+  for (std::size_t e = 0; e < npe; ++e)
+    ws.proposer_labels[e] = ws.proposals[ws.proposal_exact[e]].proposer;
   proposer_stream.derive_seeds(ws.proposer_labels, ws.proposer_seeds);
-  if (ws.proposal_arrivals.size() < np) ws.proposal_arrivals.resize(np);
-  if (ws.proposal_scratch.size() < np) ws.proposal_scratch.resize(np);
-  exec_.for_each_index(np, [&](std::size_t p) {
-    util::Rng prng(ws.proposer_seeds[p]);
-    gossip.propagate_into(ws.proposals[p].proposer, 0.0, ws.relay, prng,
-                          ws.proposal_arrivals[p], ws.proposal_scratch[p]);
+  if (ws.proposal_arrivals.size() < npe) ws.proposal_arrivals.resize(npe);
+  if (ws.proposal_scratch.size() < npe) ws.proposal_scratch.resize(npe);
+  exec_.for_each_index(npe, [&](std::size_t e) {
+    util::Rng prng(ws.proposer_seeds[e]);
+    gossip.propagate_into(ws.proposals[ws.proposal_exact[e]].proposer, 0.0,
+                          ws.relay, prng, ws.proposal_arrivals[e],
+                          ws.proposal_scratch[e]);
   });
+  for (std::size_t e = 0; e < npe; ++e)
+    ws.proposal_rows[ws.proposal_exact[e]] = ws.proposal_arrivals[e].data();
 
   // Per-node proposal selection within the proposal timeout; also track
   // whether a node ever receives each block body at all (needed to
@@ -323,7 +423,9 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
       std::uint64_t best_priority = 0;
       Hash256 best_hash;
       for (std::size_t p = 0; p < np; ++p) {
-        if (ws.proposal_arrivals[p][v] > params_.proposal_timeout_ms)
+        const std::uint32_t c = ws.proposal_class[p];
+        if (c != kExact ? ws.reach.mask(c)[v] == 0
+                        : ws.proposal_rows[p][v] > params_.proposal_timeout_ms)
           continue;
         const Hash256& h = ws.proposal_hashes[p];
         if (ws.best_idx[v] < 0 || ws.proposals[p].priority > best_priority ||
@@ -348,6 +450,8 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
   ctx.prev_seed = prev_seed;
   ctx.relay_set = &ws.relay;
   ctx.gossip = &gossip;
+  ctx.reach = &ws.reach;
+  ctx.counts = &ws.gossip_counts;
   ctx.gossip_root = &gossip_root;
   ctx.exec = &exec_;
   ctx.observed_roles = ws.observed_roles;
@@ -435,12 +539,18 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
       },
       ws.step, ws.finals);
 
+  ws.gossip_counts.classes = ws.reach.size();
+
   // ---- Outcomes --------------------------------------------------------
+  // Loss-free reachability is exactly arrival < kNever, so a certified
+  // proposal's mask answers "did the body ever arrive" too.
   auto body_received = [&](NodeId v, const Hash256& h) {
     if (h == empty_hash) return true;  // the empty block is derived locally
     for (std::size_t p = 0; p < np; ++p) {
-      if (ws.proposal_hashes[p] == h)
-        return ws.proposal_arrivals[p][v] < net::kNever;
+      if (ws.proposal_hashes[p] != h) continue;
+      const std::uint32_t c = ws.proposal_class[p];
+      return c != kExact ? ws.reach.mask(c)[v] != 0
+                         : ws.proposal_rows[p][v] < net::kNever;
     }
     return false;
   };

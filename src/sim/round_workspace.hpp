@@ -51,23 +51,45 @@ struct StepWorkspace {
   /// derived from the step's gossip stream in one derive_seeds call.
   std::vector<std::uint64_t> origin_labels;
   std::vector<std::uint64_t> origin_seeds;
-  /// Pools indexed by vote: arrival rows and Dijkstra scratch. Grown but
-  /// never shrunk, so inner capacity survives across steps.
+  /// Per vote: its reach class when the certificate holds, else kExact.
+  std::vector<std::uint32_t> vote_class;
+  /// The uncertified votes, in vote order; the e-th runs Dijkstra into
+  /// arrivals[e] on scratch[e].
+  std::vector<std::uint32_t> exact;
+  /// Pools indexed by exact vote: arrival rows and Dijkstra scratch.
+  /// Grown but never shrunk, so inner capacity survives across steps.
   std::vector<std::vector<net::TimeMs>> arrivals;
   std::vector<net::GossipScratch> scratch;
   std::vector<std::uint8_t> valid;
   /// Flat tally tables, computed once per step (not once per node):
-  /// counted[j] indexes the j-th valid vote; weight/value_id/coin_hash are
-  /// parallel to counted. values holds the distinct voted values.
+  /// counted[j] indexes the j-th valid uncertified vote; rows/weight/
+  /// value_id/coin_hash are parallel to counted. values holds the
+  /// distinct voted values of all valid votes.
   std::vector<std::uint32_t> counted;
   std::vector<const net::TimeMs*> counted_rows;  // arrival row per counted vote
   std::vector<std::uint64_t> counted_weight;
   std::vector<std::uint32_t> counted_value_id;
   std::vector<crypto::Hash256> counted_coin_hash;
   std::vector<crypto::Hash256> values;
+  /// Valid certified votes, folded per reach class: slot s covers the
+  /// nodes of slot_masks[s] and carries per-value weight sums
+  /// slot_weights[s * values.size() + k] and the minimum coin hash.
+  std::vector<std::uint32_t> slot_class;
+  std::vector<const std::uint8_t*> slot_masks;
+  std::vector<std::uint64_t> slot_weights;
+  std::vector<crypto::Hash256> slot_coin_hash;
   /// Per-chunk weight accumulators: chunk c uses the slice
   /// [c * values.size(), (c+1) * values.size()).
   std::vector<std::uint64_t> tally_weights;
+};
+
+/// Gossip work of one round: propagations the reachability certificate
+/// decided (no arrival times, no delay draws), propagations that ran
+/// Dijkstra, and reach classes built. Votes and proposals both count.
+struct GossipCounts {
+  std::size_t certified = 0;
+  std::size_t exact = 0;
+  std::size_t classes = 0;
 };
 
 /// All working memory of one round. See the file comment for the
@@ -86,9 +108,19 @@ struct RoundWorkspace {
   std::vector<crypto::Hash256> proposal_hashes;
   std::vector<std::uint64_t> proposer_labels;
   std::vector<std::uint64_t> proposer_seeds;
+  /// Per proposal: its reach class when the certificate holds, else the
+  /// engine's exact marker, plus the arrival row of an uncertified one.
+  std::vector<std::uint32_t> proposal_class;
+  std::vector<const net::TimeMs*> proposal_rows;
+  /// The uncertified proposals, in proposal order.
+  std::vector<std::uint32_t> proposal_exact;
+  /// Pools indexed by uncertified proposal, like StepWorkspace::arrivals.
   std::vector<std::vector<net::TimeMs>> proposal_arrivals;
   std::vector<net::GossipScratch> proposal_scratch;
   std::vector<int> best_idx;
+
+  /// Reach classes of the round's relay set, shared by every step.
+  net::ReachClasses reach;
 
   // Voting steps.
   StepWorkspace step;
@@ -112,6 +144,11 @@ struct RoundWorkspace {
   SparseRoundContext sampled_context;
   SparseRoundWorkspace sampled_scratch;
   SparseRoundResult sampled_result;
+
+  /// The last round's gossip counts: the one field that still means
+  /// something after run_round_into returns (all zero on the Sampled
+  /// path, which runs no gossip).
+  GossipCounts gossip_counts;
 
   /// Total bytes currently reserved across the workspace's buffers — the
   /// round engine's steady-state working set, reported by bench/round_latency.

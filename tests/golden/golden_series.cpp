@@ -6,7 +6,9 @@
 // document with the driver's write_series — the exact path the bench
 // binary's --series-out takes — then compares the document's SHA-256
 // with tests/golden/digests.json. Fig 3's smoke size runs enough rounds
-// that its weak-synchrony schedule degrades some of them (delays ×25).
+// that its weak-synchrony schedule degrades some of them (delays ×25), so
+// both gossip paths — certified reachability and exact Dijkstra
+// (DESIGN.md §5) — shape its digest.
 //
 // The suite never rewrites digests.json. A mismatch names the artifact,
 // both digests and the bench command whose output `sha256sum` turns into

@@ -164,6 +164,62 @@ TEST(RoundEngine, InnerPoolBitIdenticalToSerial) {
   }
 }
 
+TEST(RoundEngine, InnerPoolBitIdenticalUnderDegradedSynchrony) {
+  // Every round degraded at ×25: the reachability certificate covers only
+  // shallow propagations, so both gossip paths run — certified reach
+  // classes and exact Dijkstra fanned over the pool.
+  struct Pass {
+    std::vector<sim::RoundResult> results;
+    std::vector<sim::GossipCounts> counts;
+  };
+  auto run_rounds = [](util::ThreadPool* pool) {
+    sim::NetworkConfig config;
+    config.node_count = 150;
+    config.seed = 31;
+    config.defection_rate = 0.15;
+    config.synchrony.degrade_probability = 1.0;
+    config.synchrony.degraded_delay_factor = 25.0;
+    config.synchrony.max_degraded_rounds = 1000;
+    sim::Network net(config);
+    sim::RoundEngine engine(net,
+                            consensus::ConsensusParams::scaled_for(
+                                net.accounts().total_stake()),
+                            pool);
+    Pass pass;
+    sim::RoundWorkspace ws;
+    for (int r = 0; r < 3; ++r) {
+      sim::RoundResult result;
+      engine.run_round_into(result, ws);
+      EXPECT_EQ(result.synchrony, net::SynchronyState::Degraded);
+      pass.results.push_back(std::move(result));
+      pass.counts.push_back(ws.gossip_counts);
+    }
+    return pass;
+  };
+  const Pass serial = run_rounds(nullptr);
+  util::ThreadPool pool(4);
+  const Pass parallel = run_rounds(&pool);
+  std::size_t certified = 0;
+  std::size_t exact = 0;
+  for (std::size_t r = 0; r < serial.results.size(); ++r) {
+    certified += serial.counts[r].certified;
+    exact += serial.counts[r].exact;
+    EXPECT_EQ(serial.counts[r].certified, parallel.counts[r].certified);
+    EXPECT_EQ(serial.counts[r].exact, parallel.counts[r].exact);
+    EXPECT_EQ(serial.counts[r].classes, parallel.counts[r].classes);
+    const sim::RoundResult& a = serial.results[r];
+    const sim::RoundResult& b = parallel.results[r];
+    EXPECT_EQ(a.final_fraction, b.final_fraction);
+    EXPECT_EQ(a.tentative_fraction, b.tentative_fraction);
+    EXPECT_EQ(a.none_fraction, b.none_fraction);
+    EXPECT_EQ(a.proposals, b.proposals);
+    EXPECT_EQ(a.outcomes, b.outcomes);
+    EXPECT_EQ(a.roles->roles(), b.roles->roles());
+  }
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(exact, 0u);
+}
+
 TEST(ScenarioPolicies, BitIdenticalAcrossInnerThreads) {
   // Every behaviour policy (adaptive best-response, stake-correlated,
   // churn) must be a pure function of the seed: inner_threads ∈ {1, 2, hw}

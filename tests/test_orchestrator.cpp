@@ -186,14 +186,18 @@ TEST(Orchestrator, KilledWorkerResumesFromCheckpointByteIdentically) {
   // Worker 0 _exit(9)s after two runs — mid-window, because its last
   // checkpoint landed inside [0, 3). The replacement must resume from
   // the advertised checkpoint and the final series must not change by
-  // one byte.
+  // one byte. One worker makes the kill certain: with two, worker 1 could
+  // finish both windows before worker 0 sent HELLO. The replacement gets
+  // a fresh id, so it carries no injection and finishes the job;
+  // MultiWorkerSeriesIsByteIdenticalToSingleProcess covers several
+  // workers.
   const std::string dir = make_scratch_dir();
   Injection injection;
   injection.kill_after_runs = 2;
   injection.checkpoint_every = 1;
   roleshare::orch::JobConfig job;
   job.window = 3;  // 6 runs -> 2 windows
-  job.workers = 2;
+  job.workers = 1;
   const roleshare::orch::JobStats stats =
       run_job(dir, dir + "/orch_series.json", job, injection);
   EXPECT_EQ(stats.folded, 2u);

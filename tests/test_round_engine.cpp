@@ -219,6 +219,28 @@ TEST(RoundEngine, WorkspaceOverloadMatchesAllocatingRunRound) {
   EXPECT_GT(ws.capacity_bytes(), 0u);
 }
 
+TEST(RoundEngine, GossipCountsDescribeOnlyTheLastRound) {
+  // A strong round certifies every propagation; a Sampled round runs no
+  // gossip, so it must zero the counts a previous dense round left behind.
+  Network dense(config_with(0.1, 80, 65));
+  RoundEngine dense_engine(dense, params_for(dense));
+  RoundWorkspace ws;
+  RoundResult result;
+  dense_engine.run_round_into(result, ws);
+  EXPECT_GE(ws.gossip_counts.certified, result.proposals);
+  EXPECT_EQ(ws.gossip_counts.exact, 0u);
+  EXPECT_GT(ws.gossip_counts.classes, 0u);
+
+  Network sampled(config_with(0.1, 80, 65));
+  consensus::ConsensusParams params = params_for(sampled);
+  params.committee_model = consensus::CommitteeModel::Sampled;
+  RoundEngine sampled_engine(sampled, params);
+  sampled_engine.run_round_into(result, ws);
+  EXPECT_EQ(ws.gossip_counts.certified, 0u);
+  EXPECT_EQ(ws.gossip_counts.exact, 0u);
+  EXPECT_EQ(ws.gossip_counts.classes, 0u);
+}
+
 TEST(RoundEngine, DegradedSynchronyHurtsOutcomes) {
   NetworkConfig config = config_with(0.0, 100, 91);
   config.synchrony.degrade_probability = 1.0;  // always degraded

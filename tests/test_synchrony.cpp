@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/delay_model.hpp"
 
 namespace roleshare::net {
@@ -67,6 +69,10 @@ TEST(Synchrony, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(SynchronyController(SynchronyConfig{0.5, 0.5, 3}),
                std::invalid_argument);
+  // An infinite factor times a zero hop delay is NaN.
+  EXPECT_THROW(SynchronyController(SynchronyConfig{
+                   0.5, std::numeric_limits<double>::infinity(), 3}),
+               std::invalid_argument);
 }
 
 TEST(DelayModels, UniformStaysInRange) {
@@ -115,6 +121,30 @@ TEST(DelayModels, RejectBadParameters) {
   EXPECT_THROW(UniformDelay(5.0, 1.0), std::invalid_argument);
   EXPECT_THROW(ExponentialDelay(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(ConstantDelay(-2.0), std::invalid_argument);
+}
+
+TEST(DelayModels, RejectNonFiniteParameters) {
+  // UniformDelay(lo, +inf) used to pass lo <= hi and then sample NaN
+  // whenever uniform01() drew 0: (inf - lo) * 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(UniformDelay(0.0, inf), std::invalid_argument);
+  EXPECT_THROW(UniformDelay(inf, inf), std::invalid_argument);
+  EXPECT_THROW(UniformDelay(nan, 5.0), std::invalid_argument);
+  EXPECT_THROW(ConstantDelay{inf}, std::invalid_argument);
+  EXPECT_THROW(ConstantDelay{nan}, std::invalid_argument);
+  EXPECT_THROW(ExponentialDelay(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(ExponentialDelay(1.0, inf), std::invalid_argument);
+}
+
+TEST(DelayModels, MaxDelayBoundsEverySample) {
+  const UniformDelay uniform(20.0, 120.0);
+  EXPECT_EQ(uniform.max_delay(), 120.0);
+  util::Rng rng(9);
+  for (int i = 0; i < 10'000; ++i)
+    EXPECT_LE(uniform.sample(rng, 0, 1), uniform.max_delay());
+  EXPECT_EQ(ConstantDelay(7.5).max_delay(), 7.5);
+  EXPECT_EQ(ExponentialDelay(1.0, 2.0).max_delay(), kNever);
 }
 
 }  // namespace
