@@ -1,5 +1,6 @@
 // Golden suite (`ctest -L golden`): pins the series documents of the
-// dense-round figure benches across commits.
+// dense-round figure benches and of the sparse-round long-horizon bench
+// across commits.
 //
 // Each case builds one bench through its driver factory at smoke size,
 // runs every panel through run_sharded_panels and writes the series
@@ -8,7 +9,9 @@
 // with tests/golden/digests.json. Fig 3's smoke size runs enough rounds
 // that its weak-synchrony schedule degrades some of them (delays ×25), so
 // both gossip paths — certified reachability and exact Dijkstra
-// (DESIGN.md §5) — shape its digest.
+// (DESIGN.md §5) — shape its digest. The long-horizon case reads the
+// keys, stakes and accounts of a fresh Network through the sparse path
+// (DESIGN.md §10).
 //
 // The suite never rewrites digests.json. A mismatch names the artifact,
 // both digests and the bench command whose output `sha256sum` turns into
@@ -104,6 +107,12 @@ TEST(Golden, StrategicEnsembleSeries) {
   expect_golden("strategic_ensemble",
                 {"--nodes=80", "--runs=2", "--rounds=20", "--threads=1"},
                 roleshare::bench::make_strategic_driver);
+}
+
+TEST(Golden, FigLongHorizonSeries) {
+  expect_golden("fig_longhorizon",
+                {"--nodes=2000", "--runs=2", "--rounds=60", "--threads=1"},
+                roleshare::bench::make_longhorizon_driver);
 }
 
 }  // namespace

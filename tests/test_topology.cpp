@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string>
+
+#include "crypto/hash.hpp"
+#include "crypto/sha256.hpp"
 
 namespace roleshare::net {
 namespace {
@@ -71,6 +76,47 @@ TEST(Topology, NodeIdBoundsChecked) {
   const Topology t = Topology::from_adjacency({{1}, {0}});
   EXPECT_THROW(t.out_neighbors(2), std::invalid_argument);
   EXPECT_THROW(t.in_neighbors(9), std::invalid_argument);
+}
+
+// SHA-256 over every out-row, then every in-row, in node order; each row
+// is its length followed by its node ids.
+std::string adjacency_digest(const Topology& t) {
+  crypto::Sha256 sha;
+  const auto add_rows = [&](auto rows_of) {
+    for (ledger::NodeId v = 0; v < t.node_count(); ++v) {
+      const std::span<const ledger::NodeId> row = rows_of(v);
+      sha.update_u64(row.size());
+      for (const ledger::NodeId u : row) sha.update_u64(u);
+    }
+  };
+  add_rows([&](ledger::NodeId v) { return t.out_neighbors(v); });
+  add_rows([&](ledger::NodeId v) { return t.in_neighbors(v); });
+  return crypto::Hash256(sha.finalize()).to_hex();
+}
+
+TEST(Topology, KOutAdjacencyIsPinned) {
+  // Every node-major row of random_k_out. A change of storage layout
+  // must keep the draw sequence, the sorted out-rows and the in-rows in
+  // ascending source order.
+  struct Case {
+    std::size_t n, k;
+    std::uint64_t seed;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {6, 5, 1,
+       "7fc941d4fb1ec6a0b65005ac45152ac028b8ba867f6e3c0af4de515c7e4a04df"},
+      {1000, 5, 7,
+       "628b19623a1edd1e03fa03ac43c3280ddf8ffa1ecbcc21285432689b5c96cd4e"},
+      {100000, 5, 11,
+       "0fd555c8a8154daccec4cb3721f3d48b913282a25f845a7364490bcd05d10ae7"},
+  };
+  for (const Case& c : cases) {
+    util::Rng rng(c.seed);
+    const Topology t = Topology::random_k_out(c.n, c.k, rng);
+    EXPECT_EQ(adjacency_digest(t), c.digest)
+        << "n=" << c.n << " k=" << c.k << " seed=" << c.seed;
+  }
 }
 
 }  // namespace
