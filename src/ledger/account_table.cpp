@@ -1,17 +1,31 @@
 #include "ledger/account_table.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
 #include "util/require.hpp"
 
 namespace roleshare::ledger {
 
+namespace {
+
+constexpr NodeId kEmptySlot = std::numeric_limits<NodeId>::max();
+constexpr std::size_t kMinSlots = 16;
+
+}  // namespace
+
 NodeId AccountTable::add_account(const crypto::PublicKey& key,
                                  MicroAlgos balance) {
   RS_REQUIRE(balance >= 0, "starting balance must be non-negative");
-  RS_REQUIRE(by_key_.find(key.value) == by_key_.end(),
-             "duplicate account key");
+  RS_REQUIRE(accounts_.size() < kEmptySlot, "too many accounts for NodeId");
+  if (2 * (accounts_.size() + 1) > slots_.size())
+    rehash(std::max(kMinSlots, 2 * slots_.size()));
+  const std::size_t slot = probe(key.value);
+  RS_REQUIRE(slots_[slot] == kEmptySlot, "duplicate account key");
   const auto id = static_cast<NodeId>(accounts_.size());
   accounts_.push_back(Account{id, key, balance});
-  by_key_.emplace(key.value, id);
+  slots_[slot] = id;
   return id;
 }
 
@@ -21,9 +35,27 @@ const Account& AccountTable::account(NodeId id) const {
 }
 
 std::optional<NodeId> AccountTable::find(const crypto::PublicKey& key) const {
-  const auto it = by_key_.find(key.value);
-  if (it == by_key_.end()) return std::nullopt;
-  return it->second;
+  if (slots_.empty()) return std::nullopt;
+  const NodeId id = slots_[probe(key.value)];
+  if (id == kEmptySlot) return std::nullopt;
+  return id;
+}
+
+std::size_t AccountTable::probe(const crypto::Hash256& key) const {
+  // Fibonacci hashing: the product's top bits pick the first slot, so
+  // every prefix bit counts. Half-empty slots end every probe.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (key.prefix_u64() * 0x9E3779B97F4A7C15ULL) >>
+      (64 - std::countr_zero(slots_.size())));
+  while (slots_[i] != kEmptySlot && accounts_[slots_[i]].key.value != key)
+    i = (i + 1) & mask;
+  return i;
+}
+
+void AccountTable::rehash(std::size_t slot_count) {
+  slots_.assign(slot_count, kEmptySlot);
+  for (const Account& a : accounts_) slots_[probe(a.key.value)] = a.id;
 }
 
 std::int64_t AccountTable::total_stake() const {

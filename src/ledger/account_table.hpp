@@ -6,7 +6,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/keypair.hpp"
@@ -59,9 +58,15 @@ class AccountTable {
   bool apply(const Transaction& txn);
 
  private:
+  /// The slot holding `key`, or the empty slot where its probe ends.
+  std::size_t probe(const crypto::Hash256& key) const;
+  void rehash(std::size_t slot_count);
+
   std::vector<Account> accounts_;
-  std::unordered_map<crypto::Hash256, NodeId, crypto::Hash256Hasher>
-      by_key_;
+  // Key index: open addressing with linear probing from the key's 64-bit
+  // prefix. Each slot holds a node id or a sentinel for empty; the slot
+  // count is a power of two and at most half the slots are used.
+  std::vector<NodeId> slots_;
 };
 
 }  // namespace roleshare::ledger

@@ -27,7 +27,7 @@ class Topology {
   static Topology from_adjacency(
       std::vector<std::vector<ledger::NodeId>> adjacency);
 
-  std::size_t node_count() const { return out_.size(); }
+  std::size_t node_count() const { return out_offsets_.size() - 1; }
   std::size_t fan_out() const { return fan_out_; }
 
   std::span<const ledger::NodeId> out_neighbors(ledger::NodeId v) const;
@@ -39,8 +39,13 @@ class Topology {
   Topology() = default;
   void build_reverse();
 
-  std::vector<std::vector<ledger::NodeId>> out_;
-  std::vector<std::vector<ledger::NodeId>> in_;
+  // Compressed sparse rows: v's out-row is out_targets_[out_offsets_[v],
+  // out_offsets_[v + 1]), its in-row likewise in in_sources_. Each offset
+  // array holds node_count() + 1 entries.
+  std::vector<std::size_t> out_offsets_{0};
+  std::vector<ledger::NodeId> out_targets_;
+  std::vector<std::size_t> in_offsets_{0};
+  std::vector<ledger::NodeId> in_sources_;
   std::size_t fan_out_ = 0;
 };
 

@@ -1,12 +1,28 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/require.hpp"
 
 namespace roleshare::sim {
 
 namespace {
+
+// Runs in config_'s initializer, so a bad config is refused before any
+// member allocates. Node ids are ledger::NodeId, and the account index
+// keeps that type's largest value as its empty-slot sentinel.
+const NetworkConfig& checked(const NetworkConfig& config) {
+  RS_REQUIRE(config.node_count >= 4, "network needs at least 4 nodes");
+  RS_REQUIRE(config.node_count <= std::numeric_limits<ledger::NodeId>::max(),
+             "network node count exceeds the NodeId range");
+  RS_REQUIRE(config.defection_rate >= 0.0 && config.defection_rate <= 1.0,
+             "defection rate");
+  RS_REQUIRE(config.faulty_rate >= 0.0 &&
+                 config.defection_rate + config.faulty_rate <= 1.0,
+             "faulty rate");
+  return config;
+}
 
 net::Topology build_topology(std::size_t n, std::size_t fan_out,
                              util::Rng& rng) {
@@ -16,20 +32,13 @@ net::Topology build_topology(std::size_t n, std::size_t fan_out,
 }  // namespace
 
 Network::Network(const NetworkConfig& config)
-    : config_(config),
+    : config_(checked(config)),
       master_rng_(config.seed),
       chain_(config.seed),
       topology_(build_topology(config.node_count, config.fan_out,
                                master_rng_)),
       delays_(net::make_uniform_delay(config.delay_lo_ms, config.delay_hi_ms)),
       synchrony_(config.synchrony) {
-  RS_REQUIRE(config.node_count >= 4, "network needs at least 4 nodes");
-  RS_REQUIRE(config.defection_rate >= 0.0 && config.defection_rate <= 1.0,
-             "defection rate");
-  RS_REQUIRE(config.faulty_rate >= 0.0 &&
-                 config.defection_rate + config.faulty_rate <= 1.0,
-             "faulty rate");
-
   // Keys and stake-funded accounts.
   util::Rng stake_rng = master_rng_.split("stakes");
   const util::UniformStake dist(config.stake_lo, config.stake_hi);

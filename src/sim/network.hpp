@@ -90,6 +90,8 @@ class Network {
   util::Rng round_rng(ledger::Round round) const;
 
  private:
+  // Declared first: its initializer checks the config before any other
+  // member allocates.
   NetworkConfig config_;
   util::Rng master_rng_;
   std::vector<crypto::KeyPair> keys_;

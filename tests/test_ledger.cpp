@@ -72,6 +72,53 @@ TEST(AccountTable, RejectsDuplicateKey) {
                std::invalid_argument);
 }
 
+// A key whose first 8 bytes, the key index's probe hash, are `prefix`.
+crypto::PublicKey key_with_prefix(std::uint64_t prefix, std::uint8_t tail) {
+  crypto::Digest bytes{};
+  for (int i = 0; i < 8; ++i)
+    bytes[i] = static_cast<std::uint8_t>(prefix >> (56 - 8 * i));
+  bytes[31] = tail;
+  return crypto::PublicKey{crypto::Hash256(bytes)};
+}
+
+TEST(AccountTable, KeysSharingTheProbeHashRoundTrip) {
+  constexpr std::uint64_t kPrefix = 0x0123456789abcdefULL;
+  AccountTable table;
+  // One probe cluster, interleaved with unrelated keys and carried
+  // through several table growths.
+  for (std::uint8_t t = 0; t < 40; ++t) {
+    table.add_account(key_with_prefix(kPrefix, t), algos(1));
+    table.add_account(key_of(t).public_key(), algos(2));
+  }
+  for (std::uint8_t t = 0; t < 40; ++t) {
+    EXPECT_EQ(table.find(key_with_prefix(kPrefix, t)),
+              std::optional<NodeId>(2 * t));
+    EXPECT_EQ(table.find(key_of(t).public_key()),
+              std::optional<NodeId>(2 * t + 1));
+  }
+  // Same probe hash, not registered: the probe walks the whole cluster.
+  EXPECT_FALSE(table.find(key_with_prefix(kPrefix, 200)).has_value());
+  EXPECT_THROW(table.add_account(key_with_prefix(kPrefix, 39), algos(1)),
+               std::invalid_argument);
+}
+
+TEST(AccountTable, FindOnEmptyTableIsNullopt) {
+  const AccountTable table;
+  EXPECT_FALSE(table.find(key_of(0).public_key()).has_value());
+}
+
+TEST(AccountTable, RejectsDuplicateKeyAfterGrowth) {
+  AccountTable table;
+  for (std::uint64_t i = 0; i < 10'000; ++i)
+    table.add_account(key_of(i).public_key(), algos(1));
+  EXPECT_THROW(table.add_account(key_of(0).public_key(), algos(1)),
+               std::invalid_argument);
+  EXPECT_EQ(table.size(), 10'000u);
+  EXPECT_EQ(table.find(key_of(0).public_key()), std::optional<NodeId>(0));
+  EXPECT_EQ(table.find(key_of(9'999).public_key()),
+            std::optional<NodeId>(9'999));
+}
+
 TEST(AccountTable, TotalStakeSumsWholeAlgos) {
   AccountTable table;
   table.add_account(key_of(0).public_key(), algos(10) + 400'000);

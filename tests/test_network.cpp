@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 namespace roleshare::sim {
 namespace {
 
@@ -28,8 +31,10 @@ TEST(Network, BuildsAccountsAndKeys) {
 TEST(Network, KeysMatchAccounts) {
   const Network net(small_config());
   for (std::size_t v = 0; v < net.node_count(); ++v) {
-    EXPECT_EQ(net.accounts().account(static_cast<ledger::NodeId>(v)).key,
-              net.keys()[v].public_key());
+    const auto id = static_cast<ledger::NodeId>(v);
+    EXPECT_EQ(net.accounts().account(id).key, net.keys()[v].public_key());
+    EXPECT_EQ(net.accounts().find(net.keys()[v].public_key()),
+              std::optional<ledger::NodeId>(id));
   }
 }
 
@@ -151,6 +156,29 @@ TEST(Network, RejectsBadRates) {
   config = small_config();
   config.node_count = 2;
   EXPECT_THROW(Network{config}, std::invalid_argument);
+}
+
+// The node count is checked before anything is allocated: zero nodes is
+// not reported by the topology, and a count past the NodeId range is
+// refused instead of wrapping node ids.
+TEST(Network, RejectsNodeCountsBeforeBuilding) {
+  const auto message_for = [](std::size_t node_count) {
+    NetworkConfig config = small_config();
+    config.node_count = node_count;
+    try {
+      const Network net(config);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string empty = message_for(0);
+  EXPECT_NE(empty.find("network needs at least 4 nodes"), std::string::npos)
+      << empty;
+  const std::string huge = message_for((std::size_t{1} << 32) + 4);
+  EXPECT_NE(huge.find("network node count exceeds the NodeId range"),
+            std::string::npos)
+      << huge;
 }
 
 TEST(Network, GenesisChainReady) {
