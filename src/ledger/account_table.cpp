@@ -43,7 +43,8 @@ std::optional<NodeId> AccountTable::find(const crypto::PublicKey& key) const {
 
 std::size_t AccountTable::probe(const crypto::Hash256& key) const {
   // Fibonacci hashing: the product's top bits pick the first slot, so
-  // every prefix bit counts. Half-empty slots end every probe.
+  // every prefix bit counts. At most half the slots are used, so every
+  // probe reaches an empty slot.
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(
       (key.prefix_u64() * 0x9E3779B97F4A7C15ULL) >>
