@@ -1,6 +1,6 @@
 // Golden suite (`ctest -L golden`): pins the series documents of the
-// dense-round figure benches and of the sparse-round long-horizon bench
-// across commits.
+// dense-round figure benches, the Fig 6/7 reward benches and the
+// sparse-round long-horizon bench across commits.
 //
 // Each case builds one bench through its driver factory at smoke size,
 // runs every panel through run_sharded_panels and writes the series
@@ -95,6 +95,18 @@ TEST(Golden, Fig3DefectionSeries) {
   expect_golden("fig3_defection",
                 {"--nodes=80", "--runs=2", "--rounds=30", "--threads=1"},
                 roleshare::bench::make_fig3_driver);
+}
+
+TEST(Golden, Fig6BiDistributionsSeries) {
+  expect_golden("fig6_bi_distributions",
+                {"--nodes=2000", "--runs=2", "--rounds=4", "--threads=1"},
+                roleshare::bench::make_fig6_driver);
+}
+
+TEST(Golden, Fig7RewardComparisonSeries) {
+  expect_golden("fig7_reward_comparison",
+                {"--nodes=2000", "--runs=2", "--rounds=4", "--threads=1"},
+                roleshare::bench::make_fig7_driver);
 }
 
 TEST(Golden, ScenarioSweepSeries) {
