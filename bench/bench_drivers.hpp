@@ -17,8 +17,17 @@
 //                           series_json (finalize one merged partial
 //                           into the deterministic series snapshot) and
 //                           write_series, the one series-document writer.
-//   make_<bench>_driver     per-bench factory; also returns the parsed
-//                           knob values the bench main prints.
+//   PanelKnobs              the six knobs every panel bench shares,
+//                           parsed once (arg_panel_knobs) with the
+//                           bench's own size defaults.
+//   make_<bench>_driver     per-bench factory; its driver struct inherits
+//                           PanelKnobs, so the bench main prints the
+//                           parsed values from it.
+//   run_figure              the one path from a bench's argv to its
+//                           series file: shard knobs, run_sharded_panels,
+//                           the shard-worker epilogue and --series-out.
+//                           The six bench mains and the golden suite run
+//                           it, so a golden digest pins what they write.
 //   ShardableBench          type-erased driver for the orchestrator and
 //                           merge_partials: run_window (worker side,
 //                           wraps run_sharded_panels) + fold/write_series
@@ -80,6 +89,66 @@ struct PanelDriver {
   }
 };
 
+/// The knobs every panel bench shares: --nodes, --runs, --rounds,
+/// --threads, --inner-threads and --agg.
+struct PanelKnobs {
+  std::size_t nodes = 0;
+  std::size_t runs = 0;
+  std::size_t rounds = 0;
+  std::size_t threads = 1;
+  std::size_t inner_threads = 1;
+  sim::AggBackend agg = sim::AggBackend::Exact;
+
+  /// The knobs as the leading BENCH_<bench>.json fields.
+  JsonFields bench_fields() const {
+    return {{"nodes", static_cast<double>(nodes)},
+            {"runs", static_cast<double>(runs)},
+            {"rounds", static_cast<double>(rounds)},
+            {"threads", static_cast<double>(threads)},
+            {"inner_threads", static_cast<double>(inner_threads)},
+            {"agg", sim::to_string(agg)}};
+  }
+};
+
+/// Parses the shared knobs; `sizes` carries the bench's own --nodes,
+/// --runs and --rounds defaults.
+inline PanelKnobs arg_panel_knobs(int argc, char** argv,
+                                  const PanelKnobs& sizes) {
+  PanelKnobs knobs;
+  knobs.nodes = arg_size(argc, argv, "nodes", sizes.nodes);
+  knobs.runs = arg_size(argc, argv, "runs", sizes.runs);
+  knobs.rounds = arg_size(argc, argv, "rounds", sizes.rounds);
+  knobs.threads = arg_threads(argc, argv);
+  knobs.inner_threads = arg_inner_threads(argc, argv);
+  knobs.agg = arg_agg(argc, argv);
+  return knobs;
+}
+
+/// The figure front end: parses the shard knobs and --series-out from
+/// argv and runs every panel through run_sharded_panels. In shard-worker
+/// mode it ends with the shard epilogue and returns nullopt: the partial
+/// is on disk and the caller exits 0 without a figure. Otherwise it
+/// writes --series-out (when given) and returns the window's execution
+/// for the bench main's per-panel printing.
+template <typename PartialT>
+std::optional<ShardExecution<PartialT>> run_figure(
+    const PanelDriver<PartialT>& driver, int argc, char** argv) {
+  const ShardKnobs knobs = arg_shard_knobs(argc, argv, driver.runs);
+  const std::string series_out = arg_string(argc, argv, "series-out", "");
+  const WallTimer timer;
+  ShardExecution<PartialT> exec = run_sharded_panels<PartialT>(
+      knobs, driver.panel_count, driver.header, driver.panel_meta,
+      driver.run_panel);
+  if (shard_worker_done(exec, knobs, driver.header, timer.elapsed_ms()))
+    return std::nullopt;
+  if (!series_out.empty()) {
+    driver.write_series(series_out, exec.window_begin, exec.cursor,
+                        exec.partials);
+    std::printf("\n[series] wrote %s\n", series_out.c_str());
+  }
+  return exec;
+}
+
 // ---------------------------------------------------------------- fig3
 
 namespace fig3 {
@@ -88,24 +157,14 @@ inline constexpr char kPanels[] = {'a', 'b', 'c', 'd', 'e', 'f'};
 inline constexpr double kTrim = 0.2;
 }  // namespace fig3
 
-struct Fig3Driver {
-  std::size_t nodes = 0;
-  std::size_t runs = 0;
-  std::size_t rounds = 0;
-  std::size_t threads = 0;
-  std::size_t inner_threads = 0;
-  sim::AggBackend agg = sim::AggBackend::Exact;
+struct Fig3Driver : PanelKnobs {
   PanelDriver<sim::DefectionPartial> panels;
 };
 
 inline Fig3Driver make_fig3_driver(int argc, char** argv) {
-  Fig3Driver d;
-  d.nodes = static_cast<std::size_t>(arg_int(argc, argv, "nodes", 400));
-  d.runs = static_cast<std::size_t>(arg_int(argc, argv, "runs", 8));
-  d.rounds = static_cast<std::size_t>(arg_int(argc, argv, "rounds", 30));
-  d.threads = arg_threads(argc, argv);
-  d.inner_threads = arg_inner_threads(argc, argv);
-  d.agg = arg_agg(argc, argv);
+  const PanelKnobs knobs =
+      arg_panel_knobs(argc, argv, {.nodes = 400, .runs = 8, .rounds = 30});
+  Fig3Driver d{knobs, {}};
 
   d.panels.bench_name = "fig3_defection";
   d.panels.runs = d.runs;
@@ -122,7 +181,6 @@ inline Fig3Driver make_fig3_driver(int argc, char** argv) {
     panel.set("rate_pct", fig3::kRates[i] * 100.0);
     return panel;
   };
-  const auto knobs = d;  // knob values only; panels not yet fully built
   d.panels.run_panel = [knobs](std::size_t i, sim::RunShard sub) {
     sim::DefectionExperimentConfig config;
     config.network.node_count = knobs.nodes;
@@ -162,24 +220,14 @@ inline const std::array<sim::StakeSpec, 4>& specs() {
 inline constexpr char kPanels[] = {'a', 'b', 'c', 'd'};
 }  // namespace fig6
 
-struct Fig6Driver {
-  std::size_t nodes = 0;
-  std::size_t runs = 0;
-  std::size_t rounds = 0;
-  std::size_t threads = 0;
-  std::size_t inner_threads = 0;
-  sim::AggBackend agg = sim::AggBackend::Exact;
+struct Fig6Driver : PanelKnobs {
   PanelDriver<sim::RewardPartial> panels;
 };
 
 inline Fig6Driver make_fig6_driver(int argc, char** argv) {
-  Fig6Driver d;
-  d.nodes = static_cast<std::size_t>(arg_int(argc, argv, "nodes", 100'000));
-  d.runs = static_cast<std::size_t>(arg_int(argc, argv, "runs", 40));
-  d.rounds = static_cast<std::size_t>(arg_int(argc, argv, "rounds", 10));
-  d.threads = arg_threads(argc, argv);
-  d.inner_threads = arg_inner_threads(argc, argv);
-  d.agg = arg_agg(argc, argv);
+  const PanelKnobs knobs = arg_panel_knobs(
+      argc, argv, {.nodes = 100'000, .runs = 40, .rounds = 10});
+  Fig6Driver d{knobs, {}};
 
   d.panels.bench_name = "fig6_bi_distributions";
   d.panels.runs = d.runs;
@@ -196,7 +244,6 @@ inline Fig6Driver make_fig6_driver(int argc, char** argv) {
     panel.set("stakes", fig6::specs()[i].name());
     return panel;
   };
-  const auto knobs = d;
   d.panels.run_panel = [knobs](std::size_t i, sim::RunShard sub) {
     sim::RewardExperimentConfig config;
     config.node_count = knobs.nodes;
@@ -241,24 +288,14 @@ inline PanelSpec panel_spec(std::size_t panel) {
 }
 }  // namespace fig7
 
-struct Fig7Driver {
-  std::size_t nodes = 0;
-  std::size_t runs = 0;
-  std::size_t rounds = 0;
-  std::size_t threads = 0;
-  std::size_t inner_threads = 0;
-  sim::AggBackend agg = sim::AggBackend::Exact;
+struct Fig7Driver : PanelKnobs {
   PanelDriver<sim::RewardPartial> panels;
 };
 
 inline Fig7Driver make_fig7_driver(int argc, char** argv) {
-  Fig7Driver d;
-  d.nodes = static_cast<std::size_t>(arg_int(argc, argv, "nodes", 100'000));
-  d.runs = static_cast<std::size_t>(arg_int(argc, argv, "runs", 30));
-  d.rounds = static_cast<std::size_t>(arg_int(argc, argv, "rounds", 10));
-  d.threads = arg_threads(argc, argv);
-  d.inner_threads = arg_inner_threads(argc, argv);
-  d.agg = arg_agg(argc, argv);
+  const PanelKnobs knobs = arg_panel_knobs(
+      argc, argv, {.nodes = 100'000, .runs = 30, .rounds = 10});
+  Fig7Driver d{knobs, {}};
 
   d.panels.bench_name = "fig7_reward_comparison";
   d.panels.runs = d.runs;
@@ -279,7 +316,6 @@ inline Fig7Driver make_fig7_driver(int argc, char** argv) {
     v.set("seed", spec.seed);
     return v;
   };
-  const auto knobs = d;
   d.panels.run_panel = [knobs](std::size_t panel, sim::RunShard sub) {
     const fig7::PanelSpec spec = fig7::panel_spec(panel);
     sim::RewardExperimentConfig config;
@@ -335,14 +371,8 @@ inline std::size_t panel_level(std::size_t panel) {
 }
 }  // namespace scenario
 
-struct ScenarioDriver {
-  std::size_t nodes = 0;
-  std::size_t runs = 0;
-  std::size_t rounds = 0;
+struct ScenarioDriver : PanelKnobs {
   std::uint64_t seed = 0;
-  std::size_t threads = 0;
-  std::size_t inner_threads = 0;
-  sim::AggBackend agg = sim::AggBackend::Exact;
   /// The full per-panel config — exposed (not just run_panel) because
   /// the sweep's serial self-check re-runs it with threads forced to 1.
   std::function<sim::DefectionExperimentConfig(std::size_t, sim::RunShard)>
@@ -351,29 +381,18 @@ struct ScenarioDriver {
 };
 
 inline ScenarioDriver make_scenario_driver(int argc, char** argv) {
-  ScenarioDriver d;
-  d.nodes = static_cast<std::size_t>(arg_int(argc, argv, "nodes", 120));
-  d.runs = static_cast<std::size_t>(arg_int(argc, argv, "runs", 6));
-  d.rounds = static_cast<std::size_t>(arg_int(argc, argv, "rounds", 8));
-  d.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "seed", 99));
-  d.threads = arg_threads(argc, argv);
-  d.inner_threads = arg_inner_threads(argc, argv);
-  d.agg = arg_agg(argc, argv);
-
-  struct Knobs {
-    std::size_t nodes, runs, rounds, threads, inner_threads;
-    std::uint64_t seed;
-    sim::AggBackend agg;
-  };
-  const Knobs knobs{d.nodes, d.runs,  d.rounds, d.threads,
-                    d.inner_threads, d.seed,  d.agg};
-  d.panel_config = [knobs](std::size_t panel, sim::RunShard sub) {
+  const PanelKnobs knobs =
+      arg_panel_knobs(argc, argv, {.nodes = 120, .runs = 6, .rounds = 8});
+  const auto seed =
+      static_cast<std::uint64_t>(arg_int(argc, argv, "seed", 99));
+  ScenarioDriver d{knobs, seed, {}, {}};
+  d.panel_config = [knobs, seed](std::size_t panel, sim::RunShard sub) {
     const scenario::PolicyCase& policy = scenario::panel_policy(panel);
     const std::size_t level_idx = scenario::panel_level(panel);
     const double level = scenario::kLevels[level_idx];
     sim::DefectionExperimentConfig config;
     config.network.node_count = knobs.nodes;
-    config.network.seed = knobs.seed + level_idx;
+    config.network.seed = seed + level_idx;
     config.runs = knobs.runs;
     config.rounds = knobs.rounds;
     config.threads = knobs.threads;
@@ -439,26 +458,17 @@ inline constexpr sim::SchemeChoice kSchemes[] = {
 inline constexpr const char* kSchemeNames[] = {"foundation", "role-based"};
 }  // namespace strategic
 
-struct StrategicDriver {
-  std::size_t nodes = 0;
-  std::size_t runs = 0;
-  std::size_t rounds = 0;
+struct StrategicDriver : PanelKnobs {
   std::uint64_t seed = 0;
-  std::size_t threads = 0;
-  std::size_t inner_threads = 0;
-  sim::AggBackend agg = sim::AggBackend::Exact;
   PanelDriver<sim::StrategicPartial> panels;
 };
 
 inline StrategicDriver make_strategic_driver(int argc, char** argv) {
-  StrategicDriver d;
-  d.nodes = static_cast<std::size_t>(arg_int(argc, argv, "nodes", 150));
-  d.runs = static_cast<std::size_t>(arg_int(argc, argv, "runs", 6));
-  d.rounds = static_cast<std::size_t>(arg_int(argc, argv, "rounds", 10));
-  d.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "seed", 99));
-  d.threads = arg_threads(argc, argv);
-  d.inner_threads = arg_inner_threads(argc, argv);
-  d.agg = arg_agg(argc, argv);
+  const PanelKnobs knobs =
+      arg_panel_knobs(argc, argv, {.nodes = 150, .runs = 6, .rounds = 10});
+  const auto seed =
+      static_cast<std::uint64_t>(arg_int(argc, argv, "seed", 99));
+  StrategicDriver d{knobs, seed, {}};
 
   d.panels.bench_name = "strategic_ensemble";
   d.panels.runs = d.runs;
@@ -475,11 +485,10 @@ inline StrategicDriver make_strategic_driver(int argc, char** argv) {
     v.set("scheme", std::string(strategic::kSchemeNames[panel]));
     return v;
   };
-  const auto knobs = d;
-  d.panels.run_panel = [knobs](std::size_t panel, sim::RunShard sub) {
+  d.panels.run_panel = [knobs, seed](std::size_t panel, sim::RunShard sub) {
     sim::StrategicEnsembleConfig config;
     config.base.network.node_count = knobs.nodes;
-    config.base.network.seed = knobs.seed;
+    config.base.network.seed = seed;
     config.base.rounds = knobs.rounds;
     config.base.scheme = strategic::kSchemes[panel];
     config.runs = knobs.runs;
@@ -505,13 +514,7 @@ inline constexpr double kBeta = 0.30;
 inline constexpr double kTopFraction = 0.01;
 }  // namespace longhorizon
 
-struct LongHorizonDriver {
-  std::size_t nodes = 0;
-  std::size_t runs = 0;
-  std::size_t rounds = 0;
-  std::size_t threads = 0;
-  std::size_t inner_threads = 0;
-  sim::AggBackend agg = sim::AggBackend::Exact;
+struct LongHorizonDriver : PanelKnobs {
   double alpha = 0.0;
   double beta = 0.0;
   double top_fraction = 0.0;
@@ -519,17 +522,13 @@ struct LongHorizonDriver {
 };
 
 inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
-  LongHorizonDriver d;
-  d.nodes = static_cast<std::size_t>(arg_int(argc, argv, "nodes", 100'000));
-  d.runs = static_cast<std::size_t>(arg_int(argc, argv, "runs", 4));
-  d.rounds = static_cast<std::size_t>(arg_int(argc, argv, "rounds", 2000));
-  d.threads = arg_threads(argc, argv);
-  d.inner_threads = arg_inner_threads(argc, argv);
-  d.agg = arg_agg(argc, argv);
-  d.alpha = arg_real(argc, argv, "alpha", longhorizon::kAlpha);
-  d.beta = arg_real(argc, argv, "beta", longhorizon::kBeta);
-  d.top_fraction =
-      arg_real(argc, argv, "top-fraction", longhorizon::kTopFraction);
+  LongHorizonDriver d{
+      arg_panel_knobs(argc, argv,
+                      {.nodes = 100'000, .runs = 4, .rounds = 2000}),
+      arg_real(argc, argv, "alpha", longhorizon::kAlpha),
+      arg_real(argc, argv, "beta", longhorizon::kBeta),
+      arg_real(argc, argv, "top-fraction", longhorizon::kTopFraction),
+      {}};
 
   d.panels.bench_name = "fig_longhorizon";
   d.panels.runs = d.runs;

@@ -5,14 +5,16 @@
 // trajectory.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -32,48 +34,81 @@ inline void print_header(const char* experiment_id, const char* title) {
   std::printf("================================================================\n");
 }
 
-/// Parses "--name=value" from argv; returns fallback when absent.
-inline long long arg_int(int argc, char** argv, const std::string& name,
-                         long long fallback) {
+/// The value of the first "--name=value" in argv; nullopt when absent.
+inline std::optional<std::string> arg_value(int argc, char** argv,
+                                            const std::string& name) {
   const std::string prefix = "--" + name + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0)
-      return std::atoll(arg.substr(prefix.size()).c_str());
+    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
   }
-  return fallback;
+  return std::nullopt;
 }
 
-/// Parses "--name=value" from argv as a double; returns fallback when
-/// absent (e.g. --alpha=0.3, --top-fraction=0.01).
+/// Parses `value` whole with std::from_chars; throws
+/// std::invalid_argument naming --name when anything is left over
+/// ("60k", "2e3" as an integer), nothing parses or the value overflows.
+template <typename T>
+T parse_flag(const std::string& name, const std::string& value) {
+  T parsed{};
+  const char* const last = value.data() + value.size();
+  const auto [end, error] = std::from_chars(value.data(), last, parsed);
+  if (error == std::errc::result_out_of_range)
+    throw std::invalid_argument("--" + name + "=" + value + " is out of range");
+  if (error != std::errc() || end != last) {
+    throw std::invalid_argument("--" + name + "=" + value + " is not " +
+                                (std::is_integral_v<T> ? "an integer"
+                                                       : "a number"));
+  }
+  return parsed;
+}
+
+/// Parses "--name=value" from argv as a whole integer; returns fallback
+/// when absent.
+inline long long arg_int(int argc, char** argv, const std::string& name,
+                         long long fallback) {
+  const std::optional<std::string> value = arg_value(argc, argv, name);
+  return value ? parse_flag<long long>(name, *value) : fallback;
+}
+
+/// A count or size flag (--nodes, --runs, --threads, ...): arg_int that
+/// also refuses a negative value, which a cast to std::size_t would wrap
+/// to ~2^64.
+inline std::size_t arg_size(int argc, char** argv, const std::string& name,
+                            std::size_t fallback) {
+  const long long value =
+      arg_int(argc, argv, name, static_cast<long long>(fallback));
+  if (value < 0) {
+    throw std::invalid_argument("--" + name + "=" + std::to_string(value) +
+                                " is negative");
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// Parses "--name=value" from argv as a finite double; returns fallback
+/// when absent (e.g. --alpha=0.3, --top-fraction=0.01).
 inline double arg_real(int argc, char** argv, const std::string& name,
                        double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0)
-      return std::atof(arg.substr(prefix.size()).c_str());
-  }
-  return fallback;
+  const std::optional<std::string> value = arg_value(argc, argv, name);
+  if (!value) return fallback;
+  const double parsed = parse_flag<double>(name, *value);
+  if (!std::isfinite(parsed))
+    throw std::invalid_argument("--" + name + "=" + *value + " is not finite");
+  return parsed;
 }
 
 /// Parses "--name=value" from argv as a string; returns fallback when
 /// absent (e.g. --agg=streaming, --partial-out=shard0.json).
 inline std::string arg_string(int argc, char** argv, const std::string& name,
                               const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return fallback;
+  return arg_value(argc, argv, name).value_or(fallback);
 }
 
 /// The unified `--threads=N` knob every runner-backed binary exposes
 /// (0 = all hardware threads; default 1 keeps output comparable with the
 /// serial baselines).
 inline std::size_t arg_threads(int argc, char** argv) {
-  return static_cast<std::size_t>(arg_int(argc, argv, "threads", 1));
+  return arg_size(argc, argv, "threads", 1);
 }
 
 /// The `--inner-threads=N` knob: within-run worker threads for the round
@@ -81,7 +116,7 @@ inline std::size_t arg_threads(int argc, char** argv) {
 /// the experiment runner whenever `--threads` makes the run fan-out
 /// parallel, so the two knobs can never oversubscribe the machine.
 inline std::size_t arg_inner_threads(int argc, char** argv) {
-  return static_cast<std::size_t>(arg_int(argc, argv, "inner-threads", 1));
+  return arg_size(argc, argv, "inner-threads", 1);
 }
 
 /// Wall-clock stopwatch for the BENCH_*.json timing fields.

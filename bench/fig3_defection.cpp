@@ -48,9 +48,6 @@ using namespace roleshare;
 
 int main(int argc, char** argv) {
   const bench::Fig3Driver d = bench::make_fig3_driver(argc, argv);
-  const bench::ShardKnobs knobs = bench::arg_shard_knobs(argc, argv, d.runs);
-  const std::string series_out =
-      bench::arg_string(argc, argv, "series-out", "");
 
   bench::print_header("Figure 3", "block extraction vs. defection rate");
   std::printf("nodes=%zu runs=%zu rounds=%zu threads=%zu inner-threads=%zu "
@@ -62,27 +59,16 @@ int main(int argc, char** argv) {
               sim::to_string(d.agg));
 
   const bench::WallTimer timer;
-  const auto exec = bench::run_sharded_panels<sim::DefectionPartial>(
-      knobs, d.panels.panel_count, d.panels.header, d.panels.panel_meta,
-      d.panels.run_panel);
+  const auto exec = bench::run_figure(d.panels, argc, argv);
   // Shard-worker mode ends here: the partial is on disk, merge_partials
   // folds the shards into the figure.
-  if (bench::shard_worker_done(exec, knobs, d.panels.header,
-                               timer.elapsed_ms()))
-    return 0;
+  if (!exec) return 0;
 
-  bench::JsonFields json_fields = {
-      {"nodes", static_cast<double>(d.nodes)},
-      {"runs", static_cast<double>(d.runs)},
-      {"rounds", static_cast<double>(d.rounds)},
-      {"threads", static_cast<double>(d.threads)},
-      {"inner_threads", static_cast<double>(d.inner_threads)},
-      {"agg", sim::to_string(d.agg)}};
-
+  bench::JsonFields json_fields = d.bench_fields();
   std::size_t accumulator_bytes = 0;
   for (std::size_t i = 0; i < d.panels.panel_count; ++i) {
     const sim::DefectionSeries series =
-        exec.partials[i].finalize(bench::fig3::kTrim);
+        exec->partials[i].finalize(bench::fig3::kTrim);
     accumulator_bytes += series.accumulator_bytes;
 
     std::printf("\n--- Fig 3(%c): defection rate %.0f%% ---\n",
@@ -95,12 +81,6 @@ int main(int argc, char** argv) {
         "mean_final_pct_" +
             std::to_string(static_cast<int>(bench::fig3::kRates[i] * 100)),
         mean_final);
-  }
-
-  if (!series_out.empty()) {
-    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
-                          exec.partials);
-    std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 
   json_fields.emplace_back("accumulator_bytes",

@@ -30,9 +30,6 @@ using namespace roleshare;
 
 int main(int argc, char** argv) {
   const bench::Fig6Driver d = bench::make_fig6_driver(argc, argv);
-  const bench::ShardKnobs knobs = bench::arg_shard_knobs(argc, argv, d.runs);
-  const std::string series_out =
-      bench::arg_string(argc, argv, "series-out", "");
 
   bench::print_header("Figure 6", "distribution of computed B_i per round");
   std::printf("nodes=%zu runs=%zu rounds/run=%zu threads=%zu "
@@ -44,24 +41,13 @@ int main(int argc, char** argv) {
               sim::to_string(d.agg));
 
   const bench::WallTimer timer;
-  const auto exec = bench::run_sharded_panels<sim::RewardPartial>(
-      knobs, d.panels.panel_count, d.panels.header, d.panels.panel_meta,
-      d.panels.run_panel);
-  if (bench::shard_worker_done(exec, knobs, d.panels.header,
-                               timer.elapsed_ms()))
-    return 0;
+  const auto exec = bench::run_figure(d.panels, argc, argv);
+  if (!exec) return 0;
 
-  bench::JsonFields json_fields = {
-      {"nodes", static_cast<double>(d.nodes)},
-      {"runs", static_cast<double>(d.runs)},
-      {"rounds", static_cast<double>(d.rounds)},
-      {"threads", static_cast<double>(d.threads)},
-      {"inner_threads", static_cast<double>(d.inner_threads)},
-      {"agg", sim::to_string(d.agg)}};
+  bench::JsonFields json_fields = d.bench_fields();
   std::size_t accumulator_bytes = 0;
-
   for (std::size_t i = 0; i < d.panels.panel_count; ++i) {
-    const sim::RewardExperimentResult result = exec.partials[i].finalize();
+    const sim::RewardExperimentResult result = exec->partials[i].finalize();
     json_fields.emplace_back(
         "mean_bi_" + std::string(1, bench::fig6::kPanels[i]), result.mean_bi);
     accumulator_bytes += result.accumulator_bytes;
@@ -95,12 +81,6 @@ int main(int argc, char** argv) {
     util::Histogram hist(summary.min * 0.95, summary.max * 1.05 + 1e-9, 12);
     hist.add_all(result.bi_algos);
     std::printf("%s", hist.render(40).c_str());
-  }
-
-  if (!series_out.empty()) {
-    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
-                          exec.partials);
-    std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 
   json_fields.emplace_back("accumulator_bytes",

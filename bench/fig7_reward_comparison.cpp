@@ -30,9 +30,6 @@ using namespace roleshare;
 
 int main(int argc, char** argv) {
   const bench::Fig7Driver d = bench::make_fig7_driver(argc, argv);
-  const bench::ShardKnobs knobs = bench::arg_shard_knobs(argc, argv, d.runs);
-  const std::string series_out =
-      bench::arg_string(argc, argv, "series-out", "");
 
   bench::print_header("Figure 7", "our adaptive reward vs Foundation schedule");
   std::printf("nodes=%zu runs=%zu rounds/run=%zu threads=%zu "
@@ -43,16 +40,12 @@ int main(int argc, char** argv) {
               sim::to_string(d.agg));
 
   const bench::WallTimer timer;
-  const auto exec = bench::run_sharded_panels<sim::RewardPartial>(
-      knobs, d.panels.panel_count, d.panels.header, d.panels.panel_meta,
-      d.panels.run_panel);
-  if (bench::shard_worker_done(exec, knobs, d.panels.header,
-                               timer.elapsed_ms()))
-    return 0;
+  const auto exec = bench::run_figure(d.panels, argc, argv);
+  if (!exec) return 0;
 
   std::vector<sim::RewardExperimentResult> results;
-  for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel)
-    results.push_back(exec.partials[panel].finalize());
+  for (const sim::RewardPartial& partial : exec->partials)
+    results.push_back(partial.finalize());
 
   // (a) per-round rewards.
   std::printf("\n--- Fig 7(a): distributed reward per round (Algos) ---\n");
@@ -102,28 +95,18 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (!series_out.empty()) {
-    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
-                          exec.partials);
-    std::printf("\n[series] wrote %s\n", series_out.c_str());
-  }
-
   std::size_t accumulator_bytes = 0;
   for (const auto& result : results) accumulator_bytes += result.accumulator_bytes;
-  bench::emit_json(
-      "fig7_reward_comparison",
-      {{"nodes", static_cast<double>(d.nodes)},
-       {"runs", static_cast<double>(d.runs)},
-       {"rounds", static_cast<double>(d.rounds)},
-       {"threads", static_cast<double>(d.threads)},
-       {"inner_threads", static_cast<double>(d.inner_threads)},
-       {"agg", sim::to_string(d.agg)},
-       {"accumulator_bytes", static_cast<double>(accumulator_bytes)},
+  bench::JsonFields json_fields = d.bench_fields();
+  json_fields.insert(
+      json_fields.end(),
+      {{"accumulator_bytes", static_cast<double>(accumulator_bytes)},
        {"mean_bi_u1_200", results[0].mean_bi},
        {"mean_bi_n100_20", results[1].mean_bi},
        {"mean_bi_n100_10", results[2].mean_bi},
        {"mean_bi_u1_200_w7", results[5].mean_bi},
        {"wall_ms", timer.elapsed_ms()}});
+  bench::emit_json("fig7_reward_comparison", json_fields);
 
   std::printf("\nShape check: ours << Foundation and flat across the\n"
               "horizon; U7 < U5 < U3 < U(1,200) (higher w, smaller B_i).\n");

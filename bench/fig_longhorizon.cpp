@@ -35,9 +35,6 @@ using namespace roleshare;
 
 int main(int argc, char** argv) {
   const bench::LongHorizonDriver d = bench::make_longhorizon_driver(argc, argv);
-  const bench::ShardKnobs knobs = bench::arg_shard_knobs(argc, argv, d.runs);
-  const std::string series_out =
-      bench::arg_string(argc, argv, "series-out", "");
 
   bench::print_header("Long horizon",
                       "population-scale compounding economy (sparse path)");
@@ -49,16 +46,12 @@ int main(int argc, char** argv) {
               sim::to_string(d.agg), d.alpha, d.beta, d.top_fraction);
 
   const bench::WallTimer timer;
-  const auto exec = bench::run_sharded_panels<sim::LongHorizonPartial>(
-      knobs, d.panels.panel_count, d.panels.header, d.panels.panel_meta,
-      d.panels.run_panel);
-  if (bench::shard_worker_done(exec, knobs, d.panels.header,
-                               timer.elapsed_ms()))
-    return 0;
+  const auto exec = bench::run_figure(d.panels, argc, argv);
+  if (!exec) return 0;
 
   std::vector<sim::LongHorizonResult> results;
-  for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel)
-    results.push_back(exec.partials[panel].finalize());
+  for (const sim::LongHorizonPartial& partial : exec->partials)
+    results.push_back(partial.finalize());
 
   std::printf("\n--- wealth concentration at the horizon (round %zu) ---\n",
               d.rounds);
@@ -87,24 +80,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (!series_out.empty()) {
-    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
-                          exec.partials);
-    std::printf("\n[series] wrote %s\n", series_out.c_str());
-  }
-
   std::size_t accumulator_bytes = 0;
   for (const auto& result : results)
     accumulator_bytes += result.accumulator_bytes;
-  bench::emit_json(
-      "fig_longhorizon",
-      {{"nodes", static_cast<double>(d.nodes)},
-       {"runs", static_cast<double>(d.runs)},
-       {"rounds", static_cast<double>(d.rounds)},
-       {"threads", static_cast<double>(d.threads)},
-       {"inner_threads", static_cast<double>(d.inner_threads)},
-       {"agg", sim::to_string(d.agg)},
-       {"accumulator_bytes", static_cast<double>(accumulator_bytes)},
+  bench::JsonFields json_fields = d.bench_fields();
+  json_fields.insert(
+      json_fields.end(),
+      {{"accumulator_bytes", static_cast<double>(accumulator_bytes)},
        {"end_gini_d0", results[0].mean_end_gini},
        {"end_gini_d30", results[2].mean_end_gini},
        {"end_top_share_d0", results[0].mean_end_top_share},
@@ -112,6 +94,7 @@ int main(int argc, char** argv) {
        {"mean_paid_algos_d0", results[0].mean_paid_algos},
        {"peak_rss_mb", bench::peak_rss_bytes() / (1024.0 * 1024.0)},
        {"wall_ms", timer.elapsed_ms()}});
+  bench::emit_json("fig_longhorizon", json_fields);
 
   std::printf("\nShape check: Gini/top-share drift upward with the horizon\n"
               "while final%% stays flat — compounding moves wealth, not\n"

@@ -44,10 +44,8 @@ econ::RoleSnapshot sample_snapshot(util::Rng& rng, std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto games =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "games", 25));
-  const auto players =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "players", 60));
+  const std::size_t games = bench::arg_size(argc, argv, "games", 25);
+  const std::size_t players = bench::arg_size(argc, argv, "players", 60);
   const std::size_t threads = bench::arg_threads(argc, argv);
 
   bench::print_header("NE verification",

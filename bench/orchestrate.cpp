@@ -55,20 +55,19 @@ int run(int argc, char** argv) {
     throw std::invalid_argument(
         std::string("--bench is required — one of: ") +
         bench::kShardableBenchNames);
-  const auto workers =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "workers", 3));
+  const std::size_t workers = bench::arg_size(argc, argv, "workers", 3);
   const long long window_arg = bench::arg_int(argc, argv, "window", 0);
   const double lease_seconds =
       bench::arg_real(argc, argv, "lease-seconds", 0.0);
-  const auto max_attempts =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "max-attempts", 5));
-  const auto kill_after = static_cast<std::size_t>(
-      bench::arg_int(argc, argv, "kill-worker-after", 0));
-  const auto drop_assignments = static_cast<std::size_t>(
-      bench::arg_int(argc, argv, "drop-assignment", 0));
+  const std::size_t max_attempts =
+      bench::arg_size(argc, argv, "max-attempts", 5);
+  const std::size_t kill_after =
+      bench::arg_size(argc, argv, "kill-worker-after", 0);
+  const std::size_t drop_assignments =
+      bench::arg_size(argc, argv, "drop-assignment", 0);
   const long long reissue = bench::arg_int(argc, argv, "reissue", -1);
-  const auto checkpoint_every = static_cast<std::size_t>(
-      bench::arg_int(argc, argv, "checkpoint-every", 0));
+  const std::size_t checkpoint_every =
+      bench::arg_size(argc, argv, "checkpoint-every", 0);
   const std::string series_out =
       bench::arg_string(argc, argv, "series-out", "");
   const std::string store_dir = bench::arg_string(argc, argv, "store", "");

@@ -464,8 +464,7 @@ SparseMeasurement measure_sparse_size(std::size_t nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto nodes = static_cast<std::size_t>(
-      bench::arg_int(argc, argv, "nodes", 100'000));
+  const std::size_t nodes = bench::arg_size(argc, argv, "nodes", 100'000);
   const bool sparse = bench::arg_int(argc, argv, "sparse", 0) != 0;
   const bool sweep = bench::arg_int(argc, argv, "sweep", 0) != 0;
   // Sparse rounds are sub-millisecond, so the sparse default runs many
@@ -479,8 +478,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(bench::arg_int(argc, argv, "seed", 404));
   // Unlike the figure benches, the parallel pass defaults to all hardware
   // threads — measuring the speedup is this binary's whole point.
-  const auto inner_threads = static_cast<std::size_t>(
-      bench::arg_int(argc, argv, "inner-threads", 0));
+  const std::size_t inner_threads =
+      bench::arg_size(argc, argv, "inner-threads", 0);
   const bool self_check = bench::arg_int(argc, argv, "self-check", 0) != 0;
   const std::size_t workers =
       util::ThreadPool::resolve_thread_count(inner_threads);
@@ -498,9 +497,8 @@ int main(int argc, char** argv) {
 
   // The dense reference is the O(N) path being amortized away; a short
   // prefix is enough for a stable ms/round and the identity check.
-  const auto dense_rounds = static_cast<std::size_t>(bench::arg_int(
-      argc, argv, "dense-rounds",
-      static_cast<long long>(std::min<std::size_t>(rounds, 8))));
+  const std::size_t dense_rounds = bench::arg_size(
+      argc, argv, "dense-rounds", std::min<std::size_t>(rounds, 8));
 
   if (sparse && !sweep) {
     // Single-size sparse measurement — the CI alloc/identity gate shape:

@@ -80,9 +80,6 @@ std::string join_series(const std::vector<double>& xs) {
 
 int main(int argc, char** argv) {
   const bench::ScenarioDriver d = bench::make_scenario_driver(argc, argv);
-  const bench::ShardKnobs knobs = bench::arg_shard_knobs(argc, argv, d.runs);
-  const std::string series_out =
-      bench::arg_string(argc, argv, "series-out", "");
 
   bench::print_header("Scenario sweep",
                       "behaviour policies x defection levels");
@@ -94,23 +91,14 @@ int main(int argc, char** argv) {
               sim::to_string(d.agg));
 
   const bench::WallTimer timer;
-  const auto exec = bench::run_sharded_panels<sim::DefectionPartial>(
-      knobs, d.panels.panel_count, d.panels.header, d.panels.panel_meta,
-      d.panels.run_panel);
-  if (bench::shard_worker_done(exec, knobs, d.panels.header,
-                               timer.elapsed_ms()))
-    return 0;
+  const auto exec = bench::run_figure(d.panels, argc, argv);
+  if (!exec) return 0;
+  const sim::RunShard window{exec->window_begin, exec->window_end};
 
   std::printf("%10s %7s %8s %7s %13s %10s\n", "policy", "level", "final%",
               "coop%", "live min..max", "progress");
 
-  bench::JsonFields json_fields = {
-      {"nodes", static_cast<double>(d.nodes)},
-      {"runs", static_cast<double>(d.runs)},
-      {"rounds", static_cast<double>(d.rounds)},
-      {"threads", static_cast<double>(d.threads)},
-      {"inner_threads", static_cast<double>(d.inner_threads)},
-      {"agg", sim::to_string(d.agg)}};
+  bench::JsonFields json_fields = d.bench_fields();
 
   bool all_identical = true;
   bool churn_varies = true;
@@ -121,7 +109,7 @@ int main(int argc, char** argv) {
     const std::size_t i = bench::scenario::panel_level(panel);
     const double level = bench::scenario::kLevels[i];
     const sim::DefectionSeries series =
-        exec.partials[panel].finalize(bench::scenario::kTrim);
+        exec->partials[panel].finalize(bench::scenario::kTrim);
     accumulator_bytes += series.accumulator_bytes;
     const double final_pct = bench::mean_final_pct(series);
     const double coop_pct = series_mean(series.cooperation_series);
@@ -149,20 +137,13 @@ int main(int argc, char** argv) {
     // Engine contract self-check: the middle level of every policy is
     // re-run fully serial and must match the sweep bit for bit.
     if (i == bench::scenario::kCheckedLevel) {
-      sim::DefectionExperimentConfig serial =
-          d.panel_config(panel, knobs.shard);
+      sim::DefectionExperimentConfig serial = d.panel_config(panel, window);
       serial.threads = 1;
       serial.inner_threads = 1;
       all_identical = all_identical &&
                       bit_identical(series,
                                     sim::run_defection_experiment(serial));
     }
-  }
-
-  if (!series_out.empty()) {
-    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
-                          exec.partials);
-    std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 
   std::printf("\nbit-identical to serial: %s | churn live counts vary: %s\n",

@@ -119,10 +119,8 @@ inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
   ShardKnobs knobs;
   knobs.runs = runs;
   knobs.shard = arg_run_shard(argc, argv, runs);
-  knobs.checkpoint_every = static_cast<std::size_t>(
-      arg_int(argc, argv, "checkpoint-every", 0));
-  knobs.stop_after =
-      static_cast<std::size_t>(arg_int(argc, argv, "stop-after", 0));
+  knobs.checkpoint_every = arg_size(argc, argv, "checkpoint-every", 0);
+  knobs.stop_after = arg_size(argc, argv, "stop-after", 0);
   knobs.partial_in = arg_string(argc, argv, "partial-in", "");
   knobs.partial_out = arg_string(argc, argv, "partial-out", "");
   knobs.store_dir = arg_string(argc, argv, "store", "");

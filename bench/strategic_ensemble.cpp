@@ -33,9 +33,6 @@ using namespace roleshare;
 
 int main(int argc, char** argv) {
   const bench::StrategicDriver d = bench::make_strategic_driver(argc, argv);
-  const bench::ShardKnobs knobs = bench::arg_shard_knobs(argc, argv, d.runs);
-  const std::string series_out =
-      bench::arg_string(argc, argv, "series-out", "");
 
   bench::print_header("Strategic ensemble",
                       "myopic best-response dynamics per reward scheme");
@@ -48,25 +45,14 @@ int main(int argc, char** argv) {
               d.inner_threads, sim::to_string(d.agg));
 
   const bench::WallTimer timer;
-  const auto exec = bench::run_sharded_panels<sim::StrategicPartial>(
-      knobs, d.panels.panel_count, d.panels.header, d.panels.panel_meta,
-      d.panels.run_panel);
-  if (bench::shard_worker_done(exec, knobs, d.panels.header,
-                               timer.elapsed_ms()))
-    return 0;
+  const auto exec = bench::run_figure(d.panels, argc, argv);
+  if (!exec) return 0;
 
-  bench::JsonFields json_fields = {
-      {"nodes", static_cast<double>(d.nodes)},
-      {"runs", static_cast<double>(d.runs)},
-      {"rounds", static_cast<double>(d.rounds)},
-      {"threads", static_cast<double>(d.threads)},
-      {"inner_threads", static_cast<double>(d.inner_threads)},
-      {"agg", sim::to_string(d.agg)}};
+  bench::JsonFields json_fields = d.bench_fields();
   std::size_t accumulator_bytes = 0;
-
   for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel) {
     const sim::StrategicEnsembleResult result =
-        exec.partials[panel].finalize();
+        exec->partials[panel].finalize();
     accumulator_bytes += result.accumulator_bytes;
 
     std::printf("\n--- %s rewards ---\n",
@@ -88,12 +74,6 @@ int main(int argc, char** argv) {
     json_fields.emplace_back(
         std::string("total_reward_") + bench::strategic::kSchemeNames[panel],
         result.mean_total_reward_algos);
-  }
-
-  if (!series_out.empty()) {
-    d.panels.write_series(series_out, exec.window_begin, exec.cursor,
-                          exec.partials);
-    std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 
   json_fields.emplace_back("accumulator_bytes",

@@ -32,10 +32,8 @@ void print_series(const char* title, const sim::DefectionSeries& series) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto runs =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "runs", 4));
-  const auto rounds =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "rounds", 10));
+  const std::size_t runs = bench::arg_size(argc, argv, "runs", 4);
+  const std::size_t rounds = bench::arg_size(argc, argv, "rounds", 10);
   const std::size_t threads = bench::arg_threads(argc, argv);
 
   std::printf("Scenario tour: one 150-node network, stakes U(1,50), 15%%\n"

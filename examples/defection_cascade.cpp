@@ -15,10 +15,8 @@
 using namespace roleshare;
 
 int main(int argc, char** argv) {
-  const auto runs =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "runs", 5));
-  const auto rounds =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "rounds", 12));
+  const std::size_t runs = bench::arg_size(argc, argv, "runs", 5);
+  const std::size_t rounds = bench::arg_size(argc, argv, "rounds", 12);
   const std::size_t threads = bench::arg_threads(argc, argv);
 
   std::printf("Defection cascade on a 300-node network, stakes U(1,50),\n"

@@ -52,10 +52,8 @@ void run_and_print(const char* title, sim::SchemeChoice scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto runs =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "runs", 3));
-  const auto rounds =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "rounds", 12));
+  const std::size_t runs = bench::arg_size(argc, argv, "runs", 3);
+  const std::size_t rounds = bench::arg_size(argc, argv, "rounds", 12);
   const std::size_t threads = bench::arg_threads(argc, argv);
   const std::size_t inner_threads = bench::arg_inner_threads(argc, argv);
 

@@ -127,7 +127,13 @@ RewardRun execute_run(const RewardExperimentConfig& config,
     inputs.min_stake_other =
         static_cast<double>(std::max<std::int64_t>(1, min_other));
 
-    const econ::OptimizerResult opt = optimizer.optimize(inputs, config.costs);
+    // When the leader and committee draws cover every node at or above
+    // the threshold, S_K = 0 and the bounds are undefined: the round is
+    // infeasible, as an empty role is in RoleBasedScheme::required_budget.
+    // The churn below still runs, so the draws that follow are unchanged.
+    const econ::OptimizerResult opt =
+        others_stake > 0 ? optimizer.optimize(inputs, config.costs)
+                         : econ::OptimizerResult{};
     if (!opt.feasible) {
       ++run.infeasible;
     } else {

@@ -2,16 +2,15 @@
 // dense-round figure benches, the Fig 6/7 reward benches and the
 // sparse-round long-horizon bench across commits.
 //
-// Each case builds one bench through its driver factory at smoke size,
-// runs every panel through run_sharded_panels and writes the series
-// document with the driver's write_series — the exact path the bench
-// binary's --series-out takes — then compares the document's SHA-256
-// with tests/golden/digests.json. Fig 3's smoke size runs enough rounds
-// that its weak-synchrony schedule degrades some of them (delays ×25), so
-// both gossip paths — certified reachability and exact Dijkstra
-// (DESIGN.md §5) — shape its digest. The long-horizon case reads the
-// keys, stakes and accounts of a fresh Network through the sparse path
-// (DESIGN.md §10).
+// Each case builds one bench through its driver factory at smoke size
+// and runs it through run_figure with --series-out, the path the bench
+// binary runs (minus its per-panel printing and BENCH file), then
+// compares the series document's SHA-256 with tests/golden/digests.json.
+// Fig 3's smoke size runs enough rounds that its weak-synchrony schedule
+// degrades some of them (delays ×25), so both gossip paths — certified
+// reachability and exact Dijkstra (DESIGN.md §5) — shape its digest. The
+// long-horizon case reads the keys, stakes and accounts of a fresh
+// Network through the sparse path (DESIGN.md §10).
 //
 // The suite never rewrites digests.json. A mismatch names the artifact,
 // both digests and the bench command whose output `sha256sum` turns into
@@ -26,12 +25,9 @@
 #include "bench_util.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/sha256.hpp"
-#include "shard_util.hpp"
 #include "util/json.hpp"
 
 namespace {
-
-using roleshare::bench::PanelDriver;
 
 // Owns the argv a driver factory parses, like a bench main receives it.
 class Argv {
@@ -54,31 +50,22 @@ std::string committed_digest(const std::string& artifact) {
   return entry == nullptr ? "<missing>" : entry->as_string();
 }
 
-// What the bench main does for --series-out, minus the printing.
-template <typename PartialT>
-std::string series_sha256(const PanelDriver<PartialT>& panels, Argv& argv,
-                          const std::string& path) {
-  const roleshare::bench::ShardKnobs knobs = roleshare::bench::arg_shard_knobs(
-      argv.argc(), argv.argv(), panels.runs);
-  const auto exec = roleshare::bench::run_sharded_panels<PartialT>(
-      knobs, panels.panel_count, panels.header, panels.panel_meta,
-      panels.run_panel);
-  panels.write_series(path, exec.window_begin, exec.cursor, exec.partials);
-  roleshare::crypto::Sha256 sha;
-  sha.update(roleshare::bench::read_text_file(path));
-  return roleshare::crypto::Hash256(sha.finalize()).to_hex();
-}
-
 template <typename Driver>
 void expect_golden(const std::string& bench,
                    const std::vector<std::string>& knobs,
                    Driver (*make_driver)(int, char**)) {
+  const std::string path = ::testing::TempDir() + "golden_" + bench + ".json";
   std::vector<std::string> args{bench};
   args.insert(args.end(), knobs.begin(), knobs.end());
+  args.push_back("--series-out=" + path);
   Argv argv(args);
   const Driver driver = make_driver(argv.argc(), argv.argv());
-  const std::string actual = series_sha256(
-      driver.panels, argv, ::testing::TempDir() + "golden_" + bench + ".json");
+  ASSERT_TRUE(roleshare::bench::run_figure(driver.panels, argv.argc(),
+                                           argv.argv()));
+  roleshare::crypto::Sha256 sha;
+  sha.update(roleshare::bench::read_text_file(path));
+  const std::string actual =
+      roleshare::crypto::Hash256(sha.finalize()).to_hex();
   const std::string expected = committed_digest(bench);
 
   std::string command = "./build/" + bench;

@@ -1,6 +1,6 @@
 // BENCH_*.json emission: numeric + string fields, escaping, and the
 // always-present git_sha provenance field; whole-file writes that keep
-// the previous file on failure; the shard knob parsing.
+// the previous file on failure; the shard and numeric knob parsing.
 #include "bench_util.hpp"
 
 #include <gtest/gtest.h>
@@ -228,6 +228,83 @@ TEST(BenchUtil, ArgShardKnobsWiresFormatAudit) {
                 .format,
             sim::PartialFormat::Binary);
   std::remove(path.c_str());
+}
+
+TEST(BenchUtil, NumericFlagsRejectMalformedValues) {
+  // Builds argv from `args`; the parsers only read it.
+  struct Argv {
+    std::vector<const char*> args;
+    int argc() const { return static_cast<int>(args.size()); }
+    char** argv() { return const_cast<char**>(args.data()); }
+  };
+  const auto with = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return Argv{std::move(args)};
+  };
+  // `parse` must throw std::invalid_argument naming `flag`.
+  const auto expect_refused = [](const std::string& flag, auto parse) {
+    try {
+      parse();
+      ADD_FAILURE() << flag << " accepted a malformed value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // A value parses whole or not at all: a truncating parse would run
+  // --nodes=60k as 60 nodes and --runs=2e3 as 2 runs.
+  for (const char* bad : {"--nodes=60k", "--nodes=2e3", "--nodes=",
+                          "--nodes= 5", "--nodes=99999999999999999999"}) {
+    Argv a = with({bad});
+    expect_refused("--nodes", [&] { arg_int(a.argc(), a.argv(), "nodes", 1); });
+  }
+  for (const char* bad : {"--alpha=0.3x", "--alpha=", "--alpha=1e999",
+                          "--alpha=nan", "--alpha=inf"}) {
+    Argv a = with({bad});
+    expect_refused("--alpha",
+                   [&] { arg_real(a.argc(), a.argv(), "alpha", 0.3); });
+  }
+  // A negative count is refused, not wrapped to ~2^64.
+  Argv negative = with({"--nodes=-5", "--threads=-2", "--inner-threads=-1",
+                        "--checkpoint-every=-3"});
+  expect_refused("--nodes", [&] {
+    arg_size(negative.argc(), negative.argv(), "nodes", 1);
+  });
+  expect_refused("--threads",
+                 [&] { arg_threads(negative.argc(), negative.argv()); });
+  expect_refused("--inner-threads", [&] {
+    arg_inner_threads(negative.argc(), negative.argv());
+  });
+  expect_refused("--checkpoint-every", [&] {
+    arg_shard_knobs(negative.argc(), negative.argv(), 8);
+  });
+  Argv bad_knob = with({"--runs=2e3"});
+  expect_refused("--runs", [&] {
+    arg_panel_knobs(bad_knob.argc(), bad_knob.argv(),
+                    {.nodes = 1, .runs = 1, .rounds = 1});
+  });
+
+  // Well-formed values still parse; 0 still means all cores and absent
+  // flags keep their fallbacks, the -1 sentinels included.
+  Argv good = with({"--nodes=60000", "--threads=0", "--alpha=0.25",
+                    "--run-begin=-1", "--top-fraction=1e-2"});
+  EXPECT_EQ(arg_size(good.argc(), good.argv(), "nodes", 1), 60000u);
+  EXPECT_EQ(arg_threads(good.argc(), good.argv()), 0u);
+  EXPECT_EQ(arg_inner_threads(good.argc(), good.argv()), 1u);
+  EXPECT_EQ(arg_real(good.argc(), good.argv(), "alpha", 0.3), 0.25);
+  EXPECT_EQ(arg_real(good.argc(), good.argv(), "top-fraction", 0.5), 0.01);
+  EXPECT_EQ(arg_real(good.argc(), good.argv(), "beta", 0.3), 0.3);
+  EXPECT_EQ(arg_int(good.argc(), good.argv(), "run-begin", 0), -1);
+  EXPECT_EQ(arg_int(good.argc(), good.argv(), "run-end", -1), -1);
+  const PanelKnobs knobs = arg_panel_knobs(
+      good.argc(), good.argv(), {.nodes = 400, .runs = 8, .rounds = 30});
+  EXPECT_EQ(knobs.nodes, 60000u);
+  EXPECT_EQ(knobs.runs, 8u);
+  EXPECT_EQ(knobs.rounds, 30u);
+  EXPECT_EQ(knobs.threads, 0u);
+  EXPECT_EQ(knobs.inner_threads, 1u);
+  EXPECT_EQ(knobs.agg, sim::AggBackend::Exact);
 }
 
 TEST(BenchUtil, ArgParsingReadsInnerThreads) {

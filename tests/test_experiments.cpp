@@ -192,6 +192,23 @@ TEST(RewardExperiment, PaperScalePopulationYieldsSmallAlphaBeta) {
   EXPECT_LT(result.mean_beta, 0.25);
 }
 
+TEST(RewardExperiment, RoundWithoutOthersStakeCountsAsInfeasible) {
+  // At 300 nodes the 13,026 leader and committee draws per round can
+  // reach every node, leaving no Others stake (S_K = 0); with Fig 6(a)'s
+  // seed one of these six rounds does. Such a round is infeasible, as an
+  // empty role is for RoleBasedScheme::required_budget, not an error.
+  RewardExperimentConfig config;
+  config.node_count = 300;
+  config.seed = 1000;
+  config.runs = 2;
+  config.rounds_per_run = 3;
+  config.stakes = StakeSpec::uniform(1, 200);
+  RewardExperimentResult result;
+  ASSERT_NO_THROW(result = run_reward_experiment(config));
+  EXPECT_GT(result.infeasible_rounds, 0u);
+  EXPECT_EQ(result.bi_algos.size() + result.infeasible_rounds, 2u * 3u);
+}
+
 TEST(RewardExperiment, RejectsBadConfig) {
   RewardExperimentConfig config;
   config.node_count = 1;
