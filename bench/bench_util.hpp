@@ -85,6 +85,16 @@ inline std::size_t arg_size(int argc, char** argv, const std::string& name,
   return static_cast<std::size_t>(value);
 }
 
+/// A count flag whose absence means "not set" (--run-begin, --reissue,
+/// round_latency's --rounds): nullopt when absent, else the value parsed
+/// as arg_size does, so a negative value is refused naming the flag
+/// instead of read as absent.
+inline std::optional<std::size_t> arg_optional_size(int argc, char** argv,
+                                                    const std::string& name) {
+  if (!arg_value(argc, argv, name)) return std::nullopt;
+  return arg_size(argc, argv, name, 0);
+}
+
 /// Parses "--name=value" from argv as a finite double; returns fallback
 /// when absent (e.g. --alpha=0.3, --top-fraction=0.01).
 inline double arg_real(int argc, char** argv, const std::string& name,

@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -56,7 +57,7 @@ int run(int argc, char** argv) {
         std::string("--bench is required — one of: ") +
         bench::kShardableBenchNames);
   const std::size_t workers = bench::arg_size(argc, argv, "workers", 3);
-  const long long window_arg = bench::arg_int(argc, argv, "window", 0);
+  const std::size_t window_arg = bench::arg_size(argc, argv, "window", 0);
   const double lease_seconds =
       bench::arg_real(argc, argv, "lease-seconds", 0.0);
   const std::size_t max_attempts =
@@ -65,7 +66,8 @@ int run(int argc, char** argv) {
       bench::arg_size(argc, argv, "kill-worker-after", 0);
   const std::size_t drop_assignments =
       bench::arg_size(argc, argv, "drop-assignment", 0);
-  const long long reissue = bench::arg_int(argc, argv, "reissue", -1);
+  const std::optional<std::size_t> reissue =
+      bench::arg_optional_size(argc, argv, "reissue");
   const std::size_t checkpoint_every =
       bench::arg_size(argc, argv, "checkpoint-every", 0);
   const std::string series_out =
@@ -87,7 +89,7 @@ int run(int argc, char** argv) {
   job.runs = shardable.runs;
   job.window =
       window_arg > 0
-          ? static_cast<std::size_t>(window_arg)
+          ? window_arg
           : std::max<std::size_t>(
                 1, (shardable.runs + 2 * workers - 1) / (2 * workers));
   job.workers = workers;
@@ -95,7 +97,7 @@ int run(int argc, char** argv) {
   job.spool_dir = spool_dir;
   job.lease_seconds = lease_seconds;
   job.max_attempts = max_attempts;
-  job.reissue_window = reissue;
+  job.reissue_window = reissue ? static_cast<long long>(*reissue) : -1;
   job.verbose = verbose;
 
   bench::print_header("Orchestrate",
@@ -106,7 +108,7 @@ int run(int argc, char** argv) {
               job.lease_seconds, job.max_attempts,
               kill_after > 0 ? " KILL-INJECTION" : "",
               drop_assignments > 0 ? " DROP-INJECTION" : "",
-              reissue >= 0 ? " REISSUE-INJECTION" : "",
+              reissue ? " REISSUE-INJECTION" : "",
               store_dir.empty() ? "(none)" : store_dir.c_str());
 
   // Worker agents are forked, not exec'd: the child re-derives the

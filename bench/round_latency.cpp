@@ -471,9 +471,9 @@ int main(int argc, char** argv) {
   // more of them for a stable ms/round reading; in a combined
   // --sweep --sparse run the dense ladder keeps the short default and
   // only the sparse ladder stretches.
-  const long long rounds_arg = bench::arg_int(argc, argv, "rounds", -1);
-  const auto rounds = static_cast<std::size_t>(
-      rounds_arg >= 0 ? rounds_arg : (sparse && !sweep ? 256 : 3));
+  const std::optional<std::size_t> rounds_arg =
+      bench::arg_optional_size(argc, argv, "rounds");
+  const std::size_t rounds = rounds_arg.value_or(sparse && !sweep ? 256 : 3);
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_int(argc, argv, "seed", 404));
   // Unlike the figure benches, the parallel pass defaults to all hardware
@@ -559,7 +559,7 @@ int main(int argc, char** argv) {
       // Sparse rounds are sub-millisecond; run enough for a stable
       // reading even when the dense ladder above used --rounds=3.
       const std::size_t sparse_rounds =
-          rounds_arg >= 0 ? rounds : std::max<std::size_t>(rounds, 256);
+          rounds_arg ? rounds : std::max<std::size_t>(rounds, 256);
       // Ascending so each size's peak-RSS snapshot is dominated by its
       // own footprint (getrusage peaks are monotone).
       const std::size_t sparse_sizes[] = {100'000, 1'000'000};

@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,17 +75,20 @@ inline constexpr sim::PartialFormat kPartialFormat =
 
 /// --run-begin=B / --run-end=E select the global run window [B, E) this
 /// process executes; either side defaults (to 0 / `runs`) when only the
-/// other is given, and the whole range when neither is. An explicitly
-/// empty window is rejected here: RunShard{0, 0} is the whole-range
-/// sentinel, so mapping a script's `--run-end=0` onto it would silently
-/// execute every run instead of failing.
+/// other is given, and the whole range when neither is. A negative side
+/// is refused naming its flag. An explicitly empty window is rejected
+/// too: RunShard{0, 0} is the whole-range sentinel, so mapping a
+/// script's `--run-end=0` onto it would silently execute every run
+/// instead of failing.
 inline sim::RunShard arg_run_shard(int argc, char** argv, std::size_t runs) {
-  const long long begin = arg_int(argc, argv, "run-begin", -1);
-  const long long end = arg_int(argc, argv, "run-end", -1);
-  if (begin < 0 && end < 0) return {};
+  const std::optional<std::size_t> begin =
+      arg_optional_size(argc, argv, "run-begin");
+  const std::optional<std::size_t> end =
+      arg_optional_size(argc, argv, "run-end");
+  if (!begin && !end) return {};
   sim::RunShard shard;
-  shard.begin = begin < 0 ? 0 : static_cast<std::size_t>(begin);
-  shard.end = end < 0 ? runs : static_cast<std::size_t>(end);
+  shard.begin = begin.value_or(0);
+  shard.end = end.value_or(runs);
   if (shard.begin >= shard.end) {
     throw std::invalid_argument(
         "--run-begin/--run-end window [" + std::to_string(shard.begin) +

@@ -118,14 +118,13 @@ AggBackend parse_agg_backend(std::string_view name) {
                               "\" (expected \"exact\" or \"streaming\")");
 }
 
-std::unique_ptr<RoundAccumulator> make_accumulator(
-    AggBackend backend, std::size_t rounds,
-    const StreamingAggConfig& streaming) {
+std::unique_ptr<RoundAccumulator> make_accumulator(AggBackend backend,
+                                                   std::size_t rounds) {
   switch (backend) {
     case AggBackend::Exact:
       return std::make_unique<ExactAccumulator>(rounds);
     case AggBackend::Streaming:
-      return std::make_unique<StreamingAccumulator>(rounds, streaming);
+      return std::make_unique<StreamingAccumulator>(rounds);
   }
   RS_ENSURE(false, "unhandled AggBackend value " +
                        std::to_string(static_cast<int>(backend)));
@@ -182,23 +181,28 @@ util::json::Value ExactAccumulator::to_json() const {
 // ---------------------------------------------------------------------
 // StreamingAccumulator
 
+StreamingAccumulator::StreamingAccumulator(std::size_t rounds)
+    : StreamingAccumulator(rounds, kReservoirCapacity,
+                           {kP2Grid.begin(), kP2Grid.end()}) {}
+
 StreamingAccumulator::StreamingAccumulator(std::size_t rounds,
-                                           StreamingAggConfig config)
-    : config_(std::move(config)) {
+                                           std::size_t reservoir_capacity,
+                                           std::vector<double> p2_grid)
+    : reservoir_capacity_(reservoir_capacity), p2_grid_(std::move(p2_grid)) {
   RS_REQUIRE(rounds > 0, "aggregator needs at least one round");
-  RS_REQUIRE(config_.reservoir_capacity >= 1, "reservoir capacity >= 1");
-  for (const double q : config_.p2_grid)
+  RS_REQUIRE(reservoir_capacity_ >= 1, "reservoir capacity >= 1");
+  for (const double q : p2_grid_)
     RS_REQUIRE(q > 0.0 && q < 100.0, "P2 grid quantiles in (0, 100)");
   rounds_.reserve(rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
     RoundStat stat{
         util::RunningStats{},
-        util::ReservoirSample(config_.reservoir_capacity,
+        util::ReservoirSample(reservoir_capacity_,
                               reservoir_seed_for_round(r)),
         {},
         true};
-    stat.p2.reserve(config_.p2_grid.size());
-    for (const double q : config_.p2_grid)
+    stat.p2.reserve(p2_grid_.size());
+    for (const double q : p2_grid_)
       stat.p2.emplace_back(q / 100.0);
     rounds_.push_back(std::move(stat));
   }
@@ -228,12 +232,12 @@ void StreamingAccumulator::merge(const RoundAccumulator& other_base) {
   check_merge_shapes(*this, other_base);
   const auto& other = static_cast<const StreamingAccumulator&>(other_base);
   RS_REQUIRE(
-      other.config_.reservoir_capacity == config_.reservoir_capacity,
+      other.reservoir_capacity_ == reservoir_capacity_,
       "merging streaming accumulators with different reservoir capacities: "
       "this has " +
-          std::to_string(config_.reservoir_capacity) + ", other has " +
-          std::to_string(other.config_.reservoir_capacity));
-  RS_REQUIRE(other.config_.p2_grid == config_.p2_grid,
+          std::to_string(reservoir_capacity_) + ", other has " +
+          std::to_string(other.reservoir_capacity_));
+  RS_REQUIRE(other.p2_grid_ == p2_grid_,
              "merging streaming accumulators with different P2 grids");
   for (std::size_t r = 0; r < rounds_.size(); ++r) {
     RoundStat& mine = rounds_[r];
@@ -282,8 +286,8 @@ std::vector<double> StreamingAccumulator::percentile_series(double p) const {
     // The reservoir still holding every sample answers exactly; past
     // capacity, a live on-grid P² estimator beats the subsample.
     if (!stat.reservoir.exact() && stat.p2_live) {
-      for (std::size_t i = 0; i < config_.p2_grid.size(); ++i)
-        if (std::abs(config_.p2_grid[i] - p) < 1e-9)
+      for (std::size_t i = 0; i < p2_grid_.size(); ++i)
+        if (std::abs(p2_grid_[i] - p) < 1e-9)
           return stat.p2[i].estimate();
     }
     return util::percentile(stat.reservoir.samples(), p);
@@ -300,7 +304,7 @@ std::size_t StreamingAccumulator::memory_bytes() const {
     bytes += stat.reservoir.samples().capacity() * sizeof(double);
     bytes += stat.p2.capacity() * sizeof(util::P2Quantile);
   }
-  bytes += config_.p2_grid.capacity() * sizeof(double);
+  bytes += p2_grid_.capacity() * sizeof(double);
   return bytes;
 }
 
@@ -309,9 +313,9 @@ util::json::Value StreamingAccumulator::to_json() const {
   Value v = Value::object();
   v.set("backend", to_string(backend()));
   v.set("rounds", rounds_.size());
-  v.set("reservoir_capacity", config_.reservoir_capacity);
+  v.set("reservoir_capacity", reservoir_capacity_);
   Value grid = Value::array();
-  for (const double q : config_.p2_grid) grid.push_back(q);
+  for (const double q : p2_grid_) grid.push_back(q);
   v.set("p2_grid", std::move(grid));
   Value stats = Value::array();
   for (const RoundStat& stat : rounds_) {
@@ -374,12 +378,14 @@ std::unique_ptr<RoundAccumulator> accumulator_from_json(
     return acc;
   }
 
-  StreamingAggConfig config;
-  config.reservoir_capacity = value.at("reservoir_capacity").as_size();
-  config.p2_grid.clear();
-  for (const util::json::Value& q : value.at("p2_grid").as_array())
-    config.p2_grid.push_back(q.as_number());
-  auto acc = std::make_unique<StreamingAccumulator>(rounds, config);
+  const std::size_t reservoir_capacity =
+      value.at("reservoir_capacity").as_size();
+  const auto& grid = value.at("p2_grid").as_array();
+  std::vector<double> p2_grid;
+  p2_grid.reserve(grid.size());
+  for (const util::json::Value& q : grid) p2_grid.push_back(q.as_number());
+  std::unique_ptr<StreamingAccumulator> acc(new StreamingAccumulator(
+      rounds, reservoir_capacity, std::move(p2_grid)));
   const auto& stats = value.at("round_stats").as_array();
   RS_REQUIRE(stats.size() == rounds,
              "accumulator JSON round_stats has " +
@@ -395,12 +401,12 @@ std::unique_ptr<RoundAccumulator> accumulator_from_json(
     for (const util::json::Value& x : s.at("reservoir").as_array())
       samples.push_back(x.as_number());
     stat.reservoir = util::ReservoirSample::from_state(
-        config.reservoir_capacity, reservoir_seed_for_round(r),
+        reservoir_capacity, reservoir_seed_for_round(r),
         s.at("seen").as_size(), s.at("rng_draws").as_size(),
         std::move(samples));
     stat.p2_live = s.at("p2_live").as_bool();
     const auto& p2s = s.at("p2").as_array();
-    RS_REQUIRE(p2s.size() == config.p2_grid.size(),
+    RS_REQUIRE(p2s.size() == acc->p2_grid_.size(),
                "accumulator JSON P2 bank size mismatch");
     stat.p2.clear();
     for (const util::json::Value& p : p2s) {

@@ -33,6 +33,7 @@
 // fabricated 0.0 — see PerRoundSamples below.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -101,18 +102,6 @@ enum class AggBackend : std::uint8_t { Exact, Streaming };
 const char* to_string(AggBackend backend);
 AggBackend parse_agg_backend(std::string_view name);
 
-/// Tuning for the streaming backend. Defaults keep per-round state at
-/// ~2.5 KB regardless of run count and figure-scale series within a few
-/// percent of exact.
-struct StreamingAggConfig {
-  /// Reservoir capacity per round; estimates are exact while the per-
-  /// round sample count stays at or below this.
-  std::size_t reservoir_capacity = 256;
-  /// Quantile grid (percent units) tracked by dedicated P² estimators;
-  /// off-grid percentile queries fall back to the reservoir.
-  std::vector<double> p2_grid = {5.0, 25.0, 50.0, 75.0, 95.0};
-};
-
 /// One per-round reduction state with mergeable partials. Implementations
 /// must keep merge() associative over contiguous run ranges; the exact
 /// backend must additionally make (record in run order) == (merge of
@@ -132,8 +121,8 @@ class RoundAccumulator {
 
   /// Folds `other` in after this accumulator's own samples — the shard
   /// reduction step. Requires the same backend, round count and (for
-  /// streaming) sketch configuration; violations throw
-  /// std::invalid_argument naming both sides.
+  /// streaming) sketch shape; violations throw std::invalid_argument
+  /// naming both sides.
   virtual void merge(const RoundAccumulator& other) = 0;
 
   /// The series contracts of PerRoundSamples (NaN for empty rounds).
@@ -152,9 +141,8 @@ class RoundAccumulator {
   virtual std::unique_ptr<RoundAccumulator> clone() const = 0;
 };
 
-std::unique_ptr<RoundAccumulator> make_accumulator(
-    AggBackend backend, std::size_t rounds,
-    const StreamingAggConfig& streaming = {});
+std::unique_ptr<RoundAccumulator> make_accumulator(AggBackend backend,
+                                                   std::size_t rounds);
 
 /// Rebuilds either backend from its to_json() form; throws
 /// std::invalid_argument on malformed input.
@@ -202,7 +190,17 @@ class ExactAccumulator final : public RoundAccumulator {
 
 class StreamingAccumulator final : public RoundAccumulator {
  public:
-  StreamingAccumulator(std::size_t rounds, StreamingAggConfig config = {});
+  /// Reservoir capacity per round; estimates are exact while a round's
+  /// sample count stays at or below it. With the grid below, per-round
+  /// state stays at ~2.5 KB regardless of run count and figure-scale
+  /// series within a few percent of exact.
+  static constexpr std::size_t kReservoirCapacity = 256;
+  /// Quantile grid (percent units) tracked by dedicated P² estimators;
+  /// off-grid percentile queries fall back to the reservoir.
+  static constexpr std::array<double, 5> kP2Grid = {5.0, 25.0, 50.0, 75.0,
+                                                    95.0};
+
+  explicit StreamingAccumulator(std::size_t rounds);
 
   AggBackend backend() const override { return AggBackend::Streaming; }
   std::size_t rounds() const override { return rounds_.size(); }
@@ -218,11 +216,14 @@ class StreamingAccumulator final : public RoundAccumulator {
     return std::make_unique<StreamingAccumulator>(*this);
   }
 
-  const StreamingAggConfig& config() const { return config_; }
-
  private:
   friend std::unique_ptr<RoundAccumulator> accumulator_from_json(
       const util::json::Value& value);
+
+  /// A sketch shape read from a partial: merge() still refuses one that
+  /// differs from the other side's.
+  StreamingAccumulator(std::size_t rounds, std::size_t reservoir_capacity,
+                       std::vector<double> p2_grid);
 
   /// Per-round sketch bundle. `p2_live` drops to false once a cross-
   /// partial merge makes the sequential P² state unrepresentative; the
@@ -236,7 +237,8 @@ class StreamingAccumulator final : public RoundAccumulator {
 
   const RoundStat& round_at(std::size_t round_index) const;
 
-  StreamingAggConfig config_;
+  std::size_t reservoir_capacity_;
+  std::vector<double> p2_grid_;
   std::vector<RoundStat> rounds_;
 };
 

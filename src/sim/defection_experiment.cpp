@@ -81,27 +81,22 @@ DefectionRun execute_run(const DefectionExperimentConfig& config,
   return run;
 }
 
+// DefectionPayload's entries after the metrics block, in document order.
+enum Series : std::size_t { kLive, kCoop };
+
+const ReductionLayout kLayout{{"live", "coop"}, {}};
+
 }  // namespace
 
-DefectionPayload::DefectionPayload(std::size_t rounds, AggBackend backend,
-                                   const StreamingAggConfig& streaming)
-    : metrics_(rounds, backend, streaming),
-      live_(make_accumulator(backend, rounds, streaming)),
-      coop_(make_accumulator(backend, rounds, streaming)) {}
-
-DefectionPayload::DefectionPayload(OutcomeMetrics metrics,
-                                   std::unique_ptr<RoundAccumulator> live,
-                                   std::unique_ptr<RoundAccumulator> coop)
-    : metrics_(std::move(metrics)),
-      live_(std::move(live)),
-      coop_(std::move(coop)) {}
+DefectionPayload::DefectionPayload(std::size_t rounds, AggBackend backend)
+    : metrics_(rounds, backend), state_(kLayout, backend, rounds) {}
 
 void DefectionPayload::record_round(std::size_t round_index, double final_pct,
                                     double tentative_pct, double none_pct,
                                     double live, double coop_pct) {
   metrics_.record(round_index, final_pct, tentative_pct, none_pct);
-  live_->record(round_index, live);
-  coop_->record(round_index, coop_pct);
+  state_.accumulator(kLive).record(round_index, live);
+  state_.accumulator(kCoop).record(round_index, coop_pct);
   const auto live_count = static_cast<std::size_t>(live);
   min_live_ = any_live_ ? std::min(min_live_, live_count) : live_count;
   max_live_ = any_live_ ? std::max(max_live_, live_count) : live_count;
@@ -114,8 +109,7 @@ void DefectionPayload::record_run_progress(bool progress) {
 
 void DefectionPayload::merge(const DefectionPayload& next) {
   metrics_.merge(next.metrics_);
-  live_->merge(*next.live_);
-  coop_->merge(*next.coop_);
+  state_.merge(next.state_);
   runs_with_progress_ += next.runs_with_progress_;
   if (next.any_live_) {
     min_live_ = any_live_ ? std::min(min_live_, next.min_live_)
@@ -132,24 +126,18 @@ DefectionSeries DefectionPayload::finalize(const PartialEnvelope& envelope,
   series.rounds = metrics_.aggregate(trim_fraction);
   series.runs_with_progress = static_cast<double>(runs_with_progress_) /
                               static_cast<double>(envelope.runs_executed());
-  series.live_series = live_->mean_series();
-  series.cooperation_series = coop_->mean_series();
+  series.live_series = state_.accumulator(kLive).mean_series();
+  series.cooperation_series = state_.accumulator(kCoop).mean_series();
   series.min_live = min_live_;
   series.max_live = max_live_;
   series.accumulator_bytes = accumulator_bytes();
   return series;
 }
 
-std::size_t DefectionPayload::accumulator_bytes() const {
-  return metrics_.memory_bytes() + live_->memory_bytes() +
-         coop_->memory_bytes();
-}
-
 util::json::Value DefectionPayload::to_json() const {
-  util::json::Value v = util::json::Value::object();
-  v.set("metrics", metrics_.to_json());
-  v.set("live", live_->to_json());
-  v.set("coop", coop_->to_json());
+  util::json::Value head = util::json::Value::object();
+  head.set("metrics", metrics_.to_json());
+  util::json::Value v = state_.to_json(std::move(head));
   v.set("runs_with_progress", runs_with_progress_);
   v.set("any_live", any_live_);
   v.set("min_live", min_live_);
@@ -159,18 +147,11 @@ util::json::Value DefectionPayload::to_json() const {
 
 DefectionPayload DefectionPayload::from_json(const util::json::Value& value,
                                              const PartialEnvelope& envelope) {
-  DefectionPayload p(OutcomeMetrics::from_json(value.at("metrics")),
-                     accumulator_from_json(value.at("live")),
-                     accumulator_from_json(value.at("coop")));
-  RS_REQUIRE(p.metrics_.backend() == envelope.backend &&
-                 p.live_->backend() == envelope.backend &&
-                 p.coop_->backend() == envelope.backend,
-             "partial JSON accumulator backends disagree with the envelope");
-  RS_REQUIRE(p.metrics_.rounds() == envelope.rounds &&
-                 p.live_->rounds() == envelope.rounds &&
-                 p.coop_->rounds() == envelope.rounds,
-             "partial JSON accumulator round counts disagree with the "
-             "envelope");
+  DefectionPayload p(
+      OutcomeMetrics::from_json(value.at("metrics"), envelope.backend,
+                                envelope.rounds, "metrics."),
+      ReductionState::from_json(kLayout, value, envelope.backend,
+                                envelope.rounds));
   p.runs_with_progress_ = value.at("runs_with_progress").as_size();
   p.any_live_ = value.at("any_live").as_bool();
   p.min_live_ = value.at("min_live").as_size();
@@ -210,44 +191,30 @@ util::json::Value defection_spec_echo(
   policy.set("churn_join", config.policy.churn.join_probability);
   policy.set("churn_min_live", config.policy.churn.min_live);
   v.set("policy", std::move(policy));
-  v.set("agg", to_string(config.agg));
-  v.set("reservoir_capacity", config.streaming.reservoir_capacity);
-  Value grid = Value::array();
-  for (const double q : config.streaming.p2_grid) grid.push_back(q);
-  v.set("p2_grid", std::move(grid));
+  append_agg_echo(v, config.agg);
   return v;
 }
 
 DefectionPartial run_defection_partial(
     const DefectionExperimentConfig& config) {
-  const ExperimentSpec spec{config.runs,    config.rounds,
-                            config.network.seed, config.threads,
-                            config.inner_threads, config.shard};
-  validate(spec);
-  const ResolvedShard shard = resolve_shard(spec);
-  DefectionPartial partial(
-      make_envelope(DefectionPayload::kKind,
-                    spec_hash_hex(defection_spec_echo(config)), config.agg,
-                    config.runs, config.rounds, shard.begin, shard.end),
-      DefectionPayload(config.rounds, config.agg, config.streaming));
-
-  run_and_reduce(
-      spec,
+  return run_partial<DefectionPayload>(
+      {config.runs, config.rounds, config.network.seed, config.threads,
+       config.inner_threads, config.shard},
+      config.agg, defection_spec_echo(config),
       [&config](std::size_t, util::Rng& rng, const RunContext& ctx) {
         // The network rebuilds its stream from a scalar seed, so hand it
         // this run's seed material (== root.split(run)).
         return execute_run(config, rng.seed_material(), ctx.inner_pool);
       },
-      [&](std::size_t, DefectionRun run) {
+      [](DefectionPayload& payload, const DefectionRun& run) {
         for (std::size_t r = 0; r < run.rounds.size(); ++r) {
-          partial.payload().record_round(
-              r, run.rounds[r].final_pct, run.rounds[r].tentative_pct,
-              run.rounds[r].none_pct, run.rounds[r].live,
-              run.rounds[r].coop_pct);
+          payload.record_round(r, run.rounds[r].final_pct,
+                               run.rounds[r].tentative_pct,
+                               run.rounds[r].none_pct, run.rounds[r].live,
+                               run.rounds[r].coop_pct);
         }
-        partial.payload().record_run_progress(run.progress);
+        payload.record_run_progress(run.progress);
       });
-  return partial;
 }
 
 DefectionSeries run_defection_experiment(

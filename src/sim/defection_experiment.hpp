@@ -26,8 +26,6 @@
 // is bit-identical to a single-process run.
 #pragma once
 
-#include <memory>
-
 #include "consensus/params.hpp"
 #include "sim/experiment_runner.hpp"
 #include "sim/metrics.hpp"
@@ -64,7 +62,6 @@ struct DefectionExperimentConfig {
   /// baseline); Streaming keeps O(rounds) memory independent of `runs`
   /// with the documented reservoir/P² error bound.
   AggBackend agg = AggBackend::Exact;
-  StreamingAggConfig streaming{};
   /// Run window THIS process executes (default: all runs) — the sharded
   /// fan-out knob. Seeding stays keyed on global run indices.
   RunShard shard{};
@@ -90,15 +87,15 @@ struct DefectionSeries {
 };
 
 /// The experiment-specific half of a DefectionPartial: the three outcome
-/// accumulators plus the live/cooperation series and progress counters.
-/// Window bookkeeping and compatibility checks live in the shared
-/// PartialEnvelope (sim/partial.hpp).
+/// accumulators (the "metrics" block) and the live/cooperation series,
+/// plus the progress and live-count counters. Window bookkeeping and
+/// compatibility checks live in the shared PartialEnvelope
+/// (sim/partial.hpp).
 class DefectionPayload {
  public:
   static constexpr std::string_view kKind = "defection";
 
-  DefectionPayload(std::size_t rounds, AggBackend backend,
-                   const StreamingAggConfig& streaming);
+  DefectionPayload(std::size_t rounds, AggBackend backend);
 
   /// Records one run's per-round contribution (called by
   /// run_defection_partial in run-index order).
@@ -116,20 +113,20 @@ class DefectionPayload {
   DefectionSeries finalize(const PartialEnvelope& envelope,
                            double trim_fraction) const;
 
-  std::size_t accumulator_bytes() const;
+  std::size_t accumulator_bytes() const {
+    return metrics_.memory_bytes() + state_.memory_bytes();
+  }
 
   util::json::Value to_json() const;
   static DefectionPayload from_json(const util::json::Value& value,
                                     const PartialEnvelope& envelope);
 
  private:
-  DefectionPayload(OutcomeMetrics metrics,
-                   std::unique_ptr<RoundAccumulator> live,
-                   std::unique_ptr<RoundAccumulator> coop);
+  DefectionPayload(OutcomeMetrics metrics, ReductionState state)
+      : metrics_(std::move(metrics)), state_(std::move(state)) {}
 
   OutcomeMetrics metrics_;
-  std::unique_ptr<RoundAccumulator> live_;
-  std::unique_ptr<RoundAccumulator> coop_;
+  ReductionState state_;  // live, coop
   std::size_t runs_with_progress_ = 0;
   std::size_t min_live_ = 0;
   std::size_t max_live_ = 0;

@@ -125,127 +125,60 @@ LongHorizonRun execute_run(const LongHorizonConfig& config,
   return run;
 }
 
+// LongHorizonPayload's entries, in document order.
+enum Series : std::size_t { kGini, kTopShare, kCorr, kFinalPct };
+enum Bank : std::size_t { kEndGini, kEndTopShare, kEndCorr, kPaid };
+
+const ReductionLayout kLayout{{"gini", "top_share", "corr", "final_pct"},
+                              {"end_gini", "end_top_share", "end_corr",
+                               "paid"}};
+
+double mean_or_zero(const ScalarBank& bank) {
+  return bank.count() > 0 ? bank.mean() : 0.0;
+}
+
 }  // namespace
 
-LongHorizonPayload::LongHorizonPayload(std::size_t rounds, AggBackend backend,
-                                       const StreamingAggConfig& streaming)
-    : gini_(make_accumulator(backend, rounds, streaming)),
-      top_share_(make_accumulator(backend, rounds, streaming)),
-      corr_(make_accumulator(backend, rounds, streaming)),
-      final_pct_(make_accumulator(backend, rounds, streaming)),
-      end_gini_(backend),
-      end_top_share_(backend),
-      end_corr_(backend),
-      paid_(backend) {}
-
-LongHorizonPayload::LongHorizonPayload(
-    std::unique_ptr<RoundAccumulator> gini,
-    std::unique_ptr<RoundAccumulator> top_share,
-    std::unique_ptr<RoundAccumulator> corr,
-    std::unique_ptr<RoundAccumulator> final_pct, ScalarBank end_gini,
-    ScalarBank end_top_share, ScalarBank end_corr, ScalarBank paid)
-    : gini_(std::move(gini)),
-      top_share_(std::move(top_share)),
-      corr_(std::move(corr)),
-      final_pct_(std::move(final_pct)),
-      end_gini_(std::move(end_gini)),
-      end_top_share_(std::move(end_top_share)),
-      end_corr_(std::move(end_corr)),
-      paid_(std::move(paid)) {}
+LongHorizonPayload::LongHorizonPayload(std::size_t rounds, AggBackend backend)
+    : state_(kLayout, backend, rounds) {}
 
 void LongHorizonPayload::record_round(std::size_t round_index, double gini,
                                       double top_share, double defector_corr,
                                       double final_pct) {
-  gini_->record(round_index, gini);
-  top_share_->record(round_index, top_share);
-  corr_->record(round_index, defector_corr);
-  final_pct_->record(round_index, final_pct);
+  state_.accumulator(kGini).record(round_index, gini);
+  state_.accumulator(kTopShare).record(round_index, top_share);
+  state_.accumulator(kCorr).record(round_index, defector_corr);
+  state_.accumulator(kFinalPct).record(round_index, final_pct);
 }
 
 void LongHorizonPayload::record_run(double end_gini, double end_top_share,
                                     double end_defector_corr,
                                     double paid_algos) {
-  end_gini_.record(end_gini);
-  end_top_share_.record(end_top_share);
-  end_corr_.record(end_defector_corr);
-  paid_.record(paid_algos);
-}
-
-void LongHorizonPayload::merge(const LongHorizonPayload& next) {
-  gini_->merge(*next.gini_);
-  top_share_->merge(*next.top_share_);
-  corr_->merge(*next.corr_);
-  final_pct_->merge(*next.final_pct_);
-  end_gini_.merge(next.end_gini_);
-  end_top_share_.merge(next.end_top_share_);
-  end_corr_.merge(next.end_corr_);
-  paid_.merge(next.paid_);
+  state_.bank(kEndGini).record(end_gini);
+  state_.bank(kEndTopShare).record(end_top_share);
+  state_.bank(kEndCorr).record(end_defector_corr);
+  state_.bank(kPaid).record(paid_algos);
 }
 
 LongHorizonResult LongHorizonPayload::finalize(
     const PartialEnvelope&) const {
   LongHorizonResult result;
-  result.gini_per_round = gini_->mean_series();
-  result.top_share_per_round = top_share_->mean_series();
-  result.defector_corr_per_round = corr_->mean_series();
-  result.final_pct_per_round = final_pct_->mean_series();
-  result.mean_end_gini = end_gini_.count() > 0 ? end_gini_.mean() : 0.0;
-  result.mean_end_top_share =
-      end_top_share_.count() > 0 ? end_top_share_.mean() : 0.0;
-  result.mean_end_defector_corr =
-      end_corr_.count() > 0 ? end_corr_.mean() : 0.0;
-  result.mean_paid_algos = paid_.count() > 0 ? paid_.mean() : 0.0;
+  result.gini_per_round = state_.accumulator(kGini).mean_series();
+  result.top_share_per_round = state_.accumulator(kTopShare).mean_series();
+  result.defector_corr_per_round = state_.accumulator(kCorr).mean_series();
+  result.final_pct_per_round = state_.accumulator(kFinalPct).mean_series();
+  result.mean_end_gini = mean_or_zero(state_.bank(kEndGini));
+  result.mean_end_top_share = mean_or_zero(state_.bank(kEndTopShare));
+  result.mean_end_defector_corr = mean_or_zero(state_.bank(kEndCorr));
+  result.mean_paid_algos = mean_or_zero(state_.bank(kPaid));
   result.accumulator_bytes = accumulator_bytes();
   return result;
 }
 
-std::size_t LongHorizonPayload::accumulator_bytes() const {
-  return gini_->memory_bytes() + top_share_->memory_bytes() +
-         corr_->memory_bytes() + final_pct_->memory_bytes() +
-         end_gini_.memory_bytes() + end_top_share_.memory_bytes() +
-         end_corr_.memory_bytes() + paid_.memory_bytes();
-}
-
-util::json::Value LongHorizonPayload::to_json() const {
-  util::json::Value v = util::json::Value::object();
-  v.set("gini", gini_->to_json());
-  v.set("top_share", top_share_->to_json());
-  v.set("corr", corr_->to_json());
-  v.set("final_pct", final_pct_->to_json());
-  v.set("end_gini", end_gini_.to_json());
-  v.set("end_top_share", end_top_share_.to_json());
-  v.set("end_corr", end_corr_.to_json());
-  v.set("paid", paid_.to_json());
-  return v;
-}
-
 LongHorizonPayload LongHorizonPayload::from_json(
     const util::json::Value& value, const PartialEnvelope& envelope) {
-  LongHorizonPayload p(accumulator_from_json(value.at("gini")),
-                       accumulator_from_json(value.at("top_share")),
-                       accumulator_from_json(value.at("corr")),
-                       accumulator_from_json(value.at("final_pct")),
-                       ScalarBank::from_json(value.at("end_gini")),
-                       ScalarBank::from_json(value.at("end_top_share")),
-                       ScalarBank::from_json(value.at("end_corr")),
-                       ScalarBank::from_json(value.at("paid")));
-  for (const RoundAccumulator* acc :
-       {p.gini_.get(), p.top_share_.get(), p.corr_.get(),
-        p.final_pct_.get()}) {
-    RS_REQUIRE(acc->backend() == envelope.backend,
-               "partial JSON accumulator backend disagrees with the "
-               "envelope");
-    RS_REQUIRE(acc->rounds() == envelope.rounds,
-               "partial JSON accumulator round count disagrees with the "
-               "envelope");
-  }
-  for (const ScalarBank* bank :
-       {&p.end_gini_, &p.end_top_share_, &p.end_corr_, &p.paid_}) {
-    RS_REQUIRE(bank->backend() == envelope.backend,
-               "partial JSON scalar-bank backend disagrees with the "
-               "envelope");
-  }
-  return p;
+  return LongHorizonPayload(ReductionState::from_json(
+      kLayout, value, envelope.backend, envelope.rounds));
 }
 
 util::json::Value longhorizon_spec_echo(const LongHorizonConfig& config) {
@@ -266,11 +199,7 @@ util::json::Value longhorizon_spec_echo(const LongHorizonConfig& config) {
   v.set("alpha", config.alpha);
   v.set("beta", config.beta);
   v.set("top_fraction", config.top_fraction);
-  v.set("agg", to_string(config.agg));
-  v.set("reservoir_capacity", config.streaming.reservoir_capacity);
-  Value grid = Value::array();
-  for (const double q : config.streaming.p2_grid) grid.push_back(q);
-  v.set("p2_grid", std::move(grid));
+  append_agg_echo(v, config.agg);
   return v;
 }
 
@@ -278,35 +207,21 @@ LongHorizonPartial run_longhorizon_partial(const LongHorizonConfig& config) {
   RS_REQUIRE(config.node_count > 2, "population too small");
   RS_REQUIRE(config.top_fraction > 0.0 && config.top_fraction <= 1.0,
              "top_fraction in (0, 1]");
-
-  const ExperimentSpec spec{config.runs,    config.rounds_per_run,
-                            config.seed,    config.threads,
-                            config.inner_threads, config.shard};
-  validate(spec);
-  const ResolvedShard shard = resolve_shard(spec);
-  LongHorizonPartial partial(
-      make_envelope(LongHorizonPayload::kKind,
-                    spec_hash_hex(longhorizon_spec_echo(config)), config.agg,
-                    config.runs, config.rounds_per_run, shard.begin,
-                    shard.end),
-      LongHorizonPayload(config.rounds_per_run, config.agg,
-                         config.streaming));
-
-  run_and_reduce(
-      spec,
-      [&](std::size_t run_index, util::Rng&, const RunContext& ctx) {
+  return run_partial<LongHorizonPayload>(
+      {config.runs, config.rounds_per_run, config.seed, config.threads,
+       config.inner_threads, config.shard},
+      config.agg, longhorizon_spec_echo(config),
+      [&config](std::size_t run_index, util::Rng&, const RunContext& ctx) {
         return execute_run(config, seed_for_run(config.seed, run_index),
                            ctx.inner_pool);
       },
-      [&](std::size_t, LongHorizonRun run) {
-        LongHorizonPayload& payload = partial.payload();
+      [&config](LongHorizonPayload& payload, const LongHorizonRun& run) {
         for (std::size_t r = 0; r < config.rounds_per_run; ++r)
           payload.record_round(r, run.gini[r], run.top_share[r], run.corr[r],
                                run.final_pct[r]);
         payload.record_run(run.end_gini, run.end_top_share, run.end_corr,
                            run.paid_algos);
       });
-  return partial;
 }
 
 LongHorizonResult run_longhorizon(const LongHorizonConfig& config) {

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "consensus/params.hpp"
@@ -70,7 +69,6 @@ struct LongHorizonConfig {
   double top_fraction = 0.01;
 
   AggBackend agg = AggBackend::Exact;
-  StreamingAggConfig streaming{};
   RunShard shard{};
 };
 
@@ -96,40 +94,30 @@ class LongHorizonPayload {
  public:
   static constexpr std::string_view kKind = "longhorizon";
 
-  LongHorizonPayload(std::size_t rounds, AggBackend backend,
-                     const StreamingAggConfig& streaming);
+  LongHorizonPayload(std::size_t rounds, AggBackend backend);
 
   void record_round(std::size_t round_index, double gini, double top_share,
                     double defector_corr, double final_pct);
   void record_run(double end_gini, double end_top_share,
                   double end_defector_corr, double paid_algos);
 
-  void merge(const LongHorizonPayload& next);
+  void merge(const LongHorizonPayload& next) { state_.merge(next.state_); }
 
   LongHorizonResult finalize(const PartialEnvelope& envelope) const;
 
-  std::size_t accumulator_bytes() const;
+  std::size_t accumulator_bytes() const { return state_.memory_bytes(); }
 
-  util::json::Value to_json() const;
+  util::json::Value to_json() const { return state_.to_json(); }
   static LongHorizonPayload from_json(const util::json::Value& value,
                                       const PartialEnvelope& envelope);
 
  private:
-  LongHorizonPayload(std::unique_ptr<RoundAccumulator> gini,
-                     std::unique_ptr<RoundAccumulator> top_share,
-                     std::unique_ptr<RoundAccumulator> corr,
-                     std::unique_ptr<RoundAccumulator> final_pct,
-                     ScalarBank end_gini, ScalarBank end_top_share,
-                     ScalarBank end_corr, ScalarBank paid);
+  explicit LongHorizonPayload(ReductionState state)
+      : state_(std::move(state)) {}
 
-  std::unique_ptr<RoundAccumulator> gini_;
-  std::unique_ptr<RoundAccumulator> top_share_;
-  std::unique_ptr<RoundAccumulator> corr_;
-  std::unique_ptr<RoundAccumulator> final_pct_;
-  ScalarBank end_gini_;
-  ScalarBank end_top_share_;
-  ScalarBank end_corr_;
-  ScalarBank paid_;
+  // gini, top_share, corr, final_pct | end_gini, end_top_share, end_corr,
+  // paid
+  ReductionState state_;
 };
 
 using LongHorizonPartial = ExperimentPartial<LongHorizonPayload>;

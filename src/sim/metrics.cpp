@@ -2,11 +2,17 @@
 
 namespace roleshare::sim {
 
-OutcomeMetrics::OutcomeMetrics(std::size_t rounds, AggBackend backend,
-                               const StreamingAggConfig& streaming)
-    : final_(make_accumulator(backend, rounds, streaming)),
-      tentative_(make_accumulator(backend, rounds, streaming)),
-      none_(make_accumulator(backend, rounds, streaming)) {}
+namespace {
+
+// The three outcome entries, in document order.
+enum Outcome : std::size_t { kFinal, kTentative, kNone };
+
+const ReductionLayout kLayout{{"final", "tentative", "none"}, {}};
+
+}  // namespace
+
+OutcomeMetrics::OutcomeMetrics(std::size_t rounds, AggBackend backend)
+    : state_(kLayout, backend, rounds) {}
 
 void OutcomeMetrics::record(std::size_t round_index,
                             const RoundResult& result) {
@@ -16,29 +22,27 @@ void OutcomeMetrics::record(std::size_t round_index,
 
 void OutcomeMetrics::record(std::size_t round_index, double final_pct,
                             double tentative_pct, double none_pct) {
-  final_->record(round_index, final_pct);
-  tentative_->record(round_index, tentative_pct);
-  none_->record(round_index, none_pct);
+  state_.accumulator(kFinal).record(round_index, final_pct);
+  state_.accumulator(kTentative).record(round_index, tentative_pct);
+  state_.accumulator(kNone).record(round_index, none_pct);
 }
 
 void OutcomeMetrics::merge(const OutcomeMetrics& other) {
-  final_->merge(*other.final_);
-  tentative_->merge(*other.tentative_);
-  none_->merge(*other.none_);
+  state_.merge(other.state_);
 }
 
 std::size_t OutcomeMetrics::runs_recorded(std::size_t round_index) const {
-  return final_->count(round_index);
+  return state_.accumulator(kFinal).count(round_index);
 }
 
 std::vector<RoundAggregate> OutcomeMetrics::aggregate(
     double trim_fraction) const {
   const std::vector<double> final_series =
-      final_->trimmed_mean_series(trim_fraction);
+      state_.accumulator(kFinal).trimmed_mean_series(trim_fraction);
   const std::vector<double> tentative_series =
-      tentative_->trimmed_mean_series(trim_fraction);
+      state_.accumulator(kTentative).trimmed_mean_series(trim_fraction);
   const std::vector<double> none_series =
-      none_->trimmed_mean_series(trim_fraction);
+      state_.accumulator(kNone).trimmed_mean_series(trim_fraction);
   std::vector<RoundAggregate> out(final_series.size());
   for (std::size_t r = 0; r < out.size(); ++r) {
     out[r].final_pct = final_series[r];
@@ -49,24 +53,23 @@ std::vector<RoundAggregate> OutcomeMetrics::aggregate(
 }
 
 std::size_t OutcomeMetrics::memory_bytes() const {
-  return final_->memory_bytes() + tentative_->memory_bytes() +
-         none_->memory_bytes();
+  return state_.memory_bytes();
 }
 
-util::json::Value OutcomeMetrics::to_json() const {
-  util::json::Value v = util::json::Value::object();
-  v.set("final", final_->to_json());
-  v.set("tentative", tentative_->to_json());
-  v.set("none", none_->to_json());
-  return v;
-}
+util::json::Value OutcomeMetrics::to_json() const { return state_.to_json(); }
 
 OutcomeMetrics OutcomeMetrics::from_json(const util::json::Value& value) {
-  OutcomeMetrics m;
-  m.final_ = accumulator_from_json(value.at("final"));
-  m.tentative_ = accumulator_from_json(value.at("tentative"));
-  m.none_ = accumulator_from_json(value.at("none"));
-  return m;
+  const util::json::Value& first = value.at("final");
+  return from_json(value, parse_agg_backend(first.at("backend").as_string()),
+                   first.at("rounds").as_size(), {});
+}
+
+OutcomeMetrics OutcomeMetrics::from_json(const util::json::Value& value,
+                                         AggBackend backend,
+                                         std::size_t rounds,
+                                         std::string_view context) {
+  return OutcomeMetrics(
+      ReductionState::from_json(kLayout, value, backend, rounds, context));
 }
 
 }  // namespace roleshare::sim

@@ -1,15 +1,16 @@
 // Aggregation of per-round outcomes across simulation runs — the paper's
 // 20%-trimmed-mean methodology (§III-C) producing the Fig-3 series.
-// Built on the mergeable RoundAccumulator concept so per-run (or
-// per-shard) partials can be merged in run-index order by the experiment
-// runner, under either the exact or the streaming backend.
+// Built on the shared ReductionState (sim/partial.hpp), so per-run (or
+// per-shard) partials merge in run-index order under either the exact or
+// the streaming backend, and a read checks all three entries alike.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "sim/aggregators.hpp"
+#include "sim/partial.hpp"
 #include "sim/round_engine.hpp"
 #include "util/json.hpp"
 
@@ -28,8 +29,7 @@ class OutcomeMetrics {
   /// outcome series; Exact reproduces the historical sample matrix bit
   /// for bit.
   explicit OutcomeMetrics(std::size_t rounds,
-                          AggBackend backend = AggBackend::Exact,
-                          const StreamingAggConfig& streaming = {});
+                          AggBackend backend = AggBackend::Exact);
 
   OutcomeMetrics(OutcomeMetrics&&) = default;
   OutcomeMetrics& operator=(OutcomeMetrics&&) = default;
@@ -46,8 +46,8 @@ class OutcomeMetrics {
   /// reduction; requires equal round counts and the same backend).
   void merge(const OutcomeMetrics& other);
 
-  AggBackend backend() const { return final_->backend(); }
-  std::size_t rounds() const { return final_->rounds(); }
+  AggBackend backend() const { return state_.backend(); }
+  std::size_t rounds() const { return state_.rounds(); }
   std::size_t runs_recorded(std::size_t round_index) const;
 
   /// Trimmed-mean series over all recorded runs (percentages, 0..100).
@@ -57,16 +57,20 @@ class OutcomeMetrics {
   std::size_t memory_bytes() const;
 
   /// Shard-partial serialization; from_json inverts it exactly for the
-  /// exact backend.
+  /// exact backend. The one-argument form takes the expected backend and
+  /// round count from the "final" entry; the other refuses any entry
+  /// that disagrees with `backend` / `rounds`, naming it as `context` +
+  /// key.
   util::json::Value to_json() const;
   static OutcomeMetrics from_json(const util::json::Value& value);
+  static OutcomeMetrics from_json(const util::json::Value& value,
+                                  AggBackend backend, std::size_t rounds,
+                                  std::string_view context);
 
  private:
-  OutcomeMetrics() = default;  // for from_json
+  explicit OutcomeMetrics(ReductionState state) : state_(std::move(state)) {}
 
-  std::unique_ptr<RoundAccumulator> final_;
-  std::unique_ptr<RoundAccumulator> tentative_;
-  std::unique_ptr<RoundAccumulator> none_;
+  ReductionState state_;  // final, tentative, none
 };
 
 }  // namespace roleshare::sim

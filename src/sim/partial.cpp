@@ -27,6 +27,14 @@ util::json::Value network_spec_echo(const NetworkConfig& config) {
   return net;
 }
 
+void append_agg_echo(util::json::Value& echo, AggBackend agg) {
+  echo.set("agg", to_string(agg));
+  echo.set("reservoir_capacity", StreamingAccumulator::kReservoirCapacity);
+  util::json::Value grid = util::json::Value::array();
+  for (const double q : StreamingAccumulator::kP2Grid) grid.push_back(q);
+  echo.set("p2_grid", std::move(grid));
+}
+
 std::string spec_hash_hex(const util::json::Value& spec_echo) {
   // FNV-1a 64 over the canonical dump: deterministic across processes
   // (insertion-ordered members, %.17g doubles), collision-resistant
@@ -261,6 +269,82 @@ ScalarBank ScalarBank::from_json(const util::json::Value& value) {
         value.at("max").as_number());
   }
   return bank;
+}
+
+// ---------------------------------------------------------------------
+// ReductionState
+
+ReductionState::ReductionState(const ReductionLayout& layout,
+                               AggBackend backend, std::size_t rounds)
+    : layout_(layout), backend_(backend), rounds_(rounds) {
+  for (std::size_t i = 0; i < layout.accumulators.size(); ++i)
+    accumulators_.push_back(make_accumulator(backend, rounds));
+  banks_.assign(layout.banks.size(), ScalarBank(backend));
+}
+
+ReductionState::ReductionState(
+    const ReductionLayout& layout, AggBackend backend, std::size_t rounds,
+    std::vector<std::unique_ptr<RoundAccumulator>> accumulators,
+    std::vector<ScalarBank> banks)
+    : layout_(layout),
+      backend_(backend),
+      rounds_(rounds),
+      accumulators_(std::move(accumulators)),
+      banks_(std::move(banks)) {}
+
+ReductionState ReductionState::from_json(const ReductionLayout& layout,
+                                         const util::json::Value& object,
+                                         AggBackend backend,
+                                         std::size_t rounds,
+                                         std::string_view context) {
+  const auto entry = [&](std::string_view key) {
+    return "partial entry \"" + std::string(context) + std::string(key) +
+           "\" ";
+  };
+  const auto check_backend = [&](std::string_view key, AggBackend found) {
+    RS_REQUIRE(found == backend, entry(key) + "is " + to_string(found) +
+                                     " but its envelope is " +
+                                     to_string(backend));
+  };
+  std::vector<std::unique_ptr<RoundAccumulator>> accumulators;
+  for (const std::string_view key : layout.accumulators) {
+    accumulators.push_back(accumulator_from_json(object.at(key)));
+    check_backend(key, accumulators.back()->backend());
+    RS_REQUIRE(accumulators.back()->rounds() == rounds,
+               entry(key) + "has " +
+                   std::to_string(accumulators.back()->rounds()) +
+                   " rounds but its envelope has " + std::to_string(rounds));
+  }
+  std::vector<ScalarBank> banks;
+  for (const std::string_view key : layout.banks) {
+    banks.push_back(ScalarBank::from_json(object.at(key)));
+    check_backend(key, banks.back().backend());
+  }
+  return ReductionState(layout, backend, rounds, std::move(accumulators),
+                        std::move(banks));
+}
+
+void ReductionState::merge(const ReductionState& next) {
+  for (std::size_t i = 0; i < accumulators_.size(); ++i)
+    accumulators_[i]->merge(*next.accumulators_[i]);
+  for (std::size_t i = 0; i < banks_.size(); ++i)
+    banks_[i].merge(next.banks_[i]);
+}
+
+std::size_t ReductionState::memory_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& acc : accumulators_) bytes += acc->memory_bytes();
+  for (const ScalarBank& bank : banks_) bytes += bank.memory_bytes();
+  return bytes;
+}
+
+util::json::Value ReductionState::to_json(util::json::Value head) const {
+  for (std::size_t i = 0; i < accumulators_.size(); ++i)
+    head.set(std::string(layout_.accumulators[i]),
+             accumulators_[i]->to_json());
+  for (std::size_t i = 0; i < banks_.size(); ++i)
+    head.set(std::string(layout_.banks[i]), banks_[i].to_json());
+  return head;
 }
 
 }  // namespace roleshare::sim

@@ -1,9 +1,7 @@
 // The universal experiment-partial layer behind the sharded / checkpointed
-// execution of every figure (DESIGN.md §6).
+// execution of every figure (DESIGN.md §7).
 //
-// PR 4 gave the Fig-3 defection experiment a mergeable, JSON-serializable
-// reduction state (`DefectionPartial`). This header lifts that pattern
-// into one template every experiment family shares:
+// Every experiment family shares one template:
 //
 //   ExperimentPartial<Payload> = PartialEnvelope + Payload
 //
@@ -14,11 +12,19 @@
 //                    plus the resume cursor (window_end — see below).
 //                    All cross-partial compatibility checks live here,
 //                    and every failure names both sides.
-//   Payload          the experiment-specific mergeable reduction state
-//                    (accumulators, scalar banks, counters). Three
-//                    payloads exist: DefectionPayload (Fig 3 /
-//                    scenario_sweep), RewardPayload (Fig 6/7) and
-//                    StrategicPayload (the best-response ensemble).
+//   Payload          the experiment-specific mergeable reduction state.
+//                    Four payloads exist: DefectionPayload (Fig 3 /
+//                    scenario_sweep), RewardPayload (Fig 6/7),
+//                    StrategicPayload (the best-response ensemble) and
+//                    LongHorizonPayload (fig_longhorizon). Each keeps its
+//                    per-round accumulators and run-scalar banks in one
+//                    ReductionState (below), which builds, merges, counts,
+//                    writes and reads them; the payload adds how a run is
+//                    recorded, its plain counters and finalize.
+//
+// Every family executes through one scaffold, run_partial: spec
+// validation, the shard window, the envelope and the run-ordered
+// reduction.
 //
 // Checkpoint / resume semantics: a partial covering [run_begin, run_end)
 // with run_end < window_end is an *unfinished checkpoint* — the writer
@@ -31,20 +37,22 @@
 //
 // Serialization: envelope, ScalarBank and every payload build one
 // deterministic util::json value tree (to_json/from_json below); the
-// bytes on disk come from a sim::PartialCodec (partial_codec.hpp) —
-// JSON text or the framed binary columnar format, interchangeably and
-// bit-identically. Finished windows are additionally cacheable by
-// content address in a sim::ResultStore keyed on the spec hash
-// (result_store.hpp).
+// bytes on disk come from a sim::PartialCodec (partial_codec.hpp). The
+// framed binary columnar format (RSBP) is the only one written; JSON
+// text from earlier builds is still read. Finished windows are
+// additionally cacheable by content address in a sim::ResultStore keyed
+// on the spec hash (result_store.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/aggregators.hpp"
+#include "sim/experiment_runner.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
@@ -57,6 +65,12 @@ struct NetworkConfig;
 /// shared by the defection and strategic spec hashes.
 util::json::Value network_spec_echo(const NetworkConfig& config);
 
+/// Appends the reduction tail every spec echo ends with: the backend
+/// ("agg") and the streaming sketch shape ("reservoir_capacity",
+/// "p2_grid"). The shape is a constant of StreamingAccumulator; it stays
+/// in the echo so every spec hash of an earlier build still matches.
+void append_agg_echo(util::json::Value& echo, AggBackend agg);
+
 /// FNV-1a 64-bit digest of a canonical spec-echo JSON value, as a fixed-
 /// width hex string. Every experiment family hashes the full set of
 /// config fields that affect its results (seeds, population, policies,
@@ -68,7 +82,7 @@ std::string spec_hash_hex(const util::json::Value& spec_echo);
 /// on construction and deserialization):
 ///   run_begin < run_end <= window_end <= runs_total, rounds > 0.
 struct PartialEnvelope {
-  std::string kind;       // "defection" / "reward" / "strategic"
+  std::string kind;  // "defection" / "reward" / "strategic" / "longhorizon"
   std::string spec_hash;  // spec_hash_hex of the experiment's config echo
   AggBackend backend = AggBackend::Exact;
   std::size_t runs_total = 0;
@@ -161,16 +175,87 @@ class ScalarBank {
 };
 
 // ---------------------------------------------------------------------
+// ReductionState — the one mergeable reduction state of every payload.
+//
+// A payload names its entries once, in a ReductionLayout: per-round
+// accumulators (RoundAccumulator) and run-scalar banks (ScalarBank),
+// each under the key its document writes it with. Every entry is on the
+// envelope's backend. The state builds, merges, counts bytes for, writes
+// and reads back every entry, accumulators first, then banks, each group
+// in layout order. A read refuses any entry whose backend or round count
+// disagrees with the envelope, and the error names the entry.
+
+/// The keys of a ReductionState's entries, in document order. A state
+/// keeps these views, so the keys must outlive it (string literals do).
+struct ReductionLayout {
+  std::vector<std::string_view> accumulators;  // per-round entries
+  std::vector<std::string_view> banks;         // run-scalar entries
+};
+
+class ReductionState {
+ public:
+  /// Empty entries for every key of `layout` on `backend`; the
+  /// accumulators hold `rounds` rounds.
+  ReductionState(const ReductionLayout& layout, AggBackend backend,
+                 std::size_t rounds);
+
+  /// Reads every entry of `layout` from the members of `object`. Throws
+  /// std::invalid_argument naming the entry (`context` + key) when its
+  /// backend is not `backend` or, for an accumulator, its round count is
+  /// not `rounds`.
+  static ReductionState from_json(const ReductionLayout& layout,
+                                  const util::json::Value& object,
+                                  AggBackend backend, std::size_t rounds,
+                                  std::string_view context = {});
+
+  AggBackend backend() const { return backend_; }
+  std::size_t rounds() const { return rounds_; }
+
+  /// Entry i of layout.accumulators / layout.banks.
+  RoundAccumulator& accumulator(std::size_t i) { return *accumulators_[i]; }
+  const RoundAccumulator& accumulator(std::size_t i) const {
+    return *accumulators_[i];
+  }
+  ScalarBank& bank(std::size_t i) { return banks_[i]; }
+  const ScalarBank& bank(std::size_t i) const { return banks_[i]; }
+
+  /// Folds `next` (same layout) in after this state's own samples.
+  void merge(const ReductionState& next);
+
+  /// Bytes held by all entries.
+  std::size_t memory_bytes() const;
+
+  /// `head` with every entry appended under its key.
+  util::json::Value to_json(
+      util::json::Value head = util::json::Value::object()) const;
+
+ private:
+  ReductionState(const ReductionLayout& layout, AggBackend backend,
+                 std::size_t rounds,
+                 std::vector<std::unique_ptr<RoundAccumulator>> accumulators,
+                 std::vector<ScalarBank> banks);
+
+  ReductionLayout layout_;
+  AggBackend backend_;
+  std::size_t rounds_;
+  std::vector<std::unique_ptr<RoundAccumulator>> accumulators_;
+  std::vector<ScalarBank> banks_;
+};
+
+// ---------------------------------------------------------------------
 // The shared partial template.
 //
 // A Payload must provide:
 //   static constexpr std::string_view kKind;
+//   Payload(std::size_t rounds, AggBackend backend);  // empty entries
 //   void merge(const Payload& next);              // fold after own samples
 //   util::json::Value to_json() const;
 //   static Payload from_json(const util::json::Value&,
 //                            const PartialEnvelope&);
 //   std::size_t accumulator_bytes() const;
 //   <Series> finalize(const PartialEnvelope&, ...) const;
+// Each delegates its entries to a ReductionState and handles only its
+// plain counters itself.
 
 template <typename Payload>
 class ExperimentPartial {
@@ -266,6 +351,29 @@ inline PartialEnvelope make_envelope(std::string_view kind,
   envelope.window_end = end;
   envelope.validate();
   return envelope;
+}
+
+/// The one run scaffold of every experiment family: validates `spec`,
+/// resolves its shard window, opens a complete envelope of Payload::kKind
+/// on `agg` whose spec hash digests `spec_echo`, executes the window with
+/// run_fn (run_and_reduce) and hands each run's result, in run-index
+/// order, to record(payload, result).
+template <typename Payload, typename RunFn, typename RecordFn>
+ExperimentPartial<Payload> run_partial(const ExperimentSpec& spec,
+                                       AggBackend agg,
+                                       const util::json::Value& spec_echo,
+                                       RunFn&& run_fn, RecordFn&& record) {
+  validate(spec);
+  const ResolvedShard shard = resolve_shard(spec);
+  ExperimentPartial<Payload> partial(
+      make_envelope(Payload::kKind, spec_hash_hex(spec_echo), agg, spec.runs,
+                    spec.rounds, shard.begin, shard.end),
+      Payload(spec.rounds, agg));
+  run_and_reduce(spec, std::forward<RunFn>(run_fn),
+                 [&](std::size_t, auto&& run) {
+                   record(partial.payload(), std::forward<decltype(run)>(run));
+                 });
+  return partial;
 }
 
 }  // namespace roleshare::sim

@@ -2,11 +2,11 @@
 // (DESIGN.md §9).
 //
 // Everything the sharded figures persist — the PartialEnvelope, the
-// ScalarBanks, all three experiment payloads (defection / reward /
-// strategic) and the bench-level shard documents that wrap them — is
-// built on the deterministic util::json value tree (insertion-ordered
-// members, %.17g doubles). A PartialCodec turns one such document into
-// bytes and back:
+// ScalarBanks, all four experiment payloads (defection / reward /
+// strategic / longhorizon) and the bench-level shard documents that
+// wrap them — is built on the deterministic util::json value tree
+// (insertion-ordered members, %.17g doubles). A PartialCodec turns one
+// such document into bytes and back:
 //
 //   BinaryCodec  the one encoding the shard workflow writes: a framed
 //                columnar encoding (util/framed_io), magic "RSBP" +

@@ -158,107 +158,74 @@ RewardRun execute_run(const RewardExperimentConfig& config,
   return run;
 }
 
+// RewardPayload's entries, in document order.
+enum Series : std::size_t { kPerRound };
+enum Bank : std::size_t { kBi, kAlpha, kBeta, kStake };
+
+const ReductionLayout kLayout{{"per_round"}, {"bi", "alpha", "beta", "stake"}};
+
 }  // namespace
 
-RewardPayload::RewardPayload(std::size_t rounds, AggBackend backend,
-                             const StreamingAggConfig& streaming)
-    : per_round_(make_accumulator(backend, rounds, streaming)),
-      bi_(backend),
-      alpha_(backend),
-      beta_(backend),
-      stake_(backend) {}
-
-RewardPayload::RewardPayload(std::unique_ptr<RoundAccumulator> per_round,
-                             ScalarBank bi, ScalarBank alpha, ScalarBank beta,
-                             ScalarBank stake, std::size_t infeasible)
-    : per_round_(std::move(per_round)),
-      bi_(std::move(bi)),
-      alpha_(std::move(alpha)),
-      beta_(std::move(beta)),
-      stake_(std::move(stake)),
-      infeasible_(infeasible) {}
+RewardPayload::RewardPayload(std::size_t rounds, AggBackend backend)
+    : state_(kLayout, backend, rounds) {}
 
 void RewardPayload::record_feasible(double bi_algos, double alpha,
                                     double beta) {
-  bi_.record(bi_algos);
-  alpha_.record(alpha);
-  beta_.record(beta);
+  state_.bank(kBi).record(bi_algos);
+  state_.bank(kAlpha).record(alpha);
+  state_.bank(kBeta).record(beta);
 }
 
 void RewardPayload::record_round_bi(std::size_t round_index,
                                     double bi_algos) {
-  per_round_->record(round_index, bi_algos);
+  state_.accumulator(kPerRound).record(round_index, bi_algos);
 }
 
 void RewardPayload::record_run(double total_stake,
                                std::size_t infeasible_rounds) {
-  stake_.record(total_stake);
+  state_.bank(kStake).record(total_stake);
   infeasible_ += infeasible_rounds;
 }
 
 void RewardPayload::merge(const RewardPayload& next) {
-  per_round_->merge(*next.per_round_);
-  bi_.merge(next.bi_);
-  alpha_.merge(next.alpha_);
-  beta_.merge(next.beta_);
-  stake_.merge(next.stake_);
+  state_.merge(next.state_);
   infeasible_ += next.infeasible_;
 }
 
 RewardExperimentResult RewardPayload::finalize(
     const PartialEnvelope& envelope) const {
+  const ScalarBank& bi = state_.bank(kBi);
+  const ScalarBank& alpha = state_.bank(kAlpha);
+  const ScalarBank& beta = state_.bank(kBeta);
+  const ScalarBank& stake = state_.bank(kStake);
   RewardExperimentResult result;
   result.foundation_per_round.assign(envelope.rounds, 0.0);
   for (std::size_t r = 0; r < envelope.rounds; ++r) {
     result.foundation_per_round[r] = ledger::to_algos(
         econ::FoundationSchedule::reward_for_round(r + 1));
   }
-  if (envelope.backend == AggBackend::Exact) result.bi_algos = bi_.samples();
-  result.bi_per_round_mean = per_round_->mean_series();
-  result.mean_bi = bi_.count() > 0 ? bi_.mean() : 0.0;
-  result.mean_total_stake = stake_.count() > 0 ? stake_.mean() : 0.0;
-  result.mean_alpha = alpha_.count() > 0 ? alpha_.mean() : 0.0;
-  result.mean_beta = beta_.count() > 0 ? beta_.mean() : 0.0;
+  if (envelope.backend == AggBackend::Exact) result.bi_algos = bi.samples();
+  result.bi_per_round_mean = state_.accumulator(kPerRound).mean_series();
+  result.mean_bi = bi.count() > 0 ? bi.mean() : 0.0;
+  result.mean_total_stake = stake.count() > 0 ? stake.mean() : 0.0;
+  result.mean_alpha = alpha.count() > 0 ? alpha.mean() : 0.0;
+  result.mean_beta = beta.count() > 0 ? beta.mean() : 0.0;
   result.infeasible_rounds = infeasible_;
   result.accumulator_bytes = accumulator_bytes();
   return result;
 }
 
-std::size_t RewardPayload::accumulator_bytes() const {
-  return per_round_->memory_bytes() + bi_.memory_bytes() +
-         alpha_.memory_bytes() + beta_.memory_bytes() +
-         stake_.memory_bytes();
-}
-
 util::json::Value RewardPayload::to_json() const {
-  util::json::Value v = util::json::Value::object();
-  v.set("per_round", per_round_->to_json());
-  v.set("bi", bi_.to_json());
-  v.set("alpha", alpha_.to_json());
-  v.set("beta", beta_.to_json());
-  v.set("stake", stake_.to_json());
+  util::json::Value v = state_.to_json();
   v.set("infeasible", infeasible_);
   return v;
 }
 
 RewardPayload RewardPayload::from_json(const util::json::Value& value,
                                        const PartialEnvelope& envelope) {
-  RewardPayload p(accumulator_from_json(value.at("per_round")),
-                  ScalarBank::from_json(value.at("bi")),
-                  ScalarBank::from_json(value.at("alpha")),
-                  ScalarBank::from_json(value.at("beta")),
-                  ScalarBank::from_json(value.at("stake")),
-                  value.at("infeasible").as_size());
-  RS_REQUIRE(p.per_round_->backend() == envelope.backend,
-             "partial JSON accumulator backend disagrees with the envelope");
-  RS_REQUIRE(p.per_round_->rounds() == envelope.rounds,
-             "partial JSON accumulator round count disagrees with the "
-             "envelope");
-  for (const ScalarBank* bank : {&p.bi_, &p.alpha_, &p.beta_, &p.stake_}) {
-    RS_REQUIRE(bank->backend() == envelope.backend,
-               "partial JSON scalar-bank backend disagrees with the "
-               "envelope");
-  }
+  RewardPayload p(ReductionState::from_json(kLayout, value, envelope.backend,
+                                            envelope.rounds));
+  p.infeasible_ = value.at("infeasible").as_size();
   return p;
 }
 
@@ -288,11 +255,7 @@ util::json::Value reward_spec_echo(const RewardExperimentConfig& config) {
   v.set("min_other_stake", config.min_other_stake
                                ? Value(*config.min_other_stake)
                                : Value());
-  v.set("agg", to_string(config.agg));
-  v.set("reservoir_capacity", config.streaming.reservoir_capacity);
-  Value grid = Value::array();
-  for (const double q : config.streaming.p2_grid) grid.push_back(q);
-  v.set("p2_grid", std::move(grid));
+  append_agg_echo(v, config.agg);
   return v;
 }
 
@@ -301,29 +264,17 @@ RewardPartial run_reward_partial(const RewardExperimentConfig& config) {
 
   const econ::RewardOptimizer optimizer(config.optimizer);
   const auto dist = config.stakes.make();
-
-  const ExperimentSpec spec{config.runs,    config.rounds_per_run,
-                            config.seed,    config.threads,
-                            config.inner_threads, config.shard};
-  validate(spec);
-  const ResolvedShard shard = resolve_shard(spec);
-  RewardPartial partial(
-      make_envelope(RewardPayload::kKind,
-                    spec_hash_hex(reward_spec_echo(config)), config.agg,
-                    config.runs, config.rounds_per_run, shard.begin,
-                    shard.end),
-      RewardPayload(config.rounds_per_run, config.agg, config.streaming));
-
-  run_and_reduce(
-      spec,
+  return run_partial<RewardPayload>(
+      {config.runs, config.rounds_per_run, config.seed, config.threads,
+       config.inner_threads, config.shard},
+      config.agg, reward_spec_echo(config),
       [&](std::size_t, util::Rng& rng, const RunContext& ctx) {
         return execute_run(config, optimizer, *dist, rng,
                            util::InnerExecutor(ctx.inner_pool));
       },
-      [&](std::size_t, RewardRun run) {
+      [&config](RewardPayload& payload, const RewardRun& run) {
         // Replayed in run order, feeding every bank in exactly the sample
         // order a serial loop would produce.
-        RewardPayload& payload = partial.payload();
         for (std::size_t i = 0; i < run.bi_algos.size(); ++i)
           payload.record_feasible(run.bi_algos[i], run.alphas[i],
                                   run.betas[i]);
@@ -331,7 +282,6 @@ RewardPartial run_reward_partial(const RewardExperimentConfig& config) {
           payload.record_round_bi(r, run.per_round_bi[r]);
         payload.record_run(run.total_stake, run.infeasible);
       });
-  return partial;
 }
 
 RewardExperimentResult run_reward_experiment(

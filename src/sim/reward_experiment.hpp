@@ -75,7 +75,6 @@ struct RewardExperimentConfig {
   /// only materialized under Exact — the Fig-6 histogram input; Streaming
   /// leaves it empty, which is the point.)
   AggBackend agg = AggBackend::Exact;
-  StreamingAggConfig streaming{};
   /// Run window THIS process executes (default: all runs); all result
   /// means are over the executed window.
   RunShard shard{};
@@ -108,8 +107,7 @@ class RewardPayload {
  public:
   static constexpr std::string_view kKind = "reward";
 
-  RewardPayload(std::size_t rounds, AggBackend backend,
-                const StreamingAggConfig& streaming);
+  RewardPayload(std::size_t rounds, AggBackend backend);
 
   /// One feasible round's optimizer outcome, in round order within the
   /// run: the B_i sample and the chosen split.
@@ -124,24 +122,16 @@ class RewardPayload {
 
   RewardExperimentResult finalize(const PartialEnvelope& envelope) const;
 
-  std::size_t accumulator_bytes() const;
+  std::size_t accumulator_bytes() const { return state_.memory_bytes(); }
 
   util::json::Value to_json() const;
   static RewardPayload from_json(const util::json::Value& value,
                                  const PartialEnvelope& envelope);
 
  private:
-  /// Deserialization path: adopts already-built state instead of
-  /// constructing (and discarding) fresh accumulators.
-  RewardPayload(std::unique_ptr<RoundAccumulator> per_round, ScalarBank bi,
-                ScalarBank alpha, ScalarBank beta, ScalarBank stake,
-                std::size_t infeasible);
+  explicit RewardPayload(ReductionState state) : state_(std::move(state)) {}
 
-  std::unique_ptr<RoundAccumulator> per_round_;
-  ScalarBank bi_;
-  ScalarBank alpha_;
-  ScalarBank beta_;
-  ScalarBank stake_;
+  ReductionState state_;  // per_round | bi, alpha, beta, stake
   std::size_t infeasible_ = 0;
 };
 

@@ -132,100 +132,55 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
   return result;
 }
 
-StrategicPayload::StrategicPayload(std::size_t rounds, AggBackend backend,
-                                   const StreamingAggConfig& streaming)
-    : coop_(make_accumulator(backend, rounds, streaming)),
-      final_(make_accumulator(backend, rounds, streaming)),
-      reward_(make_accumulator(backend, rounds, streaming)),
-      total_reward_(backend),
-      final_coop_(backend) {}
+namespace {
 
-StrategicPayload::StrategicPayload(std::unique_ptr<RoundAccumulator> coop,
-                                   std::unique_ptr<RoundAccumulator> final_acc,
-                                   std::unique_ptr<RoundAccumulator> reward,
-                                   ScalarBank total_reward,
-                                   ScalarBank final_coop)
-    : coop_(std::move(coop)),
-      final_(std::move(final_acc)),
-      reward_(std::move(reward)),
-      total_reward_(std::move(total_reward)),
-      final_coop_(std::move(final_coop)) {}
+// StrategicPayload's entries, in document order.
+enum Series : std::size_t { kCoop, kFinal, kReward };
+enum Bank : std::size_t { kTotalReward, kFinalCoop };
+
+const ReductionLayout kLayout{{"coop", "final", "reward"},
+                              {"total_reward", "final_coop"}};
+
+}  // namespace
+
+StrategicPayload::StrategicPayload(std::size_t rounds, AggBackend backend)
+    : state_(kLayout, backend, rounds) {}
 
 void StrategicPayload::record_round(std::size_t round_index,
                                     double cooperation_fraction,
                                     double final_fraction,
                                     double reward_algos) {
-  coop_->record(round_index, cooperation_fraction);
-  final_->record(round_index, final_fraction);
-  reward_->record(round_index, reward_algos);
+  state_.accumulator(kCoop).record(round_index, cooperation_fraction);
+  state_.accumulator(kFinal).record(round_index, final_fraction);
+  state_.accumulator(kReward).record(round_index, reward_algos);
 }
 
 void StrategicPayload::record_run(double total_reward_algos,
                                   double final_cooperation) {
-  total_reward_.record(total_reward_algos);
-  final_coop_.record(final_cooperation);
-}
-
-void StrategicPayload::merge(const StrategicPayload& next) {
-  coop_->merge(*next.coop_);
-  final_->merge(*next.final_);
-  reward_->merge(*next.reward_);
-  total_reward_.merge(next.total_reward_);
-  final_coop_.merge(next.final_coop_);
+  state_.bank(kTotalReward).record(total_reward_algos);
+  state_.bank(kFinalCoop).record(final_cooperation);
 }
 
 StrategicEnsembleResult StrategicPayload::finalize(
     const PartialEnvelope& envelope) const {
   StrategicEnsembleResult out;
-  out.cooperation_series = coop_->mean_series();
-  out.final_series = final_->mean_series();
-  out.reward_series = reward_->mean_series();
+  out.cooperation_series = state_.accumulator(kCoop).mean_series();
+  out.final_series = state_.accumulator(kFinal).mean_series();
+  out.reward_series = state_.accumulator(kReward).mean_series();
   // The historical reduction summed the per-run scalars left to right
   // and divided by the executed run count; ScalarBank::sum replays that
   // exactly under the exact backend.
   const auto executed = static_cast<double>(envelope.runs_executed());
-  out.mean_total_reward_algos = total_reward_.sum() / executed;
-  out.mean_final_cooperation = final_coop_.sum() / executed;
+  out.mean_total_reward_algos = state_.bank(kTotalReward).sum() / executed;
+  out.mean_final_cooperation = state_.bank(kFinalCoop).sum() / executed;
   out.accumulator_bytes = accumulator_bytes();
   return out;
 }
 
-std::size_t StrategicPayload::accumulator_bytes() const {
-  return coop_->memory_bytes() + final_->memory_bytes() +
-         reward_->memory_bytes() + total_reward_.memory_bytes() +
-         final_coop_.memory_bytes();
-}
-
-util::json::Value StrategicPayload::to_json() const {
-  util::json::Value v = util::json::Value::object();
-  v.set("coop", coop_->to_json());
-  v.set("final", final_->to_json());
-  v.set("reward", reward_->to_json());
-  v.set("total_reward", total_reward_.to_json());
-  v.set("final_coop", final_coop_.to_json());
-  return v;
-}
-
 StrategicPayload StrategicPayload::from_json(const util::json::Value& value,
                                              const PartialEnvelope& envelope) {
-  StrategicPayload p(accumulator_from_json(value.at("coop")),
-                     accumulator_from_json(value.at("final")),
-                     accumulator_from_json(value.at("reward")),
-                     ScalarBank::from_json(value.at("total_reward")),
-                     ScalarBank::from_json(value.at("final_coop")));
-  RS_REQUIRE(p.coop_->backend() == envelope.backend &&
-                 p.final_->backend() == envelope.backend &&
-                 p.reward_->backend() == envelope.backend,
-             "partial JSON accumulator backends disagree with the envelope");
-  RS_REQUIRE(p.coop_->rounds() == envelope.rounds &&
-                 p.final_->rounds() == envelope.rounds &&
-                 p.reward_->rounds() == envelope.rounds,
-             "partial JSON accumulator round counts disagree with the "
-             "envelope");
-  RS_REQUIRE(p.total_reward_.backend() == envelope.backend &&
-                 p.final_coop_.backend() == envelope.backend,
-             "partial JSON scalar-bank backend disagrees with the envelope");
-  return p;
+  return StrategicPayload(ReductionState::from_json(
+      kLayout, value, envelope.backend, envelope.rounds));
 }
 
 util::json::Value strategic_spec_echo(const StrategicEnsembleConfig& config) {
@@ -246,29 +201,16 @@ util::json::Value strategic_spec_echo(const StrategicEnsembleConfig& config) {
   v.set("churn_join", config.base.churn.join_probability);
   v.set("churn_min_live", config.base.churn.min_live);
   v.set("runs", config.runs);
-  v.set("agg", to_string(config.agg));
-  v.set("reservoir_capacity", config.streaming.reservoir_capacity);
-  Value grid = Value::array();
-  for (const double q : config.streaming.p2_grid) grid.push_back(q);
-  v.set("p2_grid", std::move(grid));
+  append_agg_echo(v, config.agg);
   return v;
 }
 
 StrategicPartial run_strategic_partial(const StrategicEnsembleConfig& config) {
   RS_REQUIRE(config.base.rounds > 0, "at least one round");
-  const ExperimentSpec spec{config.runs,    config.base.rounds,
-                            config.base.network.seed, config.threads,
-                            config.inner_threads, config.shard};
-  validate(spec);
-  const ResolvedShard shard = resolve_shard(spec);
-  StrategicPartial partial(
-      make_envelope(StrategicPayload::kKind,
-                    spec_hash_hex(strategic_spec_echo(config)), config.agg,
-                    config.runs, config.base.rounds, shard.begin, shard.end),
-      StrategicPayload(config.base.rounds, config.agg, config.streaming));
-
-  run_and_reduce(
-      spec,
+  return run_partial<StrategicPayload>(
+      {config.runs, config.base.rounds, config.base.network.seed,
+       config.threads, config.inner_threads, config.shard},
+      config.agg, strategic_spec_echo(config),
       [&config](std::size_t, util::Rng& rng, const RunContext& ctx) {
         StrategicLoopConfig run_config = config.base;
         run_config.network.seed = rng.seed_material();
@@ -276,8 +218,7 @@ StrategicPartial run_strategic_partial(const StrategicEnsembleConfig& config) {
         // ctx.inner_pool is the (possibly null) shared within-run pool.
         return run_strategic_loop(run_config, ctx.inner_pool);
       },
-      [&](std::size_t, StrategicLoopResult run) {
-        StrategicPayload& payload = partial.payload();
+      [](StrategicPayload& payload, const StrategicLoopResult& run) {
         for (std::size_t r = 0; r < run.rounds.size(); ++r) {
           payload.record_round(r, run.rounds[r].cooperation_fraction,
                                run.rounds[r].final_fraction,
@@ -285,7 +226,6 @@ StrategicPartial run_strategic_partial(const StrategicEnsembleConfig& config) {
         }
         payload.record_run(run.total_reward_algos, run.final_cooperation);
       });
-  return partial;
 }
 
 StrategicEnsembleResult run_strategic_ensemble(

@@ -93,7 +93,6 @@ struct StrategicEnsembleConfig {
   /// Reduction backend for the three per-round series (exact = the bit-
   /// identical sum/divide baseline; streaming = O(rounds) memory).
   AggBackend agg = AggBackend::Exact;
-  StreamingAggConfig streaming{};
   /// Run window THIS process executes (default: all runs); all result
   /// means are over the executed window.
   RunShard shard{};
@@ -118,36 +117,27 @@ class StrategicPayload {
  public:
   static constexpr std::string_view kKind = "strategic";
 
-  StrategicPayload(std::size_t rounds, AggBackend backend,
-                   const StreamingAggConfig& streaming);
+  StrategicPayload(std::size_t rounds, AggBackend backend);
 
   void record_round(std::size_t round_index, double cooperation_fraction,
                     double final_fraction, double reward_algos);
   void record_run(double total_reward_algos, double final_cooperation);
 
-  void merge(const StrategicPayload& next);
+  void merge(const StrategicPayload& next) { state_.merge(next.state_); }
 
   StrategicEnsembleResult finalize(const PartialEnvelope& envelope) const;
 
-  std::size_t accumulator_bytes() const;
+  std::size_t accumulator_bytes() const { return state_.memory_bytes(); }
 
-  util::json::Value to_json() const;
+  util::json::Value to_json() const { return state_.to_json(); }
   static StrategicPayload from_json(const util::json::Value& value,
                                     const PartialEnvelope& envelope);
 
  private:
-  /// Deserialization path: adopts already-built state instead of
-  /// constructing (and discarding) fresh accumulators.
-  StrategicPayload(std::unique_ptr<RoundAccumulator> coop,
-                   std::unique_ptr<RoundAccumulator> final_acc,
-                   std::unique_ptr<RoundAccumulator> reward,
-                   ScalarBank total_reward, ScalarBank final_coop);
+  explicit StrategicPayload(ReductionState state)
+      : state_(std::move(state)) {}
 
-  std::unique_ptr<RoundAccumulator> coop_;
-  std::unique_ptr<RoundAccumulator> final_;
-  std::unique_ptr<RoundAccumulator> reward_;
-  ScalarBank total_reward_;
-  ScalarBank final_coop_;
+  ReductionState state_;  // coop, final, reward | total_reward, final_coop
 };
 
 using StrategicPartial = ExperimentPartial<StrategicPayload>;

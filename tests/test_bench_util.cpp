@@ -230,28 +230,31 @@ TEST(BenchUtil, ArgShardKnobsWiresFormatAudit) {
   std::remove(path.c_str());
 }
 
-TEST(BenchUtil, NumericFlagsRejectMalformedValues) {
-  // Builds argv from `args`; the parsers only read it.
-  struct Argv {
-    std::vector<const char*> args;
-    int argc() const { return static_cast<int>(args.size()); }
-    char** argv() { return const_cast<char**>(args.data()); }
-  };
-  const auto with = [](std::vector<const char*> args) {
-    args.insert(args.begin(), "prog");
-    return Argv{std::move(args)};
-  };
-  // `parse` must throw std::invalid_argument naming `flag`.
-  const auto expect_refused = [](const std::string& flag, auto parse) {
-    try {
-      parse();
-      ADD_FAILURE() << flag << " accepted a malformed value";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
-          << e.what();
-    }
-  };
+// Builds argv from `args`; the parsers only read it.
+struct Argv {
+  std::vector<const char*> args;
+  int argc() const { return static_cast<int>(args.size()); }
+  char** argv() { return const_cast<char**>(args.data()); }
+};
 
+Argv with(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return Argv{std::move(args)};
+}
+
+// `parse` must throw std::invalid_argument naming `flag`.
+template <typename Parse>
+void expect_refused(const std::string& flag, Parse parse) {
+  try {
+    parse();
+    ADD_FAILURE() << flag << " accepted a malformed value";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BenchUtil, NumericFlagsRejectMalformedValues) {
   // A value parses whole or not at all: a truncating parse would run
   // --nodes=60k as 60 nodes and --runs=2e3 as 2 runs.
   for (const char* bad : {"--nodes=60k", "--nodes=2e3", "--nodes=",
@@ -305,6 +308,50 @@ TEST(BenchUtil, NumericFlagsRejectMalformedValues) {
   EXPECT_EQ(knobs.threads, 0u);
   EXPECT_EQ(knobs.inner_threads, 1u);
   EXPECT_EQ(knobs.agg, sim::AggBackend::Exact);
+}
+
+// Flags whose absence means "not set" decide that from the flag's
+// presence: an explicit negative value is refused naming the flag, not
+// read as absent (--run-begin=-3 used to run the whole figure).
+TEST(BenchUtil, RunWindowFlagsRefuseNegatives) {
+  // --run-begin / --run-end (every panel bench).
+  for (std::vector<const char*> args :
+       {std::vector<const char*>{"--run-begin=-3", "--run-end=2"},
+        std::vector<const char*>{"--run-begin=-3"},
+        std::vector<const char*>{"--run-begin=-1"}}) {
+    Argv a = with(args);
+    expect_refused("--run-begin",
+                   [&] { arg_run_shard(a.argc(), a.argv(), 4); });
+  }
+  Argv end = with({"--run-begin=1", "--run-end=-1"});
+  expect_refused("--run-end",
+                 [&] { arg_run_shard(end.argc(), end.argv(), 4); });
+  expect_refused("--run-end",
+                 [&] { arg_shard_knobs(end.argc(), end.argv(), 4); });
+
+  // orchestrate --reissue / --window and round_latency --rounds.
+  Argv negative = with({"--reissue=-2", "--window=-1", "--rounds=-2"});
+  expect_refused("--reissue", [&] {
+    arg_optional_size(negative.argc(), negative.argv(), "reissue");
+  });
+  expect_refused("--window", [&] {
+    arg_size(negative.argc(), negative.argv(), "window", 0);
+  });
+  expect_refused("--rounds", [&] {
+    arg_optional_size(negative.argc(), negative.argv(), "rounds");
+  });
+
+  // Absent flags keep their defaults; 0 is a value, not an absence.
+  Argv none = with({});
+  EXPECT_TRUE(arg_run_shard(none.argc(), none.argv(), 4).whole());
+  EXPECT_FALSE(arg_optional_size(none.argc(), none.argv(), "reissue"));
+  EXPECT_EQ(arg_size(none.argc(), none.argv(), "window", 0), 0u);
+  Argv zero = with({"--run-begin=0", "--reissue=0", "--window=0"});
+  const sim::RunShard from_zero = arg_run_shard(zero.argc(), zero.argv(), 4);
+  EXPECT_EQ(from_zero.begin, 0u);
+  EXPECT_EQ(from_zero.end, 4u);
+  EXPECT_EQ(arg_optional_size(zero.argc(), zero.argv(), "reissue"), 0u);
+  EXPECT_EQ(arg_size(zero.argc(), zero.argv(), "window", 0), 0u);
 }
 
 TEST(BenchUtil, ArgParsingReadsInnerThreads) {

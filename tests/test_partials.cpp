@@ -1,8 +1,9 @@
 // The universal experiment-partial layer (sim/partial.hpp): envelope
 // compatibility checks that name both sides, cross-kind rejection, JSON
-// round-trips for all three experiment payloads, kill-and-resume
-// bit-identity, property-style randomized shard splits, shard-window
-// tiling validation, and the ScalarBank reduction primitive.
+// round-trips for the experiment payloads, payload entries checked
+// against their envelope, kill-and-resume bit-identity, property-style
+// randomized shard splits, shard-window tiling validation, and the
+// ScalarBank reduction primitive.
 #include "sim/partial.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "sim/defection_experiment.hpp"
+#include "sim/longhorizon.hpp"
 #include "sim/reward_experiment.hpp"
 #include "sim/strategic_loop.hpp"
 #include "util/json.hpp"
@@ -249,6 +251,114 @@ TEST(Partials, JsonRoundTripIsExactForAllThreeFamilies) {
       EXPECT_EQ(a.mean_total_reward_algos, b.mean_total_reward_algos);
       EXPECT_EQ(a.mean_final_cooperation, b.mean_final_cooperation);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Every payload entry must agree with its envelope on load.
+
+LongHorizonConfig small_longhorizon(AggBackend agg) {
+  LongHorizonConfig config;
+  config.node_count = 200;
+  config.seed = 17;
+  config.runs = 2;
+  config.rounds_per_run = 6;
+  config.agg = agg;
+  return config;
+}
+
+// `object` with the member at path[depth...] replaced by `entry`; every
+// other member keeps its place.
+util::json::Value with_entry(const util::json::Value& object,
+                             const std::vector<std::string>& path,
+                             const util::json::Value& entry,
+                             std::size_t depth = 0) {
+  util::json::Value out = util::json::Value::object();
+  for (const auto& [key, value] : object.as_object()) {
+    if (key != path[depth]) {
+      out.set(key, value);
+    } else {
+      out.set(key, depth + 1 == path.size()
+                       ? entry
+                       : with_entry(value, path, entry, depth + 1));
+    }
+  }
+  return out;
+}
+
+// Splices the payload entry at `path` of `donor` into `base` and expects
+// the load to be refused naming the entry ("metrics.tentative").
+template <typename PartialT>
+void expect_spliced_entry_refused(const PartialT& base, const PartialT& donor,
+                                  const std::vector<std::string>& path) {
+  std::vector<std::string> full{"payload"};
+  full.insert(full.end(), path.begin(), path.end());
+  const util::json::Value donor_doc = donor.to_json();
+  const util::json::Value* entry = &donor_doc;
+  for (const std::string& key : full) entry = &entry->at(key);
+  std::string name;
+  for (const std::string& key : path) name += (name.empty() ? "" : ".") + key;
+
+  const util::json::Value spliced =
+      with_entry(base.to_json(), full, *entry);
+  try {
+    PartialT::from_json(spliced);
+    ADD_FAILURE() << "a spliced \"" << name << "\" entry loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"" + name + "\""),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Partials, PayloadEntriesMustMatchTheirEnvelope) {
+  {
+    const DefectionExperimentConfig config = small_defection(AggBackend::Exact);
+    DefectionExperimentConfig shorter = config;
+    shorter.rounds = 2;
+    const DefectionPartial base = run_defection_partial(config);
+    const DefectionPartial fewer_rounds = run_defection_partial(shorter);
+    const DefectionPartial streaming =
+        run_defection_partial(small_defection(AggBackend::Streaming));
+    expect_spliced_entry_refused(base, fewer_rounds, {"metrics", "final"});
+    expect_spliced_entry_refused(base, fewer_rounds,
+                                 {"metrics", "tentative"});
+    expect_spliced_entry_refused(base, streaming, {"metrics", "none"});
+    expect_spliced_entry_refused(base, streaming, {"live"});
+  }
+  {
+    const RewardExperimentConfig config = small_reward(AggBackend::Exact);
+    RewardExperimentConfig shorter = config;
+    shorter.rounds_per_run = 1;
+    const RewardPartial base = run_reward_partial(config);
+    expect_spliced_entry_refused(base, run_reward_partial(shorter),
+                                 {"per_round"});
+    expect_spliced_entry_refused(
+        base, run_reward_partial(small_reward(AggBackend::Streaming)),
+        {"stake"});
+  }
+  {
+    const StrategicEnsembleConfig config = small_strategic(AggBackend::Exact);
+    StrategicEnsembleConfig shorter = config;
+    shorter.base.rounds = 2;
+    const StrategicPartial base = run_strategic_partial(config);
+    expect_spliced_entry_refused(base, run_strategic_partial(shorter),
+                                 {"final"});
+    expect_spliced_entry_refused(
+        base, run_strategic_partial(small_strategic(AggBackend::Streaming)),
+        {"final_coop"});
+  }
+  {
+    const LongHorizonConfig config = small_longhorizon(AggBackend::Exact);
+    LongHorizonConfig shorter = config;
+    shorter.rounds_per_run = 4;
+    const LongHorizonPartial base = run_longhorizon_partial(config);
+    expect_spliced_entry_refused(base, run_longhorizon_partial(shorter),
+                                 {"corr"});
+    expect_spliced_entry_refused(
+        base,
+        run_longhorizon_partial(small_longhorizon(AggBackend::Streaming)),
+        {"paid"});
   }
 }
 
