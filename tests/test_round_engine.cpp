@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "crypto/hash.hpp"
+#include "crypto/sha256.hpp"
+
 namespace roleshare::sim {
 namespace {
 
@@ -239,6 +245,81 @@ TEST(RoundEngine, GossipCountsDescribeOnlyTheLastRound) {
   EXPECT_EQ(ws.gossip_counts.certified, 0u);
   EXPECT_EQ(ws.gossip_counts.exact, 0u);
   EXPECT_EQ(ws.gossip_counts.classes, 0u);
+}
+
+// Folds one round's whole report into `sha`: the aggregates (fractions as
+// bit patterns), every per-node outcome, the roles and stakes of both
+// snapshots, the round's gossip counts and the chain tip it appended.
+void hash_round(crypto::Sha256& sha, const RoundResult& r,
+                const RoundWorkspace& ws, const Network& net) {
+  sha.update_u64(r.round);
+  sha.update_u64(r.live_count);
+  sha.update_u64(std::bit_cast<std::uint64_t>(r.final_fraction));
+  sha.update_u64(std::bit_cast<std::uint64_t>(r.tentative_fraction));
+  sha.update_u64(std::bit_cast<std::uint64_t>(r.none_fraction));
+  sha.update_u64(r.non_empty_block ? 1 : 0);
+  sha.update_u64(r.proposals);
+  sha.update_u64(static_cast<std::uint64_t>(r.synchrony));
+  sha.update_u64(r.outcomes.size());
+  for (const NodeOutcome o : r.outcomes)
+    sha.update_u64(static_cast<std::uint64_t>(o));
+  for (const econ::RoleSnapshot* s : {&*r.roles, &*r.roles_true}) {
+    sha.update_u64(s->node_count());
+    for (std::size_t v = 0; v < s->node_count(); ++v) {
+      sha.update_u64(static_cast<std::uint64_t>(s->roles()[v]));
+      sha.update_u64(static_cast<std::uint64_t>(s->stakes()[v]));
+    }
+  }
+  sha.update_u64(ws.gossip_counts.certified);
+  sha.update_u64(ws.gossip_counts.exact);
+  sha.update_u64(ws.gossip_counts.classes);
+  sha.update(net.chain().tip().hash().bytes());
+}
+
+TEST(RoundEngine, RoundOutputIsPinned) {
+  // Every byte run_round_into reports over eight rounds with defectors,
+  // offline nodes, a departure after round 3 and a forced degraded run
+  // from round 6 (delays x60: the per-node core runs exact Dijkstra and
+  // some nodes miss the deadlines). A change to the round phases must
+  // keep all of it.
+  struct Case {
+    consensus::CommitteeModel model;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {consensus::CommitteeModel::PerNodeVrf,
+       "13f3dcbd4ce695e800bbefc2f4df23a6fe24c76e36499df6399f4e360b1f89ee"},
+      {consensus::CommitteeModel::Sampled,
+       "834e740555398a686d174e229a34bbf4eb00df869b9ad9ef7f1c37dd8f8dc0b0"},
+  };
+  for (const Case& c : cases) {
+    NetworkConfig config = config_with(0.15, 200, 71);
+    config.faulty_rate = 0.05;
+    config.synchrony.degraded_delay_factor = 60.0;
+    Network net(config);
+    consensus::ConsensusParams params = params_for(net);
+    params.committee_model = c.model;
+    RoundEngine engine(net, params);
+    ledger::NodeId departing = 0;
+    while (net.strategies()[departing] != game::Strategy::Cooperate)
+      ++departing;
+    RoundWorkspace ws;
+    RoundResult result;
+    crypto::Sha256 sha;
+    std::size_t exact = 0;
+    for (int r = 1; r <= 8; ++r) {
+      if (r == 4) net.set_live(departing, false);
+      if (r == 6) net.synchrony().force(net::SynchronyState::Degraded);
+      engine.run_round_into(result, ws);
+      hash_round(sha, result, ws, net);
+      exact += ws.gossip_counts.exact;
+    }
+    if (c.model == consensus::CommitteeModel::PerNodeVrf) {
+      EXPECT_GT(exact, 0u);
+    }
+    EXPECT_EQ(crypto::Hash256(sha.finalize()).to_hex(), c.digest)
+        << "model " << static_cast<int>(c.model);
+  }
 }
 
 TEST(RoundEngine, DegradedSynchronyHurtsOutcomes) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
+#include "crypto/hash.hpp"
+#include "crypto/sha256.hpp"
 #include "econ/foundation_schedule.hpp"
 #include "econ/sparse_payout.hpp"
 #include "sim/round_engine.hpp"
@@ -251,6 +254,62 @@ TEST(SparseRoundWorkspace, SteadyStateCapacityStable) {
     apply_payouts(net, result, &ctx);
   }
   EXPECT_EQ(ws.capacity_bytes(), warm);
+}
+
+TEST(SampledRound, RoundOutputIsPinned) {
+  // Every byte run_round_sparse_into reports over twelve rounds with
+  // defectors, offline nodes, a departure after round 4 and a forced
+  // degraded run from round 8, while one touched node per round is
+  // credited and refreshed into the context. A change to the round
+  // phases must keep all of it.
+  NetworkConfig config = config_with(0.15, 300, 73);
+  config.faulty_rate = 0.05;
+  config.synchrony.degraded_delay_factor = 60.0;
+  Network net(config);
+  RoundEngine engine(net, sampled_params_for(net));
+  SparseRoundContext ctx;
+  ctx.init_from(net);
+  SparseRoundWorkspace ws;
+  SparseRoundResult result;
+  ledger::NodeId departing = 0;
+  while (net.strategies()[departing] != game::Strategy::Cooperate)
+    ++departing;
+  crypto::Sha256 sha;
+  for (std::size_t r = 1; r <= 12; ++r) {
+    if (r == 5) {
+      net.set_live(departing, false);
+      ctx.refresh_node(net, departing);
+    }
+    if (r == 8) net.synchrony().force(net::SynchronyState::Degraded);
+    engine.run_round_sparse_into(result, ctx, ws);
+    sha.update_u64(result.round);
+    sha.update_u64(result.live_count);
+    sha.update_u64(result.online_count);
+    sha.update_u64(static_cast<std::uint64_t>(result.online_stake));
+    sha.update_u64(static_cast<std::uint64_t>(result.online_outcome));
+    sha.update_u64(std::bit_cast<std::uint64_t>(result.final_fraction));
+    sha.update_u64(std::bit_cast<std::uint64_t>(result.tentative_fraction));
+    sha.update_u64(std::bit_cast<std::uint64_t>(result.none_fraction));
+    sha.update_u64(result.non_empty_block ? 1 : 0);
+    sha.update_u64(result.proposals);
+    sha.update_u64(static_cast<std::uint64_t>(result.synchrony));
+    sha.update_u64(result.touched.size());
+    for (const SparseNodeRole& t : result.touched) {
+      sha.update_u64(t.node);
+      sha.update_u64(static_cast<std::uint64_t>(t.role_true));
+      sha.update_u64(static_cast<std::uint64_t>(t.role_observed));
+      sha.update_u64(static_cast<std::uint64_t>(t.reward_stake));
+    }
+    sha.update(net.chain().tip().hash().bytes());
+
+    ASSERT_FALSE(result.touched.empty());
+    const ledger::NodeId credited =
+        result.touched[r % result.touched.size()].node;
+    net.accounts().credit(credited, 3 * ledger::kMicroPerAlgo);
+    ctx.refresh_node(net, credited);
+  }
+  EXPECT_EQ(crypto::Hash256(sha.finalize()).to_hex(),
+            "72151fb0db3a49c9e2aa8adf823c6f6c95c8310347a34660cd3dd267a89b2741");
 }
 
 TEST(SampledRound, TouchedNodesAreUniqueAndOnlineStakeConsistent) {
