@@ -88,12 +88,12 @@ class RoundEngine {
   void run_round_into(RoundResult& result, RoundWorkspace& ws);
 
   /// The O(committee · log N) round path (requires CommitteeModel::
-  /// Sampled): runs the sparse core on a caller-maintained context —
-  /// NOT rebuilt here; the caller owns keeping it in sync with the network
-  /// via SparseRoundContext::refresh_node — and reports only aggregates
-  /// plus the touched-node roles. Bit-identical to run_round_into's
-  /// sampled dispatch whenever `ctx` matches the ledger (the property
-  /// tests/prop/prop_sparse.cpp locks).
+  /// Sampled; defined in sampled_round.cpp): runs the sparse core on a
+  /// caller-maintained context — NOT rebuilt here; the caller owns keeping
+  /// it in sync with the network via SparseRoundContext::refresh_node —
+  /// and reports only aggregates plus the touched-node roles. Bit-identical
+  /// to run_round_into's sampled dispatch whenever `ctx` matches the
+  /// ledger (the property tests/prop/prop_sparse.cpp locks).
   void run_round_sparse_into(SparseRoundResult& result,
                              const SparseRoundContext& ctx,
                              SparseRoundWorkspace& ws);

@@ -18,6 +18,23 @@ std::size_t nested_bytes(const std::vector<std::vector<T>>& v) {
 
 }  // namespace
 
+std::size_t GossipBatch::capacity_bytes() const {
+  std::size_t total = vec_bytes(reach_class) + vec_bytes(rows);
+  total += vec_bytes(exact) + vec_bytes(labels) + vec_bytes(seeds);
+  total += nested_bytes(arrivals);
+  for (const net::GossipScratch& s : scratch) total += vec_bytes(s.frontier);
+  return total;
+}
+
+std::size_t SparseRoundWorkspace::capacity_bytes() const {
+  return vec_bytes(touched_epoch) + vec_bytes(touched_slot) +
+         vec_bytes(seat_epoch) + vec_bytes(seat_slot) + vec_bytes(members) +
+         vec_bytes(weights) + vec_bytes(origin_labels) +
+         vec_bytes(origin_seeds) + vec_bytes(proposer_ids) +
+         vec_bytes(proposer_priorities) + vec_bytes(proposal_arrivals) +
+         vec_bytes(proposal_hashes) + vec_bytes(proposal_blocks);
+}
+
 std::size_t RoundWorkspace::capacity_bytes() const {
   std::size_t total = 0;
   total += vec_bytes(stakes);
@@ -25,23 +42,12 @@ std::size_t RoundWorkspace::capacity_bytes() const {
   total += vec_bytes(observed_roles) + vec_bytes(true_roles);
   total += vec_bytes(proposer_draws);
   total += vec_bytes(proposals) + vec_bytes(proposal_hashes);
-  total += vec_bytes(proposer_labels) + vec_bytes(proposer_seeds);
-  total += vec_bytes(proposal_class) + vec_bytes(proposal_rows);
-  total += vec_bytes(proposal_exact);
-  total += nested_bytes(proposal_arrivals);
-  for (const net::GossipScratch& s : proposal_scratch)
-    total += vec_bytes(s.frontier);
+  total += proposal_gossip.capacity_bytes();
   total += vec_bytes(best_idx);
   total += reach.capacity_bytes();
   total += vec_bytes(step.committee.members) + vec_bytes(step.draws);
-  total += vec_bytes(step.votes);
-  total += vec_bytes(step.origin_labels) + vec_bytes(step.origin_seeds);
-  total += vec_bytes(step.vote_class) + vec_bytes(step.exact);
-  total += nested_bytes(step.arrivals);
-  for (const net::GossipScratch& s : step.scratch)
-    total += vec_bytes(s.frontier);
-  total += vec_bytes(step.valid) + vec_bytes(step.counted);
-  total += vec_bytes(step.counted_rows);
+  total += vec_bytes(step.votes) + step.gossip.capacity_bytes();
+  total += vec_bytes(step.valid) + vec_bytes(step.counted_rows);
   total += vec_bytes(step.counted_weight) + vec_bytes(step.counted_value_id);
   total += vec_bytes(step.counted_coin_hash) + vec_bytes(step.values);
   total += vec_bytes(step.slot_class) + vec_bytes(step.slot_masks);

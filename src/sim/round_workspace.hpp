@@ -15,9 +15,12 @@
 // (re)sized from the current network before use, so reusing a "dirty"
 // workspace from a different run is safe and bit-identical to starting
 // from a fresh one.
+// The round's proposals and each step's votes are one GossipBatch each,
+// filled by fill_gossip_batch (round_phases.hpp).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -42,30 +45,42 @@ struct StepOutcome {
   bool coin = false;
 };
 
+/// One certify-or-Dijkstra gossip batch: the proposals of a round or the
+/// votes of one step (DESIGN.md §5). An item whose origin the reachability
+/// certificate covers reads its reach class's mask; every other item runs
+/// Dijkstra on its own (step, origin) stream into an arrival row.
+struct GossipBatch {
+  /// reach_class of an item that runs exact Dijkstra (no certificate).
+  static constexpr std::uint32_t kExact =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Per item: its origin (the caller's input, the derive_seeds label of
+  /// its stream), the seed derived from it, its reach class or kExact,
+  /// and the arrival row of an exact item (nullptr otherwise).
+  std::vector<std::uint64_t> labels;
+  std::vector<std::uint64_t> seeds;
+  std::vector<std::uint32_t> reach_class;
+  std::vector<const net::TimeMs*> rows;
+  /// The exact items, in item order.
+  std::vector<std::uint32_t> exact;
+  /// Pools indexed by exact item: arrival rows and Dijkstra scratch.
+  /// Grown but never shrunk, so inner capacity survives across batches.
+  std::vector<std::vector<net::TimeMs>> arrivals;
+  std::vector<net::GossipScratch> scratch;
+
+  std::size_t capacity_bytes() const;
+};
+
 /// Working memory of one voting step (reused by every step of every round).
 struct StepWorkspace {
   consensus::Committee committee;
   std::vector<crypto::SortitionResult> draws;
   std::vector<consensus::Vote> votes;
-  /// Chunked RNG derivation: per-vote origin labels and the child seeds
-  /// derived from the step's gossip stream in one derive_seeds call.
-  std::vector<std::uint64_t> origin_labels;
-  std::vector<std::uint64_t> origin_seeds;
-  /// Per vote: its reach class when the certificate holds, else kExact.
-  std::vector<std::uint32_t> vote_class;
-  /// The uncertified votes, in vote order; the e-th runs Dijkstra into
-  /// arrivals[e] on scratch[e].
-  std::vector<std::uint32_t> exact;
-  /// Pools indexed by exact vote: arrival rows and Dijkstra scratch.
-  /// Grown but never shrunk, so inner capacity survives across steps.
-  std::vector<std::vector<net::TimeMs>> arrivals;
-  std::vector<net::GossipScratch> scratch;
+  /// One item per vote, in vote order.
+  GossipBatch gossip;
   std::vector<std::uint8_t> valid;
-  /// Flat tally tables, computed once per step (not once per node):
-  /// counted[j] indexes the j-th valid uncertified vote; rows/weight/
-  /// value_id/coin_hash are parallel to counted. values holds the
-  /// distinct voted values of all valid votes.
-  std::vector<std::uint32_t> counted;
+  /// Flat tally tables, computed once per step (not once per node): the
+  /// counted_* arrays hold the valid uncertified votes in vote order, and
+  /// values the distinct voted values of all valid votes.
   std::vector<const net::TimeMs*> counted_rows;  // arrival row per counted vote
   std::vector<std::uint64_t> counted_weight;
   std::vector<std::uint32_t> counted_value_id;
@@ -106,17 +121,8 @@ struct RoundWorkspace {
   /// Block hashes computed once per proposal (Block::hash() walks the
   /// whole transaction list — per (node, proposal) it dominated the round).
   std::vector<crypto::Hash256> proposal_hashes;
-  std::vector<std::uint64_t> proposer_labels;
-  std::vector<std::uint64_t> proposer_seeds;
-  /// Per proposal: its reach class when the certificate holds, else the
-  /// engine's exact marker, plus the arrival row of an uncertified one.
-  std::vector<std::uint32_t> proposal_class;
-  std::vector<const net::TimeMs*> proposal_rows;
-  /// The uncertified proposals, in proposal order.
-  std::vector<std::uint32_t> proposal_exact;
-  /// Pools indexed by uncertified proposal, like StepWorkspace::arrivals.
-  std::vector<std::vector<net::TimeMs>> proposal_arrivals;
-  std::vector<net::GossipScratch> proposal_scratch;
+  /// One item per proposal, in proposal order.
+  GossipBatch proposal_gossip;
   std::vector<int> best_idx;
 
   /// Reach classes of the round's relay set, shared by every step.
@@ -139,8 +145,8 @@ struct RoundWorkspace {
   std::vector<std::int64_t> reward_stakes_true;
 
   // Sampled-model state (CommitteeModel::Sampled): the dense evaluation
-  // rebuilds `sampled_context` from the ledger every round and runs the
-  // sparse core on these buffers before expanding the full RoundResult.
+  // rebuilds `sampled_context` from the ledger every round, calls
+  // run_round_sparse_into on these buffers and expands the RoundResult.
   SparseRoundContext sampled_context;
   SparseRoundWorkspace sampled_scratch;
   SparseRoundResult sampled_result;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <type_traits>
 
 #include "consensus/binary_ba.hpp"
 #include "consensus/reduction.hpp"
@@ -12,6 +11,7 @@
 #include "net/sim_time.hpp"
 #include "sim/network.hpp"
 #include "sim/round_engine.hpp"
+#include "sim/round_phases.hpp"
 #include "sim/round_workspace.hpp"
 #include "util/require.hpp"
 
@@ -97,11 +97,6 @@ void elect_into(const SparseRoundContext& ctx, util::Rng stream,
   }
 }
 
-struct RepresentativeStep {
-  std::optional<Hash256> winner;
-  bool coin = false;
-};
-
 }  // namespace
 
 std::uint32_t mean_field_hops(std::size_t online, std::size_t relays,
@@ -131,20 +126,14 @@ void SparseRoundContext::init_from(const Network& net) {
   std::vector<std::int64_t> stakes(n, 0);
   net.accounts().stakes_into(stakes);
   for (std::size_t v = 0; v < n; ++v) {
-    const auto id = static_cast<NodeId>(v);
-    if (!net.live(id)) {
-      stakes[v] = 0;
-      continue;
-    }
-    if (strategies[v] != Strategy::Offline) {
-      online_[v] = 1;
-      ++online_count_;
-      online_stake_ += stakes[v];
-    }
-    if (strategies[v] == Strategy::Cooperate) {
-      relay_[v] = 1;
-      ++relay_count_;
-    }
+    const bool live = net.live(static_cast<NodeId>(v));
+    if (!live) stakes[v] = 0;
+    const Presence p = presence_of(live, strategies[v]);
+    online_[v] = p.online;
+    relay_[v] = p.relay;
+    online_count_ += p.online ? 1 : 0;
+    relay_count_ += p.relay ? 1 : 0;
+    if (p.online) online_stake_ += stakes[v];
   }
   index_.rebuild(stakes);
 }
@@ -153,10 +142,8 @@ void SparseRoundContext::refresh_node(const Network& net, NodeId v) {
   RS_REQUIRE(static_cast<std::size_t>(v) < index_.size(),
              "sparse context: node out of range");
   const bool live = net.live(v);
-  const Strategy strategy = net.strategies()[v];
   const std::int64_t stake = live ? net.accounts().stake(v) : 0;
-  const bool online = live && strategy != Strategy::Offline;
-  const bool relay = live && strategy == Strategy::Cooperate;
+  const auto [online, relay] = presence_of(live, net.strategies()[v]);
 
   const std::int64_t old_stake = index_.stake_of(v);
   const bool was_online = online_[v] != 0;
@@ -169,37 +156,22 @@ void SparseRoundContext::refresh_node(const Network& net, NodeId v) {
   index_.update(v, stake);
 }
 
-std::size_t SparseRoundWorkspace::capacity_bytes() const {
-  auto bytes = [](const auto& v) {
-    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
-  };
-  return bytes(touched_epoch) + bytes(touched_slot) + bytes(seat_epoch) +
-         bytes(seat_slot) + bytes(members) + bytes(weights) +
-         bytes(origin_labels) + bytes(origin_seeds) + bytes(proposer_ids) +
-         bytes(proposer_priorities) + bytes(proposal_arrivals) +
-         bytes(proposal_hashes) + bytes(proposal_blocks);
-}
-
-void run_sampled_round_into(Network& net,
-                            const consensus::ConsensusParams& params,
-                            SparseRoundResult& out,
-                            const SparseRoundContext& ctx,
-                            SparseRoundWorkspace& ws) {
-  RS_REQUIRE(params.committee_model == consensus::CommitteeModel::Sampled,
+void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
+                                        const SparseRoundContext& ctx,
+                                        SparseRoundWorkspace& ws) {
+  Network& net = network_;
+  RS_REQUIRE(params_.committee_model == consensus::CommitteeModel::Sampled,
              "sparse round path requires CommitteeModel::Sampled");
   const std::size_t n = net.node_count();
   RS_REQUIRE(ctx.size() == n, "sparse context population mismatch");
-  const std::int64_t total_stake = ctx.index().total();
-  RS_REQUIRE(total_stake > 0,
-             "network has no live stake — churn floor left no live nodes");
 
-  const ledger::Round round = net.chain().next_round();
-  util::Rng rng = net.round_rng(round);
-  // Same stream tree as the dense engine: `rng` feeds the synchrony draw,
-  // gossip delays hang off split("gossip") per (step, origin), and seat
-  // draws off split("election") per step (DESIGN.md §4, §10).
-  const util::Rng gossip_root = rng.split("gossip");
-  const util::Rng election_root = rng.split("election");
+  // Same stream tree as the dense engine, plus seat draws on
+  // split("election") per step (DESIGN.md §4, §10).
+  const RoundOpening open = open_round(net, ctx.index().total());
+  const ledger::Round round = open.round;
+  const Hash256& prev_seed = open.prev_seed;
+  const Hash256& empty_hash = open.empty_hash;
+  const util::Rng election_root = open.rng.split("election");
 
   if (ws.touched_epoch.size() != n) {
     ws.touched_epoch.assign(n, 0);
@@ -216,26 +188,18 @@ void run_sampled_round_into(Network& net,
   out.live_count = net.live_count();
   out.online_count = ctx.online_count();
   out.online_stake = ctx.online_stake();
-  out.synchrony = net.synchrony().advance_round(rng);
-  out.non_empty_block = false;
+  out.synchrony = open.synchrony;
   out.online_outcome = NodeOutcome::NoBlock;
 
   const double delay_factor = net.synchrony().delay_factor();
   const std::uint32_t hops = mean_field_hops(
       ctx.online_count(), ctx.relay_count(), net.config().fan_out);
 
-  const Hash256 prev_seed = net.chain().current_seed();
-  const Hash256 next_seed = net.chain().next_seed();
-  const Hash256 tip_hash = net.chain().tip().hash();
-  const ledger::Block empty_block =
-      ledger::Block::empty(round, tip_hash, next_seed);
-  const Hash256 empty_hash = empty_block.hash();
-
   const std::vector<Strategy>& strategies = net.strategies();
 
   // ---- Block proposal phase -------------------------------------------
   elect_into(ctx, election_root.split(consensus::kProposerStep),
-             params.expected_proposer_stake, ws);
+             params_.expected_proposer_stake, ws);
 
   // Cooperating winners broadcast; the best-priority proposal whose
   // mean-field arrival beats the proposal timeout becomes the shared
@@ -248,10 +212,9 @@ void run_sampled_round_into(Network& net,
   ws.proposal_blocks.clear();
 
   const util::Rng proposer_stream =
-      gossip_root.split(consensus::kProposerStep);
+      open.gossip_root.split(consensus::kProposerStep);
   ws.origin_labels.clear();
-  for (std::size_t i = 0; i < ws.members.size(); ++i) {
-    const NodeId v = ws.members[i];
+  for (const NodeId v : ws.members) {
     const std::size_t slot = touch(ws, out, ctx, v);
     out.touched[slot].role_true = Role::Leader;
     if (strategies[v] != Strategy::Cooperate) continue;
@@ -269,7 +232,7 @@ void run_sampled_round_into(Network& net,
     ws.proposal_arrivals.push_back(
         mean_field_arrival(prng, net, v, hops, delay_factor));
     ws.proposal_blocks.push_back(
-        ledger::Block::make(round, tip_hash, next_seed,
+        ledger::Block::make(round, open.tip_hash, open.next_seed,
                             net.keys()[v].public_key(), net.txpool().peek(64)));
     ws.proposal_hashes.push_back(ws.proposal_blocks.back().hash());
   }
@@ -278,11 +241,11 @@ void run_sampled_round_into(Network& net,
   // The shared view: best timely proposal by (priority, lower hash).
   int best = -1;
   for (std::size_t p = 0; p < np; ++p) {
-    if (ws.proposal_arrivals[p] > params.proposal_timeout_ms) continue;
+    if (ws.proposal_arrivals[p] > params_.proposal_timeout_ms) continue;
     const auto b = static_cast<std::size_t>(best);
-    if (best < 0 || ws.proposer_priorities[p] > ws.proposer_priorities[b] ||
-        (ws.proposer_priorities[p] == ws.proposer_priorities[b] &&
-         ws.proposal_hashes[p] < ws.proposal_hashes[b])) {
+    if (best < 0 ||
+        outranks(ws.proposer_priorities[p], ws.proposal_hashes[p],
+                 ws.proposer_priorities[b], ws.proposal_hashes[b])) {
       best = static_cast<int>(p);
     }
   }
@@ -295,110 +258,85 @@ void run_sampled_round_into(Network& net,
   const auto vote_step = [&](std::uint32_t step, std::uint64_t tau,
                              double quorum,
                              const std::optional<Hash256>& value)
-      -> RepresentativeStep {
-    RepresentativeStep result;
+      -> StepOutcome {
+    StepOutcome result;
     elect_into(ctx, election_root.split(step), tau, ws);
-    const util::Rng step_stream = gossip_root.split(step);
+    const util::Rng step_stream = open.gossip_root.split(step);
     ws.origin_labels.clear();
-    for (std::size_t i = 0; i < ws.members.size(); ++i) {
-      const NodeId v = ws.members[i];
+    for (const NodeId v : ws.members) {
       const std::size_t slot = touch(ws, out, ctx, v);
-      if (out.touched[slot].role_true == Role::Other)
-        out.touched[slot].role_true = Role::Committee;
-      if (strategies[v] != Strategy::Cooperate) continue;
-      if (!value.has_value()) continue;
-      if (out.touched[slot].role_observed == Role::Other)
-        out.touched[slot].role_observed = Role::Committee;
-      ws.origin_labels.push_back(i);  // index into members/weights
+      mark_committee(out.touched[slot].role_true);
+      if (strategies[v] != Strategy::Cooperate || !value.has_value()) continue;
+      mark_committee(out.touched[slot].role_observed);
+      ws.origin_labels.push_back(v);
     }
     if (!value.has_value() || ws.origin_labels.empty()) return result;
 
-    // One arrival per vote, on the voter's (step, origin) stream.
+    // One arrival per vote, on the voter's (step, origin) stream; the
+    // voter's weight is the seats it won (seat_slot bookkeeping).
     const std::size_t nv = ws.origin_labels.size();
     ws.origin_seeds.resize(nv);
-    for (std::size_t j = 0; j < nv; ++j)
-      ws.origin_labels[j] = ws.members[ws.origin_labels[j]];
-    // origin_labels now holds voter ids; re-derive the member slots from
-    // seat bookkeeping for the weights.
     step_stream.derive_seeds(ws.origin_labels, ws.origin_seeds);
 
     std::uint64_t tally = 0;
-    bool any = false;
-    Hash256 min_coin_hash;
+    CommonCoin coin;
     for (std::size_t j = 0; j < nv; ++j) {
       const NodeId voter = static_cast<NodeId>(ws.origin_labels[j]);
       util::Rng vrng(ws.origin_seeds[j]);
       const net::TimeMs arrival =
           mean_field_arrival(vrng, net, voter, hops, delay_factor);
-      if (arrival > params.step_timeout_ms) continue;
+      if (arrival > params_.step_timeout_ms) continue;
       tally += ws.weights[ws.seat_slot[voter]];
       const Hash256 vrf = sampled_vrf_output(prev_seed, round, step, voter);
-      const Hash256 coin_hash =
-          crypto::HashBuilder("roleshare.coin").add(vrf).build();
-      if (!any || coin_hash < min_coin_hash) {
-        min_coin_hash = coin_hash;
-        any = true;
-      }
+      coin.add(crypto::HashBuilder("roleshare.coin").add(vrf).build());
     }
     if (static_cast<double>(tally) > quorum) result.winner = value;
-    result.coin = any && (min_coin_hash.bytes().back() & 1) != 0;
+    result.coin = coin.bit();
     return result;
   };
 
-  const double step_quorum = params.step_quorum();
+  const double step_quorum = params_.step_quorum();
   const std::optional<Hash256> best_proposal =
       best >= 0 ? std::optional<Hash256>(
                       ws.proposal_hashes[static_cast<std::size_t>(best)])
                 : std::nullopt;
 
-  const RepresentativeStep step1 = vote_step(
-      consensus::kReductionStep1, params.expected_step_stake, step_quorum,
+  const StepOutcome step1 = vote_step(
+      consensus::kReductionStep1, params_.expected_step_stake, step_quorum,
       consensus::reduction_step1_value(best_proposal, empty_hash));
-  const RepresentativeStep step2 =
-      vote_step(consensus::kReductionStep2, params.expected_step_stake,
+  const StepOutcome step2 =
+      vote_step(consensus::kReductionStep2, params_.expected_step_stake,
                 step_quorum, step1.winner.value_or(empty_hash));
 
   consensus::BinaryBaState ba(step2.winner.value_or(empty_hash), empty_hash,
-                              params.max_binary_iterations);
+                              params_.max_binary_iterations);
   const std::uint32_t last_step =
-      consensus::kFirstBinaryStep + 3 * params.max_binary_iterations;
+      consensus::kFirstBinaryStep + 3 * params_.max_binary_iterations;
   for (std::uint32_t step = consensus::kFirstBinaryStep;
        step < last_step && out.online_count > 0 && ba.running(); ++step) {
     const std::optional<Hash256> value =
         ba.step_number() == step ? std::optional<Hash256>(ba.vote_value())
                                  : std::nullopt;
-    const RepresentativeStep s =
-        vote_step(step, params.expected_step_stake, step_quorum, value);
+    const StepOutcome s =
+        vote_step(step, params_.expected_step_stake, step_quorum, value);
     if (ba.step_number() == step) ba.advance(s.winner, s.coin);
   }
 
-  const RepresentativeStep final_step = vote_step(
-      consensus::kFinalStep, params.expected_final_stake,
-      params.final_quorum(),
+  const StepOutcome final_step = vote_step(
+      consensus::kFinalStep, params_.expected_final_stake,
+      params_.final_quorum(),
       ba.concluded_in_first_iteration() && ba.result() != empty_hash
           ? std::optional<Hash256>(ba.result())
           : std::nullopt);
 
   // ---- Outcome ---------------------------------------------------------
-  const auto body_received = [&](const Hash256& h) {
-    if (h == empty_hash) return true;  // derived locally
-    for (std::size_t p = 0; p < np; ++p)
-      if (ws.proposal_hashes[p] == h)
-        return ws.proposal_arrivals[p] < net::kNever;
-    return false;
-  };
-
   if (out.online_count > 0) {
-    if (final_step.winner.has_value()) {
-      out.online_outcome = body_received(*final_step.winner)
-                               ? NodeOutcome::Final
-                               : NodeOutcome::NoBlock;
-    } else if (ba.status() == consensus::BaStatus::ConcludedBlock ||
-               ba.status() == consensus::BaStatus::ConcludedEmpty) {
-      out.online_outcome = body_received(ba.result())
-                               ? NodeOutcome::Tentative
-                               : NodeOutcome::NoBlock;
-    }
+    out.online_outcome = outcome_of(
+        final_step.winner, ba, empty_hash, [&](const Hash256& h) {
+          const int p = find_proposal(ws.proposal_hashes, h);
+          return p >= 0 && ws.proposal_arrivals[static_cast<std::size_t>(p)] <
+                               net::kNever;
+        });
   }
 
   const auto live_n = static_cast<double>(out.live_count);
@@ -414,25 +352,13 @@ void run_sampled_round_into(Network& net,
   // The dense rule is the plurality over online nodes' conclusions; with a
   // shared view there is exactly one conclusion (or none when nobody is
   // online).
-  int agreed = -1;
+  const ledger::Block* agreed = nullptr;
   if (out.online_count > 0 &&
       ba.status() == consensus::BaStatus::ConcludedBlock) {
-    for (std::size_t p = 0; p < np; ++p) {
-      if (ws.proposal_hashes[p] != ba.result()) continue;
-      agreed = static_cast<int>(p);
-      break;
-    }
+    const int p = find_proposal(ws.proposal_hashes, ba.result());
+    if (p >= 0) agreed = &ws.proposal_blocks[static_cast<std::size_t>(p)];
   }
-  if (agreed >= 0) {
-    ledger::Block block = ws.proposal_blocks[static_cast<std::size_t>(agreed)];
-    net.txpool().mark_included(block.transactions());
-    const bool ok = net.chain().append(std::move(block));
-    RS_ENSURE(ok, "agreed block must extend the chain");
-    out.non_empty_block = !net.chain().tip().is_empty();
-  } else {
-    const bool ok = net.chain().append(empty_block);
-    RS_ENSURE(ok, "empty block must extend the chain");
-  }
+  out.non_empty_block = append_block(net, agreed, open.empty_block);
 }
 
 void expand_sparse_into(const Network& net, const SparseRoundResult& sparse,
@@ -447,31 +373,18 @@ void expand_sparse_into(const Network& net, const SparseRoundResult& sparse,
   result.proposals = sparse.proposals;
   result.synchrony = sparse.synchrony;
 
-  const std::vector<Strategy>& strategies = net.strategies();
+  fill_relay_set(net, ws.relay);
   result.outcomes.assign(n, NodeOutcome::NoBlock);
+  for (std::size_t v = 0; v < n; ++v)
+    if (ws.relay.online[v]) result.outcomes[v] = sparse.online_outcome;
   ws.observed_roles.assign(n, Role::Other);
   ws.true_roles.assign(n, Role::Other);
-  net.accounts().stakes_into(ws.reward_stakes);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto id = static_cast<NodeId>(v);
-    const bool online =
-        net.live(id) && strategies[v] != Strategy::Offline;
-    if (online) result.outcomes[v] = sparse.online_outcome;
-    if (!online) ws.reward_stakes[v] = 0;
-  }
   for (const SparseNodeRole& t : sparse.touched) {
     ws.true_roles[t.node] = t.role_true;
     ws.observed_roles[t.node] = t.role_observed;
   }
-  ws.reward_stakes_true.assign(ws.reward_stakes.begin(),
-                               ws.reward_stakes.end());
-  if (!result.roles_true.has_value())
-    result.roles_true.emplace(std::vector<Role>{},
-                              std::vector<std::int64_t>{});
-  result.roles_true->reset(ws.true_roles, ws.reward_stakes_true);
-  if (!result.roles.has_value())
-    result.roles.emplace(std::vector<Role>{}, std::vector<std::int64_t>{});
-  result.roles->reset(ws.observed_roles, ws.reward_stakes);
+  net.accounts().stakes_into(ws.stakes);
+  publish_roles(ws, result);
 }
 
 }  // namespace roleshare::sim

@@ -7,14 +7,16 @@
 // the CommitteeModel::Sampled round semantics, evaluable two ways that are
 // bit-identical by contract:
 //
-//   dense   RoundEngine::run_round_into with committee_model == Sampled —
-//           rebuilds the stake index from the ledger each round (O(N)) and
-//           materializes full per-node outcome/role vectors.
-//   sparse  RoundEngine::run_round_sparse_into — a caller-owned
-//           SparseRoundContext carries the stake index and population
-//           counters across rounds, absorbing reward/churn deltas in
-//           O(log N) each, so the whole round touches
-//           O(committee · log N) state.
+//   dense   RoundEngine::run_round_into with committee_model == Sampled
+//           rebuilds a SparseRoundContext from the ledger (O(N)), runs the
+//           sparse core on it and expands full per-node outcome and role
+//           vectors (expand_sparse_into).
+//   sparse  RoundEngine::run_round_sparse_into on a caller-owned context
+//           that absorbs reward/churn deltas in O(log N) each, so a round
+//           touches O(committee · log N) state.
+//
+// That one core (sampled_round.cpp) shares its round phases with the
+// per-node core through round_phases.hpp.
 //
 // Sampled semantics (the spec both paths implement):
 //   - Per step, tau seats are drawn with replacement from the live stake
@@ -148,7 +150,8 @@ struct SparseRoundWorkspace {
   std::vector<ledger::NodeId> members;
   std::vector<std::uint64_t> weights;
 
-  // derive_seeds blocks for the per-origin gossip streams.
+  // derive_seeds blocks for the per-origin gossip streams (proposer or
+  // voter ids).
   std::vector<std::uint64_t> origin_labels;
   std::vector<std::uint64_t> origin_seeds;
 
@@ -174,16 +177,6 @@ struct SparseRoundWorkspace {
 /// expensive". Shared by both evaluations — it IS the gossip model.
 std::uint32_t mean_field_hops(std::size_t online, std::size_t relays,
                               std::size_t fan_out);
-
-/// Runs one Sampled-model round: elections and votes from ctx's stake
-/// index, representative BA, chain append, touched-role collection.
-/// Requires params.committee_model == Sampled and total live stake > 0.
-/// The free-function core behind both RoundEngine entry points.
-void run_sampled_round_into(Network& net,
-                            const consensus::ConsensusParams& params,
-                            SparseRoundResult& out,
-                            const SparseRoundContext& ctx,
-                            SparseRoundWorkspace& ws);
 
 /// Materializes the full-population RoundResult the dense path reports:
 /// per-node outcomes (online => the representative outcome), observed and
