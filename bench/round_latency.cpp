@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,32 +55,16 @@ using namespace roleshare;
 
 namespace {
 
-struct PassResult {
-  std::vector<double> final_fractions;
-  std::vector<double> none_fractions;
-  /// Full per-node outcome vectors and proposal counts, kept so the
-  /// determinism gate compares the complete round result, not just the
-  /// derived fractions.
-  std::vector<std::vector<sim::NodeOutcome>> outcomes;
-  std::vector<std::size_t> proposals;
-  /// Heap allocations performed inside each run_round_into call.
+/// What every pass measures: the heap allocations inside each round call
+/// and the wall time of the whole pass.
+struct PassTiming {
   std::vector<std::uint64_t> allocs_per_round;
-  /// Bytes reserved across the workspace's buffers after the last round.
-  std::size_t workspace_bytes = 0;
-  /// Gossip counts summed over the pass's rounds.
-  sim::GossipCounts gossip;
   double wall_ms = 0.0;
 
   double ms_per_round() const {
     return allocs_per_round.empty()
                ? 0.0
                : wall_ms / static_cast<double>(allocs_per_round.size());
-  }
-  double rounds_per_sec() const {
-    return wall_ms > 0.0 ? 1000.0 *
-                               static_cast<double>(allocs_per_round.size()) /
-                               wall_ms
-                         : 0.0;
   }
   /// Steady-state allocations: the minimum over rounds after the first
   /// (the first round grows every buffer to its high-water mark).
@@ -89,6 +74,27 @@ struct PassResult {
     for (std::size_t r = 1; r < allocs_per_round.size(); ++r)
       best = std::min(best, allocs_per_round[r]);
     return best;
+  }
+};
+
+struct PassResult : PassTiming {
+  std::vector<double> final_fractions;
+  std::vector<double> none_fractions;
+  /// Full per-node outcome vectors and proposal counts, kept so the
+  /// determinism gate compares the complete round result, not just the
+  /// derived fractions.
+  std::vector<std::vector<sim::NodeOutcome>> outcomes;
+  std::vector<std::size_t> proposals;
+  /// Bytes reserved across the workspace's buffers after the last round.
+  std::size_t workspace_bytes = 0;
+  /// Gossip counts summed over the pass's rounds.
+  sim::GossipCounts gossip;
+
+  double rounds_per_sec() const {
+    return wall_ms > 0.0 ? 1000.0 *
+                               static_cast<double>(allocs_per_round.size()) /
+                               wall_ms
+                         : 0.0;
   }
 };
 
@@ -220,29 +226,14 @@ constexpr std::uint64_t kSparseSteadyAllocGate = 64;
 /// with the fixed-split role payouts compounded into stake every round —
 /// the long-horizon workload, so the sparse pass exercises the O(log N)
 /// stake-index deltas and not just static elections.
-struct SparsePassResult {
+struct SparsePassResult : PassTiming {
   std::vector<double> final_fractions;
   std::vector<std::size_t> proposals;
-  std::vector<std::uint64_t> allocs_per_round;
   std::size_t workspace_bytes = 0;
   /// Mean touched-set size (sparse pass only): the committee-neighborhood
   /// node count a round actually visits.
   double touched_mean = 0.0;
   crypto::Hash256 tip{};
-  double wall_ms = 0.0;
-
-  double ms_per_round() const {
-    return allocs_per_round.empty()
-               ? 0.0
-               : wall_ms / static_cast<double>(allocs_per_round.size());
-  }
-  std::uint64_t steady_allocs() const {
-    if (allocs_per_round.empty()) return 0;
-    std::uint64_t best = allocs_per_round.back();
-    for (std::size_t r = 1; r < allocs_per_round.size(); ++r)
-      best = std::min(best, allocs_per_round[r]);
-    return best;
-  }
 };
 
 sim::Network make_sampled_net(std::size_t nodes, std::uint64_t seed,
@@ -474,6 +465,10 @@ int main(int argc, char** argv) {
   const std::optional<std::size_t> rounds_arg =
       bench::arg_optional_size(argc, argv, "rounds");
   const std::size_t rounds = rounds_arg.value_or(sparse && !sweep ? 256 : 3);
+  // Every report reads the first round of a pass, and an identity check
+  // over no rounds compares nothing.
+  if (rounds == 0)
+    throw std::invalid_argument("--rounds=0: a pass needs at least one round");
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_int(argc, argv, "seed", 404));
   // Unlike the figure benches, the parallel pass defaults to all hardware
@@ -499,6 +494,11 @@ int main(int argc, char** argv) {
   // prefix is enough for a stable ms/round and the identity check.
   const std::size_t dense_rounds = bench::arg_size(
       argc, argv, "dense-rounds", std::min<std::size_t>(rounds, 8));
+  if (dense_rounds == 0) {
+    throw std::invalid_argument(
+        "--dense-rounds=0: the sparse == dense check needs at least one "
+        "dense round");
+  }
 
   if (sparse && !sweep) {
     // Single-size sparse measurement — the CI alloc/identity gate shape:

@@ -85,6 +85,10 @@ class Job {
       w.end = std::min(begin + config_.window, config_.runs);
       windows_.push_back(w);
     }
+    if (config_.reissue_window >= static_cast<long long>(windows_.size()))
+      throw std::invalid_argument(
+          "orch: reissue window " + std::to_string(config_.reissue_window) +
+          " is past the job's " + std::to_string(windows_.size()) + " windows");
     stats_.windows = windows_.size();
   }
 

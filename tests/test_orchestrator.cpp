@@ -379,6 +379,39 @@ TEST(Orchestrator, DroppedAssignmentExpiresLeaseAndReissues) {
   expect_byte_identical(dir, dir + "/orch_series.json");
 }
 
+// A re-issue of a window past the job's last one would never fire, so a
+// fault-injection run meant to exercise it would check nothing. The job
+// must refuse it up front, naming the window and the window count,
+// before it binds the socket or forks a worker.
+TEST(Orchestrator, ReissuePastTheLastWindowIsRefused) {
+  const std::string dir = make_scratch_dir();
+  roleshare::orch::JobConfig job;
+  job.runs = 4;
+  job.window = 2;  // 4 runs -> windows 0 and 1
+  job.workers = 1;
+  job.reissue_window = 2;
+  job.socket_path = dir + "/orch.sock";
+  job.spool_dir = dir;
+  roleshare::orch::JobCallbacks callbacks;
+  callbacks.config_echo = "synthetic";
+  callbacks.fold = [](const std::string&, std::size_t, std::size_t,
+                      const std::string&) {};
+  callbacks.finalize = []() {};
+  const roleshare::orch::SpawnWorkerFn spawn = [](std::uint32_t) -> pid_t {
+    throw std::runtime_error("a worker was spawned");
+  };
+  try {
+    roleshare::orch::run_coordinator(job, callbacks, spawn);
+    FAIL() << "a reissue window past the last window was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("reissue window 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 windows"), std::string::npos) << what;
+  }
+  EXPECT_NE(::access(job.socket_path.c_str(), F_OK), 0)
+      << "the socket was bound before the refusal";
+}
+
 // A worker whose runner always throws: every attempt FAILs, so the
 // window must burn max_attempts and abort the job loudly.
 TEST(Orchestrator, AttemptCapAbortsTheJob) {
