@@ -15,6 +15,7 @@
 // (re)sized from the current network before use, so reusing a "dirty"
 // workspace from a different run is safe and bit-identical to starting
 // from a fresh one.
+//
 // The round's proposals and each step's votes are one GossipBatch each,
 // filled by fill_gossip_batch (round_phases.hpp).
 #pragma once
