@@ -263,7 +263,8 @@ void hash_round(crypto::Sha256& sha, const RoundResult& r,
   sha.update_u64(r.outcomes.size());
   for (const NodeOutcome o : r.outcomes)
     sha.update_u64(static_cast<std::uint64_t>(o));
-  for (const econ::RoleSnapshot* s : {&*r.roles, &*r.roles_true}) {
+  for (const econ::RoleSnapshot* s :
+       {&r.roles.value(), &r.roles_true.value()}) {
     sha.update_u64(s->node_count());
     for (std::size_t v = 0; v < s->node_count(); ++v) {
       sha.update_u64(static_cast<std::uint64_t>(s->roles()[v]));
