@@ -741,7 +741,7 @@ inline void merge_partial_files(const std::vector<std::string>& paths,
   std::vector<Shard> shards;
   std::optional<ShardableBench> bench;
   for (const std::string& path : paths) {
-    std::string bytes = read_text_file(path);
+    std::string bytes = util::read_file(path);
     std::printf("[shard] %s: %zu bytes\n", path.c_str(), bytes.size());
     const util::json::Value doc = sim::decode_partial_document(bytes, path);
     if (!bench) {

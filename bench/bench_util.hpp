@@ -9,9 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -222,14 +220,9 @@ inline double peak_rss_bytes() {
 #endif
 }
 
-/// Reads a whole file; throws std::runtime_error naming the path when it
-/// cannot be opened (shard partials, series snapshots).
+/// util::read_file under the name rsbench/ and the tests call.
 inline std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return util::read_file(path);
 }
 
 /// Replaces a whole file through a temp file and a rename, so a failed

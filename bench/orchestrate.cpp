@@ -35,7 +35,6 @@
 // per assignment), --checkpoint-every, --store=DIR. Spools are RSBP.
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -76,7 +75,6 @@ int run(int argc, char** argv) {
   const bool verbose = bench::arg_int(argc, argv, "verbose", 0) != 0;
   std::string spool_dir = bench::arg_string(argc, argv, "spool-dir", "");
   if (spool_dir.empty()) spool_dir = bench_name + ".orch";
-  std::filesystem::create_directories(spool_dir);
   // Socket paths have a hard kernel cap (~107 bytes) — the spool dir
   // must stay short, so fail on it before bind() produces a worse error.
   const std::string socket_path =

@@ -359,7 +359,7 @@ ShardExecution<PartialT> run_sharded_panels(
 
   if (!knobs.partial_in.empty()) {
     const util::json::Value doc = sim::decode_partial_document(
-        read_text_file(knobs.partial_in), knobs.partial_in);
+        util::read_file(knobs.partial_in), knobs.partial_in);
     load_partial_document(doc, "--partial-in file " + knobs.partial_in,
                           header, panel_meta, panel_count, exec);
     // The window comes from the file; an explicit CLI window that

@@ -59,6 +59,13 @@ class BinaryBaState {
     return status_ == BaStatus::ConcludedBlock && concluding_iteration_ == 1;
   }
 
+  /// The node's FINAL vote: the block it concluded on in iteration 1,
+  /// nullopt otherwise. A concluded block is never the empty hash.
+  std::optional<crypto::Hash256> final_vote() const {
+    if (!concluded_in_first_iteration()) return std::nullopt;
+    return result_;
+  }
+
  private:
   crypto::Hash256 initial_;
   crypto::Hash256 empty_hash_;

@@ -34,8 +34,7 @@ std::optional<BlockProposal> select_best_proposal(
   crypto::Hash256 best_hash;
   for (const BlockProposal& p : received) {
     const crypto::Hash256 h = p.block_hash();
-    if (best == nullptr || p.priority > best->priority ||
-        (p.priority == best->priority && h < best_hash)) {
+    if (best == nullptr || outranks(p.priority, h, best->priority, best_hash)) {
       best = &p;
       best_hash = h;
     }

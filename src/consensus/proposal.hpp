@@ -34,9 +34,17 @@ bool verify_proposal(const BlockProposal& proposal,
                      const crypto::VrfInput& input, std::int64_t stake,
                      const crypto::SortitionParams& params);
 
-/// Picks the valid proposal with the highest priority from those a node
-/// received; nullopt when the span is empty. Ties break toward the lower
-/// block hash so every node resolves ties identically.
+/// The proposal order: higher priority first, ties to the lower block
+/// hash so every node resolves ties identically.
+inline bool outranks(std::uint64_t priority, const crypto::Hash256& hash,
+                     std::uint64_t best_priority,
+                     const crypto::Hash256& best_hash) {
+  return priority > best_priority ||
+         (priority == best_priority && hash < best_hash);
+}
+
+/// Picks the proposal that outranks every other one a node received;
+/// nullopt when the span is empty.
 std::optional<BlockProposal> select_best_proposal(
     std::span<const BlockProposal> received);
 

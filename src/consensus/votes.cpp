@@ -1,6 +1,7 @@
 #include "consensus/votes.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -58,6 +59,33 @@ void verify_votes_into(std::span<const Vote> votes,
   });
 }
 
+crypto::Hash256 coin_hash(const crypto::Hash256& vrf_output) {
+  // Laid out once; each call hashes its own copy of the template.
+  static const std::pair<crypto::Sha256Fixed, std::size_t> kLayout = [] {
+    crypto::FixedHasher layout("roleshare.coin");
+    const std::size_t slot = layout.add_hash_slot();
+    return std::pair{layout.build_template(), slot};
+  }();
+  crypto::Sha256Fixed fixed = kLayout.first;
+  crypto::write_hash_slot(fixed, kLayout.second, vrf_output);
+  return crypto::Hash256(fixed.digest());
+}
+
+int quorum_winner(std::span<const std::uint64_t> weights,
+                  std::span<const crypto::Hash256> values, double quorum) {
+  RS_REQUIRE(weights.size() == values.size(),
+             "quorum_winner: one weight per value");
+  int best = -1;
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (static_cast<double>(weights[k]) <= quorum) continue;
+    const auto b = static_cast<std::size_t>(best);
+    if (best < 0 || weights[k] > weights[b] ||
+        (weights[k] == weights[b] && values[k] < values[b]))
+      best = static_cast<int>(k);
+  }
+  return best;
+}
+
 VoteCounter::VoteCounter(double quorum) : quorum_(quorum) {
   RS_REQUIRE(quorum > 0.0, "quorum must be positive");
 }
@@ -69,51 +97,38 @@ bool VoteCounter::add(const Vote& vote) {
   seen_voters_.push_back(vote.voter);
   total_weight_ += vote.weight;
 
-  auto it = std::find_if(tallies_.begin(), tallies_.end(),
-                         [&](const Entry& e) { return e.value == vote.value; });
-  if (it == tallies_.end()) {
-    tallies_.push_back(Entry{vote.value, vote.weight});
-  } else {
-    it->weight += vote.weight;
+  const auto k = static_cast<std::size_t>(
+      std::find(values_.begin(), values_.end(), vote.value) - values_.begin());
+  if (k == values_.size()) {
+    values_.push_back(vote.value);
+    weights_.push_back(0);
   }
-
-  const crypto::Hash256 vote_hash = crypto::HashBuilder("roleshare.coin")
-                                        .add(vote.sortition.vrf.output)
-                                        .build();
-  if (!any_vote_ || vote_hash < min_vote_hash_) {
-    min_vote_hash_ = vote_hash;
-    any_vote_ = true;
-  }
+  weights_[k] += vote.weight;
+  coin_.add(coin_hash(vote.sortition.vrf.output));
   return true;
 }
 
 std::uint64_t VoteCounter::weight_for(const crypto::Hash256& value) const {
-  for (const Entry& e : tallies_)
-    if (e.value == value) return e.weight;
-  return 0;
+  const auto it = std::find(values_.begin(), values_.end(), value);
+  return it == values_.end()
+             ? 0
+             : weights_[static_cast<std::size_t>(it - values_.begin())];
 }
 
 TallyResult VoteCounter::result() const {
   TallyResult r;
   r.total_weight = total_weight_;
-  const Entry* best = nullptr;
-  for (const Entry& e : tallies_) {
-    if (static_cast<double>(e.weight) <= quorum_) continue;
-    if (best == nullptr || e.weight > best->weight ||
-        (e.weight == best->weight && e.value < best->value)) {
-      best = &e;
-    }
-  }
-  if (best != nullptr) {
-    r.winner = best->value;
-    r.winner_weight = best->weight;
+  const int best = quorum_winner(weights_, values_, quorum_);
+  if (best >= 0) {
+    r.winner = values_[static_cast<std::size_t>(best)];
+    r.winner_weight = weights_[static_cast<std::size_t>(best)];
   }
   return r;
 }
 
 std::optional<bool> VoteCounter::common_coin() const {
-  if (!any_vote_) return std::nullopt;
-  return (min_vote_hash_.bytes().back() & 1) != 0;
+  if (!coin_.any) return std::nullopt;
+  return coin_.bit();
 }
 
 TallyResult tally_votes(std::span<const Vote> votes, double quorum) {

@@ -2,7 +2,7 @@
 //
 // A vote carries the voter's sortition proof; counting verifies each proof,
 // sums the verified sub-user weights per value, and reports the value whose
-// weight crosses the step quorum T * tau.
+// weight crosses the step quorum T * tau — the rules both round cores run.
 #pragma once
 
 #include <optional>
@@ -55,6 +55,29 @@ void verify_votes_into(std::span<const Vote> votes,
                        std::vector<std::uint8_t>& valid,
                        const util::InnerExecutor& exec = {});
 
+/// A vote's coin hash: H("roleshare.coin", vrf_output), through a
+/// fixed-layout template built once.
+crypto::Hash256 coin_hash(const crypto::Hash256& vrf_output);
+
+/// The quorum rule: the index of the value whose weight is strictly
+/// above `quorum` — the highest weight, ties to the lower hash so all
+/// nodes agree — or -1 when no value is. `weights[k]` is `values[k]`'s.
+int quorum_winner(std::span<const std::uint64_t> weights,
+                  std::span<const crypto::Hash256> values, double quorum);
+
+/// Algorand's common coin over the votes one view counted: the least
+/// significant bit of the minimum coin hash, false when it counted none.
+struct CommonCoin {
+  bool any = false;
+  crypto::Hash256 min;
+
+  void add(const crypto::Hash256& h) {
+    if (!any || h < min) min = h;
+    any = true;
+  }
+  bool bit() const { return any && (min.bytes().back() & 1) != 0; }
+};
+
 /// Result of tallying one step.
 struct TallyResult {
   /// Value whose verified weight exceeded the quorum, if any.
@@ -79,25 +102,21 @@ class VoteCounter {
   std::uint64_t weight_for(const crypto::Hash256& value) const;
   std::uint64_t total_weight() const { return total_weight_; }
 
-  /// The value exceeding the quorum, if any (highest weight wins; ties
-  /// break toward the lower hash so all nodes agree).
+  /// The quorum_winner of the counted values, if any.
   TallyResult result() const;
 
-  /// Algorand's common coin: least significant bit of the minimum vote-hash
-  /// over all counted votes. Returns nullopt when no votes were counted.
+  /// The common coin over the counted votes' coin hashes; nullopt when no
+  /// votes were counted.
   std::optional<bool> common_coin() const;
 
  private:
-  struct Entry {
-    crypto::Hash256 value;
-    std::uint64_t weight = 0;
-  };
   double quorum_;
-  std::vector<Entry> tallies_;
+  /// Distinct values in first-vote order, with their summed weights.
+  std::vector<crypto::Hash256> values_;
+  std::vector<std::uint64_t> weights_;
   std::vector<ledger::NodeId> seen_voters_;
   std::uint64_t total_weight_ = 0;
-  crypto::Hash256 min_vote_hash_;
-  bool any_vote_ = false;
+  CommonCoin coin_;
 };
 
 /// Convenience: tally a batch of votes against a quorum.

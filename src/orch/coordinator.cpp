@@ -9,14 +9,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "orch/spawn.hpp"
 #include "orch/wire.hpp"
+#include "util/atomic_file.hpp"
 
 namespace roleshare::orch {
 
@@ -26,14 +26,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("orch: cannot read spool file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 enum class WindowState { Queued, Leased, Spooled, Folded };
@@ -93,6 +85,9 @@ class Job {
   }
 
   JobStats run() {
+    // Only an accepted job gets a spool directory (a refused one leaves
+    // nothing behind); the default socket lives in it.
+    std::filesystem::create_directories(config_.spool_dir);
     listen_fd_ = listen_unix(config_.socket_path);
     try {
       for (std::size_t i = 0; i < config_.workers; ++i) spawn(false);
@@ -261,7 +256,7 @@ class Job {
       Window& w = windows_[next_fold_];
       const std::string origin = "window " + std::to_string(next_fold_) +
                                  " spool " + w.result_path;
-      callbacks_.fold(read_file(w.result_path), w.begin, w.end, origin);
+      callbacks_.fold(util::read_file(w.result_path), w.begin, w.end, origin);
       w.state = WindowState::Folded;
       folded_++;
       stats_.folded++;

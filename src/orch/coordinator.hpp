@@ -41,7 +41,7 @@ struct JobConfig {
   std::size_t window = 0;   // runs per assignment window (last may be short)
   std::size_t workers = 1;  // worker agents to keep alive
   std::string socket_path;  // Unix socket the workers dial
-  std::string spool_dir;    // per-attempt partial files live here
+  std::string spool_dir;    // per-attempt partial files; run creates it
   /// Seconds a window may stay leased without progress before it is
   /// re-issued to another worker; 0 disables the deadline (death and
   /// FAIL still requeue).

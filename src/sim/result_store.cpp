@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "util/atomic_file.hpp"
@@ -27,14 +25,6 @@ std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return std::string(buf);
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Frames key id + payload into one entry file's bytes.
@@ -108,7 +98,7 @@ std::optional<std::string> ResultStore::lookup(const ResultKey& key) const {
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return std::nullopt;
   try {
-    return decode_entry(read_file(path), path, key.id());
+    return decode_entry(util::read_file(path), path, key.id());
   } catch (const std::exception&) {
     // Corrupt, truncated, foreign or unreadable — a recompute, never a
     // failed sweep. gc() reaps such entries.
@@ -122,7 +112,7 @@ std::optional<ResultStore::EntryStat> ResultStore::stat(
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return std::nullopt;
   try {
-    const std::string bytes = read_file(path);
+    const std::string bytes = util::read_file(path);
     const std::string payload = decode_entry(bytes, path, key.id());
     return EntryStat{payload.size(), bytes.size()};
   } catch (const std::exception&) {
@@ -161,7 +151,7 @@ GcStats ResultStore::gc(std::uint64_t max_total_bytes) {
     }
     bool ok = false;
     try {
-      decode_entry(read_file(path), path.string(), "");
+      decode_entry(util::read_file(path.string()), path.string(), "");
       ok = true;
     } catch (const std::exception&) {
       ok = false;

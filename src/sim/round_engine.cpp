@@ -92,10 +92,10 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
 
   // Per-step tally tables, computed once instead of once per node: the
   // distinct value set (in vote order), then per valid vote its value id
-  // and coin hash (previously rehashed per receiving node). An exact vote
-  // joins the compacted list with its arrival row; a certified vote folds
-  // into its reach class's slot — per-value weight sums and the minimum
-  // coin hash, which is all the tally below reads of it.
+  // and consensus::coin_hash. An exact vote joins the compacted list with
+  // its arrival row; a certified vote folds into its reach class's slot —
+  // per-value weight sums and the minimum coin hash, which is all the
+  // tally below reads of it.
   ws.counted_rows.clear();
   ws.counted_weight.clear();
   ws.counted_value_id.clear();
@@ -111,18 +111,14 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
       ws.values.push_back(ws.votes[i].value);
   }
   const std::size_t distinct = ws.values.size();
-  crypto::FixedHasher coin_layout("roleshare.coin");
-  const std::size_t coin_slot = coin_layout.add_hash_slot();
-  crypto::Sha256Fixed coin_fixed = coin_layout.build_template();
   for (std::size_t i = 0; i < nv; ++i) {
     if (ws.valid[i] == 0) continue;
     const std::uint32_t c = ws.gossip.reach_class[i];
     const auto id = static_cast<std::uint32_t>(
         std::find(ws.values.begin(), ws.values.end(), ws.votes[i].value) -
         ws.values.begin());
-    crypto::write_hash_slot(coin_fixed, coin_slot,
-                            ws.votes[i].sortition.vrf.output);
-    const Hash256 coin_hash(coin_fixed.digest());
+    const Hash256 coin_hash =
+        consensus::coin_hash(ws.votes[i].sortition.vrf.output);
     if (c == kExact) {
       ws.counted_rows.push_back(ws.gossip.rows[i]);
       ws.counted_weight.push_back(ws.votes[i].weight);
@@ -144,11 +140,10 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
   }
 
   // Per-node tally over valid votes that arrive within the step timeout.
-  // Flat accumulation over the tables above; the winner rule (weight
-  // strictly above quorum, highest weight, tie toward the lower hash) and
-  // the common coin (lsb of the minimum coin hash) are order-independent
-  // reductions (integer sums and a minimum), so adding a whole class slot
-  // at once matches the per-node VoteCounter this replaces.
+  // Flat accumulation over the tables above, then consensus::quorum_winner
+  // and consensus::CommonCoin: both read order-independent reductions
+  // (integer sums and a minimum), so adding a whole class slot at once
+  // matches counting the node's votes one by one in a VoteCounter.
   const std::size_t slots = ws.slot_class.size();
   const std::size_t counted_n = ws.counted_rows.size();
   const std::size_t chunks = util::InnerExecutor::chunk_count(n);
@@ -163,7 +158,7 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
           out[v].coin = false;
           if (!ctx.gossip.relay.online[v]) continue;
           for (std::size_t k = 0; k < distinct; ++k) w[k] = 0;
-          CommonCoin coin;
+          consensus::CommonCoin coin;
           for (std::size_t s = 0; s < slots; ++s) {
             if (ws.slot_masks[s][v] == 0) continue;
             const std::uint64_t* sw = ws.slot_weights.data() + s * distinct;
@@ -175,15 +170,8 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
             w[ws.counted_value_id[j]] += ws.counted_weight[j];
             coin.add(ws.counted_coin_hash[j]);
           }
-          int best = -1;
-          for (std::size_t k = 0; k < distinct; ++k) {
-            if (static_cast<double>(w[k]) <= quorum) continue;
-            if (best < 0 || w[k] > w[static_cast<std::size_t>(best)] ||
-                (w[k] == w[static_cast<std::size_t>(best)] &&
-                 ws.values[k] < ws.values[static_cast<std::size_t>(best)])) {
-              best = static_cast<int>(k);
-            }
-          }
+          const int best =
+              consensus::quorum_winner({w, distinct}, ws.values, quorum);
           if (best >= 0) out[v].winner = ws.values[static_cast<std::size_t>(best)];
           out[v].coin = coin.bit();
         }
@@ -305,7 +293,8 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
           continue;
         const Hash256& h = ws.proposal_hashes[p];
         if (ws.best_idx[v] < 0 ||
-            outranks(ws.proposals[p].priority, h, best_priority, best_hash)) {
+            consensus::outranks(ws.proposals[p].priority, h, best_priority,
+                                best_hash)) {
           ws.best_idx[v] = static_cast<int>(p);
           best_priority = ws.proposals[p].priority;
           best_hash = h;
@@ -392,13 +381,7 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
   run_vote_step(
       ctx, consensus::kFinalStep, params_.expected_final_stake,
       params_.final_quorum(),
-      [&](NodeId v) -> std::optional<Hash256> {
-        if (ws.ba[v].concluded_in_first_iteration() &&
-            ws.ba[v].result() != empty_hash)
-          return ws.ba[v].result();
-        return std::nullopt;
-      },
-      ws.step, ws.finals);
+      [&](NodeId v) { return ws.ba[v].final_vote(); }, ws.step, ws.finals);
 
   ws.gossip_counts.classes = ws.reach.size();
 
@@ -420,18 +403,12 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
     }
   });
 
-  // Fractions over the live population (live_count > 0 is implied by the
-  // live-stake check above); without churn this is the full node count.
   std::size_t finals_count = 0, tentative_count = 0;
   for (const NodeOutcome o : result.outcomes) {
     if (o == NodeOutcome::Final) ++finals_count;
     if (o == NodeOutcome::Tentative) ++tentative_count;
   }
-  const auto live_n = static_cast<double>(result.live_count);
-  result.final_fraction = static_cast<double>(finals_count) / live_n;
-  result.tentative_fraction = static_cast<double>(tentative_count) / live_n;
-  result.none_fraction =
-      1.0 - result.final_fraction - result.tentative_fraction;
+  set_fractions(result, finals_count, tentative_count);
 
   // ---- Canonical chain append -----------------------------------------
   // The chain advances with the plurality conclusion (weighting every

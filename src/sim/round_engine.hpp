@@ -30,24 +30,12 @@
 
 namespace roleshare::sim {
 
-/// Per-node outcome of one round (the Fig-3 categories).
-enum class NodeOutcome : std::uint8_t { Final, Tentative, NoBlock };
-
-struct RoundResult {
-  ledger::Round round = 0;
+/// A round's summary (NodeOutcome and RoundSummary: sampled_round.hpp)
+/// plus its per-node outcomes and role snapshots.
+struct RoundResult : RoundSummary {
   /// Outcome per node, indexed by node id over the FULL population
   /// (offline and departed nodes count as NoBlock).
   std::vector<NodeOutcome> outcomes;
-  /// Nodes present (live) this round — round-varying under churn; the
-  /// denominator of the outcome fractions below. Equals outcomes.size()
-  /// on churn-free networks.
-  std::size_t live_count = 0;
-  /// Fractions over the live population.
-  double final_fraction = 0.0;
-  double tentative_fraction = 0.0;
-  double none_fraction = 0.0;
-  /// Whether the canonical chain advanced with a non-empty block.
-  bool non_empty_block = false;
   /// Role snapshot of *observed* roles, aligned with node ids (defectors
   /// hide their roles and appear as Others; offline nodes carry stake 0 so
   /// schemes pay them nothing).
@@ -56,10 +44,6 @@ struct RoundResult {
   /// leaders and committee members — what each node privately knows about
   /// itself; feeds the strategic (game-theoretic) loop.
   std::optional<econ::RoleSnapshot> roles_true;
-  /// Number of proposals actually broadcast.
-  std::size_t proposals = 0;
-  /// Synchrony state the round ran under.
-  net::SynchronyState synchrony = net::SynchronyState::Strong;
 };
 
 class RoundEngine {

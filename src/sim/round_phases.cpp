@@ -33,6 +33,18 @@ RoundOpening open_round(Network& net, std::int64_t live_stake) {
   return open;
 }
 
+void set_fractions(RoundSummary& summary, std::size_t finals,
+                   std::size_t tentative) {
+  const auto live_n = static_cast<double>(summary.live_count);
+  const auto share = [&](std::size_t count) {
+    return live_n > 0.0 ? static_cast<double>(count) / live_n : 0.0;
+  };
+  summary.final_fraction = share(finals);
+  summary.tentative_fraction = share(tentative);
+  summary.none_fraction =
+      1.0 - summary.final_fraction - summary.tentative_fraction;
+}
+
 bool append_block(Network& net, const ledger::Block* agreed,
                   const ledger::Block& empty_block) {
   if (agreed == nullptr) {

@@ -1,9 +1,10 @@
 // The round phases both round cores share (DESIGN.md §5, §10.1): the
 // per-node core (round_engine.cpp) and the sampled core (sampled_round.cpp)
-// open the round, apply the outcome rule, append the agreed block, publish
-// role snapshots and read a node's presence through these functions, so
-// the two evaluations cannot drift apart. No function here knows which
-// core calls it. The per-node core's gossip batch is filled here too.
+// open the round, apply the outcome rule, set the fractions, append the
+// block, publish role snapshots and read a node's presence through these
+// functions; the BA* rules they apply live in consensus/. No function here
+// knows which core calls it. The per-node core's gossip batch is filled
+// here too.
 #pragma once
 
 #include <cstdint>
@@ -63,14 +64,6 @@ inline void mark_committee(consensus::Role& role) {
   if (role == consensus::Role::Other) role = consensus::Role::Committee;
 }
 
-/// The proposal order: higher priority first, ties to the lower hash.
-inline bool outranks(std::uint64_t priority, const crypto::Hash256& hash,
-                     std::uint64_t best_priority,
-                     const crypto::Hash256& best_hash) {
-  return priority > best_priority ||
-         (priority == best_priority && hash < best_hash);
-}
-
 /// Index of the first proposal whose block hash is `h`, or -1.
 inline int find_proposal(std::span<const crypto::Hash256> hashes,
                          const crypto::Hash256& h) {
@@ -101,18 +94,10 @@ NodeOutcome outcome_of(const std::optional<crypto::Hash256>& final_winner,
   return NodeOutcome::NoBlock;
 }
 
-/// A step's common coin over the votes one view counted: the lsb of the
-/// minimum coin hash, false when it counted none.
-struct CommonCoin {
-  bool any = false;
-  crypto::Hash256 min;
-
-  void add(const crypto::Hash256& h) {
-    if (!any || h < min) min = h;
-    any = true;
-  }
-  bool bit() const { return any && (min.bytes().back() & 1) != 0; }
-};
+/// Sets the summary's three outcome fractions from the round's final and
+/// tentative node counts, over its live_count (all 0 when it is 0).
+void set_fractions(RoundSummary& summary, std::size_t finals,
+                   std::size_t tentative);
 
 /// Appends `agreed` (marking its transactions included) or, when it is
 /// null, the empty block. Returns whether the new tip is non-empty.

@@ -30,9 +30,9 @@ std::size_t SparseRoundWorkspace::capacity_bytes() const {
   return vec_bytes(touched_epoch) + vec_bytes(touched_slot) +
          vec_bytes(seat_epoch) + vec_bytes(seat_slot) + vec_bytes(members) +
          vec_bytes(weights) + vec_bytes(origin_labels) +
-         vec_bytes(origin_seeds) + vec_bytes(proposer_ids) +
-         vec_bytes(proposer_priorities) + vec_bytes(proposal_arrivals) +
-         vec_bytes(proposal_hashes) + vec_bytes(proposal_blocks);
+         vec_bytes(origin_seeds) + vec_bytes(proposer_priorities) +
+         vec_bytes(proposal_arrivals) + vec_bytes(proposal_hashes) +
+         vec_bytes(proposal_blocks);
 }
 
 std::size_t RoundWorkspace::capacity_bytes() const {

@@ -5,7 +5,9 @@
 #include <optional>
 
 #include "consensus/binary_ba.hpp"
+#include "consensus/proposal.hpp"
 #include "consensus/reduction.hpp"
+#include "consensus/votes.hpp"
 #include "crypto/hash.hpp"
 #include "ledger/block.hpp"
 #include "net/sim_time.hpp"
@@ -205,7 +207,6 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
   // mean-field arrival beats the proposal timeout becomes the shared
   // view. The broadcasts live as parallel workspace arrays so the round
   // allocates nothing here beyond each block's transaction list.
-  ws.proposer_ids.clear();
   ws.proposer_priorities.clear();
   ws.proposal_arrivals.clear();
   ws.proposal_hashes.clear();
@@ -219,14 +220,13 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
     out.touched[slot].role_true = Role::Leader;
     if (strategies[v] != Strategy::Cooperate) continue;
     out.touched[slot].role_observed = Role::Leader;
-    ws.proposer_ids.push_back(v);
     ws.origin_labels.push_back(v);
   }
-  const std::size_t np = ws.proposer_ids.size();
+  const std::size_t np = ws.origin_labels.size();
   ws.origin_seeds.resize(np);
   proposer_stream.derive_seeds(ws.origin_labels, ws.origin_seeds);
   for (std::size_t p = 0; p < np; ++p) {
-    const NodeId v = ws.proposer_ids[p];
+    const auto v = static_cast<NodeId>(ws.origin_labels[p]);
     util::Rng prng(ws.origin_seeds[p]);
     ws.proposer_priorities.push_back(sampled_priority(prev_seed, round, v));
     ws.proposal_arrivals.push_back(
@@ -244,17 +244,18 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
     if (ws.proposal_arrivals[p] > params_.proposal_timeout_ms) continue;
     const auto b = static_cast<std::size_t>(best);
     if (best < 0 ||
-        outranks(ws.proposer_priorities[p], ws.proposal_hashes[p],
-                 ws.proposer_priorities[b], ws.proposal_hashes[b])) {
+        consensus::outranks(ws.proposer_priorities[p], ws.proposal_hashes[p],
+                            ws.proposer_priorities[b],
+                            ws.proposal_hashes[b])) {
       best = static_cast<int>(p);
     }
   }
 
   // ---- Representative vote steps ---------------------------------------
   // Every online node shares the same view, so one tally serves the whole
-  // population. Rules mirror run_vote_step: weights of timely votes,
-  // winner iff strictly above quorum, coin from the lsb of the minimum
-  // coin hash among timely votes.
+  // population: the summed weight of the timely votes for the one value,
+  // through consensus::quorum_winner, and the common coin of their coin
+  // hashes — the rules run_vote_step applies per node.
   const auto vote_step = [&](std::uint32_t step, std::uint64_t tau,
                              double quorum,
                              const std::optional<Hash256>& value)
@@ -279,7 +280,7 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
     step_stream.derive_seeds(ws.origin_labels, ws.origin_seeds);
 
     std::uint64_t tally = 0;
-    CommonCoin coin;
+    consensus::CommonCoin coin;
     for (std::size_t j = 0; j < nv; ++j) {
       const NodeId voter = static_cast<NodeId>(ws.origin_labels[j]);
       util::Rng vrng(ws.origin_seeds[j]);
@@ -287,10 +288,11 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
           mean_field_arrival(vrng, net, voter, hops, delay_factor);
       if (arrival > params_.step_timeout_ms) continue;
       tally += ws.weights[ws.seat_slot[voter]];
-      const Hash256 vrf = sampled_vrf_output(prev_seed, round, step, voter);
-      coin.add(crypto::HashBuilder("roleshare.coin").add(vrf).build());
+      coin.add(consensus::coin_hash(
+          sampled_vrf_output(prev_seed, round, step, voter)));
     }
-    if (static_cast<double>(tally) > quorum) result.winner = value;
+    if (consensus::quorum_winner({&tally, 1}, {&*value, 1}, quorum) == 0)
+      result.winner = value;
     result.coin = coin.bit();
     return result;
   };
@@ -322,12 +324,9 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
     if (ba.step_number() == step) ba.advance(s.winner, s.coin);
   }
 
-  const StepOutcome final_step = vote_step(
-      consensus::kFinalStep, params_.expected_final_stake,
-      params_.final_quorum(),
-      ba.concluded_in_first_iteration() && ba.result() != empty_hash
-          ? std::optional<Hash256>(ba.result())
-          : std::nullopt);
+  const StepOutcome final_step =
+      vote_step(consensus::kFinalStep, params_.expected_final_stake,
+                params_.final_quorum(), ba.final_vote());
 
   // ---- Outcome ---------------------------------------------------------
   if (out.online_count > 0) {
@@ -339,14 +338,9 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
         });
   }
 
-  const auto live_n = static_cast<double>(out.live_count);
-  const double online_share =
-      live_n > 0.0 ? static_cast<double>(out.online_count) / live_n : 0.0;
-  out.final_fraction =
-      out.online_outcome == NodeOutcome::Final ? online_share : 0.0;
-  out.tentative_fraction =
-      out.online_outcome == NodeOutcome::Tentative ? online_share : 0.0;
-  out.none_fraction = 1.0 - out.final_fraction - out.tentative_fraction;
+  const std::size_t online = out.online_count;
+  set_fractions(out, out.online_outcome == NodeOutcome::Final ? online : 0,
+                out.online_outcome == NodeOutcome::Tentative ? online : 0);
 
   // ---- Canonical chain append -----------------------------------------
   // The dense rule is the plurality over online nodes' conclusions; with a
@@ -364,14 +358,7 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
 void expand_sparse_into(const Network& net, const SparseRoundResult& sparse,
                         RoundResult& result, RoundWorkspace& ws) {
   const std::size_t n = net.node_count();
-  result.round = sparse.round;
-  result.live_count = sparse.live_count;
-  result.final_fraction = sparse.final_fraction;
-  result.tentative_fraction = sparse.tentative_fraction;
-  result.none_fraction = sparse.none_fraction;
-  result.non_empty_block = sparse.non_empty_block;
-  result.proposals = sparse.proposals;
-  result.synchrony = sparse.synchrony;
+  static_cast<RoundSummary&>(result) = sparse;
 
   fill_relay_set(net, ws.relay);
   result.outcomes.assign(n, NodeOutcome::NoBlock);

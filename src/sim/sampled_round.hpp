@@ -61,7 +61,29 @@ namespace roleshare::sim {
 class Network;
 struct RoundResult;
 struct RoundWorkspace;
-enum class NodeOutcome : std::uint8_t;
+
+/// Per-node outcome of one round (the Fig-3 categories).
+enum class NodeOutcome : std::uint8_t { Final, Tentative, NoBlock };
+
+/// The aggregates both round results report: RoundResult
+/// (round_engine.hpp) and SparseRoundResult (below).
+struct RoundSummary {
+  ledger::Round round = 0;
+  /// Nodes present (live) this round — round-varying under churn; the
+  /// denominator of the outcome fractions below. Equals the population on
+  /// churn-free networks.
+  std::size_t live_count = 0;
+  /// Fractions over the live population (set_fractions, round_phases.hpp).
+  double final_fraction = 0.0;
+  double tentative_fraction = 0.0;
+  double none_fraction = 0.0;
+  /// Whether the canonical chain advanced with a non-empty block.
+  bool non_empty_block = false;
+  /// Number of proposals actually broadcast.
+  std::size_t proposals = 0;
+  /// Synchrony state the round ran under.
+  net::SynchronyState synchrony = net::SynchronyState::Strong;
+};
 
 /// One node the round actually touched (elected as proposer or committee
 /// member in any step), with the roles and reward stake the dense path
@@ -74,11 +96,10 @@ struct SparseNodeRole {
   std::int64_t reward_stake = 0;
 };
 
-/// The sparse round's output: aggregates plus the touched-node role list.
+/// The sparse round's output: the summary, the online population and
+/// its shared outcome, plus the touched-node role list.
 /// expand_sparse_into materializes the equivalent full RoundResult.
-struct SparseRoundResult {
-  ledger::Round round = 0;
-  std::size_t live_count = 0;
+struct SparseRoundResult : RoundSummary {
   /// Live nodes that are not playing Offline — the population whose
   /// outcome is `online_outcome`; everyone else is NoBlock.
   std::size_t online_count = 0;
@@ -86,13 +107,7 @@ struct SparseRoundResult {
   /// reward snapshot without walking the population.
   std::int64_t online_stake = 0;
   /// The representative outcome every online node shares.
-  NodeOutcome online_outcome;
-  double final_fraction = 0.0;
-  double tentative_fraction = 0.0;
-  double none_fraction = 0.0;
-  bool non_empty_block = false;
-  std::size_t proposals = 0;
-  net::SynchronyState synchrony = net::SynchronyState::Strong;
+  NodeOutcome online_outcome = NodeOutcome::NoBlock;
   /// First-touch order; each node appears once.
   std::vector<SparseNodeRole> touched;
 };
@@ -155,11 +170,10 @@ struct SparseRoundWorkspace {
   std::vector<std::uint64_t> origin_labels;
   std::vector<std::uint64_t> origin_seeds;
 
-  // Proposal-phase scratch: the cooperating winners' broadcasts as
-  // parallel arrays, plus the materialized blocks (their transaction
-  // vectors are the one protocol-inherent allocation a round keeps, same
-  // as the dense workspace's proposal list).
-  std::vector<ledger::NodeId> proposer_ids;
+  // Proposal-phase scratch: the broadcasts of the cooperating winners in
+  // origin_labels as parallel arrays, plus the materialized blocks (their
+  // transaction vectors are the one protocol-inherent allocation a round
+  // keeps, same as the dense workspace's proposal list).
   std::vector<std::uint64_t> proposer_priorities;
   std::vector<net::TimeMs> proposal_arrivals;
   std::vector<crypto::Hash256> proposal_hashes;
@@ -181,7 +195,7 @@ std::uint32_t mean_field_hops(std::size_t online, std::size_t relays,
 /// Materializes the full-population RoundResult the dense path reports:
 /// per-node outcomes (online => the representative outcome), observed and
 /// true role snapshots with offline-zeroed reward stakes, and the copied
-/// aggregates. O(N); buffers come from `ws`.
+/// summary. O(N); buffers come from `ws`.
 void expand_sparse_into(const Network& net, const SparseRoundResult& sparse,
                         RoundResult& result, RoundWorkspace& ws);
 

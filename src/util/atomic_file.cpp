@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -34,6 +35,14 @@ void write_file_atomically(const std::string& path, std::string_view bytes) {
   std::error_code ec;
   std::filesystem::rename(tmp_path, path, ec);
   if (ec) fail("cannot rename " + tmp_path + " into place: " + ec.message());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 }  // namespace roleshare::util

@@ -1,6 +1,6 @@
-// Whole-file replacement that never leaves a half-written target: the
+// Whole files: replacement that never leaves a half-written target — the
 // one write path of shard partials, checkpoints, series documents and
-// result-store entries (DESIGN.md §9.3).
+// result-store entries (DESIGN.md §9.3) — and the one reader of them.
 #pragma once
 
 #include <string>
@@ -17,5 +17,9 @@ namespace roleshare::util {
 /// contents, and std::runtime_error names `path`. No fsync: a rename
 /// survives a process crash, not a power loss.
 void write_file_atomically(const std::string& path, std::string_view bytes);
+
+/// Reads the whole of `path`; std::runtime_error names it when it cannot
+/// be opened.
+std::string read_file(const std::string& path);
 
 }  // namespace roleshare::util

@@ -20,6 +20,7 @@ TEST(BinaryBa, HappyPathConcludesFirstIteration) {
   EXPECT_EQ(ba.status(), BaStatus::ConcludedBlock);
   EXPECT_EQ(ba.result(), kBlock);
   EXPECT_TRUE(ba.concluded_in_first_iteration());
+  EXPECT_EQ(ba.final_vote(), kBlock);
 }
 
 TEST(BinaryBa, EmptyQuorumConcludesEmptyInSubStepB) {
@@ -31,6 +32,7 @@ TEST(BinaryBa, EmptyQuorumConcludesEmptyInSubStepB) {
   EXPECT_EQ(ba.status(), BaStatus::ConcludedEmpty);
   EXPECT_EQ(ba.result(), kEmpty);
   EXPECT_FALSE(ba.concluded_in_first_iteration());
+  EXPECT_EQ(ba.final_vote(), std::nullopt);
 }
 
 TEST(BinaryBa, TimeoutsFollowDefaults) {
@@ -72,6 +74,7 @@ TEST(BinaryBa, BlockQuorumInLaterIterationIsNotFinal) {
   ba.advance(kBlock);
   EXPECT_EQ(ba.status(), BaStatus::ConcludedBlock);
   EXPECT_FALSE(ba.concluded_in_first_iteration());
+  EXPECT_EQ(ba.final_vote(), std::nullopt);
   EXPECT_EQ(ba.iteration(), 2u);
 }
 
@@ -92,6 +95,7 @@ TEST(BinaryBa, ExhaustsAfterMaxIterations) {
     ba.advance(std::nullopt, true);
   }
   EXPECT_EQ(ba.status(), BaStatus::Exhausted);
+  EXPECT_EQ(ba.final_vote(), std::nullopt);
 }
 
 TEST(BinaryBa, StepNumbersAdvanceSequentially) {

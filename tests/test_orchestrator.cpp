@@ -145,7 +145,7 @@ roleshare::orch::JobStats run_job(const std::string& dir,
   ShardableBench bench = small_fig3();
   job.runs = bench.runs;
   job.socket_path = dir + "/orch.sock";
-  job.spool_dir = dir;
+  if (job.spool_dir.empty()) job.spool_dir = dir;
   roleshare::orch::JobCallbacks callbacks;
   callbacks.config_echo = bench.config_echo;
   callbacks.fold = bench.fold;
@@ -377,6 +377,21 @@ TEST(Orchestrator, DroppedAssignmentExpiresLeaseAndReissues) {
   EXPECT_EQ(stats.folded, 2u);
   EXPECT_GE(stats.retries, 1u);
   expect_byte_identical(dir, dir + "/orch_series.json");
+}
+
+// The coordinator creates the spool directory once it has accepted the
+// job, so a refused job leaves none behind and the caller need not make
+// it first.
+TEST(Orchestrator, AcceptedJobCreatesItsSpoolDirectory) {
+  const std::string dir = make_scratch_dir();
+  roleshare::orch::JobConfig job;
+  job.window = 3;
+  job.workers = 2;
+  job.spool_dir = dir + "/spool";
+  const std::string series = dir + "/orchestrated_series.json";
+  run_job(dir, series, job, Injection{});
+  EXPECT_EQ(::access(job.spool_dir.c_str(), F_OK), 0);
+  expect_byte_identical(dir, series);
 }
 
 // A re-issue of a window past the job's last one would never fire, so a

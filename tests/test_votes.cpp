@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "util/rng.hpp"
+
 namespace roleshare::consensus {
 namespace {
 
@@ -116,12 +120,42 @@ TEST(VoteCounter, CommonCoinIsDeterministicAndBinary) {
   const VoterSetup s = make_voters(3);
   const crypto::Hash256 value = crypto::HashBuilder("blk").add_u64(7).build();
   VoteCounter c1(0.5), c2(0.5);
+  crypto::Hash256 min_coin_hash;
   for (std::size_t i = 0; i < 3; ++i) {
-    c1.add(vote_for(s, i, value));
-    c2.add(vote_for(s, i, value));
+    const Vote v = vote_for(s, i, value);
+    c1.add(v);
+    c2.add(v);
+    const crypto::Hash256 h = coin_hash(v.sortition.vrf.output);
+    if (i == 0 || h < min_coin_hash) min_coin_hash = h;
   }
   ASSERT_TRUE(c1.common_coin().has_value());
   EXPECT_EQ(c1.common_coin(), c2.common_coin());
+  EXPECT_EQ(*c1.common_coin(), (min_coin_hash.bytes().back() & 1) != 0);
+}
+
+TEST(VoteCounter, WinnerIsStrictlyAboveQuorumAndTiesGoToTheLowerHash) {
+  const crypto::Hash256 a = crypto::HashBuilder("blk").add_u64(9).build();
+  const crypto::Hash256 b = crypto::HashBuilder("blk").add_u64(10).build();
+  const std::vector<crypto::Hash256> values = {std::max(a, b), std::min(a, b)};
+  // A weight exactly at the quorum does not win.
+  EXPECT_EQ(quorum_winner(std::vector<std::uint64_t>{10, 3}, values, 10.0),
+            -1);
+  // Equal weights above the quorum: the lower hash wins.
+  EXPECT_EQ(quorum_winner(std::vector<std::uint64_t>{11, 11}, values, 10.0),
+            1);
+  // A heavier value beats a lower hash.
+  EXPECT_EQ(quorum_winner(std::vector<std::uint64_t>{12, 11}, values, 10.0),
+            0);
+  EXPECT_EQ(quorum_winner({}, {}, 10.0), -1);
+}
+
+TEST(Votes, CoinHashIsTheDomainTaggedVrfHash) {
+  util::Rng rng(2024);
+  for (int i = 0; i < 1000; ++i) {
+    const crypto::Hash256 x =
+        crypto::HashBuilder("vrf").add_u64(rng()).build();
+    EXPECT_EQ(coin_hash(x), crypto::HashBuilder("roleshare.coin").add(x).build());
+  }
 }
 
 TEST(VoteCounter, CommonCoinEmptyWhenNoVotes) {
