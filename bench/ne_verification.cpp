@@ -69,38 +69,27 @@ int main(int argc, char** argv) {
         econ::RoleSnapshot snap = sample_snapshot(rng, players);
 
         // --- G_Al (stake-proportional), Theorems 1-2 + Lemma 1.
-        const game::GameConfig gal{snap,
-                                   costs,
-                                   game::SchemeKind::StakeProportional,
-                                   20e6,
-                                   econ::RewardSplit(0.02, 0.03),
-                                   {},
-                                   0.685};
-        const game::AlgorandGame game_al(gal);
+        const game::AlgorandGame game_al(
+            game::GameConfig{.snapshot = snap, .costs = costs, .bi = 20e6});
         util::Rng lemma_rng = rng.split("lemma1");
         verdicts.lemma1 = game::verify_lemma1(game_al, lemma_rng, 8).holds;
         verdicts.thm1 = game::verify_theorem1(game_al).holds;
         verdicts.thm2 = game::verify_theorem2(game_al).holds;
 
-        // --- G_Al+ (role-based), Theorem 3 with Y = all Others.
-        std::vector<bool> sync_set(snap.node_count(), false);
-        for (std::size_t v = 0; v < snap.node_count(); ++v)
-          if (snap.role(static_cast<ledger::NodeId>(v)) ==
-              consensus::Role::Other)
-            sync_set[v] = true;
-
+        // --- G_Al+ (role-based), Theorem 3 with Y = all online Others
+        // (every Other: stakes are at least 1).
         const econ::RewardOptimizer optimizer;
         const econ::OptimizerResult opt = optimizer.optimize(snap, costs);
         if (!opt.feasible) return verdicts;
         verdicts.feasible = true;
 
-        const game::GameConfig galplus{snap,
-                                       costs,
-                                       game::SchemeKind::RoleBased,
-                                       opt.min_bi,
-                                       opt.split,
-                                       sync_set,
-                                       0.685};
+        const game::GameConfig galplus{
+            .snapshot = snap,
+            .costs = costs,
+            .scheme = game::SchemeKind::RoleBased,
+            .bi = opt.min_bi,
+            .split = opt.split,
+            .sync_set = game::online_others(snap)};
         const game::AlgorandGame game_plus(galplus);
         verdicts.thm3 = game::verify_theorem3(game_plus).holds;
 

@@ -22,11 +22,12 @@
 // --sparse=1 switches to the CommitteeModel::Sampled comparison
 // (DESIGN.md §10): the sparse O(committee · log N) path vs the dense
 // Sampled evaluation of the same rounds, both compounding role rewards
-// into stake every round so the stake index absorbs real deltas. The
-// sparse pass reports allocations per round (gated by --self-check
+// into stake every round so the stake index absorbs real deltas. It
+// reports the sparse pass's allocations per round (gated by --self-check
 // against the sparse-touch contract: nothing beyond the chain append and
-// the proposal transaction lists), the sparse workspace + context bytes,
-// and per-node peak RSS; --sparse --sweep runs the 100k/1M ladder whose
+// the proposal transaction lists), the dense reference's steady
+// allocations per round, the sparse workspace + context bytes, and
+// per-node peak RSS; --sparse --sweep runs the 100k/1M ladder whose
 // ms/round ratio is the sublinearity evidence.
 //
 //   $ ./round_latency --nodes=100000 --rounds=3 --inner-threads=0
@@ -44,11 +45,9 @@
 
 #include "alloc_counter.hpp"
 #include "bench_util.hpp"
-#include "econ/foundation_schedule.hpp"
-#include "econ/sparse_payout.hpp"
 #include "sim/aggregators.hpp"
+#include "sim/longhorizon.hpp"
 #include "sim/round_engine.hpp"
-#include "sim/sampled_round.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace roleshare;
@@ -252,29 +251,11 @@ consensus::ConsensusParams sampled_params(const sim::Network& net) {
   return params;
 }
 
-/// Credits the round's fixed-split role payouts (Foundation budget,
-/// α = β = 0.30) from the touched-set spans and reports each credited
-/// node through `on_credit`. Shared by the sparse and dense passes so
-/// both compound the exact same µAlgos and stay bit-identical.
-template <typename OnCredit>
-void compound_payouts(sim::Network& net, ledger::Round round,
-                      const std::vector<ledger::NodeId>& ids,
-                      const std::vector<consensus::Role>& roles,
-                      const std::vector<std::int64_t>& stakes,
-                      std::int64_t online_stake,
-                      std::vector<ledger::MicroAlgos>& amounts,
-                      OnCredit&& on_credit) {
-  const econ::RewardSplit split(0.30, 0.30);
-  const ledger::MicroAlgos budget = econ::FoundationSchedule::reward_for_round(
-      std::max<ledger::Round>(round, 1));
-  amounts.assign(ids.size(), 0);
-  econ::distribute_touched(split, budget, roles, stakes, online_stake,
-                           amounts);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (amounts[i] == 0) continue;
-    net.accounts().credit(ids[i], amounts[i]);
-    on_credit(ids[i]);
-  }
+/// The long-horizon default split (α = β = 0.30) both passes compound
+/// with, so they credit the same µAlgos and stay bit-identical.
+econ::RewardSplit payout_split() {
+  const sim::LongHorizonConfig defaults;
+  return econ::RewardSplit(defaults.alpha, defaults.beta);
 }
 
 /// The sparse evaluation: one O(N) context build, then every round is
@@ -292,7 +273,7 @@ SparsePassResult run_sparse_pass(std::size_t nodes, std::size_t rounds,
   sim::SparseRoundWorkspace ws;
   sim::SparseRoundResult sparse;
 
-  std::vector<ledger::NodeId> ids;
+  const econ::RewardSplit split = payout_split();
   std::vector<consensus::Role> roles;
   std::vector<std::int64_t> stakes;
   std::vector<ledger::MicroAlgos> amounts;
@@ -307,18 +288,12 @@ SparsePassResult run_sparse_pass(std::size_t nodes, std::size_t rounds,
     pass.final_fractions.push_back(sparse.final_fraction);
     pass.proposals.push_back(sparse.proposals);
     touched_total += sparse.touched.size();
-
-    ids.clear();
-    roles.clear();
-    stakes.clear();
-    for (const sim::SparseNodeRole& t : sparse.touched) {
-      ids.push_back(t.node);
-      roles.push_back(t.role_observed);
-      stakes.push_back(t.reward_stake);
-    }
-    compound_payouts(net, sparse.round, ids, roles, stakes,
-                     sparse.online_stake, amounts,
-                     [&](ledger::NodeId v) { ctx.refresh_node(net, v); });
+    sim::credit_role_payouts(
+        net.accounts(), split, sparse.round, sparse.touched,
+        sparse.online_stake, roles, stakes, amounts,
+        [&](ledger::NodeId v, std::int64_t, std::int64_t) {
+          ctx.refresh_node(net, v);
+        });
   }
   pass.wall_ms = timer.elapsed_ms();
   pass.workspace_bytes = ws.capacity_bytes();
@@ -342,7 +317,8 @@ SparsePassResult run_dense_sampled_pass(std::size_t nodes, std::size_t rounds,
 
   sim::RoundWorkspace ws;
   sim::RoundResult result;
-  std::vector<ledger::NodeId> ids;
+  const econ::RewardSplit split = payout_split();
+  std::vector<sim::SparseNodeRole> touched;
   std::vector<consensus::Role> roles;
   std::vector<std::int64_t> stakes;
   std::vector<ledger::MicroAlgos> amounts;
@@ -356,20 +332,18 @@ SparsePassResult run_dense_sampled_pass(std::size_t nodes, std::size_t rounds,
     pass.final_fractions.push_back(result.final_fraction);
     pass.proposals.push_back(result.proposals);
 
+    // The paid set: every node the snapshot gives a role.
     const econ::RoleSnapshot& snapshot = *result.roles;
-    ids.clear();
-    roles.clear();
-    stakes.clear();
+    touched.clear();
     for (std::size_t v = 0; v < snapshot.node_count(); ++v) {
-      const consensus::Role role =
-          snapshot.role(static_cast<ledger::NodeId>(v));
-      if (role == consensus::Role::Other) continue;
-      ids.push_back(static_cast<ledger::NodeId>(v));
-      roles.push_back(role);
-      stakes.push_back(snapshot.stake(static_cast<ledger::NodeId>(v)));
+      const auto id = static_cast<ledger::NodeId>(v);
+      const consensus::Role role = snapshot.role(id);
+      if (role != consensus::Role::Other)
+        touched.push_back({id, role, role, snapshot.stake(id)});
     }
-    compound_payouts(net, result.round, ids, roles, stakes,
-                     snapshot.total_stake(), amounts, [](ledger::NodeId) {});
+    sim::credit_role_payouts(net.accounts(), split, result.round, touched,
+                             snapshot.total_stake(), roles, stakes, amounts,
+                             [](ledger::NodeId, std::int64_t, std::int64_t) {});
   }
   pass.wall_ms = timer.elapsed_ms();
   pass.workspace_bytes = ws.capacity_bytes();
@@ -410,8 +384,10 @@ SparseMeasurement measure_sparse_size(std::size_t nodes,
 
   std::printf("dense reference (%zu rounds)...\n", dense_rounds);
   m.dense = run_dense_sampled_pass(nodes, dense_rounds, seed, 0.05);
-  std::printf("  wall: %.0f ms (%.2f ms/round)\n", m.dense.wall_ms,
-              m.dense.ms_per_round());
+  std::printf("  wall: %.0f ms (%.2f ms/round) | allocations/round: "
+              "steady %llu\n",
+              m.dense.wall_ms, m.dense.ms_per_round(),
+              static_cast<unsigned long long>(m.dense.steady_allocs()));
 
   const std::size_t common = std::min(sparse_rounds, dense_rounds);
   m.identical =
@@ -436,6 +412,8 @@ SparseMeasurement measure_sparse_size(std::size_t nodes,
   fields.emplace_back(prefix + "sparse_rounds", sparse_rounds);
   fields.emplace_back(prefix + "dense_ms_per_round", m.dense.ms_per_round());
   fields.emplace_back(prefix + "dense_rounds", dense_rounds);
+  fields.emplace_back(prefix + "dense_allocs_per_round_steady",
+                      m.dense.steady_allocs());
   fields.emplace_back(prefix + "sparse_speedup_vs_dense", m.speedup);
   fields.emplace_back(prefix + "sparse_allocs_per_round_first",
                       m.sparse.allocs_per_round.front());

@@ -29,6 +29,15 @@ struct RewardSplit {
   double gamma() const { return 1.0 - alpha - beta; }
 };
 
+/// One holder's Eq (5) share of a role pot: `fraction` of `budget`, split
+/// by stake among the pot's `pot_stake`; 0 when the pot holds no stake.
+/// The product is evaluated left to right, the order every payout and
+/// golden digest depends on.
+inline double pot_share(double fraction, double budget, double stake,
+                        double pot_stake) {
+  return pot_stake > 0.0 ? fraction * budget * stake / pot_stake : 0.0;
+}
+
 /// Inputs to the bound computation, decoupled from RoleSnapshot so the
 /// numerical analysis (Fig 5) can sweep synthetic populations.
 struct BoundInputs {

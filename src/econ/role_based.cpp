@@ -71,28 +71,14 @@ Payouts RoleBasedScheme::distribute(ledger::Round,
   if (budget == 0) return out;
 
   // The filter only affects who counts toward S_K / receives from the γ
-  // pot; leaders and committee always participate.
+  // pot; leaders and committee always participate. The pot stakes come
+  // from the filtered snapshot, but the payout walk stays on the full one:
+  // filtering drops Others and so shifts node ids.
+  const RoleSnapshot effective = effective_snapshot(snapshot);
+  const auto pot = [&effective](consensus::Role role) {
+    return static_cast<double>(effective.stake_of(role));
+  };
   const std::int64_t threshold = min_other_stake_.value_or(0);
-
-  std::int64_t sl = 0, sm = 0, sk = 0;
-  for (std::size_t v = 0; v < snapshot.node_count(); ++v) {
-    const auto id = static_cast<ledger::NodeId>(v);
-    switch (snapshot.role(id)) {
-      case consensus::Role::Leader:
-        sl += snapshot.stake(id);
-        break;
-      case consensus::Role::Committee:
-        sm += snapshot.stake(id);
-        break;
-      case consensus::Role::Other:
-        if (snapshot.stake(id) >= threshold) sk += snapshot.stake(id);
-        break;
-    }
-  }
-
-  const double alpha = last_split_.alpha;
-  const double beta = last_split_.beta;
-  const double gamma = last_split_.gamma();
   const double b = static_cast<double>(budget);
 
   for (std::size_t v = 0; v < snapshot.node_count(); ++v) {
@@ -101,14 +87,17 @@ Payouts RoleBasedScheme::distribute(ledger::Round,
     double share = 0.0;
     switch (snapshot.role(id)) {
       case consensus::Role::Leader:
-        if (sl > 0) share = alpha * b * stake / static_cast<double>(sl);
+        share = pot_share(last_split_.alpha, b, stake,
+                          pot(consensus::Role::Leader));
         break;
       case consensus::Role::Committee:
-        if (sm > 0) share = beta * b * stake / static_cast<double>(sm);
+        share = pot_share(last_split_.beta, b, stake,
+                          pot(consensus::Role::Committee));
         break;
       case consensus::Role::Other:
-        if (sk > 0 && snapshot.stake(id) >= threshold)
-          share = gamma * b * stake / static_cast<double>(sk);
+        if (snapshot.stake(id) >= threshold)
+          share = pot_share(last_split_.gamma(), b, stake,
+                            pot(consensus::Role::Other));
         break;
     }
     const auto amount = static_cast<ledger::MicroAlgos>(std::floor(share));

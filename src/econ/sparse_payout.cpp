@@ -27,23 +27,21 @@ SparsePayoutTotals distribute_touched(const RewardSplit& split,
              "touched role stakes exceed the online stake");
   if (budget == 0) return out;
 
-  // Digit-for-digit the arithmetic of RoleBasedScheme::distribute: double
-  // share, floor to µAlgos. Any deviation here would make compounded
-  // sparse economies drift from the dense scheme.
+  // The pot arithmetic of RoleBasedScheme::distribute: pot_share, then
+  // floor to µAlgos, so compounded sparse economies drift exactly as the
+  // dense scheme would.
   const double b = static_cast<double>(budget);
   for (std::size_t i = 0; i < roles.size(); ++i) {
     const double stake = static_cast<double>(stakes[i]);
     double share = 0.0;
     switch (roles[i]) {
       case consensus::Role::Leader:
-        if (out.leader_stake > 0)
-          share = split.alpha * b * stake /
-                  static_cast<double>(out.leader_stake);
+        share = pot_share(split.alpha, b, stake,
+                          static_cast<double>(out.leader_stake));
         break;
       case consensus::Role::Committee:
-        if (out.committee_stake > 0)
-          share = split.beta * b * stake /
-                  static_cast<double>(out.committee_stake);
+        share = pot_share(split.beta, b, stake,
+                          static_cast<double>(out.committee_stake));
         break;
       case consensus::Role::Other:
         break;  // the γ pot is reported below, not individually paid

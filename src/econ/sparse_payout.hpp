@@ -12,10 +12,11 @@
 //               observed Other carrying its full stake; offline nodes
 //               carry 0 — the dense snapshot's exact accounting)
 //
-// distribute_touched replicates RoleBasedScheme::distribute's arithmetic
-// digit for digit for the Leader/Committee amounts (same double shares,
-// same floor; test_longhorizon.cpp locks the equality), so compounding
-// the sparse payouts drifts stakes exactly as the dense scheme would.
+// distribute_touched and RoleBasedScheme::distribute share the pot
+// arithmetic (econ::pot_share, then the same floor), so the Leader and
+// Committee amounts agree by construction (test_longhorizon.cpp checks
+// the equality) and compounding the sparse payouts drifts stakes exactly
+// as the dense scheme would.
 //
 // The γ pot is the one modelled difference: paying it means crediting
 // every online node — O(N) — so the sparse path reports the pot total

@@ -13,49 +13,6 @@ constexpr std::array<Strategy, 3> kAllStrategies = {
 
 }  // namespace
 
-// committee_total_stake is strategy-independent and never touched here.
-void DeviationScanner::adjust(AlgorandGame::Aggregates& agg,
-                              const GameConfig& config, ledger::NodeId player,
-                              Strategy strategy, int sign) {
-  const double stake =
-      sign * static_cast<double>(config.snapshot.stake(player));
-  const bool in_sync =
-      !config.sync_set.empty() && config.sync_set[player];
-  const consensus::Role role = config.snapshot.role(player);
-
-  const auto bump = [sign](std::size_t& counter) {
-    if (sign > 0) {
-      ++counter;
-    } else {
-      RS_ENSURE(counter > 0, "aggregate counter underflow");
-      --counter;
-    }
-  };
-
-  if (strategy == Strategy::Offline) {
-    if (in_sync) bump(agg.sync_defectors);
-    return;
-  }
-  agg.online_stake += stake;
-  if (strategy == Strategy::Cooperate) {
-    switch (role) {
-      case consensus::Role::Leader:
-        agg.coop_leader_stake += stake;
-        bump(agg.coop_leader_count);
-        break;
-      case consensus::Role::Committee:
-        agg.coop_committee_stake += stake;
-        break;
-      case consensus::Role::Other:
-        agg.gamma_pool_stake += stake;
-        break;
-    }
-  } else {
-    agg.gamma_pool_stake += stake;
-    if (in_sync) bump(agg.sync_defectors);
-  }
-}
-
 DeviationScanner::DeviationScanner(const AlgorandGame& game,
                                    const Profile& profile)
     : game_(game), profile_(profile), base_(game.aggregate(profile)) {}
@@ -67,8 +24,8 @@ double DeviationScanner::base_payoff(ledger::NodeId player) const {
 double DeviationScanner::deviation_payoff(ledger::NodeId player,
                                           Strategy alt) const {
   AlgorandGame::Aggregates agg = base_;
-  adjust(agg, game_.config(), player, profile_[player], -1);
-  adjust(agg, game_.config(), player, alt, +1);
+  game_.add_contribution(agg, player, profile_[player], -1);
+  game_.add_contribution(agg, player, alt, +1);
   return game_.payoff_of(agg, player, alt);
 }
 
@@ -154,10 +111,7 @@ Profile theorem3_profile(const AlgorandGame& game) {
   Profile profile(game.player_count(), Strategy::Defect);
   for (std::size_t i = 0; i < profile.size(); ++i) {
     const auto v = static_cast<ledger::NodeId>(i);
-    const consensus::Role role = snap.role(v);
-    const bool in_sync =
-        !game.config().sync_set.empty() && game.config().sync_set[v];
-    if (role != consensus::Role::Other || in_sync)
+    if (snap.role(v) != consensus::Role::Other || game.in_sync_set(v))
       profile[i] = Strategy::Cooperate;
   }
   return profile;

@@ -36,11 +36,6 @@ class DeviationScanner {
   double deviation_payoff(ledger::NodeId player, Strategy alt) const;
 
  private:
-  /// Adds (sign = +1) or removes (sign = -1) one player's contribution to
-  /// the aggregates, mirroring AlgorandGame::aggregate's per-player logic.
-  static void adjust(AlgorandGame::Aggregates& agg, const GameConfig& config,
-                     ledger::NodeId player, Strategy strategy, int sign);
-
   const AlgorandGame& game_;
   const Profile& profile_;
   AlgorandGame::Aggregates base_;

@@ -28,42 +28,48 @@ AlgorandGame::Aggregates AlgorandGame::aggregate(
     const Profile& profile) const {
   RS_REQUIRE(profile.size() == player_count(), "profile size mismatch");
   Aggregates agg;
-  const econ::RoleSnapshot& snap = config_.snapshot;
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    const auto v = static_cast<ledger::NodeId>(i);
-    const double stake = static_cast<double>(snap.stake(v));
-    const Strategy s = profile[i];
-    const consensus::Role role = snap.role(v);
-
-    if (role == consensus::Role::Committee)
-      agg.committee_total_stake += stake;
-
-    if (s == Strategy::Offline) {
-      if (in_sync_set(v)) ++agg.sync_defectors;
-      continue;
-    }
-    agg.online_stake += stake;
-
-    if (s == Strategy::Cooperate) {
-      switch (role) {
-        case consensus::Role::Leader:
-          agg.coop_leader_stake += stake;
-          ++agg.coop_leader_count;
-          break;
-        case consensus::Role::Committee:
-          agg.coop_committee_stake += stake;
-          break;
-        case consensus::Role::Other:
-          agg.gamma_pool_stake += stake;
-          break;
-      }
-    } else {
-      // Online defector: hides its role, appears as a plain online node.
-      agg.gamma_pool_stake += stake;
-      if (in_sync_set(v)) ++agg.sync_defectors;
-    }
-  }
+  // Whole-Algo stakes sum exactly in a double, so the snapshot's integer
+  // sum is the per-player sum.
+  agg.committee_total_stake = static_cast<double>(
+      config_.snapshot.stake_of(consensus::Role::Committee));
+  for (std::size_t i = 0; i < profile.size(); ++i)
+    add_contribution(agg, static_cast<ledger::NodeId>(i), profile[i], +1);
   return agg;
+}
+
+void AlgorandGame::add_contribution(Aggregates& agg, ledger::NodeId player,
+                                    Strategy strategy, int sign) const {
+  const double stake =
+      sign * static_cast<double>(config_.snapshot.stake(player));
+  const auto bump = [sign](std::size_t& counter) {
+    RS_ENSURE(sign > 0 || counter > 0, "aggregate counter underflow");
+    counter = sign > 0 ? counter + 1 : counter - 1;
+  };
+
+  if (strategy == Strategy::Offline) {
+    if (in_sync_set(player)) bump(agg.sync_defectors);
+    return;
+  }
+  agg.online_stake += stake;
+
+  if (strategy == Strategy::Cooperate) {
+    switch (config_.snapshot.role(player)) {
+      case consensus::Role::Leader:
+        agg.coop_leader_stake += stake;
+        bump(agg.coop_leader_count);
+        break;
+      case consensus::Role::Committee:
+        agg.coop_committee_stake += stake;
+        break;
+      case consensus::Role::Other:
+        agg.gamma_pool_stake += stake;
+        break;
+    }
+  } else {
+    // Online defector: hides its role, appears as a plain online node.
+    agg.gamma_pool_stake += stake;
+    if (in_sync_set(player)) bump(agg.sync_defectors);
+  }
 }
 
 bool AlgorandGame::block_created(const Aggregates& agg) const {
@@ -87,39 +93,28 @@ double AlgorandGame::reward_of(const Aggregates& agg, ledger::NodeId player,
   const double stake = static_cast<double>(snap.stake(player));
   if (stake <= 0.0) return 0.0;
 
-  if (config_.scheme == SchemeKind::StakeProportional) {
-    // Eq (3): r_i = B_i / S_N for every online node, role-blind.
-    if (agg.online_stake <= 0.0) return 0.0;
-    return config_.bi * stake / agg.online_stake;
-  }
+  // Eq (3): r_i = B_i / S_N for every online node, role-blind — one pot
+  // holding the whole budget.
+  if (config_.scheme == SchemeKind::StakeProportional)
+    return econ::pot_share(1.0, config_.bi, stake, agg.online_stake);
 
-  // Role-based (Eq 5): cooperators draw from their role's pot; online
-  // defectors draw from the γ pot.
-  const double alpha = config_.split.alpha;
-  const double beta = config_.split.beta;
-  const double gamma = config_.split.gamma();
-  const consensus::Role role = snap.role(player);
-
+  // Role-based (Eq 5): cooperators draw from their role's pot; Others and
+  // online defectors of any role draw from the γ pot.
+  const econ::RewardSplit& split = config_.split;
   if (strategy == Strategy::Cooperate) {
-    switch (role) {
+    switch (snap.role(player)) {
       case consensus::Role::Leader:
-        return agg.coop_leader_stake > 0.0
-                   ? alpha * config_.bi * stake / agg.coop_leader_stake
-                   : 0.0;
+        return econ::pot_share(split.alpha, config_.bi, stake,
+                               agg.coop_leader_stake);
       case consensus::Role::Committee:
-        return agg.coop_committee_stake > 0.0
-                   ? beta * config_.bi * stake / agg.coop_committee_stake
-                   : 0.0;
+        return econ::pot_share(split.beta, config_.bi, stake,
+                               agg.coop_committee_stake);
       case consensus::Role::Other:
-        return agg.gamma_pool_stake > 0.0
-                   ? gamma * config_.bi * stake / agg.gamma_pool_stake
-                   : 0.0;
+        break;
     }
   }
-  // Online defector (any role) is paid from the γ pot.
-  return agg.gamma_pool_stake > 0.0
-             ? gamma * config_.bi * stake / agg.gamma_pool_stake
-             : 0.0;
+  return econ::pot_share(split.gamma(), config_.bi, stake,
+                         agg.gamma_pool_stake);
 }
 
 double AlgorandGame::payoff_of(const Aggregates& agg, ledger::NodeId player,
@@ -152,6 +147,16 @@ std::vector<double> AlgorandGame::payoffs(const Profile& profile) const {
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = payoff_of(agg, static_cast<ledger::NodeId>(i), profile[i]);
   return out;
+}
+
+std::vector<bool> online_others(const econ::RoleSnapshot& snapshot) {
+  std::vector<bool> sync_set(snapshot.node_count());
+  for (std::size_t v = 0; v < sync_set.size(); ++v) {
+    const auto id = static_cast<ledger::NodeId>(v);
+    sync_set[v] =
+        snapshot.role(id) == consensus::Role::Other && snapshot.stake(id) > 0;
+  }
+  return sync_set;
 }
 
 }  // namespace roleshare::game

@@ -42,8 +42,9 @@ struct GameConfig {
   econ::RewardSplit split{0.02, 0.03};
   /// sync_set[v] — v belongs to the strong-synchrony set Y. Only
   /// meaningful for Other nodes; empty means Y = ∅ (no Other node is
-  /// pivotal for liveness, the G_Al baseline analysis).
-  std::vector<bool> sync_set;
+  /// pivotal for liveness, the G_Al baseline analysis). The `{}` lets
+  /// designated initializers omit it without a -Wextra warning.
+  std::vector<bool> sync_set{};
   /// Committee vote threshold T used in the block-success predicate.
   double committee_threshold = 0.685;
 };
@@ -64,9 +65,12 @@ class AlgorandGame {
   /// Payoffs of all players (single O(n) pass).
   std::vector<double> payoffs(const Profile& profile) const;
 
+  /// Whether `player` belongs to the strong-synchrony set Y.
+  bool in_sync_set(ledger::NodeId player) const;
+
  private:
   /// Aggregates the payoff computation depends on; O(n) to build,
-  /// O(1) to adjust for a unilateral deviation (see equilibrium.cpp).
+  /// O(1) to adjust for a unilateral deviation (DeviationScanner).
   struct Aggregates {
     double coop_leader_stake = 0;     // effective S_L
     std::size_t coop_leader_count = 0;
@@ -80,14 +84,22 @@ class AlgorandGame {
   friend class DeviationScanner;
 
   Aggregates aggregate(const Profile& profile) const;
+  /// Adds (sign = +1) or removes (sign = -1) one player's contribution
+  /// to the strategy-dependent aggregates.
+  void add_contribution(Aggregates& agg, ledger::NodeId player,
+                        Strategy strategy, int sign) const;
   bool block_created(const Aggregates& agg) const;
   double reward_of(const Aggregates& agg, ledger::NodeId player,
                    Strategy strategy) const;
   double payoff_of(const Aggregates& agg, ledger::NodeId player,
                    Strategy strategy) const;
-  bool in_sync_set(ledger::NodeId player) const;
 
   GameConfig config_;
 };
+
+/// The Theorem-3 sync set Y under the conservative liveness assumption
+/// the bounds were derived under: every online Other (an Other node with
+/// stake) is needed to relay.
+std::vector<bool> online_others(const econ::RoleSnapshot& snapshot);
 
 }  // namespace roleshare::game

@@ -1,5 +1,7 @@
 #include "sim/behavior.hpp"
 
+#include <algorithm>
+
 #include "util/require.hpp"
 
 namespace roleshare::sim {
@@ -26,6 +28,14 @@ game::Strategy selfish_rule(const econ::CostModel& costs,
 }
 
 }  // namespace
+
+void set_election_odds(SelfishContext& ctx, std::int64_t total_stake) {
+  if (total_stake <= 0) return;
+  const double w = static_cast<double>(total_stake);
+  ctx.p_leader = std::min(1.0, 26.0 * static_cast<double>(ctx.stake) / w);
+  ctx.p_committee =
+      std::min(1.0, 13'000.0 * static_cast<double>(ctx.stake) / w);
+}
 
 game::Strategy choose_strategy(BehaviorType behavior,
                                const econ::CostModel& costs,

@@ -73,6 +73,14 @@ struct SelfishContext {
   double defect_probability = 0.0;
 };
 
+/// Sets ctx.p_leader and ctx.p_committee for ctx.stake out of
+/// `total_stake` (Algos). P(at least one sub-user selected) is
+/// 1 - (1 - tau/W)^stake; the decision rule only needs the cheap upper
+/// estimate tau * stake / W, capped at 1, with the paper's committee
+/// expectations tau_L = 26 and tau_M = 13,000. A total of 0 leaves both
+/// odds untouched.
+void set_election_odds(SelfishContext& ctx, std::int64_t total_stake);
+
 /// Picks the round strategy for a behaviour.
 /// Selfish rule: cooperate iff expected reward (last observed rate x stake)
 /// strictly exceeds expected cooperation cost (fixed cost plus election-

@@ -1,11 +1,6 @@
 #include "sim/longhorizon.hpp"
 
-#include <algorithm>
-
-#include "econ/foundation_schedule.hpp"
-#include "econ/sparse_payout.hpp"
 #include "sim/round_engine.hpp"
-#include "sim/sampled_round.hpp"
 #include "util/require.hpp"
 #include "util/streaming_stats.hpp"
 
@@ -71,6 +66,15 @@ LongHorizonRun execute_run(const LongHorizonConfig& config,
   std::vector<consensus::Role> touched_roles;
   std::vector<std::int64_t> touched_stakes;
   std::vector<ledger::MicroAlgos> touched_amounts;
+  // Compounding: each credit folds its stake delta into the sparse
+  // context and both sketches — O(log N) per payout.
+  const auto on_credit = [&](ledger::NodeId v, std::int64_t before,
+                             std::int64_t after) {
+    if (after == before) return;  // sub-Algo dust: stake unchanged
+    concentration.update(before, after);
+    cohort.update(before, after, defector[v] != 0);
+    ctx.refresh_node(net, v);
+  };
 
   LongHorizonRun run;
   run.gini.reserve(config.rounds_per_run);
@@ -81,37 +85,11 @@ LongHorizonRun execute_run(const LongHorizonConfig& config,
   ledger::MicroAlgos paid_total = 0;
   for (std::size_t r = 0; r < config.rounds_per_run; ++r) {
     engine.run_round_sparse_into(sparse, ctx, scratch);
-
-    // Role payouts on the touched set; Foundation Table-III budget
-    // (1-based rounds — the chain's genesis block sits at height 0).
-    const ledger::MicroAlgos budget = econ::FoundationSchedule::
-        reward_for_round(std::max<ledger::Round>(sparse.round, 1));
-    const std::size_t nt = sparse.touched.size();
-    touched_roles.clear();
-    touched_stakes.clear();
-    for (const SparseNodeRole& t : sparse.touched) {
-      touched_roles.push_back(t.role_observed);
-      touched_stakes.push_back(t.reward_stake);
-    }
-    touched_amounts.assign(nt, 0);
-    const econ::SparsePayoutTotals totals = econ::distribute_touched(
-        split, budget, touched_roles, touched_stakes, sparse.online_stake,
-        touched_amounts);
-    paid_total += totals.paid;
-
-    // Compound: credit each winner and fold the stake delta into the
-    // sparse context and both sketches — O(log N) per payout.
-    for (std::size_t i = 0; i < nt; ++i) {
-      if (touched_amounts[i] == 0) continue;
-      const ledger::NodeId v = sparse.touched[i].node;
-      const std::int64_t before = net.accounts().stake(v);
-      net.accounts().credit(v, touched_amounts[i]);
-      const std::int64_t after = net.accounts().stake(v);
-      if (after == before) continue;  // sub-Algo dust: stake unchanged
-      concentration.update(before, after);
-      cohort.update(before, after, defector[v] != 0);
-      ctx.refresh_node(net, v);
-    }
+    paid_total += credit_role_payouts(net.accounts(), split, sparse.round,
+                                      sparse.touched, sparse.online_stake,
+                                      touched_roles, touched_stakes,
+                                      touched_amounts, on_credit)
+                      .paid;
 
     run.gini.push_back(concentration.gini());
     run.top_share.push_back(concentration.top_share(config.top_fraction));

@@ -28,15 +28,21 @@
 // single-process result bit for bit (bench/fig_longhorizon.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "consensus/params.hpp"
 #include "econ/bi_bounds.hpp"
+#include "econ/foundation_schedule.hpp"
+#include "econ/sparse_payout.hpp"
+#include "ledger/account_table.hpp"
 #include "sim/aggregators.hpp"
 #include "sim/experiment_runner.hpp"
 #include "sim/network.hpp"
 #include "sim/partial.hpp"
+#include "sim/sampled_round.hpp"
 
 namespace roleshare::sim {
 
@@ -133,5 +139,41 @@ LongHorizonPartial run_longhorizon_partial(const LongHorizonConfig& config);
 
 /// run_longhorizon_partial + finalize — the single-process experiment.
 LongHorizonResult run_longhorizon(const LongHorizonConfig& config);
+
+/// One round's payout step: the Foundation Table-III budget of round
+/// max(round, 1) (the chain's genesis block sits at height 0), split by
+/// econ::distribute_touched over the touched nodes' observed roles and
+/// reward stakes, and every non-zero amount credited to its account.
+/// `roles`, `stakes` and `amounts` are caller-owned scratch, refilled
+/// each call. Reports each credit as on_credit(v, stake_before,
+/// stake_after), in whole Algos, and returns the round's totals.
+template <typename OnCredit>
+econ::SparsePayoutTotals credit_role_payouts(
+    ledger::AccountTable& accounts, const econ::RewardSplit& split,
+    ledger::Round round, std::span<const SparseNodeRole> touched,
+    std::int64_t online_stake, std::vector<consensus::Role>& roles,
+    std::vector<std::int64_t>& stakes,
+    std::vector<ledger::MicroAlgos>& amounts, OnCredit&& on_credit) {
+  roles.clear();
+  stakes.clear();
+  for (const SparseNodeRole& t : touched) {
+    roles.push_back(t.role_observed);
+    stakes.push_back(t.reward_stake);
+  }
+  amounts.assign(touched.size(), 0);
+  const econ::SparsePayoutTotals totals = econ::distribute_touched(
+      split,
+      econ::FoundationSchedule::reward_for_round(
+          std::max<ledger::Round>(round, 1)),
+      roles, stakes, online_stake, amounts);
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    if (amounts[i] == 0) continue;
+    const ledger::NodeId v = touched[i].node;
+    const std::int64_t before = accounts.stake(v);
+    accounts.credit(v, amounts[i]);
+    on_credit(v, before, accounts.stake(v));
+  }
+  return totals;
+}
 
 }  // namespace roleshare::sim

@@ -98,14 +98,7 @@ void Network::decide_strategies(const econ::CostModel& costs,
     SelfishContext ctx;
     ctx.stake = accounts_.stake(static_cast<ledger::NodeId>(v));
     ctx.last_reward_per_stake = last_reward_per_stake;
-    if (total > 0) {
-      // P(at least one sub-user selected) = 1 - (1 - tau/W)^stake; a cheap
-      // upper estimate tau*s/W suffices for the decision rule.
-      const double w = static_cast<double>(total);
-      ctx.p_leader = std::min(1.0, 26.0 * static_cast<double>(ctx.stake) / w);
-      ctx.p_committee =
-          std::min(1.0, 13'000.0 * static_cast<double>(ctx.stake) / w);
-    }
+    set_election_odds(ctx, total);
     strategies_[v] = choose_strategy(behaviors_[v], costs, ctx, rng);
   }
 }

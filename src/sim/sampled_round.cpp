@@ -125,7 +125,8 @@ void SparseRoundContext::init_from(const Network& net) {
   relay_count_ = 0;
   online_stake_ = 0;
   const std::vector<Strategy>& strategies = net.strategies();
-  std::vector<std::int64_t> stakes(n, 0);
+  // Refill the index's own leaf array, so no second N-entry array exists.
+  std::vector<std::int64_t> stakes = index_.release_leaves();
   net.accounts().stakes_into(stakes);
   for (std::size_t v = 0; v < n; ++v) {
     const bool live = net.live(static_cast<NodeId>(v));
@@ -137,7 +138,7 @@ void SparseRoundContext::init_from(const Network& net) {
     relay_count_ += p.relay ? 1 : 0;
     if (p.online) online_stake_ += stakes[v];
   }
-  index_.rebuild(stakes);
+  index_.rebuild(std::move(stakes));
 }
 
 void SparseRoundContext::refresh_node(const Network& net, NodeId v) {

@@ -129,16 +129,13 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
     if (last->non_empty_block && snap_stake > 0)
       last_rate = bi / static_cast<double>(snap_stake);
     if (config_.kind == PolicyKind::AdaptiveDefect) {
-      // The split only matters for the role-based game G_Al+; the
-      // stake-proportional game adaptive candidates play ignores it.
-      game::GameConfig game_config{snap,
-                                   config_.costs,
-                                   game::SchemeKind::StakeProportional,
-                                   bi,
-                                   econ::RewardSplit(0.02, 0.03),
-                                   {},
-                                   config_.committee_threshold};
-      game.emplace(std::move(game_config));
+      // Adaptive candidates play the stake-proportional game G_Al, which
+      // ignores the split.
+      game.emplace(game::GameConfig{
+          .snapshot = snap,
+          .costs = config_.costs,
+          .bi = bi,
+          .committee_threshold = config_.committee_threshold});
     }
   }
 
@@ -175,15 +172,7 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
       SelfishContext ctx;
       ctx.stake = net.accounts().stake(id);
       ctx.last_reward_per_stake = last_rate;
-      if (total > 0) {
-        // Same cheap upper estimates as Network::decide_strategies
-        // (paper committee expectations tau_L = 26, tau_M = 13,000).
-        const double w = static_cast<double>(total);
-        ctx.p_leader =
-            std::min(1.0, 26.0 * static_cast<double>(ctx.stake) / w);
-        ctx.p_committee =
-            std::min(1.0, 13'000.0 * static_cast<double>(ctx.stake) / w);
-      }
+      set_election_odds(ctx, total);
       ctx.defect_probability = defect_probability(v);
       next[v] = choose_strategy(behavior, config_.costs, ctx, rng);
     }

@@ -73,13 +73,10 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
     // Rewards for this round, and the induced one-round game. Nodes know
     // their *true* roles when reasoning about deviations.
     const econ::RoleSnapshot& snap = *round.roles_true;
-    game::GameConfig game_config{snap,
-                                 config.costs,
-                                 game::SchemeKind::StakeProportional,
-                                 0.0,
-                                 econ::RewardSplit(0.02, 0.03),
-                                 {},
-                                 0.685};
+    game::GameConfig game_config{
+        .snapshot = snap,
+        .costs = config.costs,
+        .committee_threshold = engine.params().step_threshold};
 
     if (config.scheme == SchemeChoice::FoundationStakeProportional) {
       game_config.bi = static_cast<double>(
@@ -94,15 +91,7 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
           role_based.required_budget(round.round, snap);
       game_config.bi = static_cast<double>(bi);
       game_config.split = role_based.last_split();
-      // Liveness set Y: every online Other is needed to relay — the
-      // conservative assumption the Theorem-3 bounds were derived under.
-      game_config.sync_set.assign(snap.node_count(), false);
-      for (std::size_t v = 0; v < snap.node_count(); ++v) {
-        if (snap.role(static_cast<ledger::NodeId>(v)) ==
-                consensus::Role::Other &&
-            snap.stake(static_cast<ledger::NodeId>(v)) > 0)
-          game_config.sync_set[v] = true;
-      }
+      game_config.sync_set = game::online_others(snap);
       stats.bi_algos =
           round.non_empty_block ? ledger::to_algos(bi) : 0.0;
     }

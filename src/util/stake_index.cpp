@@ -1,25 +1,27 @@
 #include "util/stake_index.hpp"
 
+#include <utility>
+
 #include "util/require.hpp"
 
 namespace roleshare::util {
 
 StakeIndex::StakeIndex(std::span<const std::int64_t> stakes) {
-  rebuild(stakes);
+  rebuild(std::vector<std::int64_t>(stakes.begin(), stakes.end()));
 }
 
-void StakeIndex::rebuild(std::span<const std::int64_t> stakes) {
-  const std::size_t n = stakes.size();
-  stake_.assign(stakes.begin(), stakes.end());
+void StakeIndex::rebuild(std::vector<std::int64_t>&& stakes) {
+  stake_ = std::move(stakes);
+  const std::size_t n = stake_.size();
   tree_.assign(n + 1, 0);
   total_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    RS_REQUIRE(stakes[i] >= 0, "stake index: negative stake");
-    total_ += stakes[i];
+    RS_REQUIRE(stake_[i] >= 0, "stake index: negative stake");
+    total_ += stake_[i];
   }
   // O(n) bottom-up build: seed the leaves, then push each node's sum into
   // its Fenwick parent.
-  for (std::size_t i = 1; i <= n; ++i) tree_[i] = stakes[i - 1];
+  for (std::size_t i = 1; i <= n; ++i) tree_[i] = stake_[i - 1];
   for (std::size_t i = 1; i <= n; ++i) {
     const std::size_t parent = i + (i & (~i + 1));
     if (parent <= n) tree_[parent] += tree_[i];
@@ -27,6 +29,13 @@ void StakeIndex::rebuild(std::span<const std::int64_t> stakes) {
   descent_mask_ = 1;
   while (descent_mask_ * 2 <= n) descent_mask_ *= 2;
   if (n == 0) descent_mask_ = 0;
+}
+
+std::vector<std::int64_t> StakeIndex::release_leaves() {
+  tree_.clear();
+  total_ = 0;
+  descent_mask_ = 0;
+  return std::exchange(stake_, {});
 }
 
 void StakeIndex::update(std::size_t v, std::int64_t new_stake) {

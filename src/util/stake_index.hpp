@@ -33,8 +33,14 @@ class StakeIndex {
   /// Builds the index over `stakes` (all must be >= 0). O(n).
   explicit StakeIndex(std::span<const std::int64_t> stakes);
 
-  /// Rebuilds over a new stake vector, reusing storage. O(n).
-  void rebuild(std::span<const std::int64_t> stakes);
+  /// Rebuilds over `stakes` (all >= 0), adopting the vector as the leaf
+  /// array and reusing the tree's storage. O(n).
+  void rebuild(std::vector<std::int64_t>&& stakes);
+
+  /// Moves the leaf array out and leaves the index empty, so a caller can
+  /// refill it and hand it back to rebuild without a second n-entry
+  /// array.
+  std::vector<std::int64_t> release_leaves();
 
   std::size_t size() const { return stake_.size(); }
   /// Sum of all stakes currently in the index.

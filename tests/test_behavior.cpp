@@ -78,6 +78,21 @@ TEST(Behavior, SelfishThresholdScalesWithElectionOdds) {
             Strategy::Cooperate);
 }
 
+// The cheap tau * s / W upper estimates both the network and the
+// scenario policy feed the selfish rule.
+TEST(Behavior, ElectionOddsAreCappedUpperEstimates) {
+  SelfishContext ctx;
+  ctx.stake = 10;
+  set_election_odds(ctx, 1'000);
+  EXPECT_DOUBLE_EQ(ctx.p_leader, 0.26);  // 26 * 10 / 1000
+  EXPECT_EQ(ctx.p_committee, 1.0);       // 13,000 * 10 / 1000, capped
+  SelfishContext nothing_staked;
+  nothing_staked.stake = 10;
+  set_election_odds(nothing_staked, 0);
+  EXPECT_EQ(nothing_staked.p_leader, 0.0);
+  EXPECT_EQ(nothing_staked.p_committee, 0.0);
+}
+
 TEST(Behavior, Names) {
   EXPECT_EQ(to_string(BehaviorType::Honest), "honest");
   EXPECT_EQ(to_string(BehaviorType::Selfish), "selfish");

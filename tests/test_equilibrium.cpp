@@ -35,10 +35,8 @@ GameConfig galplus_config(double bi_micro, econ::RewardSplit split,
                     0.685};
 }
 
-TEST(Equilibrium, ScannerMatchesDirectPayoffs) {
-  const AlgorandGame game(gal_config(30));
-  Profile p = all_cooperate(game.player_count());
-  p[2] = Strategy::Defect;
+void expect_scanner_matches_direct_payoffs(const AlgorandGame& game,
+                                           const Profile& p) {
   const DeviationScanner scanner(game, p);
   for (ledger::NodeId v = 0; v < game.player_count(); ++v) {
     EXPECT_NEAR(scanner.base_payoff(v), game.payoff(p, v), 1e-9);
@@ -50,6 +48,37 @@ TEST(Equilibrium, ScannerMatchesDirectPayoffs) {
           << "player " << v << " alt " << to_string(alt);
     }
   }
+}
+
+std::vector<bool> sync_set_for(const RoleSnapshot& snap,
+                               std::initializer_list<int> members) {
+  std::vector<bool> y(snap.node_count(), false);
+  for (const int v : members) y[static_cast<std::size_t>(v)] = true;
+  return y;
+}
+
+TEST(Equilibrium, ScannerMatchesDirectPayoffs) {
+  {
+    const AlgorandGame game(gal_config(30));
+    Profile p = all_cooperate(game.player_count());
+    p[2] = Strategy::Defect;
+    expect_scanner_matches_direct_payoffs(game, p);
+  }
+  // A non-empty Y whose base profile has one member Offline (5) and one
+  // Defecting (6): deviations of either remove a sync defector, and the
+  // block needs both back.
+  const AlgorandGame game(galplus_config(
+      10e6, econ::RewardSplit(0.2, 0.3), sync_set_for(snapshot(), {5, 6, 7})));
+  Profile p = theorem3_profile(game);
+  p[5] = Strategy::Offline;
+  p[6] = Strategy::Defect;
+  expect_scanner_matches_direct_payoffs(game, p);
+  EXPECT_FALSE(game.block_created(p));
+  p[5] = Strategy::Cooperate;
+  expect_scanner_matches_direct_payoffs(game, p);
+  const DeviationScanner scanner(game, p);
+  EXPECT_GT(scanner.deviation_payoff(6, Strategy::Cooperate),
+            scanner.base_payoff(6));
 }
 
 TEST(Equilibrium, Lemma1OfflineDominated) {
@@ -91,13 +120,6 @@ TEST(Equilibrium, Theorem2WitnessSavesRoleCostDelta) {
   const double saved = CostModel{}.cooperation_cost(role) -
                        CostModel{}.defection_cost();
   EXPECT_NEAR(report.witness->gain(), saved, 1e-6);
-}
-
-std::vector<bool> sync_set_for(const RoleSnapshot& snap,
-                               std::initializer_list<int> members) {
-  std::vector<bool> y(snap.node_count(), false);
-  for (const int v : members) y[static_cast<std::size_t>(v)] = true;
-  return y;
 }
 
 TEST(Equilibrium, Theorem3ProfileShape) {

@@ -174,6 +174,24 @@ TEST(GameModel, RejectsBadConfig) {
   EXPECT_THROW(AlgorandGame{config}, std::invalid_argument);
 }
 
+// The Theorem-3 sync set Y of the strategic loop and ne_verification:
+// Others with stake, and nobody else.
+TEST(GameModel, OnlineOthersKeepsOnlyOthersWithStake) {
+  const RoleSnapshot snap({Role::Leader, Role::Committee, Role::Other,
+                           Role::Other, Role::Leader, Role::Other,
+                           Role::Committee},
+                          {5, 3, 0, 7, 0, 2, 0});
+  EXPECT_EQ(online_others(snap),
+            (std::vector<bool>{false, false, false, true, false, true,
+                               false}));
+  GameConfig config = base_config(SchemeKind::RoleBased);
+  config.sync_set = online_others(config.snapshot);
+  const AlgorandGame game(config);
+  for (ledger::NodeId v = 0; v < game.player_count(); ++v)
+    EXPECT_EQ(game.in_sync_set(v), config.snapshot.role(v) == Role::Other)
+        << v;
+}
+
 TEST(GameModel, ProfileSizeChecked) {
   const AlgorandGame game(base_config(SchemeKind::StakeProportional));
   EXPECT_THROW(game.payoff(Profile(2, Strategy::Cooperate), 0),

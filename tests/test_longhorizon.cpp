@@ -4,7 +4,9 @@
 
 #include <vector>
 
+#include "crypto/keypair.hpp"
 #include "econ/cost_model.hpp"
+#include "econ/foundation_schedule.hpp"
 #include "econ/role_based.hpp"
 #include "econ/role_snapshot.hpp"
 #include "econ/sparse_payout.hpp"
@@ -105,6 +107,71 @@ TEST(SparsePayout, GuardsAndDegenerateBudgets) {
   std::vector<ledger::MicroAlgos> wrong(2, 0);
   EXPECT_THROW(econ::distribute_touched(split, 100, roles, stakes, 10, wrong),
                std::invalid_argument);
+}
+
+// The payout step both the long-horizon run and round_latency compound
+// through: round 0 pays round 1's budget (rounds are 1-based), each
+// credited balance grows by exactly distribute_touched's µAlgos, and a
+// zero amount is neither credited nor reported.
+TEST(LongHorizon, CreditRolePayoutsCreditsEveryNonZeroAmount) {
+  using consensus::Role;
+  ledger::AccountTable accounts;
+  const std::vector<std::int64_t> balances_algos{40, 25, 60, 10, 0, 33};
+  for (std::size_t v = 0; v < balances_algos.size(); ++v)
+    accounts.add_account(crypto::KeyPair::derive(5, v).public_key(),
+                         ledger::algos(balances_algos[v]));
+  // Node 4 is a zero-stake leader and node 5 an Other: both earn 0.
+  const std::vector<SparseNodeRole> touched{
+      {0, Role::Leader, Role::Leader, 40},
+      {1, Role::Committee, Role::Committee, 25},
+      {2, Role::Committee, Role::Committee, 60},
+      {3, Role::Leader, Role::Leader, 10},
+      {4, Role::Leader, Role::Leader, 0},
+      {5, Role::Other, Role::Other, 33}};
+  const std::int64_t online_stake = 40 + 25 + 60 + 10 + 0 + 33 + 500;
+  const econ::RewardSplit split(0.30, 0.30);
+
+  std::vector<Role> roles;
+  std::vector<std::int64_t> stakes;
+  for (const SparseNodeRole& t : touched) {
+    roles.push_back(t.role_observed);
+    stakes.push_back(t.reward_stake);
+  }
+  std::vector<ledger::MicroAlgos> expected(touched.size(), 0);
+  const econ::SparsePayoutTotals expected_totals = econ::distribute_touched(
+      split, econ::FoundationSchedule::reward_for_round(1), roles, stakes,
+      online_stake, expected);
+  ASSERT_GT(expected[0], 0);
+  ASSERT_EQ(expected[4], 0);
+  ASSERT_EQ(expected[5], 0);
+
+  std::vector<ledger::MicroAlgos> balances_before;
+  for (std::size_t v = 0; v < touched.size(); ++v)
+    balances_before.push_back(
+        accounts.balance(static_cast<ledger::NodeId>(v)));
+  std::vector<ledger::NodeId> reported;
+  std::vector<Role> scratch_roles;
+  std::vector<std::int64_t> scratch_stakes;
+  std::vector<ledger::MicroAlgos> amounts;
+  const econ::SparsePayoutTotals totals = credit_role_payouts(
+      accounts, split, 0, touched, online_stake, scratch_roles,
+      scratch_stakes, amounts,
+      [&](ledger::NodeId v, std::int64_t before, std::int64_t after) {
+        EXPECT_EQ(before, balances_before[v] / ledger::kMicroPerAlgo);
+        EXPECT_EQ(after, accounts.stake(v));
+        reported.push_back(v);
+      });
+
+  EXPECT_EQ(totals.paid, expected_totals.paid);
+  EXPECT_EQ(totals.others_pot, expected_totals.others_pot);
+  EXPECT_EQ(amounts, expected);
+  std::vector<ledger::NodeId> credited;
+  for (std::size_t v = 0; v < touched.size(); ++v) {
+    const auto id = static_cast<ledger::NodeId>(v);
+    EXPECT_EQ(accounts.balance(id), balances_before[v] + expected[v]) << v;
+    if (expected[v] != 0) credited.push_back(id);
+  }
+  EXPECT_EQ(reported, credited);
 }
 
 TEST(LongHorizon, SmokeRunProducesCoherentSeries) {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -59,13 +60,29 @@ ShardableBench small_fig3() {
 }
 
 // Short-lived scratch dir under /tmp — Unix socket paths have a ~107
-// byte kernel cap, so the (long) gtest TempDir is not usable here.
-std::string make_scratch_dir() {
-  std::string tmpl = "/tmp/orchtestXXXXXX";
-  const char* dir = ::mkdtemp(tmpl.data());
-  if (dir == nullptr) throw std::runtime_error("mkdtemp failed");
-  return dir;
-}
+// byte kernel cap, so the (long) gtest TempDir is not usable here. The
+// tree goes when the test ends. Forked workers leave through hard_exit
+// (_exit), which runs no destructor, so only the test process removes it.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl = "/tmp/orchtestXXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr)
+      throw std::runtime_error("mkdtemp failed");
+    path_ = std::move(tmpl);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // The single-process reference: execute the whole run range in-process,
 // fold the one resulting partial document, write the series. This is
@@ -169,7 +186,8 @@ void expect_byte_identical(const std::string& dir,
 }
 
 TEST(Orchestrator, MultiWorkerSeriesIsByteIdenticalToSingleProcess) {
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   roleshare::orch::JobConfig job;
   job.window = 2;  // 6 runs -> 3 windows
   job.workers = 3;
@@ -191,7 +209,8 @@ TEST(Orchestrator, KilledWorkerResumesFromCheckpointByteIdentically) {
   // a fresh id, so it carries no injection and finishes the job;
   // MultiWorkerSeriesIsByteIdenticalToSingleProcess covers several
   // workers.
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Injection injection;
   injection.kill_after_runs = 2;
   injection.checkpoint_every = 1;
@@ -214,7 +233,8 @@ TEST(Orchestrator, ReissuedWindowIsServedFromStoreNotRecomputed) {
   // result store, so the re-execution must be a cache hit whose
   // duplicate DONE is discarded — the acceptance criterion that retries
   // are cheap by construction.
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Injection injection;
   injection.store_dir = dir + "/store";
   roleshare::orch::JobConfig job;
@@ -236,7 +256,8 @@ TEST(Orchestrator, FailedReissueDoesNotHangTheJob) {
   // coordinator must stop waiting for that duplicate: leaking the
   // outstanding-reissue count would leave complete() false forever and
   // the job polling silently after every window folded.
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Injection injection;
   injection.fail_reissued = true;
   roleshare::orch::JobConfig job;
@@ -273,7 +294,8 @@ TEST(Orchestrator, StragglerDeathDoesNotStealTheReissuedLease) {
   // must not requeue the window a third time — that would inflate the
   // attempt count toward max_attempts and spawn a pointless concurrent
   // attempt 3 while attempt 2 is actively finishing the job.
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string socket_path = dir + "/orch.sock";
   ShardableBench bench = small_fig3();
   roleshare::orch::JobConfig job;
@@ -365,7 +387,8 @@ TEST(Orchestrator, DroppedAssignmentExpiresLeaseAndReissues) {
   // Worker 0 silently swallows its first ASSIGN. The lease must expire
   // and the window must complete on the other worker — straggler-safe
   // because each attempt spools to its own file.
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   Injection injection;
   injection.drop_assignments = 1;
   roleshare::orch::JobConfig job;
@@ -383,7 +406,8 @@ TEST(Orchestrator, DroppedAssignmentExpiresLeaseAndReissues) {
 // job, so a refused job leaves none behind and the caller need not make
 // it first.
 TEST(Orchestrator, AcceptedJobCreatesItsSpoolDirectory) {
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   roleshare::orch::JobConfig job;
   job.window = 3;
   job.workers = 2;
@@ -399,7 +423,8 @@ TEST(Orchestrator, AcceptedJobCreatesItsSpoolDirectory) {
 // must refuse it up front, naming the window and the window count,
 // before it binds the socket or forks a worker.
 TEST(Orchestrator, ReissuePastTheLastWindowIsRefused) {
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   roleshare::orch::JobConfig job;
   job.runs = 4;
   job.window = 2;  // 4 runs -> windows 0 and 1
@@ -430,7 +455,8 @@ TEST(Orchestrator, ReissuePastTheLastWindowIsRefused) {
 // A worker whose runner always throws: every attempt FAILs, so the
 // window must burn max_attempts and abort the job loudly.
 TEST(Orchestrator, AttemptCapAbortsTheJob) {
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string socket_path = dir + "/orch.sock";
   roleshare::orch::JobConfig job;
   job.runs = 2;
@@ -474,7 +500,8 @@ TEST(Orchestrator, AttemptCapAbortsTheJob) {
 // would compute a DIFFERENT experiment, and folding its partials would
 // silently corrupt the series.
 TEST(Orchestrator, ConfigEchoDriftAbortsTheJob) {
-  const std::string dir = make_scratch_dir();
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string socket_path = dir + "/orch.sock";
   roleshare::orch::JobConfig job;
   job.runs = 2;

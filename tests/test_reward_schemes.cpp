@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "econ/role_based.hpp"
 #include "econ/stake_proportional.hpp"
+#include "util/rng.hpp"
 
 namespace roleshare::econ {
 namespace {
@@ -160,6 +164,34 @@ TEST(RewardSplit, Validation) {
   EXPECT_THROW(RewardSplit(-0.1, 0.2), std::invalid_argument);
   const RewardSplit ok(0.02, 0.03);
   EXPECT_NEAR(ok.gamma(), 0.95, 1e-12);
+}
+
+// Every Eq (5) payout goes through pot_share, and the golden digests pin
+// its left-to-right product: fraction * budget first, then * stake, then
+// / pot_stake. Seeded inputs on which a reordered product differs show the
+// bit-for-bit check would catch a reorder.
+TEST(PotShare, IsTheLeftToRightProductBitForBit) {
+  util::Rng rng(22);
+  std::size_t reorder_differs = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const double fraction = rng.uniform01();
+    const double budget = static_cast<double>(rng.uniform_int(1, 1'000'000'000));
+    const double stake = static_cast<double>(rng.uniform_int(1, 5'000));
+    const double pot_stake =
+        stake + static_cast<double>(rng.uniform_int(0, 1'000'000));
+    const double expected = ((fraction * budget) * stake) / pot_stake;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  pot_share(fraction, budget, stake, pot_stake)),
+              std::bit_cast<std::uint64_t>(expected));
+    if (fraction * (budget * stake) / pot_stake != expected) ++reorder_differs;
+  }
+  EXPECT_GT(reorder_differs, 0u);
+}
+
+TEST(PotShare, EmptyPotPaysNothing) {
+  EXPECT_EQ(pot_share(0.3, 26e6, 10.0, 0.0), 0.0);
+  EXPECT_EQ(pot_share(0.3, 26e6, 0.0, 0.0), 0.0);
+  EXPECT_EQ(pot_share(0.3, 26e6, 10.0, 40.0), 0.3 * 26e6 * 10.0 / 40.0);
 }
 
 TEST(Schemes, Names) {

@@ -101,6 +101,26 @@ TEST(StakeIndex, RebuildReplacesContents) {
   EXPECT_EQ(index.find(9), 0u);
 }
 
+// SparseRoundContext::init_from refills the index's own leaf array: the
+// released array comes back adopted, not copied, and the rebuilt index
+// equals a fresh one over the same stakes.
+TEST(StakeIndex, RebuildAdoptsTheReleasedLeaves) {
+  StakeIndex index(std::vector<std::int64_t>{4, 0, 7, 1});
+  std::vector<std::int64_t> leaves = index.release_leaves();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.total(), 0);
+  leaves.assign({2, 9, 0, 5});
+  const std::int64_t* storage = leaves.data();
+  index.rebuild(std::move(leaves));
+  const StakeIndex fresh(std::vector<std::int64_t>{2, 9, 0, 5});
+  EXPECT_EQ(index.total(), fresh.total());
+  for (std::size_t v = 0; v <= 4; ++v)
+    EXPECT_EQ(index.prefix_sum(v), fresh.prefix_sum(v)) << v;
+  for (std::int64_t t = 0; t < fresh.total(); ++t)
+    EXPECT_EQ(index.find(t), fresh.find(t)) << t;
+  EXPECT_EQ(index.release_leaves().data(), storage);
+}
+
 TEST(StakeIndex, GuardsRejectInvalidInput) {
   EXPECT_THROW(StakeIndex(std::vector<std::int64_t>{3, -1}),
                std::invalid_argument);
