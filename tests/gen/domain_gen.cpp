@@ -1,37 +1,10 @@
 #include "gen/domain_gen.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace roleshare::testgen {
 
 namespace pgen = util::proptest::gen;
-using util::proptest::Shrinkable;
-using util::proptest::shrinkable_leaf;
-
-Gen<crypto::Hash256> hash256() {
-  return Gen<crypto::Hash256>([](util::Rng& rng) {
-    crypto::Digest d;
-    for (std::size_t w = 0; w < 4; ++w) {
-      const std::uint64_t bits = rng();
-      std::memcpy(d.data() + w * 8, &bits, 8);
-    }
-    Shrinkable<crypto::Hash256> s;
-    s.value = crypto::Hash256(d);
-    if (!s.value.is_zero()) {
-      s.children = []() {
-        return std::vector<Shrinkable<crypto::Hash256>>{
-            shrinkable_leaf(crypto::Hash256::zero())};
-      };
-    }
-    return s;
-  });
-}
-
-Gen<crypto::PublicKey> public_key() {
-  return hash256().map(
-      [](const crypto::Hash256& h) { return crypto::PublicKey{h}; });
-}
 
 Gen<std::string> byte_string(std::size_t max_len) {
   // Weighted toward the bytes that exercise the JSON escaper: quotes,
@@ -49,143 +22,6 @@ Gen<std::string> byte_string(std::size_t max_len) {
         for (const std::int64_t b : bytes)
           s.push_back(static_cast<char>(static_cast<unsigned char>(b)));
         return s;
-      });
-}
-
-Gen<ledger::Transaction> transaction() {
-  return pgen::tuple_of(pgen::int_range(0, 1'000'000'000),  // sender seed
-                        pgen::int_range(0, 10'000),         // sender node id
-                        pgen::int_range(0, 1'000'000'000),  // receiver seed
-                        pgen::int_range(1, 1'000'000'000),  // amount (> 0)
-                        pgen::int_range(0, 1'000'000),      // fee
-                        pgen::int_range(0, 1'000'000))      // nonce
-      .map([](const auto& t) {
-        const auto& [sseed, sid, rseed, amount, fee, nonce] = t;
-        const crypto::KeyPair sender = crypto::KeyPair::derive(
-            static_cast<std::uint64_t>(sseed), static_cast<std::uint64_t>(sid));
-        const crypto::KeyPair receiver =
-            crypto::KeyPair::derive(static_cast<std::uint64_t>(rseed), 0);
-        return ledger::Transaction::create(sender, receiver.public_key(),
-                                           amount, fee,
-                                           static_cast<std::uint64_t>(nonce));
-      });
-}
-
-Gen<ledger::Block> block() {
-  return pgen::tuple_of(pgen::int_range(0, 1'000'000),  // round
-                        hash256(),                      // prev_hash
-                        hash256(),                      // seed
-                        pgen::int_range(0, 1'000'000),  // proposer seed
-                        pgen::vector_of(transaction(), 0, 4),
-                        pgen::boolean())  // empty-block variant
-      .map([](const auto& t) {
-        const auto& [round, prev, seed, pseed, txns, is_empty] = t;
-        const auto r = static_cast<ledger::Round>(round);
-        if (is_empty) return ledger::Block::empty(r, prev, seed);
-        const crypto::KeyPair proposer =
-            crypto::KeyPair::derive(static_cast<std::uint64_t>(pseed), 0);
-        return ledger::Block::make(r, prev, seed, proposer.public_key(), txns);
-      });
-}
-
-namespace {
-
-Gen<crypto::SortitionResult> sortition_result(std::int64_t min_subs) {
-  return pgen::tuple_of(pgen::int_range(min_subs, 100'000),  // sub_users
-                        hash256(), hash256())
-      .map([](const auto& t) {
-        const auto& [subs, output, proof] = t;
-        crypto::SortitionResult r;
-        r.sub_users = static_cast<std::uint64_t>(subs);
-        r.vrf.output = output;
-        r.vrf.proof = crypto::Signature{proof};
-        return r;
-      });
-}
-
-}  // namespace
-
-Gen<consensus::Vote> vote() {
-  // Wire validity: the decoder rejects zero-weight votes and any weight
-  // that disagrees with the sortition proof, so weight := sub_users >= 1.
-  return pgen::tuple_of(pgen::int_range(0, 1'000'000),  // voter
-                        public_key(),
-                        pgen::int_range(0, 1'000'000),  // round
-                        pgen::int_range(0, 30),         // step
-                        hash256(),                      // value
-                        sortition_result(/*min_subs=*/1))
-      .map([](const auto& t) {
-        const auto& [voter, key, round, step, value, sort] = t;
-        consensus::Vote v;
-        v.voter = static_cast<ledger::NodeId>(voter);
-        v.voter_key = key;
-        v.round = static_cast<std::uint64_t>(round);
-        v.step = static_cast<std::uint32_t>(step);
-        v.value = value;
-        v.weight = sort.sub_users;
-        v.sortition = sort;
-        return v;
-      });
-}
-
-Gen<consensus::BlockProposal> block_proposal() {
-  // Wire validity: a proposal must carry a winning sortition (>= 1).
-  return pgen::tuple_of(pgen::int_range(0, 1'000'000),  // proposer
-                        public_key(), block(),
-                        sortition_result(/*min_subs=*/1),
-                        pgen::int_range(0, 1'000'000'000))  // priority
-      .map([](const auto& t) {
-        const auto& [proposer, key, blk, sort, priority] = t;
-        consensus::BlockProposal p;
-        p.proposer = static_cast<ledger::NodeId>(proposer);
-        p.proposer_key = key;
-        p.block = blk;
-        p.sortition = sort;
-        p.priority = static_cast<std::uint64_t>(priority);
-        return p;
-      });
-}
-
-Gen<consensus::Credential> credential() {
-  return pgen::tuple_of(pgen::int_range(0, 1'000'000),  // proposer
-                        public_key(),
-                        pgen::int_range(0, 1'000'000),  // round
-                        sortition_result(/*min_subs=*/0),
-                        pgen::int_range(0, 1'000'000'000))  // priority
-      .map([](const auto& t) {
-        const auto& [proposer, key, round, sort, priority] = t;
-        consensus::Credential c;
-        c.proposer = static_cast<ledger::NodeId>(proposer);
-        c.proposer_key = key;
-        c.round = static_cast<std::uint64_t>(round);
-        c.sortition = sort;
-        c.priority = static_cast<std::uint64_t>(priority);
-        return c;
-      });
-}
-
-Gen<consensus::ConsensusParams> consensus_params() {
-  return pgen::tuple_of(pgen::int_range(1, 40),        // tau_proposer
-                        pgen::int_range(8, 2'000),     // tau_step
-                        pgen::int_range(20, 20'000),   // tau_final
-                        pgen::real_range(0.55, 0.95),  // step threshold
-                        pgen::real_range(0.55, 0.95),  // final threshold
-                        pgen::int_range(1, 12),        // max binary iters
-                        pgen::real_range(1'000.0, 30'000.0),  // proposal ms
-                        pgen::real_range(1'000.0, 30'000.0))  // step ms
-      .map([](const auto& t) {
-        const auto& [tp, ts, tf, st, ft, iters, pms, sms] = t;
-        consensus::ConsensusParams p;
-        p.expected_proposer_stake = static_cast<std::uint64_t>(tp);
-        p.expected_step_stake = static_cast<std::uint64_t>(ts);
-        p.expected_final_stake = static_cast<std::uint64_t>(tf);
-        p.step_threshold = st;
-        p.final_threshold = ft;
-        p.max_binary_iterations = static_cast<std::uint32_t>(iters);
-        p.proposal_timeout_ms = pms;
-        p.step_timeout_ms = sms;
-        p.validate();
-        return p;
       });
 }
 
