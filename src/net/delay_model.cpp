@@ -27,30 +27,6 @@ std::string UniformDelay::name() const {
          "]ms";
 }
 
-ExponentialDelay::ExponentialDelay(TimeMs base, TimeMs mean_extra)
-    : base_(base), mean_extra_(mean_extra) {
-  RS_REQUIRE(std::isfinite(base) && std::isfinite(mean_extra),
-             "exponential delay base and mean must be finite");
-  RS_REQUIRE(base >= 0.0, "exponential delay base");
-  RS_REQUIRE(mean_extra > 0.0, "exponential delay mean");
-}
-
-TimeMs ExponentialDelay::sample(util::Rng& rng, ledger::NodeId,
-                                ledger::NodeId) const {
-  double u;
-  do {
-    u = rng.uniform01();
-  } while (u <= 0.0);
-  return base_ - mean_extra_ * std::log(u);
-}
-
-TimeMs ExponentialDelay::max_delay() const { return kNever; }
-
-std::string ExponentialDelay::name() const {
-  return "ExpDelay[base=" + std::to_string(base_) +
-         ",mean=" + std::to_string(mean_extra_) + "]ms";
-}
-
 ConstantDelay::ConstantDelay(TimeMs value) : value_(value) {
   RS_REQUIRE(std::isfinite(value), "constant delay value must be finite");
   RS_REQUIRE(value >= 0.0, "constant delay");
@@ -69,11 +45,6 @@ std::string ConstantDelay::name() const {
 
 std::unique_ptr<DelayModel> make_uniform_delay(TimeMs lo, TimeMs hi) {
   return std::make_unique<UniformDelay>(lo, hi);
-}
-
-std::unique_ptr<DelayModel> make_exponential_delay(TimeMs base,
-                                                   TimeMs mean_extra) {
-  return std::make_unique<ExponentialDelay>(base, mean_extra);
 }
 
 std::unique_ptr<DelayModel> make_constant_delay(TimeMs value) {

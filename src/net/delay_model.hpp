@@ -43,21 +43,6 @@ class UniformDelay final : public DelayModel {
   TimeMs hi_;
 };
 
-/// Shifted-exponential delay: base + Exp(mean_extra). Heavy-ish tail models
-/// WAN links; used by robustness benches.
-class ExponentialDelay final : public DelayModel {
- public:
-  ExponentialDelay(TimeMs base, TimeMs mean_extra);
-  TimeMs sample(util::Rng& rng, ledger::NodeId from,
-                ledger::NodeId to) const override;
-  TimeMs max_delay() const override;
-  std::string name() const override;
-
- private:
-  TimeMs base_;
-  TimeMs mean_extra_;
-};
-
 /// Constant delay — degenerate model for unit tests.
 class ConstantDelay final : public DelayModel {
  public:
@@ -72,8 +57,6 @@ class ConstantDelay final : public DelayModel {
 };
 
 std::unique_ptr<DelayModel> make_uniform_delay(TimeMs lo, TimeMs hi);
-std::unique_ptr<DelayModel> make_exponential_delay(TimeMs base,
-                                                   TimeMs mean_extra);
 std::unique_ptr<DelayModel> make_constant_delay(TimeMs value);
 
 }  // namespace roleshare::net

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace roleshare::net {
 namespace {
@@ -301,14 +302,23 @@ TEST(Gossip, CertificateMarginCoversRoundoffAtTheBoundary) {
   EXPECT_FALSE(degraded.certifies(7, kDefaultStepTimeoutMs));
 }
 
+// A model whose samples have no finite bound: max_delay() is kNever.
+class UnboundedDelay final : public DelayModel {
+ public:
+  TimeMs sample(util::Rng&, ledger::NodeId, ledger::NodeId) const override {
+    return 1.0;
+  }
+  TimeMs max_delay() const override { return kNever; }
+  std::string name() const override { return "UnboundedDelay"; }
+};
+
 TEST(Gossip, LossOrUnboundedDelaysNeverCertify) {
   const Topology t = ring(3);
   const ConstantDelay constant(1.0);
   EXPECT_TRUE(GossipEngine(t, constant).certifies(2, 2.5));
   EXPECT_FALSE(GossipEngine(t, constant, 1.0, 0.01).certifies(0, 1e9));
-  const ExponentialDelay exponential(1.0, 5.0);
-  EXPECT_EQ(exponential.max_delay(), kNever);
-  EXPECT_FALSE(GossipEngine(t, exponential).certifies(0, 1e9));
+  const UnboundedDelay unbounded;
+  EXPECT_FALSE(GossipEngine(t, unbounded).certifies(0, 1e9));
 }
 
 TEST(ReachClasses, MutuallyReachingRelaysShareAClass) {

@@ -91,15 +91,6 @@ TEST(DelayModels, UniformDegenerateRange) {
   EXPECT_DOUBLE_EQ(d.sample(rng, 0, 1), 50.0);
 }
 
-TEST(DelayModels, ExponentialMean) {
-  util::Rng rng(2);
-  const ExponentialDelay d(10.0, 40.0);
-  double sum = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += d.sample(rng, 0, 1);
-  EXPECT_NEAR(sum / n, 50.0, 1.5);
-}
-
 TEST(DelayModels, ConstantIsConstant) {
   util::Rng rng(3);
   const ConstantDelay d(7.0);
@@ -110,8 +101,6 @@ TEST(DelayModels, ConstantIsConstant) {
 TEST(DelayModels, FactoriesAndNames) {
   EXPECT_NE(make_uniform_delay(1, 2)->name().find("UniformDelay"),
             std::string::npos);
-  EXPECT_NE(make_exponential_delay(1, 2)->name().find("ExpDelay"),
-            std::string::npos);
   EXPECT_NE(make_constant_delay(1)->name().find("ConstDelay"),
             std::string::npos);
 }
@@ -119,7 +108,6 @@ TEST(DelayModels, FactoriesAndNames) {
 TEST(DelayModels, RejectBadParameters) {
   EXPECT_THROW(UniformDelay(-1.0, 5.0), std::invalid_argument);
   EXPECT_THROW(UniformDelay(5.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(ExponentialDelay(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(ConstantDelay(-2.0), std::invalid_argument);
 }
 
@@ -133,8 +121,6 @@ TEST(DelayModels, RejectNonFiniteParameters) {
   EXPECT_THROW(UniformDelay(nan, 5.0), std::invalid_argument);
   EXPECT_THROW(ConstantDelay{inf}, std::invalid_argument);
   EXPECT_THROW(ConstantDelay{nan}, std::invalid_argument);
-  EXPECT_THROW(ExponentialDelay(inf, 1.0), std::invalid_argument);
-  EXPECT_THROW(ExponentialDelay(1.0, inf), std::invalid_argument);
 }
 
 TEST(DelayModels, MaxDelayBoundsEverySample) {
@@ -144,7 +130,6 @@ TEST(DelayModels, MaxDelayBoundsEverySample) {
   for (int i = 0; i < 10'000; ++i)
     EXPECT_LE(uniform.sample(rng, 0, 1), uniform.max_delay());
   EXPECT_EQ(ConstantDelay(7.5).max_delay(), 7.5);
-  EXPECT_EQ(ExponentialDelay(1.0, 2.0).max_delay(), kNever);
 }
 
 }  // namespace
