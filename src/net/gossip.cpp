@@ -16,15 +16,10 @@ RelaySet RelaySet::all_cooperative(std::size_t n) {
 }
 
 GossipEngine::GossipEngine(const Topology& topology, const DelayModel& delays,
-                           double delay_factor, double loss_probability)
-    : topology_(topology),
-      delays_(delays),
-      delay_factor_(delay_factor),
-      loss_probability_(loss_probability) {
+                           double delay_factor)
+    : topology_(topology), delays_(delays), delay_factor_(delay_factor) {
   RS_REQUIRE(std::isfinite(delay_factor), "delay_factor must be finite");
   RS_REQUIRE(delay_factor >= 1.0, "delay factor >= 1");
-  RS_REQUIRE(loss_probability >= 0.0 && loss_probability < 1.0,
-             "loss probability in [0, 1)");
 }
 
 std::vector<TimeMs> GossipEngine::propagate(ledger::NodeId origin,
@@ -69,8 +64,6 @@ void GossipEngine::propagate_into(ledger::NodeId origin, TimeMs start,
     if (v != origin && !relay_set.relays[v]) continue;
     for (const ledger::NodeId to : topology_.out_neighbors(v)) {
       if (!relay_set.online[to]) continue;
-      if (loss_probability_ > 0.0 && rng.bernoulli(loss_probability_))
-        continue;  // this hop's copy is dropped
       const TimeMs hop = delays_.sample(rng, v, to) * delay_factor_;
       const TimeMs cand = t + hop;
       if (cand < arrival[to]) {
@@ -158,7 +151,6 @@ void GossipEngine::hops_to_into(ledger::NodeId target,
 }
 
 bool GossipEngine::certifies(std::uint32_t depth, TimeMs timeout) const {
-  if (loss_probability_ > 0.0) return false;
   const TimeMs max_hop = delays_.max_delay();
   if (!std::isfinite(max_hop)) return false;
   // Dijkstra's arrival at a node d hops out is at most the floating-point

@@ -50,11 +50,10 @@ struct GossipScratch {
 class GossipEngine {
  public:
   /// `delay_factor` scales every sampled hop delay (synchrony
-  /// degradation); `loss_probability` drops each hop's copy of a message
-  /// independently (lossy links / congestion). Gossip redundancy masks
-  /// moderate loss; combined with defection it compounds.
+  /// degradation). Every hop delivers its copy of a message: the engine
+  /// has no loss.
   GossipEngine(const Topology& topology, const DelayModel& delays,
-               double delay_factor = 1.0, double loss_probability = 0.0);
+               double delay_factor = 1.0);
 
   /// Earliest arrival time (origin transmits at `start`) at every node, or
   /// kNever if unreachable. The origin itself receives at `start`.
@@ -78,10 +77,10 @@ class GossipEngine {
                                const RelaySet& relay_set, TimeMs deadline);
 
   /// Breadth-first reach pass under propagate_into's rules: mask[v] = 1
-  /// exactly when propagate_into's arrival at v is < kNever with no loss
-  /// (offline nodes never receive; only the origin and relaying nodes
-  /// send). Draws no randomness. Returns the origin's eccentricity: the
-  /// largest hop count to a reached node (0 for an offline origin).
+  /// exactly when propagate_into's arrival at v is < kNever (offline
+  /// nodes never receive; only the origin and relaying nodes send).
+  /// Draws no randomness. Returns the origin's eccentricity: the largest
+  /// hop count to a reached node (0 for an offline origin).
   std::uint32_t reach_into(ledger::NodeId origin, const RelaySet& relay_set,
                            std::vector<std::uint8_t>& mask,
                            std::vector<ledger::NodeId>& queue) const;
@@ -96,16 +95,16 @@ class GossipEngine {
 
   /// True when a propagation from time 0 whose reached nodes all lie
   /// within `depth` hops of the origin reaches each of them by `timeout`.
-  /// Holds only with no loss, a finite DelayModel::max_delay() and
+  /// Holds only with a finite DelayModel::max_delay() and
   /// depth × max_delay × delay_factor at most `timeout` after a
-  /// floating-point margin (DESIGN.md §5 gives the argument).
+  /// floating-point margin (DESIGN.md §5 gives the argument; the engine
+  /// has no loss).
   bool certifies(std::uint32_t depth, TimeMs timeout) const;
 
  private:
   const Topology& topology_;
   const DelayModel& delays_;
   double delay_factor_;
-  double loss_probability_;
 };
 
 /// Hop count of a node a reach pass did not reach.

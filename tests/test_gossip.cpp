@@ -151,61 +151,6 @@ TEST(Gossip, RandomTopologyFullReachUnderStrongSynchrony) {
   EXPECT_GE(GossipEngine::reach_fraction(arrivals, relay, 10'000.0), 0.97);
 }
 
-TEST(Gossip, TotalLossOnRingCutsPropagation) {
-  // On a ring there is exactly one path; near-certain loss severs it.
-  util::Rng rng(21);
-  const Topology t = ring(6);
-  const ConstantDelay delay(1.0);
-  const GossipEngine lossy(t, delay, 1.0, 0.99);
-  const RelaySet relay = RelaySet::all_cooperative(6);
-  const auto arrivals = lossy.propagate(0, 0.0, relay, rng);
-  std::size_t reached = 0;
-  for (const auto a : arrivals)
-    if (a < kNever) ++reached;
-  EXPECT_LT(reached, 6u);
-}
-
-TEST(Gossip, RedundantTopologyMasksModerateLoss) {
-  // A 5-out digraph has enough path diversity that 10% per-hop loss barely
-  // dents reachability.
-  util::Rng trng(22);
-  const Topology t = Topology::random_k_out(150, 5, trng);
-  const ConstantDelay delay(1.0);
-  const GossipEngine lossy(t, delay, 1.0, 0.10);
-  const RelaySet relay = RelaySet::all_cooperative(150);
-  util::Rng rng(23);
-  const auto arrivals = lossy.propagate(0, 0.0, relay, rng);
-  EXPECT_GE(GossipEngine::reach_fraction(arrivals, relay, 1e9), 0.9);
-}
-
-TEST(Gossip, LossDegradesMonotonically) {
-  util::Rng trng(24);
-  const Topology t = Topology::random_k_out(150, 4, trng);
-  const ConstantDelay delay(1.0);
-  const RelaySet relay = RelaySet::all_cooperative(150);
-  double prev_reach = 1.1;
-  for (const double loss : {0.0, 0.3, 0.6, 0.9}) {
-    const GossipEngine engine(t, delay, 1.0, loss);
-    double reach = 0.0;
-    for (std::uint64_t s = 0; s < 8; ++s) {
-      util::Rng rng(30 + s);
-      const auto arrivals = engine.propagate(0, 0.0, relay, rng);
-      reach += GossipEngine::reach_fraction(arrivals, relay, 1e9);
-    }
-    reach /= 8;
-    EXPECT_LE(reach, prev_reach + 0.05) << "loss=" << loss;
-    prev_reach = reach;
-  }
-}
-
-TEST(Gossip, RejectsBadLossProbability) {
-  util::Rng rng(25);
-  const Topology t = ring(3);
-  const ConstantDelay delay(1.0);
-  EXPECT_THROW(GossipEngine(t, delay, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(GossipEngine(t, delay, 1.0, -0.1), std::invalid_argument);
-}
-
 TEST(Gossip, SizeMismatchRejected) {
   util::Rng rng(1);
   const Topology t = ring(3);
@@ -312,11 +257,10 @@ class UnboundedDelay final : public DelayModel {
   std::string name() const override { return "UnboundedDelay"; }
 };
 
-TEST(Gossip, LossOrUnboundedDelaysNeverCertify) {
+TEST(Gossip, UnboundedDelaysNeverCertify) {
   const Topology t = ring(3);
   const ConstantDelay constant(1.0);
   EXPECT_TRUE(GossipEngine(t, constant).certifies(2, 2.5));
-  EXPECT_FALSE(GossipEngine(t, constant, 1.0, 0.01).certifies(0, 1e9));
   const UnboundedDelay unbounded;
   EXPECT_FALSE(GossipEngine(t, unbounded).certifies(0, 1e9));
 }
