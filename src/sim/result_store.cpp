@@ -106,20 +106,6 @@ std::optional<std::string> ResultStore::lookup(const ResultKey& key) const {
   }
 }
 
-std::optional<ResultStore::EntryStat> ResultStore::stat(
-    const ResultKey& key) const {
-  const std::string path = entry_path(key);
-  std::error_code ec;
-  if (!fs::exists(path, ec) || ec) return std::nullopt;
-  try {
-    const std::string bytes = util::read_file(path);
-    const std::string payload = decode_entry(bytes, path, key.id());
-    return EntryStat{payload.size(), bytes.size()};
-  } catch (const std::exception&) {
-    return std::nullopt;  // corrupt = miss, exactly like lookup()
-  }
-}
-
 std::string ResultStore::insert(const ResultKey& key,
                                 std::string_view payload) {
   const std::string final_path = entry_path(key);

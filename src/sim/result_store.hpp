@@ -80,16 +80,6 @@ class ResultStore {
 
   bool contains(const ResultKey& key) const { return lookup(key).has_value(); }
 
-  /// Validity + size of `key`'s entry without copying the payload out —
-  /// the retry-memoization probe the orchestrator uses to report whether
-  /// a re-issued window will be a cache hit. Same validation (and same
-  /// corruption-is-a-miss discipline) as lookup().
-  struct EntryStat {
-    std::uint64_t payload_bytes = 0;  // bytes insert() received
-    std::uint64_t entry_bytes = 0;    // on-disk framed entry size
-  };
-  std::optional<EntryStat> stat(const ResultKey& key) const;
-
   /// Publishes `payload` under `key` atomically (unique temp file +
   /// rename into place); returns the final entry path. Concurrent
   /// inserts on the same key all succeed. Throws std::runtime_error on
