@@ -6,10 +6,10 @@
 
 namespace roleshare::game {
 
-Strategy best_response(const AlgorandGame& game, const Profile& profile,
-                       ledger::NodeId player, double tolerance) {
-  RS_REQUIRE(player < game.player_count(), "player id out of range");
-  const DeviationScanner scanner(game, profile);
+Strategy best_response(const DeviationScanner& scanner, ledger::NodeId player,
+                       double tolerance) {
+  const Profile& profile = scanner.profile();
+  RS_REQUIRE(player < profile.size(), "player id out of range");
   Strategy best = profile[player];
   double best_payoff = scanner.base_payoff(player);
   // Preference order on ties: keep current, then C, D, O.
@@ -37,8 +37,9 @@ DynamicsResult best_response_dynamics(const AlgorandGame& game,
     bool moved = false;
     for (std::size_t i = 0; i < result.profile.size(); ++i) {
       const auto player = static_cast<ledger::NodeId>(i);
-      const Strategy br =
-          best_response(game, result.profile, player, tolerance);
+      // Each move changes the profile, so each player gets a new scanner.
+      const DeviationScanner scanner(game, result.profile);
+      const Strategy br = best_response(scanner, player, tolerance);
       if (br != result.profile[i]) {
         result.profile[i] = br;
         moved = true;

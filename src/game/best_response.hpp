@@ -8,10 +8,12 @@
 
 namespace roleshare::game {
 
-/// The strategy maximizing `player`'s payoff holding everyone else fixed.
-/// Ties break toward the current strategy, then C > D > O.
-Strategy best_response(const AlgorandGame& game, const Profile& profile,
-                       ledger::NodeId player, double tolerance = 1e-9);
+/// The strategy maximizing `player`'s payoff holding everyone else fixed
+/// at the scanner's base profile. Ties break toward the current strategy,
+/// then C > D > O. A sweep over one frozen profile shares one scanner, so
+/// each response costs O(1) after the scanner's O(n) pass.
+Strategy best_response(const DeviationScanner& scanner, ledger::NodeId player,
+                       double tolerance = 1e-9);
 
 struct DynamicsResult {
   Profile profile;             // final profile

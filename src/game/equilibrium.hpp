@@ -25,9 +25,14 @@ struct DeviationWitness {
 };
 
 /// Evaluates unilateral deviations cheaply against a fixed base profile.
+/// Holds references to the game and the profile: both must outlive the
+/// scanner, and the profile must not change while the scanner is used.
 class DeviationScanner {
  public:
   DeviationScanner(const AlgorandGame& game, const Profile& profile);
+
+  /// The base profile.
+  const Profile& profile() const { return profile_; }
 
   /// The player's payoff under the base profile.
   double base_payoff(ledger::NodeId player) const;

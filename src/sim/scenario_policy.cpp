@@ -153,7 +153,10 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
     const auto id = static_cast<ledger::NodeId>(v);
     if (net.live(id)) total += net.accounts().stake(id);
   }
-  const game::Profile& prev = profile_;
+  // One scanner over the frozen previous profile serves every adaptive
+  // best response of the sweep.
+  std::optional<game::DeviationScanner> scanner;
+  if (game) scanner.emplace(*game, profile_);
   game::Profile next(n, game::Strategy::Offline);
   exec.for_each_chunk(n, [&](std::size_t, std::size_t begin,
                              std::size_t end) {
@@ -164,8 +167,8 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
       if (behavior == BehaviorType::AdaptiveDefect) {
         // Cooperate until there is a round to react to; afterwards play
         // the best response in the game the last round induced.
-        next[v] = game ? game::best_response(*game, prev, id)
-                       : game::Strategy::Cooperate;
+        next[v] = scanner ? game::best_response(*scanner, id)
+                          : game::Strategy::Cooperate;
         continue;
       }
       util::Rng rng = strategy_root.split(v);

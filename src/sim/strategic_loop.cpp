@@ -99,16 +99,18 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
     result.rounds.push_back(stats);
 
     // Myopic best responses for the next round (one sweep). Each node's
-    // response reads only the frozen previous profile and writes its own
-    // slot, so the population iteration fans out across the pool.
+    // response reads only the frozen previous profile, through one shared
+    // scanner, and writes its own slot, so the population iteration fans
+    // out across the pool.
     const game::AlgorandGame game(game_config);
+    const game::DeviationScanner scanner(game, profile);
     game::Profile next = profile;
-    // Per-index claiming, not chunks: each best response is a heavy game
-    // evaluation, and populations are often smaller than a single chunk.
+    // Per-index claiming, not chunks: populations are often smaller than a
+    // single chunk.
     engine.executor().for_each_index(profile.size(), [&](std::size_t v) {
       const auto id = static_cast<ledger::NodeId>(v);
       if (!net.live(id)) return;  // departed nodes stay Offline
-      next[v] = game::best_response(game, profile, id);
+      next[v] = game::best_response(scanner, id);
     });
     profile = std::move(next);
   }

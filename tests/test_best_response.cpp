@@ -27,7 +27,7 @@ TEST(BestResponse, AgainstAllDefectIsDefect) {
   const AlgorandGame game(gal_config(20));
   const Profile p = all_defect(game.player_count());
   for (ledger::NodeId v = 0; v < game.player_count(); ++v) {
-    EXPECT_EQ(best_response(game, p, v), Strategy::Defect);
+    EXPECT_EQ(best_response(DeviationScanner(game, p), v), Strategy::Defect);
   }
 }
 
@@ -35,9 +35,10 @@ TEST(BestResponse, RoleHoldersDefectFromAllCooperate) {
   // Theorem 2's content as a best-response statement.
   const AlgorandGame game(gal_config(100));
   const Profile p = all_cooperate(game.player_count());
-  EXPECT_EQ(best_response(game, p, 0), Strategy::Defect);  // leader
+  const DeviationScanner scanner(game, p);
+  EXPECT_EQ(best_response(scanner, 0), Strategy::Defect);  // leader
   // Committee member whose defection keeps the quorum:
-  EXPECT_EQ(best_response(game, p, 4), Strategy::Defect);  // stake 9
+  EXPECT_EQ(best_response(scanner, 4), Strategy::Defect);  // stake 9
 }
 
 TEST(BestResponse, TieBreaksTowardCurrentStrategy) {
@@ -46,11 +47,11 @@ TEST(BestResponse, TieBreaksTowardCurrentStrategy) {
   // pay -c_so; a defector keeps its current strategy on ties.
   const AlgorandGame game(gal_config(0));
   Profile p = all_defect(game.player_count());
-  EXPECT_EQ(best_response(game, p, 5), Strategy::Defect);
+  EXPECT_EQ(best_response(DeviationScanner(game, p), 5), Strategy::Defect);
   p[5] = Strategy::Offline;
   // Offline and Defect both yield -c_so when no block is created; the tie
   // keeps the player offline.
-  EXPECT_EQ(best_response(game, p, 5), Strategy::Offline);
+  EXPECT_EQ(best_response(DeviationScanner(game, p), 5), Strategy::Offline);
 }
 
 TEST(BestResponseDynamics, CooperationUnravelsFromAllCooperate) {
@@ -119,9 +120,9 @@ TEST(BestResponseDynamics, TerminatesWithinSweepLimit) {
 
 TEST(BestResponse, RejectsBadPlayer) {
   const AlgorandGame game(gal_config(20));
-  EXPECT_THROW(
-      best_response(game, all_defect(game.player_count()), 999),
-      std::invalid_argument);
+  const Profile p = all_defect(game.player_count());
+  EXPECT_THROW(best_response(DeviationScanner(game, p), 999),
+               std::invalid_argument);
 }
 
 }  // namespace
