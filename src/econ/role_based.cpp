@@ -1,6 +1,7 @@
 #include "econ/role_based.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "util/require.hpp"
 
@@ -25,15 +26,13 @@ std::string RoleBasedScheme::name() const {
   return fixed_split_ ? "role-based-fixed-split" : "role-based-adaptive";
 }
 
-RoleSnapshot RoleBasedScheme::effective_snapshot(
-    const RoleSnapshot& snapshot) const {
-  if (!min_other_stake_) return snapshot;
-  return snapshot.filtered_others(*min_other_stake_);
-}
-
 ledger::MicroAlgos RoleBasedScheme::required_budget(
     ledger::Round, const RoleSnapshot& snapshot) {
-  const RoleSnapshot effective = effective_snapshot(snapshot);
+  // Only the Others filter needs a copy; without it the caller's snapshot
+  // is read in place.
+  std::optional<RoleSnapshot> filtered;
+  if (min_other_stake_) filtered = snapshot.filtered_others(*min_other_stake_);
+  const RoleSnapshot& effective = filtered ? *filtered : snapshot;
   // Degenerate round: a role is empty (sortition elected nobody) or holds
   // a zero-stake member, leaving the Theorem-3 bounds undefined (min
   // stake s*_x enters as a divisor — a node with nothing at stake has no
@@ -74,7 +73,9 @@ Payouts RoleBasedScheme::distribute(ledger::Round,
   // pot; leaders and committee always participate. The pot stakes come
   // from the filtered snapshot, but the payout walk stays on the full one:
   // filtering drops Others and so shifts node ids.
-  const RoleSnapshot effective = effective_snapshot(snapshot);
+  std::optional<RoleSnapshot> filtered;
+  if (min_other_stake_) filtered = snapshot.filtered_others(*min_other_stake_);
+  const RoleSnapshot& effective = filtered ? *filtered : snapshot;
   const auto pot = [&effective](consensus::Role role) {
     return static_cast<double>(effective.stake_of(role));
   };

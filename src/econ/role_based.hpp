@@ -45,8 +45,6 @@ class RoleBasedScheme final : public RewardScheme {
   bool last_feasible() const { return last_feasible_; }
 
  private:
-  RoleSnapshot effective_snapshot(const RoleSnapshot& snapshot) const;
-
   CostModel costs_;
   RewardOptimizer optimizer_;
   std::optional<RewardSplit> fixed_split_;

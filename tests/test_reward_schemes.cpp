@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "econ/role_based.hpp"
 #include "econ/stake_proportional.hpp"
@@ -141,6 +142,29 @@ TEST(RoleBased, MinOtherStakeFilterExcludesSmallHolders) {
   // Gamma pot divides over S_K = 30 now.
   EXPECT_NEAR(static_cast<double>(p.amounts[4]),
               static_cast<double>(algos(100)) * 0.5 * 10 / 30, 2.0);
+}
+
+// min_other_stake = 0 keeps every Other, so the filtered copy and the
+// unfiltered in-place read of the same snapshot must agree exactly.
+TEST(RoleBased, ZeroStakeFilterMatchesNoFilter) {
+  util::Rng rng(2323);
+  std::vector<Role> roles(200);
+  std::vector<std::int64_t> stakes(200);
+  for (std::size_t v = 0; v < roles.size(); ++v) {
+    roles[v] = v < 3 ? Role::Leader : v < 40 ? Role::Committee : Role::Other;
+    stakes[v] = rng.uniform_int(1, 500);
+  }
+  const RoleSnapshot s(std::move(roles), std::move(stakes));
+  RoleBasedScheme unfiltered(CostModel{});
+  RoleBasedScheme zero_filter(CostModel{}, OptimizerConfig{},
+                              std::int64_t{0});
+  const ledger::MicroAlgos budget = unfiltered.required_budget(1, s);
+  ASSERT_TRUE(unfiltered.last_feasible());
+  EXPECT_EQ(zero_filter.required_budget(1, s), budget);
+  EXPECT_EQ(zero_filter.last_split().alpha, unfiltered.last_split().alpha);
+  EXPECT_EQ(zero_filter.last_split().beta, unfiltered.last_split().beta);
+  EXPECT_EQ(zero_filter.distribute(1, s, budget).amounts,
+            unfiltered.distribute(1, s, budget).amounts);
 }
 
 TEST(RoleBased, PayoutsSumWithinBudgetAcrossBudgets) {
