@@ -10,8 +10,7 @@ namespace roleshare::sim {
 namespace {
 
 // Runs in config_'s initializer, so a bad config is refused before any
-// member allocates. Node ids are ledger::NodeId, and the account index
-// keeps that type's largest value as its empty-slot sentinel.
+// member allocates. Node ids are ledger::NodeId.
 const NetworkConfig& checked(const NetworkConfig& config) {
   RS_REQUIRE(config.node_count >= 4, "network needs at least 4 nodes");
   RS_REQUIRE(config.node_count <= std::numeric_limits<ledger::NodeId>::max(),
@@ -45,8 +44,7 @@ Network::Network(const NetworkConfig& config)
   keys_.reserve(config.node_count);
   for (std::size_t v = 0; v < config.node_count; ++v) {
     keys_.push_back(crypto::KeyPair::derive(config.seed, v));
-    const std::int64_t stake = dist.sample(stake_rng);
-    accounts_.add_account(keys_.back().public_key(), ledger::algos(stake));
+    accounts_.add_account(ledger::algos(dist.sample(stake_rng)));
   }
 
   // Behaviour assignment: a random subset defects, a random subset is

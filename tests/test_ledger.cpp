@@ -54,121 +54,28 @@ TEST(Transaction, RejectsNonPositiveAmount) {
 
 TEST(AccountTable, AddAndLookup) {
   AccountTable table;
-  const NodeId a = table.add_account(key_of(0).public_key(), algos(10));
-  const NodeId b = table.add_account(key_of(1).public_key(), algos(20));
+  const NodeId a = table.add_account(algos(10));
+  const NodeId b = table.add_account(algos(20));
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(table.size(), 2u);
   EXPECT_EQ(table.balance(a), algos(10));
   EXPECT_EQ(table.stake(b), 20);
-  EXPECT_EQ(table.find(key_of(1).public_key()), std::optional<NodeId>(1));
-  EXPECT_FALSE(table.find(key_of(9).public_key()).has_value());
-}
-
-TEST(AccountTable, RejectsDuplicateKey) {
-  AccountTable table;
-  table.add_account(key_of(0).public_key(), algos(1));
-  EXPECT_THROW(table.add_account(key_of(0).public_key(), algos(2)),
-               std::invalid_argument);
-}
-
-// A key whose first 8 bytes, the key index's probe hash, are `prefix`.
-crypto::PublicKey key_with_prefix(std::uint64_t prefix, std::uint8_t tail) {
-  crypto::Digest bytes{};
-  for (int i = 0; i < 8; ++i)
-    bytes[i] = static_cast<std::uint8_t>(prefix >> (56 - 8 * i));
-  bytes[31] = tail;
-  return crypto::PublicKey{crypto::Hash256(bytes)};
-}
-
-TEST(AccountTable, KeysSharingTheProbeHashRoundTrip) {
-  constexpr std::uint64_t kPrefix = 0x0123456789abcdefULL;
-  AccountTable table;
-  // One probe cluster, interleaved with unrelated keys and carried
-  // through several table growths.
-  for (std::uint8_t t = 0; t < 40; ++t) {
-    table.add_account(key_with_prefix(kPrefix, t), algos(1));
-    table.add_account(key_of(t).public_key(), algos(2));
-  }
-  for (std::uint8_t t = 0; t < 40; ++t) {
-    EXPECT_EQ(table.find(key_with_prefix(kPrefix, t)),
-              std::optional<NodeId>(2 * t));
-    EXPECT_EQ(table.find(key_of(t).public_key()),
-              std::optional<NodeId>(2 * t + 1));
-  }
-  // Same probe hash, not registered: the probe walks the whole cluster.
-  EXPECT_FALSE(table.find(key_with_prefix(kPrefix, 200)).has_value());
-  EXPECT_THROW(table.add_account(key_with_prefix(kPrefix, 39), algos(1)),
-               std::invalid_argument);
-}
-
-TEST(AccountTable, FindOnEmptyTableIsNullopt) {
-  const AccountTable table;
-  EXPECT_FALSE(table.find(key_of(0).public_key()).has_value());
-}
-
-TEST(AccountTable, RejectsDuplicateKeyAfterGrowth) {
-  AccountTable table;
-  for (std::uint64_t i = 0; i < 10'000; ++i)
-    table.add_account(key_of(i).public_key(), algos(1));
-  EXPECT_THROW(table.add_account(key_of(0).public_key(), algos(1)),
-               std::invalid_argument);
-  EXPECT_EQ(table.size(), 10'000u);
-  EXPECT_EQ(table.find(key_of(0).public_key()), std::optional<NodeId>(0));
-  EXPECT_EQ(table.find(key_of(9'999).public_key()),
-            std::optional<NodeId>(9'999));
+  EXPECT_THROW(table.balance(2), std::invalid_argument);
+  EXPECT_THROW(table.stake(9), std::invalid_argument);
 }
 
 TEST(AccountTable, TotalStakeSumsWholeAlgos) {
   AccountTable table;
-  table.add_account(key_of(0).public_key(), algos(10) + 400'000);
-  table.add_account(key_of(1).public_key(), algos(5));
+  table.add_account(algos(10) + 400'000);
+  table.add_account(algos(5));
   EXPECT_EQ(table.total_stake(), 15);  // fractional part ignored
   EXPECT_EQ(table.stakes(), (std::vector<std::int64_t>{10, 5}));
 }
 
-TEST(AccountTable, ApplyTransfersValue) {
-  AccountTable table;
-  const NodeId a = table.add_account(key_of(0).public_key(), algos(10));
-  const NodeId b = table.add_account(key_of(1).public_key(), algos(1));
-  const auto txn =
-      Transaction::create(key_of(0), key_of(1).public_key(), algos(4), 500, 1);
-  ASSERT_TRUE(table.validate(txn));
-  ASSERT_TRUE(table.apply(txn));
-  EXPECT_EQ(table.balance(a), algos(6) - 500);
-  EXPECT_EQ(table.balance(b), algos(5));
-}
-
-TEST(AccountTable, RejectsOverdraft) {
-  AccountTable table;
-  table.add_account(key_of(0).public_key(), algos(2));
-  table.add_account(key_of(1).public_key(), 0);
-  const auto txn =
-      Transaction::create(key_of(0), key_of(1).public_key(), algos(3), 0, 1);
-  EXPECT_FALSE(table.validate(txn));
-  EXPECT_FALSE(table.apply(txn));
-  EXPECT_EQ(table.balance(0), algos(2));  // unchanged
-}
-
-TEST(AccountTable, RejectsUnknownParties) {
-  AccountTable table;
-  table.add_account(key_of(0).public_key(), algos(5));
-  const auto txn =
-      Transaction::create(key_of(0), key_of(9).public_key(), algos(1), 0, 1);
-  EXPECT_FALSE(table.validate(txn));
-}
-
-TEST(AccountTable, RejectsSelfTransfer) {
-  AccountTable table;
-  table.add_account(key_of(0).public_key(), algos(5));
-  const auto txn =
-      Transaction::create(key_of(0), key_of(0).public_key(), algos(1), 0, 1);
-  EXPECT_FALSE(table.validate(txn));
-}
-
 TEST(AccountTable, CreditIncreasesBalance) {
   AccountTable table;
-  const NodeId a = table.add_account(key_of(0).public_key(), algos(1));
+  const NodeId a = table.add_account(algos(1));
   table.credit(a, 250'000);
   EXPECT_EQ(table.balance(a), algos(1) + 250'000);
   EXPECT_THROW(table.credit(a, -1), std::invalid_argument);

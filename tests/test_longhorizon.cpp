@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "crypto/keypair.hpp"
 #include "econ/cost_model.hpp"
 #include "econ/foundation_schedule.hpp"
 #include "econ/role_based.hpp"
@@ -118,8 +117,7 @@ TEST(LongHorizon, CreditRolePayoutsCreditsEveryNonZeroAmount) {
   ledger::AccountTable accounts;
   const std::vector<std::int64_t> balances_algos{40, 25, 60, 10, 0, 33};
   for (std::size_t v = 0; v < balances_algos.size(); ++v)
-    accounts.add_account(crypto::KeyPair::derive(5, v).public_key(),
-                         ledger::algos(balances_algos[v]));
+    accounts.add_account(ledger::algos(balances_algos[v]));
   // Node 4 is a zero-stake leader and node 5 an Other: both earn 0.
   const std::vector<SparseNodeRole> touched{
       {0, Role::Leader, Role::Leader, 40},
