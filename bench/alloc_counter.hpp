@@ -4,8 +4,7 @@
 // bench can bracket a region and report exactly how many heap allocations
 // it performed — the ground truth behind the round engine's reusable-
 // workspace contract (steady-state rounds should allocate only for state
-// that genuinely grows: the transactions of each proposed block and the
-// chain append).
+// that genuinely grows: the chain append).
 //
 // Include from exactly ONE translation unit per binary: the replacement
 // functions below are definitions, and a program gets one set of them.

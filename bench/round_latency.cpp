@@ -24,11 +24,10 @@
 // Sampled evaluation of the same rounds, both compounding role rewards
 // into stake every round so the stake index absorbs real deltas. It
 // reports the sparse pass's allocations per round (gated by --self-check
-// against the sparse-touch contract: nothing beyond the chain append and
-// the proposal transaction lists), the dense reference's steady
-// allocations per round, the sparse workspace + context bytes, and
-// per-node peak RSS; --sparse --sweep runs the 100k/1M ladder whose
-// ms/round ratio is the sublinearity evidence.
+// against the sparse-touch contract: nothing beyond the chain append),
+// the dense reference's steady allocations per round, the sparse
+// workspace + context bytes, and per-node peak RSS; --sparse --sweep runs
+// the 100k/1M ladder whose ms/round ratio is the sublinearity evidence.
 //
 //   $ ./round_latency --nodes=100000 --rounds=3 --inner-threads=0
 //   $ ./round_latency --sweep=1 --rounds=3        # 1000/3000/10000 nodes
@@ -215,10 +214,10 @@ Measurement measure_size(std::size_t nodes, std::size_t rounds,
 // ---- Sampled-model comparison (--sparse) --------------------------------
 
 /// The sparse-touch allocation contract (DESIGN.md §10): a steady-state
-/// sparse round may allocate only for the chain append and the proposal
-/// transaction lists — a handful per round, independent of N. The gate
-/// leaves headroom over the measured ~6 so stdlib differences don't trip
-/// it while an O(committee) or O(N) allocation regression still does.
+/// sparse round may allocate only for the chain append, whose growth is
+/// amortized, so the steady count is independent of N. The gate leaves
+/// headroom over the measured 0 so stdlib differences don't trip it while
+/// an O(committee) or O(N) allocation regression still does.
 constexpr std::uint64_t kSparseSteadyAllocGate = 64;
 
 /// One pass over the Sampled round model, dense or sparse evaluation,
@@ -498,8 +497,8 @@ int main(int argc, char** argv) {
     if (self_check && m.sparse.steady_allocs() > kSparseSteadyAllocGate) {
       std::fprintf(stderr,
                    "ERROR: sparse steady-state allocations regressed: "
-                   "%llu/round > gate %llu (contract: chain append + "
-                   "proposal transaction lists only)\n",
+                   "%llu/round > gate %llu (contract: chain append "
+                   "only)\n",
                    static_cast<unsigned long long>(m.sparse.steady_allocs()),
                    static_cast<unsigned long long>(kSparseSteadyAllocGate));
       return 1;

@@ -4,14 +4,12 @@ namespace roleshare::ledger {
 
 Block Block::make(Round round, const crypto::Hash256& prev_hash,
                   const crypto::Hash256& seed,
-                  const crypto::PublicKey& proposer,
-                  std::vector<Transaction> txns) {
+                  const crypto::PublicKey& proposer) {
   Block b;
   b.round_ = round;
   b.prev_hash_ = prev_hash;
   b.seed_ = seed;
   b.proposer_ = proposer;
-  b.txns_ = std::move(txns);
   b.empty_ = false;
   return b;
 }
@@ -26,27 +24,13 @@ Block Block::empty(Round round, const crypto::Hash256& prev_hash,
   return b;
 }
 
-Block Block::from_parts(Round round, const crypto::Hash256& prev_hash,
-                        const crypto::Hash256& seed, bool is_empty,
-                        const crypto::PublicKey& proposer,
-                        std::vector<Transaction> txns) {
-  if (is_empty) return Block::empty(round, prev_hash, seed);
-  return Block::make(round, prev_hash, seed, proposer, std::move(txns));
-}
-
-MicroAlgos Block::total_fees() const {
-  MicroAlgos fees = 0;
-  for (const Transaction& t : txns_) fees += t.fee();
-  return fees;
-}
-
 crypto::Hash256 Block::hash() const {
   crypto::HashBuilder h("roleshare.block");
   h.add_u64(round_).add(prev_hash_).add(seed_).add_u64(empty_ ? 1 : 0);
   if (!empty_) {
-    h.add(proposer_.value);
-    h.add_u64(txns_.size());
-    for (const Transaction& t : txns_) h.add(t.id());
+    // The transaction count blocks once carried, always 0. Dropping it
+    // would change every block hash, and with it every seed and chain tip.
+    h.add(proposer_.value).add_u64(0);
   }
   return h.build();
 }

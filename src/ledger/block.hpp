@@ -1,12 +1,10 @@
-// Algorand block: a transaction set (or the empty block), the hash of the
-// block it extends, and the next-round random seed Q_r (§II-B2).
+// Algorand block: a proposer's block (or the empty block), the hash of
+// the block it extends, and the next-round random seed Q_r (§II-B2). The
+// simulation creates no transactions, so a block carries none.
 #pragma once
-
-#include <vector>
 
 #include "crypto/hash.hpp"
 #include "crypto/keypair.hpp"
-#include "ledger/transaction.hpp"
 #include "ledger/types.hpp"
 
 namespace roleshare::ledger {
@@ -20,8 +18,7 @@ class Block {
   /// Builds a proposer's block for `round` extending `prev_hash`.
   static Block make(Round round, const crypto::Hash256& prev_hash,
                     const crypto::Hash256& seed,
-                    const crypto::PublicKey& proposer,
-                    std::vector<Transaction> txns);
+                    const crypto::PublicKey& proposer);
 
   /// The default empty block for a round — what BA* falls back to when no
   /// proposal gathers enough votes. Deterministic: every node derives the
@@ -29,22 +26,11 @@ class Block {
   static Block empty(Round round, const crypto::Hash256& prev_hash,
                      const crypto::Hash256& seed);
 
-  /// Reassembles a block received over the wire. `is_empty` selects the
-  /// empty-block variant (proposer and transactions must then be absent).
-  static Block from_parts(Round round, const crypto::Hash256& prev_hash,
-                          const crypto::Hash256& seed, bool is_empty,
-                          const crypto::PublicKey& proposer,
-                          std::vector<Transaction> txns);
-
   Round round() const { return round_; }
   const crypto::Hash256& prev_hash() const { return prev_hash_; }
   const crypto::Hash256& seed() const { return seed_; }
   const crypto::PublicKey& proposer() const { return proposer_; }
-  const std::vector<Transaction>& transactions() const { return txns_; }
   bool is_empty() const { return empty_; }
-
-  /// Sum of transaction fees carried by this block.
-  MicroAlgos total_fees() const;
 
   /// Block hash over the full content.
   crypto::Hash256 hash() const;
@@ -54,7 +40,6 @@ class Block {
   crypto::Hash256 prev_hash_;
   crypto::Hash256 seed_;
   crypto::PublicKey proposer_;  // zero key for the empty block
-  std::vector<Transaction> txns_;
   bool empty_ = true;
 };
 

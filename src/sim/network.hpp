@@ -9,7 +9,6 @@
 #include "econ/cost_model.hpp"
 #include "ledger/account_table.hpp"
 #include "ledger/blockchain.hpp"
-#include "ledger/txpool.hpp"
 #include "net/delay_model.hpp"
 #include "net/synchrony.hpp"
 #include "net/topology.hpp"
@@ -52,7 +51,6 @@ class Network {
   ledger::AccountTable& accounts() { return accounts_; }
   const ledger::Blockchain& chain() const { return chain_; }
   ledger::Blockchain& chain() { return chain_; }
-  ledger::TxPool& txpool() { return txpool_; }
   const net::Topology& topology() const { return topology_; }
   const net::DelayModel& delays() const { return *delays_; }
   net::SynchronyController& synchrony() { return synchrony_; }
@@ -97,7 +95,6 @@ class Network {
   std::vector<crypto::KeyPair> keys_;
   ledger::AccountTable accounts_;
   ledger::Blockchain chain_;
-  ledger::TxPool txpool_;
   net::Topology topology_;
   std::unique_ptr<net::DelayModel> delays_;
   net::SynchronyController synchrony_;

@@ -257,9 +257,8 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
     ws.true_roles[v] = Role::Leader;
     if (strategies[v] != Strategy::Cooperate) continue;
     ws.observed_roles[v] = Role::Leader;
-    ledger::Block block =
-        ledger::Block::make(round, open.tip_hash, open.next_seed,
-                            net.keys()[v].public_key(), net.txpool().peek(64));
+    ledger::Block block = ledger::Block::make(
+        round, open.tip_hash, open.next_seed, net.keys()[v].public_key());
     ws.proposals.push_back(consensus::make_proposal(
         static_cast<NodeId>(v), net.keys()[v].public_key(), std::move(block),
         sres));

@@ -52,9 +52,7 @@ bool append_block(Network& net, const ledger::Block* agreed,
     RS_ENSURE(ok, "empty block must extend the chain");
     return false;
   }
-  ledger::Block block = *agreed;
-  net.txpool().mark_included(block.transactions());
-  const bool ok = net.chain().append(std::move(block));
+  const bool ok = net.chain().append(*agreed);
   RS_ENSURE(ok, "agreed block must extend the chain");
   return !net.chain().tip().is_empty();
 }

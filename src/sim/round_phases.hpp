@@ -99,8 +99,8 @@ NodeOutcome outcome_of(const std::optional<crypto::Hash256>& final_winner,
 void set_fractions(RoundSummary& summary, std::size_t finals,
                    std::size_t tentative);
 
-/// Appends `agreed` (marking its transactions included) or, when it is
-/// null, the empty block. Returns whether the new tip is non-empty.
+/// Appends `agreed` or, when it is null, the empty block. Returns whether
+/// the new tip is non-empty.
 bool append_block(Network& net, const ledger::Block* agreed,
                   const ledger::Block& empty_block);
 

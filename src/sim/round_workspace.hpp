@@ -4,9 +4,8 @@
 // the caller and recycled across rounds: vectors are clear()-and-refilled,
 // never reconstructed, so once each buffer has reached its high-water mark
 // a steady-state round performs no heap allocation for engine working
-// state. (Residual allocations are inherent to producing *new* state: the
-// transactions pulled from the pool for each proposal and the block
-// appended to the growing chain.)
+// state. (The one residual allocation is inherent to producing *new*
+// state: the block appended to the growing chain.)
 //
 // Ownership contract: a workspace belongs to one engine invocation at a
 // time — run_round_into may scribble over every field. Between calls the
@@ -119,8 +118,8 @@ struct RoundWorkspace {
   // Proposal phase.
   std::vector<crypto::SortitionResult> proposer_draws;
   std::vector<consensus::BlockProposal> proposals;
-  /// Block hashes computed once per proposal (Block::hash() walks the
-  /// whole transaction list — per (node, proposal) it dominated the round).
+  /// Block hashes computed once per proposal, not once per (node,
+  /// proposal).
   std::vector<crypto::Hash256> proposal_hashes;
   /// One item per proposal, in proposal order.
   GossipBatch proposal_gossip;

@@ -206,8 +206,8 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
 
   // Cooperating winners broadcast; the best-priority proposal whose
   // mean-field arrival beats the proposal timeout becomes the shared
-  // view. The broadcasts live as parallel workspace arrays so the round
-  // allocates nothing here beyond each block's transaction list.
+  // view. The broadcasts live as parallel workspace arrays so a steady
+  // round allocates nothing here.
   ws.proposer_priorities.clear();
   ws.proposal_arrivals.clear();
   ws.proposal_hashes.clear();
@@ -232,9 +232,8 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
     ws.proposer_priorities.push_back(sampled_priority(prev_seed, round, v));
     ws.proposal_arrivals.push_back(
         mean_field_arrival(prng, net, v, hops, delay_factor));
-    ws.proposal_blocks.push_back(
-        ledger::Block::make(round, open.tip_hash, open.next_seed,
-                            net.keys()[v].public_key(), net.txpool().peek(64)));
+    ws.proposal_blocks.push_back(ledger::Block::make(
+        round, open.tip_hash, open.next_seed, net.keys()[v].public_key()));
     ws.proposal_hashes.push_back(ws.proposal_blocks.back().hash());
   }
   out.proposals = np;

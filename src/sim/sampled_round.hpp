@@ -171,9 +171,7 @@ struct SparseRoundWorkspace {
   std::vector<std::uint64_t> origin_seeds;
 
   // Proposal-phase scratch: the broadcasts of the cooperating winners in
-  // origin_labels as parallel arrays, plus the materialized blocks (their
-  // transaction vectors are the one protocol-inherent allocation a round
-  // keeps, same as the dense workspace's proposal list).
+  // origin_labels as parallel arrays, plus the materialized blocks.
   std::vector<std::uint64_t> proposer_priorities;
   std::vector<net::TimeMs> proposal_arrivals;
   std::vector<crypto::Hash256> proposal_hashes;

@@ -65,7 +65,7 @@ inline constexpr std::uint64_t kDefaultSeed = 0x726f'6c65'7368'6172ULL;
 template <typename T>
 struct Shrinkable {
   // Aggregate on purpose: Shrinkable<T>{value, children} needs no
-  // default constructor on T (Transaction, RoleSnapshot lack one).
+  // default constructor on T (RoleSnapshot lacks one).
   T value;
   /// Immediate shrink candidates, most aggressive first. Null = leaf.
   std::function<std::vector<Shrinkable<T>>()> children;

@@ -9,39 +9,20 @@ crypto::KeyPair key_of(std::uint64_t id) {
   return crypto::KeyPair::derive(2000, id);
 }
 
-Transaction sample_txn(std::uint64_t nonce) {
-  return Transaction::create(key_of(0), key_of(1).public_key(), algos(1), 10,
-                             nonce);
-}
-
 TEST(Block, MakeCarriesContent) {
   const auto proposer = key_of(2);
   const Block b = Block::make(3, crypto::Hash256::zero(),
-                              crypto::Hash256::zero(), proposer.public_key(),
-                              {sample_txn(1), sample_txn(2)});
+                              crypto::Hash256::zero(), proposer.public_key());
   EXPECT_EQ(b.round(), 3u);
   EXPECT_FALSE(b.is_empty());
-  EXPECT_EQ(b.transactions().size(), 2u);
-  EXPECT_EQ(b.total_fees(), 20);
   EXPECT_EQ(b.proposer(), proposer.public_key());
 }
 
-TEST(Block, EmptyBlockHasNoFees) {
-  const Block b = Block::empty(1, crypto::Hash256::zero(),
-                               crypto::Hash256::zero());
-  EXPECT_TRUE(b.is_empty());
-  EXPECT_EQ(b.total_fees(), 0);
-  EXPECT_TRUE(b.transactions().empty());
-}
-
 TEST(Block, HashDependsOnContent) {
-  const auto proposer = key_of(2);
   const Block a = Block::make(1, crypto::Hash256::zero(),
-                              crypto::Hash256::zero(), proposer.public_key(),
-                              {sample_txn(1)});
+                              crypto::Hash256::zero(), key_of(2).public_key());
   const Block b = Block::make(1, crypto::Hash256::zero(),
-                              crypto::Hash256::zero(), proposer.public_key(),
-                              {sample_txn(2)});
+                              crypto::Hash256::zero(), key_of(3).public_key());
   const Block e = Block::empty(1, crypto::Hash256::zero(),
                                crypto::Hash256::zero());
   EXPECT_NE(a.hash(), b.hash());
@@ -72,8 +53,7 @@ TEST(Blockchain, GenesisSeedDependsOnSeedValue) {
 TEST(Blockchain, AppendValidBlock) {
   Blockchain chain(7);
   const Block next = Block::make(chain.next_round(), chain.tip().hash(),
-                                 chain.next_seed(), key_of(0).public_key(),
-                                 {sample_txn(1)});
+                                 chain.next_seed(), key_of(0).public_key());
   EXPECT_TRUE(chain.append(next));
   EXPECT_EQ(chain.height(), 2u);
   EXPECT_EQ(chain.non_empty_count(), 1u);
@@ -82,7 +62,7 @@ TEST(Blockchain, AppendValidBlock) {
 TEST(Blockchain, RejectsWrongRound) {
   Blockchain chain(7);
   const Block bad = Block::make(5, chain.tip().hash(), chain.next_seed(),
-                                key_of(0).public_key(), {});
+                                key_of(0).public_key());
   EXPECT_FALSE(chain.append(bad));
   EXPECT_EQ(chain.height(), 1u);
 }
@@ -90,7 +70,7 @@ TEST(Blockchain, RejectsWrongRound) {
 TEST(Blockchain, RejectsWrongPrevHash) {
   Blockchain chain(7);
   const Block bad = Block::make(chain.next_round(), crypto::Hash256::zero(),
-                                chain.next_seed(), key_of(0).public_key(), {});
+                                chain.next_seed(), key_of(0).public_key());
   EXPECT_FALSE(chain.append(bad));
 }
 
@@ -99,7 +79,7 @@ TEST(Blockchain, RejectsWrongSeed) {
   const Block bad =
       Block::make(chain.next_round(), chain.tip().hash(),
                   crypto::HashBuilder("bogus").build(),
-                  key_of(0).public_key(), {});
+                  key_of(0).public_key());
   EXPECT_FALSE(chain.append(bad));
 }
 
@@ -121,9 +101,10 @@ TEST(Blockchain, LongChainStaysConsistent) {
   Blockchain chain(3);
   for (int i = 0; i < 50; ++i) {
     if (i % 3 == 0) {
-      ASSERT_TRUE(chain.append(Block::make(
-          chain.next_round(), chain.tip().hash(), chain.next_seed(),
-          key_of(0).public_key(), {sample_txn(static_cast<std::uint64_t>(i))})));
+      ASSERT_TRUE(chain.append(Block::make(chain.next_round(),
+                                           chain.tip().hash(),
+                                           chain.next_seed(),
+                                           key_of(0).public_key())));
     } else {
       ASSERT_TRUE(chain.append(Block::empty(
           chain.next_round(), chain.tip().hash(), chain.next_seed())));

@@ -1,55 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "ledger/account_table.hpp"
-#include "ledger/transaction.hpp"
-#include "ledger/txpool.hpp"
 
 namespace roleshare::ledger {
 namespace {
 
-crypto::KeyPair key_of(std::uint64_t id) {
-  return crypto::KeyPair::derive(1000, id);
-}
-
 TEST(Types, AlgoConversions) {
   EXPECT_EQ(algos(5), 5'000'000);
   EXPECT_DOUBLE_EQ(to_algos(2'500'000), 2.5);
-}
-
-TEST(Transaction, CreateAndVerify) {
-  const auto sender = key_of(0);
-  const auto receiver = key_of(1);
-  const Transaction txn =
-      Transaction::create(sender, receiver.public_key(), algos(3), 100, 7);
-  EXPECT_TRUE(txn.verify_signature());
-  EXPECT_EQ(txn.amount(), algos(3));
-  EXPECT_EQ(txn.fee(), 100);
-  EXPECT_EQ(txn.nonce(), 7u);
-  EXPECT_EQ(txn.sender(), sender.public_key());
-  EXPECT_EQ(txn.receiver(), receiver.public_key());
-}
-
-TEST(Transaction, IdExcludesNothingImportant) {
-  const auto sender = key_of(0);
-  const auto receiver = key_of(1);
-  const auto a =
-      Transaction::create(sender, receiver.public_key(), algos(1), 0, 1);
-  const auto b =
-      Transaction::create(sender, receiver.public_key(), algos(1), 0, 2);
-  const auto c =
-      Transaction::create(sender, receiver.public_key(), algos(2), 0, 1);
-  EXPECT_NE(a.id(), b.id());  // nonce differs
-  EXPECT_NE(a.id(), c.id());  // amount differs
-}
-
-TEST(Transaction, RejectsNonPositiveAmount) {
-  const auto sender = key_of(0);
-  EXPECT_THROW(
-      Transaction::create(sender, key_of(1).public_key(), 0, 0, 1),
-      std::invalid_argument);
-  EXPECT_THROW(
-      Transaction::create(sender, key_of(1).public_key(), algos(1), -1, 1),
-      std::invalid_argument);
 }
 
 TEST(AccountTable, AddAndLookup) {
@@ -79,54 +37,6 @@ TEST(AccountTable, CreditIncreasesBalance) {
   table.credit(a, 250'000);
   EXPECT_EQ(table.balance(a), algos(1) + 250'000);
   EXPECT_THROW(table.credit(a, -1), std::invalid_argument);
-}
-
-TEST(TxPool, SubmitAndDedup) {
-  TxPool pool;
-  const auto txn =
-      Transaction::create(key_of(0), key_of(1).public_key(), algos(1), 0, 1);
-  EXPECT_TRUE(pool.submit(txn));
-  EXPECT_FALSE(pool.submit(txn));  // duplicate id
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_TRUE(pool.contains(txn.id()));
-}
-
-TEST(TxPool, PeekPreservesOrderAndDoesNotRemove) {
-  TxPool pool;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    pool.submit(Transaction::create(key_of(0), key_of(1).public_key(),
-                                    algos(1), 0, i));
-  }
-  const auto taken = pool.peek(3);
-  EXPECT_EQ(taken.size(), 3u);
-  EXPECT_EQ(taken[0].nonce(), 0u);
-  EXPECT_EQ(taken[2].nonce(), 2u);
-  EXPECT_EQ(pool.size(), 5u);
-}
-
-TEST(TxPool, MarkIncludedRemoves) {
-  TxPool pool;
-  std::vector<Transaction> txns;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    txns.push_back(Transaction::create(key_of(0), key_of(1).public_key(),
-                                       algos(1), 0, i));
-    pool.submit(txns.back());
-  }
-  pool.mark_included({txns[0], txns[2]});
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_FALSE(pool.contains(txns[0].id()));
-  EXPECT_TRUE(pool.contains(txns[1].id()));
-  // Removed ids can be resubmitted (e.g. a reorg would reintroduce them).
-  EXPECT_TRUE(pool.submit(txns[0]));
-}
-
-TEST(TxPool, ClearEmptiesEverything) {
-  TxPool pool;
-  pool.submit(
-      Transaction::create(key_of(0), key_of(1).public_key(), algos(1), 0, 1));
-  pool.clear();
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(pool.peek(10).size(), 0u);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ struct ProposerSetup {
 
   ledger::Block block_for(const crypto::PublicKey& proposer) const {
     return ledger::Block::make(round, crypto::Hash256::zero(),
-                               crypto::Hash256::zero(), proposer, {});
+                               crypto::Hash256::zero(), proposer);
   }
 };
 
