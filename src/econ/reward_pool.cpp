@@ -28,16 +28,4 @@ ledger::MicroAlgos FoundationPool::withdraw(ledger::MicroAlgos amount) {
   return actual;
 }
 
-void TransactionFeePool::deposit(ledger::MicroAlgos fees) {
-  RS_REQUIRE(fees >= 0, "fees must be non-negative");
-  balance_ += fees;
-}
-
-ledger::MicroAlgos TransactionFeePool::withdraw(ledger::MicroAlgos amount) {
-  RS_REQUIRE(amount >= 0, "withdrawal must be non-negative");
-  const ledger::MicroAlgos actual = std::min(amount, balance_);
-  balance_ -= actual;
-  return actual;
-}
-
 }  // namespace roleshare::econ
