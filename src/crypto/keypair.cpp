@@ -14,14 +14,10 @@ Signature compute_signature(const PublicKey& pk, const Hash256& message) {
 
 }  // namespace
 
-KeyPair::KeyPair(Hash256 secret, PublicKey pub)
-    : secret_(secret), public_key_(pub) {}
-
 KeyPair KeyPair::derive(std::uint64_t seed, std::uint64_t node_id) {
   const Hash256 secret =
       HashBuilder("roleshare.sk").add_u64(seed).add_u64(node_id).build();
-  const PublicKey pub{HashBuilder("roleshare.pk").add(secret).build()};
-  return KeyPair(secret, pub);
+  return KeyPair(PublicKey{HashBuilder("roleshare.pk").add(secret).build()});
 }
 
 Signature KeyPair::sign(const Hash256& message) const {

@@ -29,6 +29,8 @@ struct Signature {
 };
 
 /// A key pair deterministically derived from (experiment seed, node id).
+/// Only the public key is kept: the simulated scheme signs under the
+/// public key, so nothing reads the secret after derive() has hashed it.
 class KeyPair {
  public:
   /// Derives a key pair for `node_id` under `seed`.
@@ -40,9 +42,8 @@ class KeyPair {
   Signature sign(const Hash256& message) const;
 
  private:
-  KeyPair(Hash256 secret, PublicKey pub);
+  explicit KeyPair(PublicKey pub) : public_key_(pub) {}
 
-  Hash256 secret_;
   PublicKey public_key_;
 };
 
