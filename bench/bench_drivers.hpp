@@ -111,12 +111,16 @@ struct PanelKnobs {
 };
 
 /// Parses the shared knobs; `sizes` carries the bench's own --nodes,
-/// --runs and --rounds defaults.
+/// --runs and --rounds defaults. --runs=0 is refused: with no run to
+/// execute, nothing would validate the spec before the figure reads its
+/// first partial.
 inline PanelKnobs arg_panel_knobs(int argc, char** argv,
                                   const PanelKnobs& sizes) {
   PanelKnobs knobs;
   knobs.nodes = arg_size(argc, argv, "nodes", sizes.nodes);
   knobs.runs = arg_size(argc, argv, "runs", sizes.runs);
+  if (knobs.runs == 0)
+    throw std::invalid_argument("--runs=0: a figure needs at least one run");
   knobs.rounds = arg_size(argc, argv, "rounds", sizes.rounds);
   knobs.threads = arg_threads(argc, argv);
   knobs.inner_threads = arg_inner_threads(argc, argv);

@@ -56,6 +56,10 @@ int run(int argc, char** argv) {
         std::string("--bench is required — one of: ") +
         bench::kShardableBenchNames);
   const std::size_t workers = bench::arg_size(argc, argv, "workers", 3);
+  // Refused before the default window divides by it and before the
+  // coordinator creates the spool directory.
+  if (workers == 0)
+    throw std::invalid_argument("--workers=0: a job needs at least one worker");
   const std::size_t window_arg = bench::arg_size(argc, argv, "window", 0);
   const double lease_seconds =
       bench::arg_real(argc, argv, "lease-seconds", 0.0);

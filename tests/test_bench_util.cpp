@@ -287,6 +287,13 @@ TEST(BenchUtil, NumericFlagsRejectMalformedValues) {
     arg_panel_knobs(bad_knob.argc(), bad_knob.argv(),
                     {.nodes = 1, .runs = 1, .rounds = 1});
   });
+  // No run would execute, so nothing else would refuse it before the
+  // figure reads its first partial.
+  Argv no_runs = with({"--runs=0"});
+  expect_refused("--runs", [&] {
+    arg_panel_knobs(no_runs.argc(), no_runs.argv(),
+                    {.nodes = 1, .runs = 1, .rounds = 1});
+  });
 
   // Well-formed values still parse; 0 still means all cores and absent
   // flags keep their fallbacks, the -1 sentinels included.
