@@ -62,15 +62,6 @@ SortitionResult sortition(const KeyPair& key, const VrfInput& input,
   return SortitionResult{j, vrf};
 }
 
-std::vector<SortitionResult> sortition_batch(
-    const std::vector<KeyPair>& keys, const VrfInput& input,
-    const std::vector<std::int64_t>& stakes, const SortitionParams& params,
-    const util::InnerExecutor& exec) {
-  std::vector<SortitionResult> results;
-  sortition_batch_into(keys, input, stakes, params, results, exec);
-  return results;
-}
-
 void sortition_batch_into(const std::vector<KeyPair>& keys,
                           const VrfInput& input,
                           const std::vector<std::int64_t>& stakes,

@@ -46,18 +46,13 @@ SortitionResult sortition(const KeyPair& key, const VrfInput& input,
 
 /// Runs sortition for every key at once — the per-round "each node draws
 /// locally" loop, batched so it can fan out across the inner executor.
-/// Results are written at their node index, so the output is identical for
-/// every executor (serial included). Requires keys.size() == stakes.size().
-std::vector<SortitionResult> sortition_batch(
-    const std::vector<KeyPair>& keys, const VrfInput& input,
-    const std::vector<std::int64_t>& stakes, const SortitionParams& params,
-    const util::InnerExecutor& exec = {});
-
-/// Allocation-free batched form: writes into `results` (resized to
-/// keys.size()). Hashes through fixed-layout SHA-256 templates — the VRF
-/// input message is computed once per batch and the per-node sign/output
-/// messages reuse a precomputed padded block, skipping the streaming
-/// hasher entirely. Bit-identical to per-node sortition() calls.
+/// Writes into `results` (resized to keys.size()) at each node's index, so
+/// the output is identical for every executor (serial included). Requires
+/// keys.size() == stakes.size(). Hashes through fixed-layout SHA-256
+/// templates — the VRF input message is computed once per batch and the
+/// per-node sign/output messages reuse a precomputed padded block,
+/// skipping the streaming hasher entirely. Bit-identical to per-node
+/// sortition() calls.
 void sortition_batch_into(const std::vector<KeyPair>& keys,
                           const VrfInput& input,
                           const std::vector<std::int64_t>& stakes,

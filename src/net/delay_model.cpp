@@ -47,8 +47,4 @@ std::unique_ptr<DelayModel> make_uniform_delay(TimeMs lo, TimeMs hi) {
   return std::make_unique<UniformDelay>(lo, hi);
 }
 
-std::unique_ptr<DelayModel> make_constant_delay(TimeMs value) {
-  return std::make_unique<ConstantDelay>(value);
-}
-
 }  // namespace roleshare::net

@@ -57,6 +57,5 @@ class ConstantDelay final : public DelayModel {
 };
 
 std::unique_ptr<DelayModel> make_uniform_delay(TimeMs lo, TimeMs hi);
-std::unique_ptr<DelayModel> make_constant_delay(TimeMs value);
 
 }  // namespace roleshare::net

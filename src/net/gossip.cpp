@@ -75,22 +75,6 @@ void GossipEngine::propagate_into(ledger::NodeId origin, TimeMs start,
   }
 }
 
-double GossipEngine::reach_fraction(const std::vector<TimeMs>& arrivals,
-                                    const RelaySet& relay_set,
-                                    TimeMs deadline) {
-  RS_REQUIRE(arrivals.size() == relay_set.online.size(),
-             "arrival/online size mismatch");
-  std::size_t online = 0;
-  std::size_t reached = 0;
-  for (std::size_t v = 0; v < arrivals.size(); ++v) {
-    if (!relay_set.online[v]) continue;
-    ++online;
-    if (arrivals[v] <= deadline) ++reached;
-  }
-  if (online == 0) return 0.0;
-  return static_cast<double>(reached) / static_cast<double>(online);
-}
-
 std::uint32_t GossipEngine::reach_into(ledger::NodeId origin,
                                        const RelaySet& relay_set,
                                        std::vector<std::uint8_t>& mask,

@@ -72,10 +72,6 @@ class GossipEngine {
                       std::vector<TimeMs>& arrival,
                       GossipScratch& scratch) const;
 
-  /// Fraction of online nodes whose arrival time is <= deadline.
-  static double reach_fraction(const std::vector<TimeMs>& arrivals,
-                               const RelaySet& relay_set, TimeMs deadline);
-
   /// Breadth-first reach pass under propagate_into's rules: mask[v] = 1
   /// exactly when propagate_into's arrival at v is < kNever (offline
   /// nodes never receive; only the origin and relaying nodes send).

@@ -147,7 +147,7 @@ Verdict check_case(const Case& c) {
     relay.relays[v] = rng.bernoulli(c.relay_share) ? 1 : 0;
   }
   const std::unique_ptr<roleshare::net::DelayModel> delays =
-      c.constant ? roleshare::net::make_constant_delay(c.lo)
+      c.constant ? std::make_unique<roleshare::net::ConstantDelay>(c.lo)
                  : roleshare::net::make_uniform_delay(c.lo, c.lo + c.width);
   const GossipEngine engine(topology, *delays, c.factor);
   const auto timeout_for = [&](std::uint32_t depth) {

@@ -101,8 +101,7 @@ TEST(DelayModels, ConstantIsConstant) {
 TEST(DelayModels, FactoriesAndNames) {
   EXPECT_NE(make_uniform_delay(1, 2)->name().find("UniformDelay"),
             std::string::npos);
-  EXPECT_NE(make_constant_delay(1)->name().find("ConstDelay"),
-            std::string::npos);
+  EXPECT_NE(ConstantDelay(1).name().find("ConstDelay"), std::string::npos);
 }
 
 TEST(DelayModels, RejectBadParameters) {
