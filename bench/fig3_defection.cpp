@@ -7,7 +7,7 @@
 // most nodes on final blocks; >=15% pushes the network into tentative /
 // no-block regimes; ~30% collapses consensus within the first rounds.
 //
-// Runs execute on the shared ExperimentRunner engine: --threads=N spreads
+// Runs execute on the shared run_experiment engine: --threads=N spreads
 // the Monte-Carlo runs across N cores (0 = all) with bit-identical output.
 // --inner-threads=N instead parallelizes each run's per-node round-engine
 // loops — the knob for single-run latency at large --nodes; also

@@ -1,6 +1,6 @@
 // S1 — scenario-diversity sweep: the behaviour-policy layer
 // (sim/scenario_policy.hpp) driven across its three reactive policies ×
-// defection levels, on the shared ExperimentRunner engine.
+// defection levels, on the shared run_experiment engine.
 //
 //   scripted  — the Fig-3 baseline: a fixed fraction defects by script.
 //   adaptive  — the same cohort re-decides every round via

@@ -12,7 +12,7 @@
 // orchestrate coordinator/worker pair.
 //
 // Each panel is an independent ensemble of strategic loops on the shared
-// ExperimentRunner engine (run k = stream root.split(k)), reduced through
+// run_experiment engine (run k = stream root.split(k)), reduced through
 // a mergeable StrategicPartial — so the ensemble shards, checkpoints and
 // resumes exactly like fig3/fig6/fig7 (DESIGN.md §6):
 //

@@ -4,7 +4,7 @@
 // (the Fig-3 baseline), adaptive best-response defection, stake-correlated
 // defection, and scripted defection under churn — and prints the per-round
 // story: live population, cooperation share, and who still extracts final
-// blocks. Everything rides the deterministic ExperimentRunner engine, so
+// blocks. Everything rides the deterministic run_experiment engine, so
 // --threads only changes wall time, never a number.
 //
 //   $ ./churn_scenarios [--runs=4] [--rounds=10] [--threads=1]

@@ -5,7 +5,7 @@
 //
 //   $ ./defection_cascade [--runs=5] [--rounds=12] [--threads=1]
 //
-// Runs execute on the shared ExperimentRunner engine; --threads=N spreads
+// Runs execute on the shared run_experiment engine; --threads=N spreads
 // them across cores with bit-identical aggregates.
 #include <cstdio>
 

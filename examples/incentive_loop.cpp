@@ -9,7 +9,7 @@
 //                      [--inner-threads=1]
 //
 // A Monte-Carlo ensemble of independent loops on the shared
-// ExperimentRunner engine; --threads=N fans the runs out across cores,
+// run_experiment engine; --threads=N fans the runs out across cores,
 // --inner-threads=N instead parallelizes each run's per-node loops (round
 // engine + best-response sweep). Both keep aggregates bit-identical.
 #include <cstdio>

@@ -4,12 +4,12 @@
 Usage: scripts/check_reached.py BUILD_DIR
 
 A static link pulls whole archive members, so a member none of whose
-global symbols is defined in any executable of BUILD_DIR is one that no
-program links: code reached only by its own tests. The test binaries
-(roleshare_*tests) do not count. A member is judged by its strong
-symbols, or by its weak ones when it has none (the home of a header-only
-template, such as experiment_runner.cpp.o). Exit code 0 = every member
-is reached, 1 = the unreached members are listed.
+strong global symbols is defined in any executable of BUILD_DIR is one
+that no program links: code reached only by its own tests. The test
+binaries (roleshare_*tests) do not count. Weak symbols (inline functions
+and template instantiations) do not count either: any member that
+includes a header may define them. Exit code 0 = every member is
+reached, 1 = the unreached members are listed.
 """
 import os
 import re
@@ -21,17 +21,17 @@ import sys
 ALLOWED = {"proptest.cpp.o"}
 
 
-def defined_globals(path):
-    """{member: (strong, weak)} global symbols that `nm` lists as defined."""
+def strong_globals(path):
+    """{member: strong global symbols that `nm` lists as defined}."""
     out = subprocess.run(["nm", "--defined-only", path], check=True,
                          capture_output=True, text=True).stdout
     members, member = {}, os.path.basename(path)
     for line in out.splitlines():
         if line.endswith(":"):  # an archive member header: "name.cpp.o:"
             member = line[:-1]
-        elif (m := re.match(r"\S*\s+([TDBRGSVWu])\s+(.+)$", line)):
-            strong, weak = members.setdefault(member, (set(), set()))
-            (weak if m.group(1) in "VWu" else strong).add(m.group(2))
+            members.setdefault(member, set())
+        elif (m := re.match(r"\S*\s+[TDBRGS]\s+(.+)$", line)):
+            members.setdefault(member, set()).add(m.group(1))
     return members
 
 
@@ -44,12 +44,12 @@ def main(build_dir):
         with open(path, "rb") as f:
             if f.read(4) != b"\x7fELF":  # programs only, not the archive
                 continue
-        for strong, weak in defined_globals(path).values():
-            linked |= strong | weak
-    archive = defined_globals(os.path.join(build_dir, "libroleshare.a"))
+        for strong in strong_globals(path).values():
+            linked |= strong
+    archive = strong_globals(os.path.join(build_dir, "libroleshare.a"))
     unreached = 0
-    for member, (strong, weak) in sorted(archive.items()):
-        if (strong or weak) & linked:
+    for member, strong in sorted(archive.items()):
+        if strong & linked:
             continue
         if member in ALLOWED:
             print(f"allowed: {member} (test support)")

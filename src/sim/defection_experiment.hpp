@@ -143,7 +143,7 @@ using DefectionPartial = ExperimentPartial<DefectionPayload>;
 /// hash, shared by all partials of one experiment.
 util::json::Value defection_spec_echo(const DefectionExperimentConfig& config);
 
-/// Executes config.shard's run window on the shared ExperimentRunner
+/// Executes config.shard's run window on the shared run_experiment
 /// engine and reduces it into a mergeable partial. Deterministic in
 /// config.network.seed, independent of config.threads / inner_threads.
 DefectionPartial run_defection_partial(const DefectionExperimentConfig& config);

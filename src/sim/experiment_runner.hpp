@@ -265,30 +265,4 @@ void run_and_reduce(const ExperimentSpec& spec, RunFn&& run_fn,
     reduce(shard.begin + offset, std::move(results[offset]));
 }
 
-/// Object form of the same engine, for call sites that pass the spec
-/// around or run several bodies under one configuration.
-template <typename RunResult>
-class ExperimentRunner {
- public:
-  explicit ExperimentRunner(ExperimentSpec spec) : spec_(spec) {
-    validate(spec_);
-  }
-
-  const ExperimentSpec& spec() const { return spec_; }
-
-  template <typename RunFn>
-  std::vector<RunResult> run(RunFn&& run_fn) const {
-    return run_experiment(spec_, std::forward<RunFn>(run_fn));
-  }
-
-  template <typename RunFn, typename Reducer>
-  void run_and_reduce(RunFn&& run_fn, Reducer&& reduce) const {
-    sim::run_and_reduce(spec_, std::forward<RunFn>(run_fn),
-                        std::forward<Reducer>(reduce));
-  }
-
- private:
-  ExperimentSpec spec_;
-};
-
 }  // namespace roleshare::sim

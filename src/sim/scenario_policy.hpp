@@ -21,7 +21,7 @@
 // Every draw comes from the per-(round, node) stream
 // scenario_policy_root(seed).split(purpose).split(round).split(node), so
 // the layer is bit-identical for every threads / inner_threads setting —
-// it slots into existing ExperimentRunner run bodies unchanged
+// it slots into existing run_experiment run bodies unchanged
 // (DESIGN.md §4).
 #pragma once
 

@@ -75,7 +75,7 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
                                        util::ThreadPool* inner_pool);
 
 /// Monte-Carlo ensemble of independent strategic loops on the shared
-/// ExperimentRunner engine — the runs×rounds view of the paper's headline
+/// run_experiment engine — the runs×rounds view of the paper's headline
 /// claim (population iterations fan out across the thread pool; run k
 /// uses the stream root.split(k) where root is base.network.seed).
 struct StrategicEnsembleConfig {

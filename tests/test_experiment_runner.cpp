@@ -144,16 +144,6 @@ TEST(ExperimentRunner, WorkerExceptionPropagates) {
   }
 }
 
-TEST(ExperimentRunner, ObjectFormMatchesFreeFunction) {
-  const ExperimentRunner<std::uint64_t> runner(ExperimentSpec{4, 1, 77, 2});
-  const auto via_object =
-      runner.run([](std::size_t, util::Rng& rng) { return rng(); });
-  const auto via_free = run_experiment(
-      ExperimentSpec{4, 1, 77, 1},
-      [](std::size_t, util::Rng& rng) { return rng(); });
-  EXPECT_EQ(via_object, via_free);
-}
-
 // The acceptance-criteria experiments: parallel aggregates must be
 // byte-identical to serial ones.
 
