@@ -129,6 +129,15 @@ TEST(Golden, Fig6BiDistributionsSeries) {
                 roleshare::bench::make_fig6_driver);
 }
 
+// At 2000 nodes a round's 13,026 leader and committee draws cover nearly
+// every node, so the Others scan sums a handful of nodes. At 50k about
+// three quarters of the population are Others.
+TEST(Golden, Fig6BiDistributions50kSeries) {
+  expect_golden("fig6_bi_distributions.50k", "fig6_bi_distributions",
+                {"--nodes=50000", "--runs=2", "--rounds=2", "--threads=1"},
+                roleshare::bench::make_fig6_driver);
+}
+
 TEST(Golden, Fig7RewardComparisonSeries) {
   expect_golden("fig7_reward_comparison",
                 {"--nodes=2000", "--runs=2", "--rounds=4", "--threads=1"},
