@@ -141,20 +141,4 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   return idx;
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  RS_REQUIRE(!weights.empty(), "weighted_index needs weights");
-  double total = 0.0;
-  for (const double w : weights) {
-    RS_REQUIRE(w >= 0.0, "negative weight");
-    total += w;
-  }
-  RS_REQUIRE(total > 0.0, "weights sum to zero");
-  double point = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    point -= weights[i];
-    if (point < 0.0) return i;
-  }
-  return weights.size() - 1;  // numeric edge: return last positive bucket
-}
-
 }  // namespace roleshare::util

@@ -87,10 +87,6 @@ class Rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 
-  /// Weighted index selection: returns i with probability w[i] / sum(w).
-  /// Requires all weights >= 0 and sum > 0. O(n) per draw.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
  private:
   std::array<std::uint64_t, 4> state_{};
   std::uint64_t seed_material_ = 0;  // retained for split()

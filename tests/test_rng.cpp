@@ -158,22 +158,6 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);
 }
 
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng rng(37);
-  const std::vector<double> weights = {1.0, 3.0, 6.0};
-  std::array<int, 3> counts{};
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.6, 0.02);
-}
-
-TEST(Rng, WeightedIndexRejectsAllZero) {
-  Rng rng(1);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-}
-
 TEST(Rng, DeriveSeedsMatchesPerLabelDeriveSeed) {
   const Rng parent(909);
   std::vector<std::uint64_t> labels;
