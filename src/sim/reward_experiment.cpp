@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "econ/foundation_schedule.hpp"
 #include "sim/experiment_runner.hpp"
@@ -41,16 +40,16 @@ std::unique_ptr<util::StakeDistribution> StakeSpec::make() const {
 namespace {
 
 /// Draws a role's member set by sub-user sampling: `tau` stake-weighted
-/// draws; distinct drawn nodes form the set. Returns the minimum stake
-/// among members (0 if none).
-std::int64_t sample_role_min_stake(
-    const util::AliasSampler& sampler, const std::vector<std::int64_t>& stakes,
-    std::uint64_t tau, util::Rng& rng,
-    std::unordered_set<std::size_t>& members_out) {
+/// draws; distinct drawn nodes form the set, and each one's `in_role`
+/// byte is set. Returns the minimum stake among members (0 if none).
+std::int64_t sample_role_min_stake(const util::AliasSampler& sampler,
+                                   const std::vector<std::int64_t>& stakes,
+                                   std::uint64_t tau, util::Rng& rng,
+                                   std::vector<std::uint8_t>& in_role) {
   std::int64_t min_stake = 0;
   for (std::uint64_t d = 0; d < tau; ++d) {
     const std::size_t v = sampler.sample(rng);
-    members_out.insert(v);
+    in_role[v] = 1;
     if (min_stake == 0 || stakes[v] < min_stake) min_stake = stakes[v];
   }
   return min_stake;
@@ -78,30 +77,40 @@ RewardRun execute_run(const RewardExperimentConfig& config,
   std::int64_t total_stake = 0;
   for (const std::int64_t s : stakes) total_stake += s;
 
+  // The round's buffers live for the whole run: the alias table is rebuilt
+  // in place, and one byte per node marks the leader and committee members.
+  std::vector<double> weights(stakes.begin(), stakes.end());
+  util::AliasSampler sampler(weights);
+  std::vector<std::uint8_t> in_role(stakes.size());
+  const std::size_t chunks = util::InnerExecutor::chunk_count(stakes.size());
+  std::vector<std::int64_t> chunk_min(chunks);
+  std::vector<std::int64_t> chunk_sum(chunks);
+  const std::int64_t threshold = config.min_other_stake.value_or(0);
+
   for (std::size_t round = 0; round < config.rounds_per_run; ++round) {
     // Committee sampling (sub-user draws, alias table rebuilt per round
     // because the churn below shifts weights).
-    std::vector<double> weights(stakes.begin(), stakes.end());
-    const util::AliasSampler sampler(weights);
+    if (round > 0) {
+      weights.assign(stakes.begin(), stakes.end());
+      sampler.rebuild(weights);
+    }
 
-    std::unordered_set<std::size_t> leaders, committee;
+    std::fill(in_role.begin(), in_role.end(), std::uint8_t{0});
     const std::int64_t min_leader = sample_role_min_stake(
-        sampler, stakes, config.leader_stake, rng, leaders);
+        sampler, stakes, config.leader_stake, rng, in_role);
     const std::int64_t min_committee = sample_role_min_stake(
-        sampler, stakes, config.committee_stake, rng, committee);
+        sampler, stakes, config.committee_stake, rng, in_role);
 
     // Others: everyone else. s*_k is the min stake among others at or
     // above the Fig-7(c) threshold; S_K excludes filtered nodes. The
     // O(node_count) scan fans out in chunks; the partials (integer sum and
     // min) merge exactly, so the result is identical for every executor.
-    const std::int64_t threshold = config.min_other_stake.value_or(0);
-    const std::size_t chunks = util::InnerExecutor::chunk_count(stakes.size());
-    std::vector<std::int64_t> chunk_min(chunks, 0);
-    std::vector<std::int64_t> chunk_sum(chunks, 0);
+    std::fill(chunk_min.begin(), chunk_min.end(), 0);
+    std::fill(chunk_sum.begin(), chunk_sum.end(), 0);
     exec.for_each_chunk(
         stakes.size(), [&](std::size_t c, std::size_t begin, std::size_t end) {
           for (std::size_t v = begin; v < end; ++v) {
-            if (leaders.contains(v) || committee.contains(v)) continue;
+            if (in_role[v] != 0) continue;
             if (stakes[v] < threshold) continue;
             chunk_sum[c] += stakes[v];
             if (chunk_min[c] == 0 || stakes[v] < chunk_min[c])

@@ -4,9 +4,10 @@
 // where per-draw linear scans would dominate the experiment runtime.
 //
 // Edge-case contract (regression-tested in tests/test_stats.cpp):
-//   - empty weights, any negative or non-finite weight, or a zero total
-//     throw std::invalid_argument — a degenerate distribution is a caller
-//     bug, never a silent uniform fallback;
+//   - empty weights, any negative or non-finite weight, a zero total or a
+//     total that overflows to infinity throw std::invalid_argument — a
+//     degenerate distribution is a caller bug, never a silent uniform
+//     fallback;
 //   - a single positive entry always samples index 0;
 //   - all-equal positive weights sample exactly uniformly (the scaled
 //     probabilities are pinned to 1 instead of trusting the floating-point
@@ -30,6 +31,12 @@ class AliasSampler {
   /// one must be positive). Throws std::invalid_argument otherwise.
   explicit AliasSampler(const std::vector<double>& weights);
 
+  /// Replaces the table with one for `weights`, reusing this sampler's
+  /// buffers; draws then equal a fresh AliasSampler(weights)'s. Checks the
+  /// weights as the constructor does before it writes anything, so a
+  /// refused rebuild keeps the previous table.
+  void rebuild(const std::vector<double>& weights);
+
   std::size_t size() const { return prob_.size(); }
 
   /// Draws an index with probability weight[i] / sum(weights).
@@ -38,6 +45,7 @@ class AliasSampler {
  private:
   std::vector<double> prob_;
   std::vector<std::uint32_t> alias_;
+  std::vector<std::uint32_t> work_;  // build worklists: small | ... | large
 };
 
 }  // namespace roleshare::util

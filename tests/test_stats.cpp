@@ -212,6 +212,61 @@ TEST(AliasSampler, RejectsNonFiniteWeights) {
   EXPECT_THROW(AliasSampler({-INFINITY, 1.0}), std::invalid_argument);
 }
 
+TEST(AliasSampler, RejectsWeightsWhoseSumOverflows) {
+  // Each weight is finite, but the sum is +inf: every scaled probability
+  // would be 0 and every bucket a probability-1 leftover, so the table
+  // would draw 0.5 / 0.5 instead of 0.37 / 0.63.
+  try {
+    const AliasSampler sampler(std::vector<double>{1e308, 1.7e308});
+    FAIL() << "a weight sum that overflows was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite total"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// 10,000 draws of `got` equal those of `want` under the same seed.
+void expect_same_draws(const AliasSampler& got, const AliasSampler& want,
+                       std::uint64_t seed) {
+  ASSERT_EQ(got.size(), want.size());
+  Rng a(seed), b(seed);
+  for (int i = 0; i < 10000; ++i)
+    ASSERT_EQ(got.sample(a), want.sample(b)) << "draw " << i;
+}
+
+TEST(AliasSampler, RebuildMatchesFreshSampler) {
+  // Sizes grow and shrink, and the table switches between the all-equal
+  // and the skewed paths: nothing an earlier table left in the sampler's
+  // buffers may show in a draw.
+  Rng stakes(83);
+  std::vector<double> population(100000);
+  for (double& w : population)
+    w = static_cast<double>(stakes.uniform_int(1, 200));
+  const std::vector<std::vector<double>> sequence = {
+      {0.001, 5.0, 0.0, 2.5, 0.0},
+      std::vector<double>(7, 0.1),
+      {3.0, 1.0, 2.0},
+      population,
+      {1.0, 9.0}};
+  AliasSampler sampler(std::vector<double>{1.0});
+  std::uint64_t seed = 84;
+  for (const std::vector<double>& weights : sequence) {
+    sampler.rebuild(weights);
+    expect_same_draws(sampler, AliasSampler(weights), seed++);
+  }
+}
+
+TEST(AliasSampler, RefusedRebuildKeepsTheTable) {
+  const std::vector<double> weights = {0.001, 5.0, 0.0, 2.5};
+  AliasSampler sampler(weights);
+  EXPECT_THROW(sampler.rebuild({}), std::invalid_argument);
+  EXPECT_THROW(sampler.rebuild({1.0, std::nan("")}), std::invalid_argument);
+  EXPECT_THROW(sampler.rebuild({1.0, -1.0}), std::invalid_argument);
+  EXPECT_THROW(sampler.rebuild({1e308, 1.7e308}), std::invalid_argument);
+  expect_same_draws(sampler, AliasSampler(weights), 90);
+}
+
 TEST(AliasSampler, SingleEntryAlwaysSamplesZero) {
   Rng rng(79);
   AliasSampler sampler(std::vector<double>{0.25});
