@@ -105,17 +105,17 @@ RewardRun execute_run(const RewardExperimentConfig& config,
     // above the Fig-7(c) threshold; S_K excludes filtered nodes. The
     // O(node_count) scan fans out in chunks; the partials (integer sum and
     // min) merge exactly, so the result is identical for every executor.
-    std::fill(chunk_min.begin(), chunk_min.end(), 0);
-    std::fill(chunk_sum.begin(), chunk_sum.end(), 0);
     exec.for_each_chunk(
         stakes.size(), [&](std::size_t c, std::size_t begin, std::size_t end) {
+          std::int64_t sum = 0;
+          std::int64_t min = 0;
           for (std::size_t v = begin; v < end; ++v) {
-            if (in_role[v] != 0) continue;
-            if (stakes[v] < threshold) continue;
-            chunk_sum[c] += stakes[v];
-            if (chunk_min[c] == 0 || stakes[v] < chunk_min[c])
-              chunk_min[c] = stakes[v];
+            if (in_role[v] != 0 || stakes[v] < threshold) continue;
+            sum += stakes[v];
+            if (min == 0 || stakes[v] < min) min = stakes[v];
           }
+          chunk_sum[c] = sum;
+          chunk_min[c] = min;
         });
     std::int64_t min_other = 0;
     std::int64_t others_stake = 0;

@@ -41,8 +41,9 @@ void AliasSampler::rebuild(const std::vector<double>& weights) {
   // Scaled probabilities, kept in prob_: a bucket's entry is final once it
   // leaves the small list. work_ holds the under-full (small) list at the
   // front and the over-full (large) list at the back, each a stack pushed
-  // in index order. Both loops write the candidate slot and advance by the
-  // comparison instead of branching on it.
+  // in index order. Both loops write the candidate slots and advance by the
+  // comparison instead of branching on it: the partition writes i to the
+  // next slot of both lists, and the one it does not advance stays free.
   prob_.resize(n);
   work_.resize(n);
   std::uint32_t* const work = work_.data();
@@ -51,7 +52,8 @@ void AliasSampler::rebuild(const std::vector<double>& weights) {
   for (std::size_t i = 0; i < n; ++i) {
     prob_[i] = weights[i] * static_cast<double>(n) / total;
     const bool under = prob_[i] < 1.0;
-    work[under ? small : n - 1 - large] = static_cast<std::uint32_t>(i);
+    work[small] = static_cast<std::uint32_t>(i);
+    work[n - 1 - large] = static_cast<std::uint32_t>(i);
     small += under;
     large += !under;
   }
