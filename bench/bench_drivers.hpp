@@ -567,8 +567,8 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
     config.defection_rate = longhorizon::kDefectionRates[panel];
     config.runs = knobs.runs;
     config.rounds_per_run = knobs.rounds;
+    // --inner-threads has no effect: the sparse round has no node loop.
     config.threads = knobs.threads;
-    config.inner_threads = knobs.inner_threads;
     config.alpha = knobs.alpha;
     config.beta = knobs.beta;
     config.top_fraction = knobs.top_fraction;

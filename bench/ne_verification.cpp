@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const sim::ExperimentSpec spec{games, 1, 99, threads};
   sim::run_and_reduce(
       spec,
-      [&](std::size_t, util::Rng& rng) {
+      [&](std::size_t, util::Rng& rng, const sim::RunContext&) {
         GameVerdicts verdicts;
         econ::RoleSnapshot snap = sample_snapshot(rng, players);
 

@@ -15,9 +15,10 @@
 // The serial pass runs on a reused RoundWorkspace with the global
 // allocation counter bracketing each round, so the JSON also tracks heap
 // allocations per steady-state round — the reusable-workspace contract's
-// regression gate — plus the workspace's resident capacity and the
-// gossip split: propagations the reachability certificate decided,
-// propagations that ran Dijkstra, and reach classes built (DESIGN.md §5).
+// regression gate, which --self-check enforces — plus the workspace's
+// resident capacity and the gossip split: propagations the reachability
+// certificate decided, propagations that ran Dijkstra, and reach classes
+// built (DESIGN.md §5).
 //
 // --sparse=1 switches to the CommitteeModel::Sampled comparison
 // (DESIGN.md §10): the sparse O(committee · log N) path vs the dense
@@ -31,7 +32,7 @@
 //
 //   $ ./round_latency --nodes=100000 --rounds=3 --inner-threads=0
 //   $ ./round_latency --sweep=1 --rounds=3        # 1000/3000/10000 nodes
-//   $ ./round_latency --nodes=3000 --self-check=1 # CI determinism gate
+//   $ ./round_latency --nodes=3000 --self-check=1 # CI identity+alloc gate
 //   $ ./round_latency --sparse=1 --sweep=1        # 100k/1M sparse ladder
 //   $ ./round_latency --sparse=1 --nodes=3000 --self-check=1  # alloc gate
 #include <algorithm>
@@ -213,12 +214,26 @@ Measurement measure_size(std::size_t nodes, std::size_t rounds,
 
 // ---- Sampled-model comparison (--sparse) --------------------------------
 
-/// The sparse-touch allocation contract (DESIGN.md §10): a steady-state
-/// sparse round may allocate only for the chain append, whose growth is
-/// amortized, so the steady count is independent of N. The gate leaves
-/// headroom over the measured 0 so stdlib differences don't trip it while
-/// an O(committee) or O(N) allocation regression still does.
-constexpr std::uint64_t kSparseSteadyAllocGate = 64;
+/// The steady-state allocation contract of both round paths (DESIGN.md
+/// §5, §10): a steady-state round may allocate only for the chain append,
+/// whose growth is amortized, so the steady count is independent of N.
+/// --self-check applies the gate to the sparse pass and to the serial
+/// dense pass. It leaves headroom over the measured 0–5 so stdlib
+/// differences don't trip it while a per-loop, O(committee) or O(N)
+/// allocation regression still does.
+constexpr std::uint64_t kSteadyAllocGate = 64;
+
+/// False, after printing the pass's steady count and the gate to stderr,
+/// when `steady` allocations per round exceed the gate.
+bool within_alloc_gate(const char* pass, std::uint64_t steady) {
+  if (steady <= kSteadyAllocGate) return true;
+  std::fprintf(stderr,
+               "ERROR: %s steady-state allocations regressed: %llu/round "
+               "> gate %llu (contract: chain append only)\n",
+               pass, static_cast<unsigned long long>(steady),
+               static_cast<unsigned long long>(kSteadyAllocGate));
+  return false;
+}
 
 /// One pass over the Sampled round model, dense or sparse evaluation,
 /// with the fixed-split role payouts compounded into stake every round —
@@ -483,7 +498,7 @@ int main(int argc, char** argv) {
     bench::JsonFields fields{{"nodes", nodes},
                              {"rounds", rounds},
                              {"dense_rounds", dense_rounds},
-                             {"sparse_alloc_gate", kSparseSteadyAllocGate}};
+                             {"sparse_alloc_gate", kSteadyAllocGate}};
     const SparseMeasurement m = measure_sparse_size(
         nodes, rounds, dense_rounds, seed, "", fields);
     bench::emit_json("round_latency_sparse", fields);
@@ -494,20 +509,13 @@ int main(int argc, char** argv) {
                    "Sampled evaluation\n");
       return 1;
     }
-    if (self_check && m.sparse.steady_allocs() > kSparseSteadyAllocGate) {
-      std::fprintf(stderr,
-                   "ERROR: sparse steady-state allocations regressed: "
-                   "%llu/round > gate %llu (contract: chain append "
-                   "only)\n",
-                   static_cast<unsigned long long>(m.sparse.steady_allocs()),
-                   static_cast<unsigned long long>(kSparseSteadyAllocGate));
+    if (self_check && !within_alloc_gate("sparse", m.sparse.steady_allocs()))
       return 1;
-    }
     if (self_check) {
       std::printf("\nself-check OK: sparse == dense and steady-state "
                   "allocations %llu/round within the gate (%llu)\n",
                   static_cast<unsigned long long>(m.sparse.steady_allocs()),
-                  static_cast<unsigned long long>(kSparseSteadyAllocGate));
+                  static_cast<unsigned long long>(kSteadyAllocGate));
     }
     return 0;
   }
@@ -523,11 +531,14 @@ int main(int argc, char** argv) {
     bench::JsonFields fields{{"rounds", rounds}, {"workers", workers}};
     bool all_identical = true;
     double total_ms = 0.0;
+    std::uint64_t worst_dense_steady = 0;
     for (const std::size_t size : sizes) {
       const std::string prefix = "n" + std::to_string(size) + "_";
       const Measurement m = measure_size(size, rounds, seed, inner_threads,
                                          workers, prefix, fields);
       all_identical = all_identical && m.identical;
+      worst_dense_steady =
+          std::max(worst_dense_steady, m.serial.steady_allocs());
       total_ms += m.serial.wall_ms + m.parallel.wall_ms;
     }
 
@@ -543,7 +554,7 @@ int main(int argc, char** argv) {
       double ms_100k = 0.0;
       double ratio_1m_vs_100k = 0.0;
       fields.emplace_back("sparse_rounds", sparse_rounds);
-      fields.emplace_back("sparse_alloc_gate", kSparseSteadyAllocGate);
+      fields.emplace_back("sparse_alloc_gate", kSteadyAllocGate);
       for (const std::size_t size : sparse_sizes) {
         const std::string prefix = "n" + std::to_string(size) + "_";
         const SparseMeasurement m = measure_sparse_size(
@@ -567,14 +578,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ERROR: results diverged across evaluations\n");
       return 1;
     }
-    if (self_check && sparse && worst_steady > kSparseSteadyAllocGate) {
-      std::fprintf(stderr,
-                   "ERROR: sparse steady-state allocations regressed: "
-                   "%llu/round > gate %llu\n",
-                   static_cast<unsigned long long>(worst_steady),
-                   static_cast<unsigned long long>(kSparseSteadyAllocGate));
+    if (self_check && sparse && !within_alloc_gate("sparse", worst_steady))
       return 1;
-    }
+    if (self_check && !within_alloc_gate("dense", worst_dense_steady))
+      return 1;
     return 0;
   }
 
@@ -621,8 +628,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (self_check) {
+    if (!within_alloc_gate("dense", m.serial.steady_allocs())) return 1;
     std::printf("\nself-check OK: serial and inner-parallel rounds are "
-                "bit-identical\n");
+                "bit-identical; serial steady-state allocations %llu/round "
+                "within the gate (%llu)\n",
+                static_cast<unsigned long long>(m.serial.steady_allocs()),
+                static_cast<unsigned long long>(kSteadyAllocGate));
   } else {
     std::printf("\nShape check: speedup > 1.5x expected at >=100k nodes on\n"
                 "4+ cores; ~1.0x on a single-core machine is normal.\n");

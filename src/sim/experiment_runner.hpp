@@ -8,10 +8,11 @@
 //     is Rng(root_seed). Streams are independent by construction; there is
 //     no additive seed offsetting (which can collide across experiments
 //     whose root seeds are close together).
-//  2. Parallelism — runs execute across a fixed-size ThreadPool
-//     (`threads` knob; 0 = all hardware threads, 1 = inline serial).
-//     Within a run, the `inner_threads` knob fans the run body's per-node
-//     loops out instead — but never both at once: when the outer fan-out
+//  2. Parallelism — runs fan out through the same InnerExecutor loop as
+//     the per-node loops, over a fixed-size ThreadPool (`threads` knob;
+//     0 = all hardware threads, 1 = inline serial). Within a run, the
+//     `inner_threads` knob fans the run body's per-node loops out
+//     instead — but never both at once: when the outer fan-out
 //     is parallel, inner parallelism is forced serial so outer runs ×
 //     inner nodes share the machine without oversubscription.
 //  3. Determinism — per-run results are stored at their run index and the
@@ -32,7 +33,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -135,7 +135,6 @@ inline ResolvedParallelism resolve_parallelism(const ExperimentSpec& spec) {
 /// reuse it, so "outer runs × inner nodes" share one set of workers.
 struct RunContext {
   util::ThreadPool* inner_pool = nullptr;
-  std::size_t inner_threads = 1;  // resolved count backing inner_pool
 };
 
 /// Throws std::invalid_argument unless runs >= 1, rounds >= 1 and the
@@ -158,95 +157,44 @@ inline std::uint64_t seed_for_run(std::uint64_t root_seed,
   return util::Rng(root_seed).derive_seed(run_index);
 }
 
-namespace detail {
-
-/// Invokes a run body with or without the RunContext, whichever signature
-/// it accepts — legacy two-argument bodies keep working unchanged.
-template <typename RunFn>
-decltype(auto) invoke_run_fn(RunFn& run_fn, std::size_t run, util::Rng& rng,
-                             const RunContext& ctx) {
-  if constexpr (std::is_invocable_v<RunFn&, std::size_t, util::Rng&,
-                                    const RunContext&>) {
-    return run_fn(run, rng, ctx);
-  } else {
-    (void)ctx;
-    return run_fn(run, rng);
-  }
-}
-
-// Lazily selects the result type so only the signature the body actually
-// has gets instantiated.
-template <typename RunFn, typename = void>
-struct run_result {
-  using type = std::invoke_result_t<RunFn&, std::size_t, util::Rng&>;
-};
-template <typename RunFn>
-struct run_result<RunFn,
-                  std::enable_if_t<std::is_invocable_v<
-                      RunFn&, std::size_t, util::Rng&, const RunContext&>>> {
-  using type =
-      std::invoke_result_t<RunFn&, std::size_t, util::Rng&, const RunContext&>;
-};
-
-template <typename RunFn>
-using run_result_t = typename run_result<RunFn>::type;
-
-}  // namespace detail
-
-/// Executes run_fn(run_index, rng[, run_context]) for every run of the
+/// Executes run_fn(run_index, rng, run_context) for every run of the
 /// spec's shard window (default: every run) and returns the per-run
 /// results indexed by window offset — results[i] is global run
 /// shard.begin + i, independent of execution order. run_fn always
 /// receives the GLOBAL run index and its root.split(global) stream, so a
-/// shard executes exactly the runs a whole-range execution would. Bodies
-/// that take the optional `const RunContext&` receive the shared inner
-/// pool for their within-run node loops; the no-oversubscription policy
-/// of resolve_parallelism decides whether that pool exists. The result
-/// type must be default-constructible and movable. Exceptions thrown by
-/// run bodies are rethrown for the lowest failing run index.
+/// shard executes exactly the runs a whole-range execution would. The
+/// RunContext carries the shared inner pool for the body's within-run
+/// node loops; the no-oversubscription policy of resolve_parallelism
+/// decides whether that pool exists. The result type must be
+/// default-constructible and movable. The runs fan out through an
+/// InnerExecutor over the outer pool (null = serial), so every run is
+/// attempted and the lowest failing run's exception is rethrown.
 template <typename RunFn>
 auto run_experiment(const ExperimentSpec& spec, RunFn&& run_fn) {
   validate(spec);
-  using Result = detail::run_result_t<RunFn>;
+  using Result =
+      std::invoke_result_t<RunFn&, std::size_t, util::Rng&, const RunContext&>;
   static_assert(!std::is_void_v<Result>,
                 "run_fn must return the run's result");
   static_assert(!std::is_same_v<Result, bool>,
                 "bool results share packed bits in std::vector<bool>, which "
                 "is a data race under the parallel fan-out — wrap the flag "
                 "in a struct");
-  // A body that cannot receive the RunContext gets no inner pool either —
-  // its workers would only ever idle.
-  constexpr bool kTakesContext =
-      std::is_invocable_v<RunFn&, std::size_t, util::Rng&, const RunContext&>;
   const ResolvedShard shard = resolve_shard(spec);
   const ResolvedParallelism par = resolve_parallelism(spec);
-  std::optional<util::ThreadPool> inner_pool;
-  if (kTakesContext && par.inner > 1) inner_pool.emplace(par.inner);
-  const RunContext ctx{inner_pool ? &*inner_pool : nullptr,
-                       kTakesContext ? par.inner : 1};
+  // At most one level is parallel, so one pool serves whichever it is.
+  std::optional<util::ThreadPool> pool;
+  if (par.outer > 1 || par.inner > 1)
+    pool.emplace(std::max(par.outer, par.inner));
+  const RunContext ctx{par.inner > 1 ? &*pool : nullptr};
 
   std::vector<Result> results(shard.count());
-  const auto execute_one = [&](std::size_t offset) {
-    const std::size_t run = shard.begin + offset;  // global run index
-    util::Rng rng = rng_for_run(spec.root_seed, run);
-    results[offset] = detail::invoke_run_fn(run_fn, run, rng, ctx);
-  };
-  if (par.outer <= 1 || shard.count() <= 1) {
-    // Same failure semantics as the pool: every run is attempted, the
-    // lowest failing run's exception surfaces.
-    std::exception_ptr first_error;
-    for (std::size_t offset = 0; offset < shard.count(); ++offset) {
-      try {
-        execute_one(offset);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    util::ThreadPool pool(par.outer);
-    pool.parallel_for_indexed(shard.count(), execute_one);
-  }
+  util::InnerExecutor(par.outer > 1 ? &*pool : nullptr)
+      .for_each_index(shard.count(), [&](std::size_t offset) {
+        const std::size_t run = shard.begin + offset;  // global run index
+        util::Rng rng = rng_for_run(spec.root_seed, run);
+        results[offset] = run_fn(run, rng, ctx);
+      });
   return results;
 }
 

@@ -22,8 +22,7 @@ struct LongHorizonRun {
 };
 
 LongHorizonRun execute_run(const LongHorizonConfig& config,
-                           std::uint64_t run_seed,
-                           util::ThreadPool* inner_pool) {
+                           std::uint64_t run_seed) {
   NetworkConfig nc;
   nc.node_count = config.node_count;
   nc.seed = run_seed;
@@ -39,7 +38,7 @@ LongHorizonRun execute_run(const LongHorizonConfig& config,
   consensus::ConsensusParams params =
       consensus::ConsensusParams::scaled_for(net.accounts().total_stake());
   params.committee_model = consensus::CommitteeModel::Sampled;
-  RoundEngine engine(net, params, inner_pool);
+  RoundEngine engine(net, params);
 
   // The O(N) setup, paid once per run: sparse context, defector cohort,
   // and the streaming concentration sketches seeded from the initial
@@ -186,12 +185,15 @@ LongHorizonPartial run_longhorizon_partial(const LongHorizonConfig& config) {
   RS_REQUIRE(config.top_fraction > 0.0 && config.top_fraction <= 1.0,
              "top_fraction in (0, 1]");
   return run_partial<LongHorizonPayload>(
-      {config.runs, config.rounds_per_run, config.seed, config.threads,
-       config.inner_threads, config.shard},
+      {.runs = config.runs,
+       .rounds = config.rounds_per_run,
+       .root_seed = config.seed,
+       .threads = config.threads,
+       .inner_threads = 1,
+       .shard = config.shard},
       config.agg, longhorizon_spec_echo(config),
-      [&config](std::size_t run_index, util::Rng&, const RunContext& ctx) {
-        return execute_run(config, seed_for_run(config.seed, run_index),
-                           ctx.inner_pool);
+      [&config](std::size_t run_index, util::Rng&, const RunContext&) {
+        return execute_run(config, seed_for_run(config.seed, run_index));
       },
       [&config](LongHorizonPayload& payload, const LongHorizonRun& run) {
         for (std::size_t r = 0; r < config.rounds_per_run; ++r)
@@ -200,10 +202,6 @@ LongHorizonPartial run_longhorizon_partial(const LongHorizonConfig& config) {
         payload.record_run(run.end_gini, run.end_top_share, run.end_corr,
                            run.paid_algos);
       });
-}
-
-LongHorizonResult run_longhorizon(const LongHorizonConfig& config) {
-  return run_longhorizon_partial(config).finalize();
 }
 
 }  // namespace roleshare::sim

@@ -63,8 +63,9 @@ struct LongHorizonConfig {
 
   std::size_t runs = 4;
   std::size_t rounds_per_run = 2000;
+  /// Worker threads for the run fan-out. There is no inner knob: the
+  /// sparse round runs no per-node loop, so an inner pool would only idle.
   std::size_t threads = 1;
-  std::size_t inner_threads = 1;
 
   /// Fixed reward split (α leaders, β committee; γ = 1 − α − β to Others,
   /// reported but not individually compounded — sparse_payout.hpp).
@@ -133,12 +134,10 @@ using LongHorizonPartial = ExperimentPartial<LongHorizonPayload>;
 util::json::Value longhorizon_spec_echo(const LongHorizonConfig& config);
 
 /// Executes config.shard's run window through the sparse round path and
-/// reduces it into a mergeable partial. Deterministic in config.seed,
-/// independent of both thread knobs.
+/// reduces it into a mergeable partial; finalize() of a whole-range
+/// partial is the single-process experiment. Deterministic in
+/// config.seed, independent of config.threads.
 LongHorizonPartial run_longhorizon_partial(const LongHorizonConfig& config);
-
-/// run_longhorizon_partial + finalize — the single-process experiment.
-LongHorizonResult run_longhorizon(const LongHorizonConfig& config);
 
 /// One round's payout step: the Foundation Table-III budget of round
 /// max(round, 1) (the chain's genesis block sits at height 0), split by

@@ -293,9 +293,4 @@ RewardPartial run_reward_partial(const RewardExperimentConfig& config) {
       });
 }
 
-RewardExperimentResult run_reward_experiment(
-    const RewardExperimentConfig& config) {
-  return run_reward_partial(config).finalize();
-}
-
 }  // namespace roleshare::sim

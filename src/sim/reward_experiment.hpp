@@ -8,9 +8,9 @@
 //
 // Sharded execution rides the shared sim::ExperimentPartial envelope
 // (sim/partial.hpp): run_reward_partial executes the config's shard
-// window into a mergeable RewardPartial, and run_reward_experiment is
-// partial + finalize — so N exact-backend shards merged in window order
-// reproduce the single-process result bit for bit.
+// window into a mergeable RewardPartial, and finalize() of a whole-range
+// partial is the single-process result — so N exact-backend shards merged
+// in window order reproduce it bit for bit.
 #pragma once
 
 #include <memory>
@@ -144,10 +144,5 @@ util::json::Value reward_spec_echo(const RewardExperimentConfig& config);
 /// Executes config.shard's run window and reduces it into a mergeable
 /// partial. Deterministic in config.seed, independent of thread knobs.
 RewardPartial run_reward_partial(const RewardExperimentConfig& config);
-
-/// run_reward_partial + finalize — the historical single-process
-/// experiment, bit-identical under the exact backend.
-RewardExperimentResult run_reward_experiment(
-    const RewardExperimentConfig& config);
 
 }  // namespace roleshare::sim

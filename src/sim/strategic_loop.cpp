@@ -1,7 +1,5 @@
 #include "sim/strategic_loop.hpp"
 
-#include <optional>
-
 #include "econ/foundation_schedule.hpp"
 #include "econ/optimizer.hpp"
 #include "econ/role_based.hpp"
@@ -12,14 +10,6 @@
 #include "util/thread_pool.hpp"
 
 namespace roleshare::sim {
-
-StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config) {
-  const std::size_t threads =
-      util::ThreadPool::resolve_thread_count(config.threads);
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  return run_strategic_loop(config, pool ? &*pool : nullptr);
-}
 
 StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
                                        util::ThreadPool* inner_pool) {

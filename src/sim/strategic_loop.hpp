@@ -39,11 +39,6 @@ struct StrategicLoopConfig {
   econ::CostModel costs{};
   /// Strategy profile nodes start from (default: everyone cooperates).
   game::Strategy initial = game::Strategy::Cooperate;
-  /// Within-run worker threads (0 = all hardware threads). One pool serves
-  /// both per-round workloads — the round engine's per-node loops
-  /// (sortition, gossip, tallies) and the best-response sweep over the
-  /// population. Neither changes results for any thread count.
-  std::size_t threads = 1;
   /// Optional churn schedule: nodes leave/join between rounds on
   /// deterministic per-(round, node) streams (scenario_policy.hpp).
   /// Departed nodes play Offline; rejoining nodes restart from `initial`.
@@ -66,11 +61,11 @@ struct StrategicLoopResult {
   double final_cooperation = 0.0;
 };
 
-StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config);
-
-/// Same loop, but running its within-run parallelism on a caller-owned
-/// pool (nullptr = serial) instead of creating one from config.threads —
-/// the hook the ensemble uses to share a single inner pool across runs.
+/// One strategic loop. Its within-run parallelism runs on the caller's
+/// `inner_pool` (nullptr = serial), which serves both per-round workloads:
+/// the round engine's per-node loops (sortition, gossip, tallies) and the
+/// best-response sweep over the population. Neither changes results for
+/// any pool size. The ensemble passes the run's RunContext pool.
 StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
                                        util::ThreadPool* inner_pool);
 
@@ -80,8 +75,6 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
 /// uses the stream root.split(k) where root is base.network.seed).
 struct StrategicEnsembleConfig {
   /// Template for every run; its network.seed is the ensemble root seed.
-  /// base.threads is ignored — the ensemble's two knobs below decide the
-  /// parallelism level per the no-oversubscription contract.
   StrategicLoopConfig base;
   std::size_t runs = 8;
   /// Worker threads for the run fan-out (0 = all hardware threads).

@@ -70,55 +70,43 @@ std::size_t InnerExecutor::chunk_count(std::size_t n) {
   return (n + chunk - 1) / chunk;
 }
 
-void InnerExecutor::for_each_index(
-    std::size_t n, const std::function<void(std::size_t)>& body) const {
-  if (n == 0) return;
-  if (!parallel()) {
-    // Inline, but with the pool's error semantics: every index attempted,
-    // lowest failing index's exception rethrown.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-  pool_->parallel_for_indexed(n, body);
-}
-
-void InnerExecutor::for_each_chunk(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body)
-    const {
-  if (n == 0) return;
-  const std::size_t chunk = chunk_length(n);
-  const auto run_chunk = [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    body(c, begin, std::min(n, begin + chunk));
-  };
-  for_each_index(chunk_count(n), run_chunk);
-}
-
 namespace {
 
-/// Shared state of one parallel_for_indexed call, allocated on the
-/// caller's stack. Workers capture a single pointer to it, which fits
-/// std::function's small-buffer storage — a steady-state round performs
-/// no heap allocation on this path. The error of the *lowest* failing
-/// index is kept (first_error_index guards the update), matching the
-/// previous per-index error array without its O(n) allocation.
+using IndexBody = FunctionRef<void(std::size_t)>;
+
+/// The one serial loop, behind both a serial executor and a pool whose
+/// fan-out is 1: every index attempted, the lowest failing index's
+/// exception rethrown.
+void run_inline(std::size_t n, IndexBody body) {
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      body(i);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+/// Shared state of one parallel_for_indexed call that fans out, allocated
+/// on the caller's stack. Workers capture a single pointer to it, which
+/// fits std::function's small-buffer storage, and the body is a
+/// FunctionRef, so the call allocates nothing of its own; only the task
+/// deque takes a new block now and then as tasks cycle through it. The
+/// error of the *lowest* failing index is kept (first_error_index guards
+/// the update), matching the serial loop without an O(n) error array.
 ///
 /// Lifetime: the caller returns (and its frame dies) as soon as it sees
 /// live == 0, so a worker's last touch of this state must be the
 /// done_mutex unlock that publishes that zero. live is therefore read
 /// and written only under done_mutex.
 struct ParallelForState {
-  std::size_t n = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
+  ParallelForState(std::size_t count, IndexBody loop_body)
+      : n(count), body(loop_body) {}
+
+  const std::size_t n;
+  const IndexBody body;
   std::atomic<std::size_t> next{0};
   std::mutex done_mutex;
   std::size_t live = 0;  // guarded by done_mutex
@@ -138,7 +126,7 @@ struct ParallelForState {
   void claim_loop() {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       try {
-        (*body)(i);
+        body(i);
       } catch (...) {
         record_error(i);
       }
@@ -150,31 +138,41 @@ struct ParallelForState {
 
 }  // namespace
 
-void ThreadPool::parallel_for_indexed(
-    std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  ParallelForState state;
-  state.n = n;
-  state.body = &body;
+void ThreadPool::parallel_for_indexed(std::size_t n, IndexBody body) {
   const std::size_t fan_out = std::min(workers_.size(), n);
   if (fan_out <= 1) {
-    // Inline serial path — same error semantics as the parallel one:
-    // every index attempted, lowest failing index's exception rethrown.
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        state.record_error(i);
-      }
-    }
-  } else {
-    state.live = fan_out;  // before any worker can see the state
-    for (std::size_t w = 0; w < fan_out; ++w)
-      submit([s = &state] { s->claim_loop(); });
+    run_inline(n, body);
+    return;
+  }
+  ParallelForState state(n, body);
+  state.live = fan_out;  // before any worker can see the state
+  for (std::size_t w = 0; w < fan_out; ++w)
+    submit([s = &state] { s->claim_loop(); });
+  {
     std::unique_lock<std::mutex> lock(state.done_mutex);
     state.done.wait(lock, [&] { return state.live == 0; });
   }
   if (state.first_error) std::rethrow_exception(state.first_error);
+}
+
+void InnerExecutor::for_each_index(std::size_t n, IndexBody body) const {
+  if (pool_ == nullptr) {
+    run_inline(n, body);
+  } else {
+    pool_->parallel_for_indexed(n, body);
+  }
+}
+
+void InnerExecutor::for_each_chunk(
+    std::size_t n,
+    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body) const {
+  if (n == 0) return;
+  const std::size_t chunk = chunk_length(n);
+  const auto run_chunk = [&](std::size_t c) {
+    const std::size_t begin = c * chunk;
+    body(c, begin, std::min(n, begin + chunk));
+  };
+  for_each_index(chunk_count(n), run_chunk);
 }
 
 }  // namespace roleshare::util

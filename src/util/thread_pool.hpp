@@ -1,11 +1,14 @@
 // Fixed-size worker pool used by the experiment runner to spread
 // independent simulation runs across cores, plus the InnerExecutor view
-// that the round engine's per-node loops use for within-run parallelism.
+// that every loop — the run fan-out and the round engine's per-node
+// loops — runs through.
 //
 // The pool is deliberately minimal: tasks are plain std::function<void()>,
 // there is no work stealing, and `parallel_for_indexed` is the only
 // batching primitive — experiments need exactly "run body(i) for every i,
 // wait for all, surface failures deterministically" and nothing more.
+// Loop bodies are passed as a FunctionRef, so a loop call never
+// allocates.
 //
 // Nested-parallelism contract (DESIGN.md §3): a process owns at most one
 // level of parallelism at a time. Either the outer run fan-out holds the
@@ -19,11 +22,45 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace roleshare::util {
+
+template <typename Signature>
+class FunctionRef;
+
+/// Non-owning reference to a callable: an object pointer plus a call
+/// thunk, the shape of C++26 std::function_ref (P0792). Copying it copies
+/// two words and never allocates. It must not outlive the callable, so
+/// it is only ever a parameter of a call that returns after its last
+/// invocation.
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F&& f) noexcept
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
 
 class ThreadPool {
  public:
@@ -51,7 +88,7 @@ class ThreadPool {
   /// the *lowest* failing index is rethrown, so the surfaced error does
   /// not depend on scheduling order.
   void parallel_for_indexed(std::size_t n,
-                            const std::function<void(std::size_t)>& body);
+                            FunctionRef<void(std::size_t)> body);
 
  private:
   void worker_loop();
@@ -63,9 +100,10 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Borrowed, copyable view of a ThreadPool for *within-run* (inner)
-/// parallelism: the round engine's per-node loops run through this so the
-/// same code path serves both the serial and the parallel configuration.
+/// Borrowed, copyable view of a ThreadPool (null = serial) that every
+/// loop runs through: the experiment runner's run fan-out and the round
+/// engine's per-node loops. One code path serves both the serial and the
+/// parallel configuration.
 ///
 /// A default-constructed (or nullptr-wrapped) executor runs every loop
 /// inline on the calling thread. Determinism contract: both primitives are
@@ -83,19 +121,13 @@ class InnerExecutor {
   /// Executor over `pool`; nullptr (or a 1-worker pool) means serial.
   explicit InnerExecutor(ThreadPool* pool) : pool_(pool) {}
 
-  /// Worker count this executor fans out to (1 when serial).
-  std::size_t workers() const {
-    return pool_ == nullptr ? 1 : pool_->size();
-  }
-  bool parallel() const { return workers() > 1; }
-  ThreadPool* pool() const { return pool_; }
-
   /// Runs body(i) for every i in [0, n) with dynamic per-index claiming —
-  /// the right shape for few, heavy, irregular items (e.g. one gossip
-  /// propagation per vote). Blocks until all indices finish; rethrows the
-  /// lowest failing index's exception.
+  /// the right shape for few, heavy, irregular items (one simulation run,
+  /// one gossip propagation per vote). Blocks until all indices finish;
+  /// every index is attempted and the lowest failing index's exception
+  /// is rethrown, serial or not.
   void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& body) const;
+                      FunctionRef<void(std::size_t)> body) const;
 
   /// Runs body(chunk, begin, end) over contiguous chunks covering [0, n)
   /// — the right shape for many light items (per-node tallies, sortition
@@ -105,8 +137,7 @@ class InnerExecutor {
   /// boundaries.
   void for_each_chunk(
       std::size_t n,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body)
-      const;
+      FunctionRef<void(std::size_t, std::size_t, std::size_t)> body) const;
 
   /// Number of chunks for_each_chunk splits [0, n) into. Depends only on
   /// n: ~kTargetChunks chunks, but never smaller than kMinChunk indices

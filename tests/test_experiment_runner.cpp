@@ -42,7 +42,7 @@ TEST(ExperimentRunner, ShardExecutesGlobalRunWindow) {
   // A shard must run exactly its window's GLOBAL run indices with their
   // global streams — the property that makes sharded sweeps replay a
   // single-process execution.
-  const auto body = [](std::size_t run, util::Rng& rng) {
+  const auto body = [](std::size_t run, util::Rng& rng, const RunContext&) {
     return static_cast<double>(run) * 1000.0 + rng.uniform01();
   };
   ExperimentSpec whole{10, 1, 77, 2};
@@ -61,7 +61,8 @@ TEST(ExperimentRunner, ShardReduceSeesGlobalIndicesInOrder) {
   spec.shard = RunShard{5, 9};
   std::vector<std::size_t> reduce_order;
   run_and_reduce(
-      spec, [](std::size_t run, util::Rng&) { return run; },
+      spec,
+      [](std::size_t run, util::Rng&, const RunContext&) { return run; },
       [&](std::size_t run, std::size_t result) {
         EXPECT_EQ(run, result);
         reduce_order.push_back(run);
@@ -97,7 +98,7 @@ TEST(ExperimentRunner, RunRngIsRootSplitOfRunIndex) {
 }
 
 TEST(ExperimentRunner, ResultsIndexedByRunRegardlessOfExecutionOrder) {
-  const auto body = [](std::size_t run, util::Rng& rng) {
+  const auto body = [](std::size_t run, util::Rng& rng, const RunContext&) {
     return static_cast<double>(run) + rng.uniform01();
   };
   ExperimentSpec serial{32, 1, 9, 1};
@@ -118,7 +119,8 @@ TEST(ExperimentRunner, ReduceRunsInRunIndexOrder) {
   ExperimentSpec spec{16, 1, 3, 4};
   std::vector<std::size_t> reduce_order;
   run_and_reduce(
-      spec, [](std::size_t run, util::Rng&) { return run; },
+      spec,
+      [](std::size_t run, util::Rng&, const RunContext&) { return run; },
       [&](std::size_t run, std::size_t result) {
         EXPECT_EQ(run, result);
         reduce_order.push_back(run);
@@ -129,18 +131,24 @@ TEST(ExperimentRunner, ReduceRunsInRunIndexOrder) {
 }
 
 TEST(ExperimentRunner, WorkerExceptionPropagates) {
+  // Two runs fail; the lowest failing run's exception surfaces whatever
+  // the scheduling, and every run is still attempted.
   for (const std::size_t threads : {1u, 4u}) {
     ExperimentSpec spec{8, 1, 3, threads};
     std::atomic<int> attempts{0};
-    EXPECT_THROW(
-        run_experiment(spec,
-                       [&](std::size_t run, util::Rng&) -> int {
-                         ++attempts;
-                         if (run == 2) throw std::runtime_error("boom");
-                         return 0;
-                       }),
-        std::runtime_error);
-    EXPECT_EQ(attempts.load(), 8);
+    try {
+      run_experiment(spec,
+                     [&](std::size_t run, util::Rng&, const RunContext&) {
+                       ++attempts;
+                       if (run == 2) throw std::runtime_error("run two");
+                       if (run == 5) throw std::runtime_error("run five");
+                       return 0;
+                     });
+      FAIL() << "expected an exception, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "run two") << "threads=" << threads;
+    }
+    EXPECT_EQ(attempts.load(), 8) << "threads=" << threads;
   }
 }
 
@@ -185,9 +193,9 @@ RewardExperimentConfig small_reward_config(std::size_t threads) {
 
 TEST(ExperimentRunner, RewardExperimentBitIdenticalAcrossThreadCounts) {
   const RewardExperimentResult serial =
-      run_reward_experiment(small_reward_config(1));
+      run_reward_partial(small_reward_config(1)).finalize();
   const RewardExperimentResult parallel =
-      run_reward_experiment(small_reward_config(4));
+      run_reward_partial(small_reward_config(4)).finalize();
   EXPECT_EQ(serial.bi_algos, parallel.bi_algos);  // element-wise bitwise
   EXPECT_EQ(serial.bi_per_round_mean, parallel.bi_per_round_mean);
   EXPECT_EQ(serial.mean_bi, parallel.mean_bi);

@@ -103,7 +103,7 @@ TEST(RewardExperiment, ComputesPositiveFeasibleRewards) {
   config.runs = 3;
   config.rounds_per_run = 3;
   config.stakes = StakeSpec::uniform(1, 200);
-  const RewardExperimentResult result = run_reward_experiment(config);
+  const RewardExperimentResult result = run_reward_partial(config).finalize();
   EXPECT_EQ(result.infeasible_rounds, 0u);
   EXPECT_EQ(result.bi_algos.size(), 9u);
   EXPECT_GT(result.mean_bi, 0.0);
@@ -115,7 +115,7 @@ TEST(RewardExperiment, FoundationBaselineIsTwentyAlgosInPeriodOne) {
   config.node_count = 2'000;
   config.runs = 1;
   config.rounds_per_run = 3;
-  const RewardExperimentResult result = run_reward_experiment(config);
+  const RewardExperimentResult result = run_reward_partial(config).finalize();
   for (const double f : result.foundation_per_round)
     EXPECT_DOUBLE_EQ(f, 20.0);
 }
@@ -129,8 +129,8 @@ TEST(RewardExperiment, RewardScalesWithPopulationStake) {
   small.rounds_per_run = 2;
   RewardExperimentConfig big = small;
   big.node_count = 6'000;
-  const double bi_small = run_reward_experiment(small).mean_bi;
-  const double bi_big = run_reward_experiment(big).mean_bi;
+  const double bi_small = run_reward_partial(small).finalize().mean_bi;
+  const double bi_big = run_reward_partial(big).finalize().mean_bi;
   EXPECT_GT(bi_big, bi_small * 1.5);
   EXPECT_LT(bi_big, bi_small * 2.5);
 }
@@ -144,8 +144,8 @@ TEST(RewardExperiment, MinStakeFilterReducesReward) {
   base.stakes = StakeSpec::uniform(1, 200);
   RewardExperimentConfig filtered = base;
   filtered.min_other_stake = 7;
-  const double bi_base = run_reward_experiment(base).mean_bi;
-  const double bi_filtered = run_reward_experiment(filtered).mean_bi;
+  const double bi_base = run_reward_partial(base).finalize().mean_bi;
+  const double bi_filtered = run_reward_partial(filtered).finalize().mean_bi;
   EXPECT_LT(bi_filtered, bi_base);
 }
 
@@ -159,8 +159,8 @@ TEST(RewardExperiment, NarrowDistributionNeedsSmallerReward) {
   uniform.stakes = StakeSpec::uniform(1, 200);
   RewardExperimentConfig normal = uniform;
   normal.stakes = StakeSpec::normal(100, 10);
-  const double bi_uniform = run_reward_experiment(uniform).mean_bi;
-  const double bi_normal = run_reward_experiment(normal).mean_bi;
+  const double bi_uniform = run_reward_partial(uniform).finalize().mean_bi;
+  const double bi_normal = run_reward_partial(normal).finalize().mean_bi;
   EXPECT_LT(bi_normal, bi_uniform * 0.5);
 }
 
@@ -173,7 +173,7 @@ TEST(RewardExperiment, OptimizerKeepsLeaderShareTiny) {
   config.node_count = 3'000;
   config.runs = 2;
   config.rounds_per_run = 2;
-  const RewardExperimentResult result = run_reward_experiment(config);
+  const RewardExperimentResult result = run_reward_partial(config).finalize();
   EXPECT_LT(result.mean_alpha, 0.1);
   // At 3k nodes S_M = 13k is a large share of S_N, so beta legitimately
   // dominates; gamma still stays positive.
@@ -187,7 +187,7 @@ TEST(RewardExperiment, PaperScalePopulationYieldsSmallAlphaBeta) {
   config.node_count = 50'000;
   config.runs = 1;
   config.rounds_per_run = 2;
-  const RewardExperimentResult result = run_reward_experiment(config);
+  const RewardExperimentResult result = run_reward_partial(config).finalize();
   EXPECT_LT(result.mean_alpha, 0.05);
   EXPECT_LT(result.mean_beta, 0.25);
 }
@@ -204,7 +204,7 @@ TEST(RewardExperiment, RoundWithoutOthersStakeCountsAsInfeasible) {
   config.rounds_per_run = 3;
   config.stakes = StakeSpec::uniform(1, 200);
   RewardExperimentResult result;
-  ASSERT_NO_THROW(result = run_reward_experiment(config));
+  ASSERT_NO_THROW(result = run_reward_partial(config).finalize());
   EXPECT_GT(result.infeasible_rounds, 0u);
   EXPECT_EQ(result.bi_algos.size() + result.infeasible_rounds, 2u * 3u);
 }
@@ -212,10 +212,10 @@ TEST(RewardExperiment, RoundWithoutOthersStakeCountsAsInfeasible) {
 TEST(RewardExperiment, RejectsBadConfig) {
   RewardExperimentConfig config;
   config.node_count = 1;
-  EXPECT_THROW(run_reward_experiment(config), std::invalid_argument);
+  EXPECT_THROW(run_reward_partial(config), std::invalid_argument);
   config = RewardExperimentConfig{};
   config.runs = 0;
-  EXPECT_THROW(run_reward_experiment(config), std::invalid_argument);
+  EXPECT_THROW(run_reward_partial(config), std::invalid_argument);
 }
 
 }  // namespace

@@ -303,7 +303,7 @@ TEST(RewardExperiment, BitIdenticalAcrossInnerThreads) {
     config.runs = 2;
     config.rounds_per_run = 2;
     config.inner_threads = inner;
-    return sim::run_reward_experiment(config);
+    return sim::run_reward_partial(config).finalize();
   };
   const sim::RewardExperimentResult baseline = run_with(1);
   for (const std::size_t inner : kInnerSettings) {

@@ -174,7 +174,7 @@ TEST(LongHorizon, CreditRolePayoutsCreditsEveryNonZeroAmount) {
 
 TEST(LongHorizon, SmokeRunProducesCoherentSeries) {
   const LongHorizonConfig config = tiny_config();
-  const LongHorizonResult result = run_longhorizon(config);
+  const LongHorizonResult result = run_longhorizon_partial(config).finalize();
   ASSERT_EQ(result.gini_per_round.size(), config.rounds_per_run);
   ASSERT_EQ(result.top_share_per_round.size(), config.rounds_per_run);
   ASSERT_EQ(result.defector_corr_per_round.size(), config.rounds_per_run);
@@ -197,9 +197,9 @@ TEST(LongHorizon, SmokeRunProducesCoherentSeries) {
 
 TEST(LongHorizon, DeterministicInSeedAndThreads) {
   LongHorizonConfig config = tiny_config();
-  const LongHorizonResult a = run_longhorizon(config);
+  const LongHorizonResult a = run_longhorizon_partial(config).finalize();
   config.threads = 3;
-  const LongHorizonResult b = run_longhorizon(config);
+  const LongHorizonResult b = run_longhorizon_partial(config).finalize();
   EXPECT_EQ(a.gini_per_round, b.gini_per_round);
   EXPECT_EQ(a.top_share_per_round, b.top_share_per_round);
   EXPECT_EQ(a.defector_corr_per_round, b.defector_corr_per_round);
@@ -209,7 +209,7 @@ TEST(LongHorizon, DeterministicInSeedAndThreads) {
 
   LongHorizonConfig reseeded = tiny_config();
   reseeded.seed = 18;
-  const LongHorizonResult c = run_longhorizon(reseeded);
+  const LongHorizonResult c = run_longhorizon_partial(reseeded).finalize();
   EXPECT_NE(a.gini_per_round, c.gini_per_round);
 }
 
@@ -252,17 +252,17 @@ TEST(LongHorizon, CompoundingDriftsTheStakeDistribution) {
   LongHorizonConfig config = tiny_config();
   config.runs = 1;
   config.rounds_per_run = 40;
-  const LongHorizonResult result = run_longhorizon(config);
+  const LongHorizonResult result = run_longhorizon_partial(config).finalize();
   EXPECT_NE(result.gini_per_round.front(), result.gini_per_round.back());
 }
 
 TEST(LongHorizon, RejectsInvalidConfig) {
   LongHorizonConfig bad = tiny_config();
   bad.node_count = 2;
-  EXPECT_THROW(run_longhorizon(bad), std::invalid_argument);
+  EXPECT_THROW(run_longhorizon_partial(bad), std::invalid_argument);
   LongHorizonConfig bad_top = tiny_config();
   bad_top.top_fraction = 0.0;
-  EXPECT_THROW(run_longhorizon(bad_top), std::invalid_argument);
+  EXPECT_THROW(run_longhorizon_partial(bad_top), std::invalid_argument);
 }
 
 }  // namespace

@@ -508,7 +508,7 @@ TEST(Partials, RandomShardSplitsStreamingModeWithinTolerance) {
     }
     {
       const RewardExperimentResult exact =
-          run_reward_experiment(small_reward(AggBackend::Exact));
+          run_reward_partial(small_reward(AggBackend::Exact)).finalize();
       const RewardExperimentResult streamed =
           merge_random_shards(small_reward(AggBackend::Streaming), cuts,
                               run_reward_partial)

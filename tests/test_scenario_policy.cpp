@@ -245,8 +245,8 @@ TEST(StrategicLoop, ChurnKeepsTheLoopDeterministic) {
   config.churn.join_probability = 0.2;
   config.churn.min_live = 30;
 
-  const StrategicLoopResult a = run_strategic_loop(config);
-  const StrategicLoopResult b = run_strategic_loop(config);
+  const StrategicLoopResult a = run_strategic_loop(config, nullptr);
+  const StrategicLoopResult b = run_strategic_loop(config, nullptr);
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   bool live_varied = false;
   for (std::size_t r = 0; r < a.rounds.size(); ++r) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/thread_pool.hpp"
+
 namespace roleshare::sim {
 namespace {
 
@@ -16,7 +18,7 @@ StrategicLoopConfig base_config(SchemeChoice scheme, std::uint64_t seed) {
 
 TEST(StrategicLoop, FoundationSchemeUnravelsCooperation) {
   const StrategicLoopResult result = run_strategic_loop(
-      base_config(SchemeChoice::FoundationStakeProportional, 71));
+      base_config(SchemeChoice::FoundationStakeProportional, 71), nullptr);
   ASSERT_EQ(result.rounds.size(), 10u);
   // Round 1 starts fully cooperative...
   EXPECT_DOUBLE_EQ(result.rounds.front().cooperation_fraction, 1.0);
@@ -28,8 +30,8 @@ TEST(StrategicLoop, FoundationSchemeUnravelsCooperation) {
 }
 
 TEST(StrategicLoop, RoleBasedSchemeSustainsCooperation) {
-  const StrategicLoopResult result =
-      run_strategic_loop(base_config(SchemeChoice::RoleBasedAdaptive, 71));
+  const StrategicLoopResult result = run_strategic_loop(
+      base_config(SchemeChoice::RoleBasedAdaptive, 71), nullptr);
   // Theorem 3: cooperation is self-enforcing for everyone who matters;
   // the loop stays (almost) fully cooperative throughout.
   EXPECT_GT(result.final_cooperation, 0.9);
@@ -39,10 +41,10 @@ TEST(StrategicLoop, RoleBasedSchemeSustainsCooperation) {
 }
 
 TEST(StrategicLoop, RoleBasedKeepsConsensusAlive) {
-  const StrategicLoopResult role_based =
-      run_strategic_loop(base_config(SchemeChoice::RoleBasedAdaptive, 72));
+  const StrategicLoopResult role_based = run_strategic_loop(
+      base_config(SchemeChoice::RoleBasedAdaptive, 72), nullptr);
   const StrategicLoopResult foundation = run_strategic_loop(
-      base_config(SchemeChoice::FoundationStakeProportional, 72));
+      base_config(SchemeChoice::FoundationStakeProportional, 72), nullptr);
   // Average final-consensus share over the last half of the horizon.
   auto tail_final = [](const StrategicLoopResult& r) {
     double sum = 0;
@@ -56,8 +58,8 @@ TEST(StrategicLoop, RoleBasedKeepsConsensusAlive) {
 }
 
 TEST(StrategicLoop, RoleBasedPaysLessThanFoundation) {
-  const StrategicLoopResult role_based =
-      run_strategic_loop(base_config(SchemeChoice::RoleBasedAdaptive, 73));
+  const StrategicLoopResult role_based = run_strategic_loop(
+      base_config(SchemeChoice::RoleBasedAdaptive, 73), nullptr);
   // The role-based loop keeps producing blocks AND pays less than the
   // Foundation schedule would (20 Algos per successful round).
   double successful_rounds = 0;
@@ -76,7 +78,7 @@ TEST(StrategicLoop, AllDefectStartCannotRecover) {
     StrategicLoopConfig config = base_config(scheme, 74);
     config.initial = game::Strategy::Defect;
     config.rounds = 5;
-    const StrategicLoopResult result = run_strategic_loop(config);
+    const StrategicLoopResult result = run_strategic_loop(config, nullptr);
     EXPECT_DOUBLE_EQ(result.final_cooperation, 0.0);
     for (const auto& r : result.rounds) EXPECT_FALSE(r.non_empty_block);
   }
@@ -84,13 +86,12 @@ TEST(StrategicLoop, AllDefectStartCannotRecover) {
 
 TEST(StrategicLoop, ParallelBestResponseSweepMatchesSerial) {
   // The per-node best-response sweep reads only the frozen previous
-  // profile, so threads must not change any per-round statistic.
-  StrategicLoopConfig serial =
+  // profile, so a pool must not change any per-round statistic.
+  const StrategicLoopConfig config =
       base_config(SchemeChoice::RoleBasedAdaptive, 77);
-  StrategicLoopConfig parallel = serial;
-  parallel.threads = 4;
-  const StrategicLoopResult a = run_strategic_loop(serial);
-  const StrategicLoopResult b = run_strategic_loop(parallel);
+  util::ThreadPool pool(4);
+  const StrategicLoopResult a = run_strategic_loop(config, nullptr);
+  const StrategicLoopResult b = run_strategic_loop(config, &pool);
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_EQ(a.rounds[i].cooperation_fraction,
@@ -103,10 +104,10 @@ TEST(StrategicLoop, ParallelBestResponseSweepMatchesSerial) {
 }
 
 TEST(StrategicLoop, Deterministic) {
-  const auto a =
-      run_strategic_loop(base_config(SchemeChoice::RoleBasedAdaptive, 75));
-  const auto b =
-      run_strategic_loop(base_config(SchemeChoice::RoleBasedAdaptive, 75));
+  const auto a = run_strategic_loop(
+      base_config(SchemeChoice::RoleBasedAdaptive, 75), nullptr);
+  const auto b = run_strategic_loop(
+      base_config(SchemeChoice::RoleBasedAdaptive, 75), nullptr);
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.rounds[i].cooperation_fraction,
@@ -119,7 +120,7 @@ TEST(StrategicLoop, RejectsZeroRounds) {
   StrategicLoopConfig config =
       base_config(SchemeChoice::RoleBasedAdaptive, 76);
   config.rounds = 0;
-  EXPECT_THROW(run_strategic_loop(config), std::invalid_argument);
+  EXPECT_THROW(run_strategic_loop(config, nullptr), std::invalid_argument);
 }
 
 }  // namespace
