@@ -533,6 +533,10 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
       arg_real(argc, argv, "beta", longhorizon::kBeta),
       arg_real(argc, argv, "top-fraction", longhorizon::kTopFraction),
       {}};
+  // The sparse round has no per-node loop, so no inner pool ever runs:
+  // the banner and BENCH_fig_longhorizon.json report the one thread that
+  // does, whatever --inner-threads asked for.
+  d.inner_threads = 1;
 
   d.panels.bench_name = "fig_longhorizon";
   d.panels.runs = d.runs;
@@ -567,7 +571,6 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
     config.defection_rate = longhorizon::kDefectionRates[panel];
     config.runs = knobs.runs;
     config.rounds_per_run = knobs.rounds;
-    // --inner-threads has no effect: the sparse round has no node loop.
     config.threads = knobs.threads;
     config.alpha = knobs.alpha;
     config.beta = knobs.beta;

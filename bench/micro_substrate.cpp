@@ -210,10 +210,12 @@ BENCHMARK(BM_SortitionCommittee_Scalar)->Arg(512)->Arg(4096);
 
 void BM_SortitionCommittee_Batched(benchmark::State& state) {
   const SortitionBatchSetup setup(static_cast<std::size_t>(state.range(0)));
+  // The round engine builds its signer table once; so does this fixture.
+  const crypto::SignerTable signers(setup.keys);
   std::vector<crypto::SortitionResult> results;
 
-  // Self-check: the batched path must match per-node sortition() exactly.
-  crypto::sortition_batch_into(setup.keys, setup.input, setup.stakes,
+  // Self-check: the table path must match per-node sortition() exactly.
+  crypto::sortition_batch_into(signers, setup.input, setup.stakes,
                                setup.params, results);
   for (std::size_t i = 0; i < setup.keys.size(); ++i) {
     const crypto::SortitionResult scalar = crypto::sortition(
@@ -227,7 +229,7 @@ void BM_SortitionCommittee_Batched(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    crypto::sortition_batch_into(setup.keys, setup.input, setup.stakes,
+    crypto::sortition_batch_into(signers, setup.input, setup.stakes,
                                  setup.params, results);
     benchmark::DoNotOptimize(results.data());
   }

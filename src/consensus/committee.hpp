@@ -47,6 +47,17 @@ Committee elect_committee(const std::vector<crypto::KeyPair>& keys,
 /// Allocation-free form: election result goes into `committee` (members
 /// cleared and refilled, capacity kept) and the per-node VRF draws use
 /// `draws_scratch` as working memory. Bit-identical to elect_committee().
+/// The round engine calls it with the SignerTable it built once.
+void elect_committee_into(const crypto::SignerTable& signers,
+                          const std::vector<std::int64_t>& stakes,
+                          std::uint64_t round, std::uint32_t step,
+                          const crypto::Hash256& prev_seed,
+                          std::uint64_t expected_stake,
+                          std::int64_t total_stake, Committee& committee,
+                          std::vector<crypto::SortitionResult>& draws_scratch,
+                          const util::InnerExecutor& exec = {});
+
+/// Same, from the keys: builds their SignerTable first.
 void elect_committee_into(const std::vector<crypto::KeyPair>& keys,
                           const std::vector<std::int64_t>& stakes,
                           std::uint64_t round, std::uint32_t step,

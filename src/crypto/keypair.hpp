@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "crypto/hash.hpp"
 
@@ -35,6 +36,12 @@ class KeyPair {
  public:
   /// Derives a key pair for `node_id` under `seed`.
   static KeyPair derive(std::uint64_t seed, std::uint64_t node_id);
+
+  /// The key pairs of nodes 0 .. count-1 under `seed`, bit-identical to
+  /// `count` derive() calls: the same two hashes through fixed layouts,
+  /// two nodes at a time (sha256_compress_pair).
+  static std::vector<KeyPair> derive_all(std::uint64_t seed,
+                                         std::size_t count);
 
   const PublicKey& public_key() const { return public_key_; }
 

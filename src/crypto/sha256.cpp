@@ -95,60 +95,96 @@ namespace {
 
 #ifdef ROLESHARE_SHA256_X86
 
-/// One block through the x86 SHA extensions. Compiled for the extension
-/// by this attribute alone, so the rest of the build keeps its baseline
-/// ISA; it only ever runs after cpu_has_sha_extensions() said yes.
+/// `Lanes` independent blocks through the x86 SHA extensions, one body
+/// for the one-lane and two-lane forms. Compiled for the extension by
+/// this attribute alone, so the rest of the build keeps its baseline ISA;
+/// it only ever runs after cpu_has_sha_extensions() said yes.
 /// sha256rnds2 does two rounds on the state packed as (ABEF, CDGH);
 /// sha256msg1/msg2 extend the message schedule four words at a time.
-__attribute__((target("sha,sse4.1"))) void sha256_compress_x86(
-    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
+/// One lane's rounds form a single dependency chain that leaves the SHA
+/// unit idle for most of each instruction's latency; a second lane's
+/// chain, interleaved group by group, fills those cycles.
+template <std::size_t Lanes>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void
+sha256_compress_x86_lanes(std::array<std::uint32_t, 8>* const* states,
+                          const std::uint8_t* const* blocks) {
   const __m128i byte_swap =
       _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  // (a, b, c, d), (e, f, g, h) -> (ABEF, CDGH), high lane first.
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i cdgh =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);    // CDAB
-  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);  // EFGH
-  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
-  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
-  const __m128i abef_in = abef;
-  const __m128i cdgh_in = cdgh;
-
-  // w[g % 4] holds message words 4g..4g+3 once group g is reached.
-  __m128i w[4];
-  for (int i = 0; i < 4; ++i) {
-    w[i] = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
-        byte_swap);
+  __m128i abef[Lanes], cdgh[Lanes], abef_in[Lanes], cdgh_in[Lanes];
+  // w[l][g % 4] holds lane l's message words 4g..4g+3 once group g is
+  // reached.
+  __m128i w[Lanes][4];
+#pragma GCC unroll 2
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    std::array<std::uint32_t, 8>& state = *states[l];
+    // (a, b, c, d), (e, f, g, h) -> (ABEF, CDGH), high lane first.
+    __m128i tmp =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+    cdgh[l] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+    tmp = _mm_shuffle_epi32(tmp, 0xB1);          // CDAB
+    cdgh[l] = _mm_shuffle_epi32(cdgh[l], 0x1B);  // EFGH
+    abef[l] = _mm_alignr_epi8(tmp, cdgh[l], 8);
+    cdgh[l] = _mm_blend_epi16(cdgh[l], tmp, 0xF0);
+    abef_in[l] = abef[l];
+    cdgh_in[l] = cdgh[l];
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      w[l][i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(blocks[l] + 16 * i)),
+          byte_swap);
+    }
   }
 #pragma GCC unroll 16
   for (int g = 0; g < 16; ++g) {
-    if (g >= 4) {
-      // W[4g..4g+3] from W[4g-16..4g-1]: sigma0 terms, the W[t-7] terms,
-      // then the sigma1 terms.
-      const __m128i prev = w[(g + 3) & 3];
-      const __m128i t7 = _mm_alignr_epi8(prev, w[(g + 2) & 3], 4);
-      w[g & 3] = _mm_sha256msg2_epu32(
-          _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]), t7),
-          prev);
+    const __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+        &kRoundConstants[static_cast<std::size_t>(4 * g)]));
+#pragma GCC unroll 2
+    for (std::size_t l = 0; l < Lanes; ++l) {
+      if (g >= 4) {
+        // W[4g..4g+3] from W[4g-16..4g-1]: sigma0 terms, the W[t-7]
+        // terms, then the sigma1 terms.
+        const __m128i prev = w[l][(g + 3) & 3];
+        const __m128i t7 = _mm_alignr_epi8(prev, w[l][(g + 2) & 3], 4);
+        w[l][g & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(
+                _mm_sha256msg1_epu32(w[l][g & 3], w[l][(g + 1) & 3]), t7),
+            prev);
+      }
+      const __m128i msg = _mm_add_epi32(w[l][g & 3], k);
+      cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], msg);
+      abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l],
+                                      _mm_shuffle_epi32(msg, 0x0E));
     }
-    const __m128i msg = _mm_add_epi32(
-        w[g & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                      &kRoundConstants[static_cast<std::size_t>(4 * g)])));
-    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
-    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
   }
-  abef = _mm_add_epi32(abef, abef_in);
-  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+#pragma GCC unroll 2
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    std::array<std::uint32_t, 8>& state = *states[l];
+    abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+    cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+    // (ABEF, CDGH) -> (a, b, c, d), (e, f, g, h).
+    const __m128i tmp = _mm_shuffle_epi32(abef[l], 0x1B);  // FEBA
+    cdgh[l] = _mm_shuffle_epi32(cdgh[l], 0xB1);            // DCHG
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                     _mm_blend_epi16(tmp, cdgh[l], 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                     _mm_alignr_epi8(cdgh[l], tmp, 8));
+  }
+}
 
-  // (ABEF, CDGH) -> (a, b, c, d), (e, f, g, h).
-  tmp = _mm_shuffle_epi32(abef, 0x1B);   // FEBA
-  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);  // DCHG
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
-                   _mm_blend_epi16(tmp, cdgh, 0xF0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
-                   _mm_alignr_epi8(cdgh, tmp, 8));
+__attribute__((target("sha,sse4.1"))) void sha256_compress_x86(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
+  std::array<std::uint32_t, 8>* const states[1] = {&state};
+  const std::uint8_t* const blocks[1] = {block};
+  sha256_compress_x86_lanes<1>(states, blocks);
+}
+
+__attribute__((target("sha,sse4.1"))) void sha256_compress_pair_x86(
+    std::array<std::uint32_t, 8>& state_a, const std::uint8_t* block_a,
+    std::array<std::uint32_t, 8>& state_b, const std::uint8_t* block_b) {
+  std::array<std::uint32_t, 8>* const states[2] = {&state_a, &state_b};
+  const std::uint8_t* const blocks[2] = {block_a, block_b};
+  sha256_compress_x86_lanes<2>(states, blocks);
 }
 
 /// CPUID leaf 7 EBX bit 29 (SHA), plus the SSSE3 and SSE4.1 shuffles
@@ -165,20 +201,33 @@ bool cpu_has_sha_extensions() {
 
 #endif  // ROLESHARE_SHA256_X86
 
+void sha256_compress_pair_portable(std::array<std::uint32_t, 8>& state_a,
+                                   const std::uint8_t* block_a,
+                                   std::array<std::uint32_t, 8>& state_b,
+                                   const std::uint8_t* block_b) {
+  sha256_compress_portable(state_a, block_a);
+  sha256_compress_portable(state_b, block_b);
+}
+
 struct CompressImpl {
   void (*compress)(std::array<std::uint32_t, 8>&, const std::uint8_t*);
+  void (*compress_pair)(std::array<std::uint32_t, 8>&, const std::uint8_t*,
+                        std::array<std::uint32_t, 8>&, const std::uint8_t*);
   std::string_view name;
 };
 
-/// Picks the compression once per process; there is deliberately no
-/// build option, flag or environment variable that overrides CPUID.
+/// Picks the compressions once per process, the single and the pair form
+/// together; there is deliberately no build option, flag or environment
+/// variable that overrides CPUID.
 const CompressImpl& selected_compress() {
   static const CompressImpl impl = [] {
 #ifdef ROLESHARE_SHA256_X86
     if (cpu_has_sha_extensions())
-      return CompressImpl{&sha256_compress_x86, "x86-sha-ni"};
+      return CompressImpl{&sha256_compress_x86, &sha256_compress_pair_x86,
+                          "x86-sha-ni"};
 #endif
-    return CompressImpl{&sha256_compress_portable, "portable"};
+    return CompressImpl{&sha256_compress_portable,
+                        &sha256_compress_pair_portable, "portable"};
   }();
   return impl;
 }
@@ -188,6 +237,13 @@ const CompressImpl& selected_compress() {
 void sha256_compress(std::array<std::uint32_t, 8>& state,
                      const std::uint8_t* block) {
   selected_compress().compress(state, block);
+}
+
+void sha256_compress_pair(std::array<std::uint32_t, 8>& state_a,
+                          const std::uint8_t* block_a,
+                          std::array<std::uint32_t, 8>& state_b,
+                          const std::uint8_t* block_b) {
+  selected_compress().compress_pair(state_a, block_a, state_b, block_b);
 }
 
 std::string_view sha256_implementation() { return selected_compress().name; }
@@ -246,15 +302,7 @@ Digest Sha256::finalize() {
   update(std::span<const std::uint8_t>(len_bytes, 8));
   finalized_ = true;
   RS_ENSURE(buffer_len_ == 0, "sha256 padding must close the block");
-
-  Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return digest;
+  return sha256_digest_of(state_);
 }
 
 Digest sha256(std::span<const std::uint8_t> data) {
@@ -296,15 +344,7 @@ Digest Sha256Fixed::digest() const {
   std::array<std::uint32_t, 8> state = sha256_initial_state();
   sha256_compress(state, block_.data());
   if (blocks_ == 2) sha256_compress(state, block_.data() + 64);
-  Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    digest[4 * s] = static_cast<std::uint8_t>(state[s] >> 24);
-    digest[4 * s + 1] = static_cast<std::uint8_t>(state[s] >> 16);
-    digest[4 * s + 2] = static_cast<std::uint8_t>(state[s] >> 8);
-    digest[4 * s + 3] = static_cast<std::uint8_t>(state[s]);
-  }
-  return digest;
+  return sha256_digest_of(state);
 }
 
 }  // namespace roleshare::crypto

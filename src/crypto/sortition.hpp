@@ -7,6 +7,7 @@
 // selection is deterministic, verifiable, and E[sum of j over nodes] = tau.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,20 +40,59 @@ struct SortitionParams {
 std::uint64_t binomial_inversion(double ratio, std::int64_t stake,
                                  double p);
 
+/// A certificate that binomial_inversion(ratio, stake, p) returns 0,
+/// decided without std::pow: true only when stake > 0, 0 < p, q = 1 - p
+/// >= 0.5 and ratio < fl(1 - fl(w * d)) - 2^-40, where w = double(stake)
+/// and d = 1 - q (the proof is at the definition). False settles nothing:
+/// the caller runs binomial_inversion. At Fig 3's parameters it settles
+/// over 99 % of the draws that select no sub-user.
+bool surely_unselected(double ratio, std::int64_t stake, double p);
+
 /// Runs sortition for the given key over `input`, with the node's stake.
 /// Requires 0 < params.expected_stake and stake <= params.total_stake.
 SortitionResult sortition(const KeyPair& key, const VrfInput& input,
                           std::int64_t stake, const SortitionParams& params);
 
-/// Runs sortition for every key at once — the per-round "each node draws
-/// locally" loop, batched so it can fan out across the inner executor.
-/// Writes into `results` (resized to keys.size()) at each node's index, so
-/// the output is identical for every executor (serial included). Requires
-/// keys.size() == stakes.size(). Hashes through fixed-layout SHA-256
-/// templates — the VRF input message is computed once per batch and the
-/// per-node sign/output messages reuse a precomputed padded block,
-/// skipping the streaming hasher entirely. Bit-identical to per-node
+/// Every key's SHA-256 state after the first block of its sortition
+/// signature message H("roleshare.sig" || pk || msg), 32 bytes per key.
+/// That message is 101 bytes; its first block holds the domain tag, pk
+/// and the first bytes of msg's constant length prefix, so it depends on
+/// pk alone and a batch hashes only the second block per node. Built
+/// once for a fixed key set (the round engine builds one per engine);
+/// it is not kept with the keys, so populations that never run per-node
+/// sortition pay nothing for it.
+class SignerTable {
+ public:
+  SignerTable() = default;
+  explicit SignerTable(const std::vector<KeyPair>& keys);
+
+  std::size_t size() const { return states_.size(); }
+  const std::array<std::uint32_t, 8>& state(std::size_t v) const {
+    return states_[v];
+  }
+
+ private:
+  std::vector<std::array<std::uint32_t, 8>> states_;
+};
+
+/// Runs sortition for every signer at once — the per-round "each node
+/// draws locally" loop, batched so it can fan out across the inner
+/// executor. Writes into `results` (resized to stakes.size()) at each
+/// node's index, so the output is identical for every executor (serial
+/// included). Requires signers.size() == stakes.size(). Per node it runs
+/// three compressions, two nodes at a time (sha256_compress_pair): the
+/// signature's second block from the node's table state, then the two
+/// blocks of the VRF output message; surely_unselected settles most
+/// unselected draws before binomial_inversion. Bit-identical to per-node
 /// sortition() calls.
+void sortition_batch_into(const SignerTable& signers, const VrfInput& input,
+                          const std::vector<std::int64_t>& stakes,
+                          const SortitionParams& params,
+                          std::vector<SortitionResult>& results,
+                          const util::InnerExecutor& exec = {});
+
+/// Same, from the keys: builds their SignerTable and runs the kernel
+/// above.
 void sortition_batch_into(const std::vector<KeyPair>& keys,
                           const VrfInput& input,
                           const std::vector<std::int64_t>& stakes,

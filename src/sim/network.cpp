@@ -39,13 +39,11 @@ Network::Network(const NetworkConfig& config)
       delays_(net::make_uniform_delay(config.delay_lo_ms, config.delay_hi_ms)),
       synchrony_(config.synchrony) {
   // Keys and stake-funded accounts.
+  keys_ = crypto::KeyPair::derive_all(config.seed, config.node_count);
   util::Rng stake_rng = master_rng_.split("stakes");
   const util::UniformStake dist(config.stake_lo, config.stake_hi);
-  keys_.reserve(config.node_count);
-  for (std::size_t v = 0; v < config.node_count; ++v) {
-    keys_.push_back(crypto::KeyPair::derive(config.seed, v));
+  for (std::size_t v = 0; v < config.node_count; ++v)
     accounts_.add_account(ledger::algos(dist.sample(stake_rng)));
-  }
 
   // Behaviour assignment: a random subset defects, a random subset is
   // faulty, the rest honest (or selfish when selfish_residual).

@@ -28,6 +28,7 @@ constexpr std::uint32_t kExact = GossipBatch::kExact;
 struct StepContext {
   const consensus::ConsensusParams& params;
   const std::vector<crypto::KeyPair>& keys;
+  const crypto::SignerTable& signers;
   const std::vector<std::int64_t>& stakes;  // live stake; departed nodes 0
   std::span<const Strategy> strategies;
   std::int64_t total_stake;
@@ -56,7 +57,7 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
   const ledger::Round round = ctx.open.round;
   const util::InnerExecutor& exec = ctx.gossip.exec;
 
-  consensus::elect_committee_into(ctx.keys, ctx.stakes, round, step,
+  consensus::elect_committee_into(ctx.signers, ctx.stakes, round, step,
                                   ctx.open.prev_seed, expected_stake,
                                   ctx.total_stake, ws.committee, ws.draws,
                                   exec);
@@ -184,6 +185,8 @@ RoundEngine::RoundEngine(Network& network, consensus::ConsensusParams params,
                          util::ThreadPool* inner_pool)
     : network_(network), params_(params), exec_(inner_pool) {
   params_.validate();
+  if (params_.committee_model == consensus::CommitteeModel::PerNodeVrf)
+    signers_ = crypto::SignerTable(network_.keys());
 }
 
 RoundResult RoundEngine::run_round() {
@@ -246,7 +249,7 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
 
   // Per-node sortition draws fan out across the executor; the winner scan
   // that builds proposals stays serial in node order (few winners).
-  crypto::sortition_batch_into(net.keys(), proposer_input, ws.stakes,
+  crypto::sortition_batch_into(signers_, proposer_input, ws.stakes,
                                proposer_params, ws.proposer_draws, exec_);
   ws.proposals.clear();
   ws.proposal_hashes.clear();
@@ -302,9 +305,9 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
     }
   });
 
-  const StepContext ctx{params_, net.keys(), ws.stakes, strategies,
-                        total_stake, open, gossip, ws.observed_roles,
-                        ws.true_roles};
+  const StepContext ctx{params_, net.keys(), signers_, ws.stakes,
+                        strategies, total_stake, open, gossip,
+                        ws.observed_roles, ws.true_roles};
 
   // ---- Reduction phase (2 steps) --------------------------------------
   const double step_quorum = params_.step_quorum();

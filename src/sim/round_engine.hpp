@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "consensus/params.hpp"
+#include "crypto/sortition.hpp"
 #include "econ/role_snapshot.hpp"
 #include "net/gossip.hpp"
 #include "sim/network.hpp"
@@ -89,6 +90,11 @@ class RoundEngine {
   Network& network_;
   consensus::ConsensusParams params_;
   util::InnerExecutor exec_;
+  /// The network's signature first-block states, built once here under
+  /// CommitteeModel::PerNodeVrf (the engine is bound to one Network,
+  /// whose keys never change) and empty under Sampled, which draws no
+  /// VRF.
+  crypto::SignerTable signers_;
 };
 
 }  // namespace roleshare::sim

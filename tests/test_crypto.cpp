@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "crypto/hash.hpp"
 #include "crypto/keypair.hpp"
 #include "crypto/vrf.hpp"
@@ -115,6 +118,36 @@ TEST(KeyPair, DistinctNodesDistinctKeys) {
             KeyPair::derive(42, 2).public_key());
   EXPECT_NE(KeyPair::derive(1, 7).public_key(),
             KeyPair::derive(2, 7).public_key());
+}
+
+TEST(KeyPair, DerivedKeysArePinned) {
+  // SHA-256 over the first 10,001 public keys at seed 4000 (the first
+  // long-horizon panel's seed), recorded with per-key derive() calls
+  // before derive_all existed. Both forms must still produce it.
+  constexpr std::size_t kKeys = 10'001;
+  constexpr std::string_view kPinned =
+      "57f758b2c434ffddc3fed5c4175f42ce6d487a0ce5f986ed77d1d9a9649af9b0";
+  Sha256 batch;
+  for (const KeyPair& key : KeyPair::derive_all(4000, kKeys))
+    batch.update(key.public_key().value.span());
+  EXPECT_EQ(util::to_hex(batch.finalize()), kPinned);
+  Sha256 single;
+  for (std::uint64_t v = 0; v < kKeys; ++v)
+    single.update(KeyPair::derive(4000, v).public_key().value.span());
+  EXPECT_EQ(util::to_hex(single.finalize()), kPinned);
+}
+
+TEST(KeyPair, DeriveAllMatchesDerive) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{42}, ~std::uint64_t{0}}) {
+    for (const std::size_t count : {0, 1, 2, 3, 1001}) {
+      const std::vector<KeyPair> keys = KeyPair::derive_all(seed, count);
+      ASSERT_EQ(keys.size(), count);
+      for (std::size_t v = 0; v < count; ++v)
+        ASSERT_EQ(keys[v].public_key(), KeyPair::derive(seed, v).public_key())
+            << "seed=" << seed << " count=" << count << " node " << v;
+    }
+  }
 }
 
 TEST(Signature, SignVerifyRoundTrip) {

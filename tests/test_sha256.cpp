@@ -212,25 +212,59 @@ TEST(Sha256Compress, StreamingSplitsMatchPortable) {
   }
 }
 
+std::array<std::uint32_t, 8> random_state(util::Rng& rng) {
+  std::array<std::uint32_t, 8> state{};
+  for (std::uint32_t& word : state) word = static_cast<std::uint32_t>(rng());
+  return state;
+}
+
+std::array<std::uint8_t, 64> random_block(util::Rng& rng) {
+  std::array<std::uint8_t, 64> block{};
+  for (std::size_t i = 0; i < block.size(); i += 8) {
+    const std::uint64_t bits = rng();
+    for (std::size_t b = 0; b < 8; ++b)
+      block[i + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+  }
+  return block;
+}
+
 TEST(Sha256Compress, RandomStatesAndBlocksMatchPortable) {
   if (!hardware_selected()) GTEST_SKIP() << kNoHardware;
   util::Rng rng(0x5a256);
   constexpr int kPairs = 100'000;
   int mismatches = 0;
   for (int pair = 0; pair < kPairs; ++pair) {
-    std::array<std::uint32_t, 8> state{};
-    for (std::uint32_t& word : state) word = static_cast<std::uint32_t>(rng());
-    std::array<std::uint8_t, 64> block{};
-    for (std::size_t i = 0; i < block.size(); i += 8) {
-      const std::uint64_t bits = rng();
-      for (std::size_t b = 0; b < 8; ++b)
-        block[i + b] = static_cast<std::uint8_t>(bits >> (8 * b));
-    }
+    const std::array<std::uint32_t, 8> state = random_state(rng);
+    const std::array<std::uint8_t, 64> block = random_block(rng);
     std::array<std::uint32_t, 8> selected = state;
     std::array<std::uint32_t, 8> portable = state;
     sha256_compress(selected, block.data());
     sha256_compress_portable(portable, block.data());
     if (selected != portable && ++mismatches <= 3)
+      ADD_FAILURE() << "pair " << pair << " compresses differently";
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Sha256Compress, PairMatchesPortable) {
+  // Two lanes at once against two portable calls; every eighth pair
+  // feeds both lanes the same block, as a sortition batch does.
+  if (!hardware_selected()) GTEST_SKIP() << kNoHardware;
+  util::Rng rng(0x9a125);
+  constexpr int kPairs = 100'000;
+  int mismatches = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    std::array<std::uint32_t, 8> a = random_state(rng);
+    std::array<std::uint32_t, 8> b = random_state(rng);
+    const std::array<std::uint8_t, 64> block_a = random_block(rng);
+    const std::array<std::uint8_t, 64> block_b =
+        pair % 8 == 0 ? block_a : random_block(rng);
+    std::array<std::uint32_t, 8> portable_a = a;
+    std::array<std::uint32_t, 8> portable_b = b;
+    sha256_compress_pair(a, block_a.data(), b, block_b.data());
+    sha256_compress_portable(portable_a, block_a.data());
+    sha256_compress_portable(portable_b, block_b.data());
+    if ((a != portable_a || b != portable_b) && ++mismatches <= 3)
       ADD_FAILURE() << "pair " << pair << " compresses differently";
   }
   EXPECT_EQ(mismatches, 0);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "util/hex.hpp"
 #include "util/rng.hpp"
 
 namespace roleshare::crypto {
@@ -52,6 +57,88 @@ TEST(BinomialInversion, RejectsBadArguments) {
   EXPECT_THROW(binomial_inversion(-0.1, 5, 0.5), std::invalid_argument);
   EXPECT_THROW(binomial_inversion(0.5, -1, 0.5), std::invalid_argument);
   EXPECT_THROW(binomial_inversion(0.5, 5, 1.5), std::invalid_argument);
+}
+
+TEST(BinomialInversion, CertifiedDrawsAreUnselected) {
+  // Whenever surely_unselected fires, the walk must return 0. The
+  // adversarial ratios sit within 64 ulps of the walk's own threshold
+  // pow(q, w), of the certificate's bound and of 0, for stakes up to 1e12
+  // and p from 0 to 1; random draws cover the rest.
+  std::size_t fired = 0;
+  const auto check = [&](double ratio, std::int64_t stake, double p) {
+    if (!(ratio >= 0.0 && ratio < 1.0)) return;
+    if (!surely_unselected(ratio, stake, p)) return;
+    ++fired;
+    EXPECT_EQ(binomial_inversion(ratio, stake, p), 0u)
+        << "ratio=" << ratio << " stake=" << stake << " p=" << p;
+  };
+  const auto ulps_around = [&](double centre, std::int64_t stake, double p) {
+    double down = centre;
+    double up = centre;
+    for (int k = 0; k < 64; ++k) {
+      check(down, stake, p);
+      check(up, stake, p);
+      down = std::nextafter(down, -1.0);
+      up = std::nextafter(up, 2.0);
+    }
+  };
+  for (const std::int64_t stake :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{3}, std::int64_t{50},
+        std::int64_t{1000}, std::int64_t{123'457}, std::int64_t{1} << 40,
+        std::int64_t{1'000'000'000'000}}) {
+    for (const double p : {0.0, 1e-12, 1e-9, 1e-6, 40.0 / 25'500.0, 0.01,
+                           0.3, 0.5, 0.51, 1.0}) {
+      const double q = 1.0 - p;
+      const double w = static_cast<double>(stake);
+      const double threshold = std::pow(q, w);
+      const double bound = (1.0 - w * (1.0 - q)) - 0x1.0p-40;
+      ulps_around(std::nextafter(threshold, 0.0), stake, p);
+      ulps_around(bound, stake, p);
+      ulps_around(0.0, stake, p);
+      ulps_around(threshold * 0.5, stake, p);
+    }
+  }
+  util::Rng rng(0xce27);
+  for (int i = 0; i < 100'000; ++i) {
+    const double ratio = rng.uniform01();
+    const auto stake = static_cast<std::int64_t>(
+        std::exp2(rng.uniform_real(0.0, 40.0)));
+    const double p = std::exp2(-rng.uniform_real(0.0, 40.0));
+    check(ratio, stake, p);
+  }
+  EXPECT_GT(fired, 0u);
+
+  // What the certificate must refuse: no stake, no probability, q < 0.5
+  // and ratios that are not numbers.
+  EXPECT_FALSE(surely_unselected(0.0, 0, 0.1));
+  EXPECT_FALSE(surely_unselected(0.0, 5, 0.0));
+  EXPECT_FALSE(surely_unselected(0.0, 1, 0.51));
+  EXPECT_FALSE(surely_unselected(0.0, 1, 1.0));
+  EXPECT_FALSE(surely_unselected(
+      std::numeric_limits<double>::quiet_NaN(), 1, 0.1));
+
+  // At Fig 3's parameters (stakes 1–50 Algos, W about 25,500,
+  // tau = 10 / 40 / 80) it settles at least 99 % of the unselected
+  // draws, so the batch kernel rarely reaches std::pow.
+  for (const double tau : {10.0, 40.0, 80.0}) {
+    const double p = tau / 25'500.0;
+    std::size_t unselected = 0;
+    std::size_t certified = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      const double ratio = rng.uniform01();
+      const std::int64_t stake = rng.uniform_int(1, 50);
+      const bool sure = surely_unselected(ratio, stake, p);
+      if (binomial_inversion(ratio, stake, p) == 0) {
+        ++unselected;
+        if (sure) ++certified;
+      } else {
+        EXPECT_FALSE(sure) << "ratio=" << ratio << " stake=" << stake;
+      }
+    }
+    EXPECT_GE(static_cast<double>(certified),
+              0.99 * static_cast<double>(unselected))
+        << "tau=" << tau;
+  }
 }
 
 TEST(Sortition, ProofVerifies) {
@@ -146,6 +233,108 @@ TEST(Sortition, RejectsBadParams) {
                std::invalid_argument);
   EXPECT_THROW(sortition(key, input, 200, SortitionParams{10, 100}),
                std::invalid_argument);
+}
+
+/// SHA-256 over every draw's (sub_users, proof, output), in node order.
+void hash_draws(Sha256& ctx, const std::vector<SortitionResult>& draws) {
+  for (const SortitionResult& r : draws) {
+    ctx.update_u64(r.sub_users);
+    ctx.update(r.vrf.proof.value.span());
+    ctx.update(r.vrf.output.span());
+  }
+}
+
+TEST(Sortition, BatchOutputIsPinned) {
+  // Every byte the batch writes, over 1001 keys (an odd count, so the
+  // last node runs on one lane) and four batches: random stakes with
+  // zeros at tau = 40, the same at p > 0.5 and at tau >= W (p = 1), and
+  // one node holding the whole total. Recorded with the per-node kernel
+  // that hashed four blocks a node, before the signer table.
+  constexpr std::size_t kNodes = 1001;
+  std::vector<KeyPair> keys;
+  for (std::uint64_t v = 0; v < kNodes; ++v)
+    keys.push_back(KeyPair::derive(77, v));
+  const SignerTable signers(keys);
+  util::Rng rng(0x5017);
+  std::vector<std::int64_t> stakes(kNodes);
+  for (std::int64_t& s : stakes) s = rng.uniform_int(0, 60);
+  stakes[3] = 0;
+  std::int64_t total = 0;
+  for (const std::int64_t s : stakes) total += s;
+  std::vector<std::int64_t> whole(kNodes, 0);
+  whole[500] = total;
+  const auto w = static_cast<std::uint64_t>(total);
+  const Hash256 seed = HashBuilder("pin").add_u64(1).build();
+  struct Batch {
+    const std::vector<std::int64_t>* stakes;
+    std::uint64_t tau;
+  };
+  const Batch batches[] = {
+      {&stakes, 40}, {&stakes, w * 7 / 10}, {&stakes, w + 7}, {&whole, 40}};
+
+  Sha256 ctx;
+  std::vector<SortitionResult> draws;
+  std::uint64_t step = 1;
+  for (const Batch& b : batches) {
+    sortition_batch_into(signers, VrfInput{12, step++, seed}, *b.stakes,
+                         SortitionParams{b.tau, total}, draws);
+    hash_draws(ctx, draws);
+  }
+  EXPECT_EQ(util::to_hex(ctx.finalize()),
+            "9eb41ee608a8cd75a759ffadd122715a0d7ad6914e264040022a4276b94b47fe");
+}
+
+TEST(Sortition, TableBatchMatchesPerNodeSortition) {
+  // Random keys, stakes and tau (p = 1 and p > 0.5 included), serially
+  // and on four workers, against per-node sortition() field by field.
+  // The sizes give one node, a lone pair, an odd pair-plus-one, and
+  // several 256-node chunks whose last one is odd.
+  util::Rng rng(0x7ab1e);
+  util::ThreadPool pool(4);
+  const util::InnerExecutor executors[] = {util::InnerExecutor(),
+                                           util::InnerExecutor(&pool)};
+  int mismatches = 0;
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{257},
+        std::size_t{1001}}) {
+    const auto key_seed = static_cast<std::uint64_t>(rng());
+    std::vector<KeyPair> keys;
+    for (std::size_t v = 0; v < n; ++v)
+      keys.push_back(KeyPair::derive(key_seed, v));
+    const SignerTable signers(keys);
+    std::vector<std::int64_t> stakes(n);
+    std::int64_t total = 0;
+    for (std::int64_t& s : stakes) {
+      s = rng.uniform_int(0, 80);
+      total += s;
+    }
+    if (total == 0) stakes[0] = total = 1;
+    const auto w = static_cast<std::uint64_t>(total);
+    for (const std::uint64_t tau :
+         {static_cast<std::uint64_t>(rng.uniform_int(1, 60)), w * 3 / 4 + 1,
+          w, w + 9}) {
+      const VrfInput input{
+          static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000)),
+          static_cast<std::uint64_t>(rng.uniform_int(0, 40)),
+          HashBuilder("table").add_u64(rng()).build()};
+      const SortitionParams params{tau, total};
+      for (const util::InnerExecutor& exec : executors) {
+        std::vector<SortitionResult> draws;
+        sortition_batch_into(signers, input, stakes, params, draws, exec);
+        ASSERT_EQ(draws.size(), n);
+        for (std::size_t v = 0; v < n; ++v) {
+          const SortitionResult ref =
+              sortition(keys[v], input, stakes[v], params);
+          if ((draws[v].sub_users != ref.sub_users ||
+               draws[v].vrf.proof != ref.vrf.proof ||
+               draws[v].vrf.output != ref.vrf.output) &&
+              ++mismatches <= 3)
+            ADD_FAILURE() << "n=" << n << " tau=" << tau << " node " << v;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // Parameterized: selection frequency tracks stake share across stake sizes.
