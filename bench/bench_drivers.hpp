@@ -215,10 +215,11 @@ inline Fig3Driver make_fig3_driver(int argc, char** argv) {
 // ---------------------------------------------------------------- fig6
 
 namespace fig6 {
-inline const std::array<sim::StakeSpec, 4>& specs() {
-  static const std::array<sim::StakeSpec, 4> kSpecs = {
-      sim::StakeSpec::uniform(1, 200), sim::StakeSpec::normal(100, 20),
-      sim::StakeSpec::normal(100, 10), sim::StakeSpec::normal(2000, 25)};
+inline const std::array<util::StakeDistribution, 4>& specs() {
+  using util::StakeDistribution;
+  static const std::array<StakeDistribution, 4> kSpecs = {
+      StakeDistribution::uniform(1, 200), StakeDistribution::normal(100, 20),
+      StakeDistribution::normal(100, 10), StakeDistribution::normal(2000, 25)};
   return kSpecs;
 }
 inline constexpr char kPanels[] = {'a', 'b', 'c', 'd'};
@@ -270,10 +271,11 @@ inline Fig6Driver make_fig6_driver(int argc, char** argv) {
 // ---------------------------------------------------------------- fig7
 
 namespace fig7 {
-inline const std::array<sim::StakeSpec, 3>& specs() {
-  static const std::array<sim::StakeSpec, 3> kSpecs = {
-      sim::StakeSpec::uniform(1, 200), sim::StakeSpec::normal(100, 20),
-      sim::StakeSpec::normal(100, 10)};
+inline const std::array<util::StakeDistribution, 3>& specs() {
+  using util::StakeDistribution;
+  static const std::array<StakeDistribution, 3> kSpecs = {
+      StakeDistribution::uniform(1, 200), StakeDistribution::normal(100, 20),
+      StakeDistribution::normal(100, 10)};
   return kSpecs;
 }
 inline constexpr std::int64_t kFilters[] = {3, 5, 7};
@@ -281,7 +283,7 @@ inline constexpr std::int64_t kFilters[] = {3, 5, 7};
 /// Panels 0-2: the Fig-7(a/b) stake distributions (seeds 2000+i).
 /// Panels 3-5: the Fig-7(c) U_w(1,200) filters (seeds 3000+i).
 struct PanelSpec {
-  sim::StakeSpec stakes;
+  util::StakeDistribution stakes;
   std::optional<std::int64_t> min_stake;
   std::uint64_t seed;
 };
@@ -456,9 +458,8 @@ inline ScenarioDriver make_scenario_driver(int argc, char** argv) {
 // -------------------------------------------------- strategic_ensemble
 
 namespace strategic {
-inline constexpr sim::SchemeChoice kSchemes[] = {
-    sim::SchemeChoice::FoundationStakeProportional,
-    sim::SchemeChoice::RoleBasedAdaptive};
+inline constexpr econ::SchemeKind kSchemes[] = {
+    econ::SchemeKind::StakeProportional, econ::SchemeKind::RoleBased};
 inline constexpr const char* kSchemeNames[] = {"foundation", "role-based"};
 }  // namespace strategic
 
@@ -513,15 +514,9 @@ inline StrategicDriver make_strategic_driver(int argc, char** argv) {
 namespace longhorizon {
 inline constexpr double kDefectionRates[] = {0.0, 0.10, 0.30};
 inline constexpr std::size_t kPanels = 3;
-inline constexpr double kAlpha = 0.30;
-inline constexpr double kBeta = 0.30;
-inline constexpr double kTopFraction = 0.01;
 }  // namespace longhorizon
 
 struct LongHorizonDriver : PanelKnobs {
-  double alpha = 0.0;
-  double beta = 0.0;
-  double top_fraction = 0.0;
   PanelDriver<sim::LongHorizonPartial> panels;
 };
 
@@ -529,9 +524,6 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
   LongHorizonDriver d{
       arg_panel_knobs(argc, argv,
                       {.nodes = 100'000, .runs = 4, .rounds = 2000}),
-      arg_real(argc, argv, "alpha", longhorizon::kAlpha),
-      arg_real(argc, argv, "beta", longhorizon::kBeta),
-      arg_real(argc, argv, "top-fraction", longhorizon::kTopFraction),
       {}};
   // The sparse round has no per-node loop, so no inner pool ever runs:
   // the banner and BENCH_fig_longhorizon.json report the one thread that
@@ -541,29 +533,19 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
   d.panels.bench_name = "fig_longhorizon";
   d.panels.runs = d.runs;
   d.panels.panel_count = longhorizon::kPanels;
-  std::vector<std::pair<std::string, util::json::Value>> echo = {
-      {"nodes", d.nodes},
-      {"runs", d.runs},
-      {"rounds", d.rounds},
-      {"agg", sim::to_string(d.agg)}};
-  // These knobs joined the header after documents already existed, so
-  // they are echoed only away from their defaults: default-config
-  // documents and store keys keep their bytes, and any other value
-  // still reaches the store key and the resume/fold header check.
-  if (d.alpha != longhorizon::kAlpha) echo.emplace_back("alpha", d.alpha);
-  if (d.beta != longhorizon::kBeta) echo.emplace_back("beta", d.beta);
-  if (d.top_fraction != longhorizon::kTopFraction)
-    echo.emplace_back("top_fraction", d.top_fraction);
   d.panels.header = shard_document_header(
       std::string(sim::LongHorizonPayload::kKind), "fig_longhorizon",
-      std::move(echo));
+      {{"nodes", d.nodes},
+       {"runs", d.runs},
+       {"rounds", d.rounds},
+       {"agg", sim::to_string(d.agg)}});
   d.panels.panel_meta = [](std::size_t panel) {
     util::json::Value v = util::json::Value::object();
     v.set("defection_rate", longhorizon::kDefectionRates[panel]);
     v.set("seed", 4000 + panel);
     return v;
   };
-  const auto knobs = d;
+  const PanelKnobs knobs = d;
   d.panels.run_panel = [knobs](std::size_t panel, sim::RunShard sub) {
     sim::LongHorizonConfig config;
     config.node_count = knobs.nodes;
@@ -572,9 +554,6 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
     config.runs = knobs.runs;
     config.rounds_per_run = knobs.rounds;
     config.threads = knobs.threads;
-    config.alpha = knobs.alpha;
-    config.beta = knobs.beta;
-    config.top_fraction = knobs.top_fraction;
     config.agg = knobs.agg;
     config.shard = sub;
     return sim::run_longhorizon_partial(config);
@@ -709,7 +688,7 @@ inline ShardableBench make_shardable_bench(const std::string& bench,
 
 /// The registry bench that wrote a shard-document header, rebuilt from
 /// the header alone: every echoed field becomes the flag that sets it
-/// ("nodes": 60 -> --nodes=60, "top_fraction" -> --top-fraction=...)
+/// ("nodes": 60 -> --nodes=60; an underscore becomes a dash in the flag)
 /// and the factory parses that argv as the bench main would. Fields no
 /// factory parses ("kind", "trim") are ignored; whatever the rebuilt
 /// bench echoes, load_partial_document compares against every document

@@ -21,6 +21,7 @@
 
 #include "crypto/sha256.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace roleshare::bench {
 
@@ -140,57 +141,9 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// One BENCH_*.json field value: a number or a string. Implicit
-/// constructors keep the brace-initialized call sites that predate string
-/// support compiling unchanged.
-class JsonValue {
- public:
-  /// One constrained template instead of per-type overloads: any
-  /// arithmetic type (int64_t stakes, size_t counts, doubles) converts
-  /// without overload-rank ambiguity.
-  template <typename T,
-            typename = std::enable_if_t<std::is_arithmetic_v<T>>>
-  JsonValue(T v) : num_(static_cast<double>(v)) {}       // NOLINT(runtime/explicit)
-  JsonValue(std::string v)                               // NOLINT(runtime/explicit)
-      : str_(std::move(v)), is_string_(true) {}
-  JsonValue(const char* v) : str_(v), is_string_(true) {} // NOLINT(runtime/explicit)
-
-  bool is_string() const { return is_string_; }
-  double number() const { return num_; }
-  const std::string& string() const { return str_; }
-
- private:
-  double num_ = 0.0;
-  std::string str_;
-  bool is_string_ = false;
-};
-
-using JsonFields = std::vector<std::pair<std::string, JsonValue>>;
-
-/// Escapes a string for a JSON literal (quotes, backslashes, control
-/// characters).
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+/// The fields of one BENCH_*.json file, in output order: numbers and
+/// strings.
+using JsonFields = std::vector<std::pair<std::string, util::json::Value>>;
 
 /// Git SHA from the build-time-generated rs_git_sha.h (cmake/git_sha.cmake
 /// refreshes it on every build, so incremental rebuilds after new commits
@@ -241,33 +194,26 @@ inline void write_text_file(const std::string& path,
 /// compression CPUID selected (timings move with it) are appended to
 /// every file automatically.
 inline void emit_json(const std::string& name, const JsonFields& fields) {
+  using util::json::Value;
   const std::string path = "BENCH_" + name + ".json";
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(out, "{\n  \"bench\": \"%s\"", json_escape(name).c_str());
-  for (const auto& [key, value] : fields) {
-    if (value.is_string()) {
-      std::fprintf(out, ",\n  \"%s\": \"%s\"", json_escape(key).c_str(),
-                   json_escape(value.string()).c_str());
-    } else if (!std::isfinite(value.number())) {
-      // JSON has no NaN/Infinity literal; null keeps the file parseable
-      // (NaN legitimately reaches here via PerRoundSamples' empty-round
-      // semantics under churn).
-      std::fprintf(out, ",\n  \"%s\": null", json_escape(key).c_str());
-    } else {
-      std::fprintf(out, ",\n  \"%s\": %.17g", json_escape(key).c_str(),
-                   value.number());
-    }
-  }
-  std::fprintf(out, ",\n  \"peak_rss_bytes\": %.17g", peak_rss_bytes());
-  std::fprintf(out, ",\n  \"sha256_impl\": \"%s\"",
-               json_escape(std::string(crypto::sha256_implementation()))
-                   .c_str());
-  std::fprintf(out, ",\n  \"git_sha\": \"%s\"\n}\n",
-               json_escape(git_sha()).c_str());
+  // One field per line; dump() prints numbers as %.17g and a non-finite
+  // one as null (NaN reaches here via PerRoundSamples' empty-round
+  // semantics under churn).
+  std::string doc = "{\n  \"bench\": " + Value(name).dump();
+  const auto append = [&doc](const std::string& key, const Value& value) {
+    doc += ",\n  " + Value(key).dump() + ": " + value.dump();
+  };
+  for (const auto& [key, value] : fields) append(key, value);
+  append("peak_rss_bytes", peak_rss_bytes());
+  append("sha256_impl", std::string(crypto::sha256_implementation()));
+  append("git_sha", git_sha());
+  doc += "\n}\n";
+  std::fputs(doc.c_str(), out);
   std::fclose(out);
   std::printf("\n[bench] wrote %s\n", path.c_str());
 }

@@ -35,6 +35,7 @@ using namespace roleshare;
 
 int main(int argc, char** argv) {
   const bench::LongHorizonDriver d = bench::make_longhorizon_driver(argc, argv);
+  const sim::LongHorizonConfig defaults;
 
   bench::print_header("Long horizon",
                       "population-scale compounding economy (sparse path)");
@@ -43,7 +44,8 @@ int main(int argc, char** argv) {
               "(shard with --run-begin/--run-end + --partial-out, resume "
               "with --checkpoint-every + --partial-in)\n",
               d.nodes, d.runs, d.rounds, d.threads, d.inner_threads,
-              sim::to_string(d.agg), d.alpha, d.beta, d.top_fraction);
+              sim::to_string(d.agg), defaults.alpha, defaults.beta,
+              defaults.top_fraction);
 
   const bench::WallTimer timer;
   const auto exec = bench::run_figure(d.panels, argc, argv);

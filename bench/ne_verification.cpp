@@ -28,9 +28,8 @@ struct GameVerdicts {
 // Samples a role snapshot: a few leaders/committee members, many others.
 econ::RoleSnapshot sample_snapshot(util::Rng& rng, std::size_t n) {
   std::vector<consensus::Role> roles(n, consensus::Role::Other);
-  std::vector<std::int64_t> stakes(n);
-  const util::UniformStake dist(1, 50);
-  for (auto& s : stakes) s = dist.sample(rng);
+  std::vector<std::int64_t> stakes =
+      util::StakeDistribution::uniform(1, 50).sample_many(rng, n);
   const std::size_t leaders = 2 + static_cast<std::size_t>(rng.uniform_int(0, 2));
   const std::size_t committee =
       5 + static_cast<std::size_t>(rng.uniform_int(0, 5));
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
         const game::GameConfig galplus{
             .snapshot = snap,
             .costs = costs,
-            .scheme = game::SchemeKind::RoleBased,
+            .scheme = econ::SchemeKind::RoleBased,
             .bi = opt.min_bi,
             .split = opt.split,
             .sync_set = game::online_others(snap)};

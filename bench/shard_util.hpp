@@ -142,9 +142,9 @@ inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
 /// experiment family ("defection" / "reward" / "strategic" /
 /// "longhorizon"); `echo` is the bench's own config summary and must be
 /// a pure function of the knobs (no wall time, no git SHA). Every field
-/// is named after the flag that sets it ("top_fraction" is
-/// --top-fraction), which is how merge_partials rebuilds the bench from
-/// a shard's header.
+/// is named after the flag that sets it ("nodes" is --nodes, with an
+/// underscore for each dash), which is how merge_partials rebuilds the
+/// bench from a shard's header.
 inline util::json::Value shard_document_header(
     const std::string& kind, const std::string& bench,
     std::vector<std::pair<std::string, util::json::Value>> echo) {

@@ -21,7 +21,7 @@ using namespace roleshare;
 
 namespace {
 
-void run_and_print(const char* title, sim::SchemeChoice scheme,
+void run_and_print(const char* title, econ::SchemeKind scheme,
                    std::size_t runs, std::size_t rounds, std::size_t threads,
                    std::size_t inner_threads) {
   sim::StrategicEnsembleConfig config;
@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
               runs, threads, inner_threads);
 
   run_and_print("Foundation stake-proportional rewards (Eq 3)",
-                sim::SchemeChoice::FoundationStakeProportional, runs, rounds,
-                threads, inner_threads);
+                econ::SchemeKind::StakeProportional, runs, rounds, threads,
+                inner_threads);
   run_and_print("Role-based rewards + Algorithm 1 (Eq 5)",
-                sim::SchemeChoice::RoleBasedAdaptive, runs, rounds, threads,
+                econ::SchemeKind::RoleBased, runs, rounds, threads,
                 inner_threads);
 
   std::printf("\nReading: the Foundation pays 20 Algos per round and still\n"

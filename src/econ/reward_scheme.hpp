@@ -1,16 +1,17 @@
-// Reward-scheme interface.
+// The two reward schemes the paper compares: the Foundation's
+// stake-proportional baseline (Eq 3, stake_proportional.hpp) and the
+// role-based mechanism (Eq 5 + Algorithm 1, role_based.hpp).
 //
-// A scheme answers two questions per round: how large a reward B_i it wants
-// to withdraw from the pool, and how that B_i is divided among the online
-// nodes given the round's role snapshot. The two concrete schemes are the
-// Foundation's stake-proportional baseline (Eq 3) and the paper's
-// role-based mechanism (Eq 5 + Algorithm 1).
+// Each scheme answers two questions per round: how large a reward B_i it
+// wants to withdraw from the pool (required_budget), and how that B_i is
+// divided among the online nodes given the round's role snapshot
+// (distribute). The sum of payouts never exceeds the budget: integer
+// floor rounding leaves dust in the pool.
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "econ/role_snapshot.hpp"
 #include "ledger/types.hpp"
 
 namespace roleshare::econ {
@@ -23,22 +24,8 @@ struct Payouts {
   ledger::MicroAlgos total = 0;
 };
 
-class RewardScheme {
- public:
-  virtual ~RewardScheme() = default;
-
-  virtual std::string name() const = 0;
-
-  /// B_i the scheme wants to disburse in `round` given the snapshot,
-  /// µAlgos. The caller clips this against the pool.
-  virtual ledger::MicroAlgos required_budget(
-      ledger::Round round, const RoleSnapshot& snapshot) = 0;
-
-  /// Splits `budget` µAlgos across nodes. The sum of payouts never exceeds
-  /// `budget` (integer floor rounding leaves dust in the pool).
-  virtual Payouts distribute(ledger::Round round,
-                             const RoleSnapshot& snapshot,
-                             ledger::MicroAlgos budget) = 0;
-};
+/// Which of the two schemes pays a round: the game's G_Al / G_Al+ and the
+/// strategic loop's reward rule.
+enum class SchemeKind : std::uint8_t { StakeProportional, RoleBased };
 
 }  // namespace roleshare::econ

@@ -22,10 +22,6 @@ RoleBasedScheme::RoleBasedScheme(CostModel costs, RewardSplit fixed_split,
       min_other_stake_(min_other_stake),
       last_split_(fixed_split) {}
 
-std::string RoleBasedScheme::name() const {
-  return fixed_split_ ? "role-based-fixed-split" : "role-based-adaptive";
-}
-
 ledger::MicroAlgos RoleBasedScheme::required_budget(
     ledger::Round, const RoleSnapshot& snapshot) {
   // Only the Others filter needs a copy; without it the caller's snapshot

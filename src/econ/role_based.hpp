@@ -15,10 +15,11 @@
 
 #include "econ/optimizer.hpp"
 #include "econ/reward_scheme.hpp"
+#include "econ/role_snapshot.hpp"
 
 namespace roleshare::econ {
 
-class RoleBasedScheme final : public RewardScheme {
+class RoleBasedScheme {
  public:
   /// Adaptive Algorithm-1 mode: per-round (α, β, B_i) from the optimizer.
   /// `min_other_stake`, when set, excludes Other nodes below the threshold
@@ -31,13 +32,15 @@ class RoleBasedScheme final : public RewardScheme {
   RoleBasedScheme(CostModel costs, RewardSplit fixed_split,
                   std::optional<std::int64_t> min_other_stake = std::nullopt);
 
-  std::string name() const override;
-
+  /// B_i for `round`, µAlgos: the Theorem-3 minimum for the round's
+  /// split, 0 when the round is infeasible. The caller clips it against
+  /// the pool.
   ledger::MicroAlgos required_budget(ledger::Round round,
-                                     const RoleSnapshot& snapshot) override;
+                                     const RoleSnapshot& snapshot);
 
+  /// Splits `budget` µAlgos across the role pots (Eq 5).
   Payouts distribute(ledger::Round round, const RoleSnapshot& snapshot,
-                     ledger::MicroAlgos budget) override;
+                     ledger::MicroAlgos budget);
 
   /// The split used by the most recent required_budget/distribute call.
   const RewardSplit& last_split() const { return last_split_; }

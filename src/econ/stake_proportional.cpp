@@ -5,13 +5,13 @@
 namespace roleshare::econ {
 
 ledger::MicroAlgos StakeProportionalScheme::required_budget(
-    ledger::Round round, const RoleSnapshot&) {
+    ledger::Round round, const RoleSnapshot&) const {
   return FoundationSchedule::reward_for_round(round);
 }
 
 Payouts StakeProportionalScheme::distribute(ledger::Round,
                                             const RoleSnapshot& snapshot,
-                                            ledger::MicroAlgos budget) {
+                                            ledger::MicroAlgos budget) const {
   RS_REQUIRE(budget >= 0, "budget must be non-negative");
   Payouts out;
   out.amounts.assign(snapshot.node_count(), 0);

@@ -6,21 +6,19 @@
 
 #include "econ/foundation_schedule.hpp"
 #include "econ/reward_scheme.hpp"
+#include "econ/role_snapshot.hpp"
 
 namespace roleshare::econ {
 
-class StakeProportionalScheme final : public RewardScheme {
+class StakeProportionalScheme {
  public:
-  StakeProportionalScheme() = default;
-
-  std::string name() const override { return "foundation-stake-proportional"; }
-
-  /// R_i from the Table-III schedule.
+  /// R_i from the Table-III schedule, µAlgos.
   ledger::MicroAlgos required_budget(ledger::Round round,
-                                     const RoleSnapshot& snapshot) override;
+                                     const RoleSnapshot& snapshot) const;
 
+  /// Splits `budget` µAlgos across the online nodes by stake.
   Payouts distribute(ledger::Round round, const RoleSnapshot& snapshot,
-                     ledger::MicroAlgos budget) override;
+                     ledger::MicroAlgos budget) const;
 };
 
 }  // namespace roleshare::econ

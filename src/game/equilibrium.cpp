@@ -93,7 +93,7 @@ TheoremReport verify_theorem1(const AlgorandGame& game) {
 }
 
 TheoremReport verify_theorem2(const AlgorandGame& game) {
-  RS_REQUIRE(game.config().scheme == SchemeKind::StakeProportional,
+  RS_REQUIRE(game.config().scheme == econ::SchemeKind::StakeProportional,
              "Theorem 2 concerns the stake-proportional scheme");
   const Profile profile = all_cooperate(game.player_count());
   if (auto witness = find_profitable_deviation(game, profile)) {
@@ -118,7 +118,7 @@ Profile theorem3_profile(const AlgorandGame& game) {
 }
 
 TheoremReport verify_theorem3(const AlgorandGame& game) {
-  RS_REQUIRE(game.config().scheme == SchemeKind::RoleBased,
+  RS_REQUIRE(game.config().scheme == econ::SchemeKind::RoleBased,
              "Theorem 3 concerns the role-based scheme");
   const Profile profile = theorem3_profile(game);
   if (auto witness = find_profitable_deviation(game, profile)) {

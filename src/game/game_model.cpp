@@ -95,7 +95,7 @@ double AlgorandGame::reward_of(const Aggregates& agg, ledger::NodeId player,
 
   // Eq (3): r_i = B_i / S_N for every online node, role-blind — one pot
   // holding the whole budget.
-  if (config_.scheme == SchemeKind::StakeProportional)
+  if (config_.scheme == econ::SchemeKind::StakeProportional)
     return econ::pot_share(1.0, config_.bi, stake, agg.online_stake);
 
   // Role-based (Eq 5): cooperators draw from their role's pot; Others and

@@ -25,17 +25,16 @@
 
 #include "econ/bi_bounds.hpp"
 #include "econ/cost_model.hpp"
+#include "econ/reward_scheme.hpp"
 #include "econ/role_snapshot.hpp"
 #include "game/strategy.hpp"
 
 namespace roleshare::game {
 
-enum class SchemeKind : std::uint8_t { StakeProportional, RoleBased };
-
 struct GameConfig {
   econ::RoleSnapshot snapshot;
   econ::CostModel costs;
-  SchemeKind scheme = SchemeKind::StakeProportional;
+  econ::SchemeKind scheme = econ::SchemeKind::StakeProportional;
   /// Reward B_i distributed when a block is created, µAlgos.
   double bi = 0;
   /// Role split for G_Al+ (ignored for G_Al).

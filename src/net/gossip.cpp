@@ -15,7 +15,7 @@ RelaySet RelaySet::all_cooperative(std::size_t n) {
   return rs;
 }
 
-GossipEngine::GossipEngine(const Topology& topology, const DelayModel& delays,
+GossipEngine::GossipEngine(const Topology& topology, UniformDelay delays,
                            double delay_factor)
     : topology_(topology), delays_(delays), delay_factor_(delay_factor) {
   RS_REQUIRE(std::isfinite(delay_factor), "delay_factor must be finite");
@@ -64,7 +64,7 @@ void GossipEngine::propagate_into(ledger::NodeId origin, TimeMs start,
     if (v != origin && !relay_set.relays[v]) continue;
     for (const ledger::NodeId to : topology_.out_neighbors(v)) {
       if (!relay_set.online[to]) continue;
-      const TimeMs hop = delays_.sample(rng, v, to) * delay_factor_;
+      const TimeMs hop = delays_.sample(rng) * delay_factor_;
       const TimeMs cand = t + hop;
       if (cand < arrival[to]) {
         arrival[to] = cand;
@@ -136,7 +136,6 @@ void GossipEngine::hops_to_into(ledger::NodeId target,
 
 bool GossipEngine::certifies(std::uint32_t depth, TimeMs timeout) const {
   const TimeMs max_hop = delays_.max_delay();
-  if (!std::isfinite(max_hop)) return false;
   // Dijkstra's arrival at a node d hops out is at most the floating-point
   // sum of the d hop delays along a shortest-hop path, and each rounding
   // step is monotone. That sum exceeds d × max_hop × factor by at most

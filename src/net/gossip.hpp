@@ -52,7 +52,7 @@ class GossipEngine {
   /// `delay_factor` scales every sampled hop delay (synchrony
   /// degradation). Every hop delivers its copy of a message: the engine
   /// has no loss.
-  GossipEngine(const Topology& topology, const DelayModel& delays,
+  GossipEngine(const Topology& topology, UniformDelay delays,
                double delay_factor = 1.0);
 
   /// Earliest arrival time (origin transmits at `start`) at every node, or
@@ -90,16 +90,15 @@ class GossipEngine {
                     std::vector<ledger::NodeId>& queue) const;
 
   /// True when a propagation from time 0 whose reached nodes all lie
-  /// within `depth` hops of the origin reaches each of them by `timeout`.
-  /// Holds only with a finite DelayModel::max_delay() and
-  /// depth × max_delay × delay_factor at most `timeout` after a
-  /// floating-point margin (DESIGN.md §5 gives the argument; the engine
-  /// has no loss).
+  /// within `depth` hops of the origin reaches each of them by `timeout`:
+  /// depth × max_delay × delay_factor is at most `timeout` after a
+  /// floating-point margin (DESIGN.md §5 gives the argument; UniformDelay
+  /// bounds every draw, and the engine has no loss).
   bool certifies(std::uint32_t depth, TimeMs timeout) const;
 
  private:
   const Topology& topology_;
-  const DelayModel& delays_;
+  UniformDelay delays_;
   double delay_factor_;
 };
 

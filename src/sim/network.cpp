@@ -2,15 +2,31 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "util/distributions.hpp"
 #include "util/require.hpp"
 
 namespace roleshare::sim {
 
 namespace {
 
+/// Runs `build`, which constructs a model value from config fields, and
+/// prefixes a refusal with the names of those fields.
+template <typename Build>
+void require_buildable(const char* fields, Build build) {
+  try {
+    build();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("NetworkConfig " + std::string(fields) +
+                                ": " + e.what());
+  }
+}
+
 // Runs in config_'s initializer, so a bad config is refused before any
-// member allocates. Node ids are ledger::NodeId.
+// member allocates. Node ids are ledger::NodeId. The stake and delay
+// value types hold their own range rules; building them here is the check.
 const NetworkConfig& checked(const NetworkConfig& config) {
   RS_REQUIRE(config.node_count >= 4, "network needs at least 4 nodes");
   RS_REQUIRE(config.node_count <= std::numeric_limits<ledger::NodeId>::max(),
@@ -20,6 +36,12 @@ const NetworkConfig& checked(const NetworkConfig& config) {
   RS_REQUIRE(config.faulty_rate >= 0.0 &&
                  config.defection_rate + config.faulty_rate <= 1.0,
              "faulty rate");
+  require_buildable("stake_lo, stake_hi", [&] {
+    util::StakeDistribution::uniform(config.stake_lo, config.stake_hi);
+  });
+  require_buildable("delay_lo_ms, delay_hi_ms", [&] {
+    net::UniformDelay(config.delay_lo_ms, config.delay_hi_ms);
+  });
   return config;
 }
 
@@ -36,12 +58,13 @@ Network::Network(const NetworkConfig& config)
       chain_(config.seed),
       topology_(build_topology(config.node_count, config.fan_out,
                                master_rng_)),
-      delays_(net::make_uniform_delay(config.delay_lo_ms, config.delay_hi_ms)),
+      delays_(config.delay_lo_ms, config.delay_hi_ms),
       synchrony_(config.synchrony) {
   // Keys and stake-funded accounts.
   keys_ = crypto::KeyPair::derive_all(config.seed, config.node_count);
   util::Rng stake_rng = master_rng_.split("stakes");
-  const util::UniformStake dist(config.stake_lo, config.stake_hi);
+  const auto dist =
+      util::StakeDistribution::uniform(config.stake_lo, config.stake_hi);
   for (std::size_t v = 0; v < config.node_count; ++v)
     accounts_.add_account(ledger::algos(dist.sample(stake_rng)));
 

@@ -2,7 +2,6 @@
 // and blockchain — the container the round engine operates on.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "crypto/keypair.hpp"
@@ -13,7 +12,6 @@
 #include "net/synchrony.hpp"
 #include "net/topology.hpp"
 #include "sim/behavior.hpp"
-#include "util/distributions.hpp"
 
 namespace roleshare::sim {
 
@@ -52,7 +50,7 @@ class Network {
   const ledger::Blockchain& chain() const { return chain_; }
   ledger::Blockchain& chain() { return chain_; }
   const net::Topology& topology() const { return topology_; }
-  const net::DelayModel& delays() const { return *delays_; }
+  const net::UniformDelay& delays() const { return delays_; }
   net::SynchronyController& synchrony() { return synchrony_; }
 
   BehaviorType behavior(ledger::NodeId v) const { return behaviors_.at(v); }
@@ -96,7 +94,7 @@ class Network {
   ledger::AccountTable accounts_;
   ledger::Blockchain chain_;
   net::Topology topology_;
-  std::unique_ptr<net::DelayModel> delays_;
+  net::UniformDelay delays_;
   net::SynchronyController synchrony_;
   std::vector<BehaviorType> behaviors_;
   std::vector<game::Strategy> strategies_;

@@ -11,32 +11,6 @@
 
 namespace roleshare::sim {
 
-StakeSpec StakeSpec::uniform(std::int64_t lo, std::int64_t hi) {
-  StakeSpec s;
-  s.kind = Kind::Uniform;
-  s.a = static_cast<double>(lo);
-  s.b = static_cast<double>(hi);
-  return s;
-}
-
-StakeSpec StakeSpec::normal(double mean, double sigma) {
-  StakeSpec s;
-  s.kind = Kind::Normal;
-  s.a = mean;
-  s.b = sigma;
-  return s;
-}
-
-std::string StakeSpec::name() const { return make()->name(); }
-
-std::unique_ptr<util::StakeDistribution> StakeSpec::make() const {
-  if (kind == Kind::Uniform) {
-    return util::make_uniform_stake(static_cast<std::int64_t>(a),
-                                    static_cast<std::int64_t>(b));
-  }
-  return util::make_normal_stake(a, b);
-}
-
 namespace {
 
 /// Draws a role's member set by sub-user sampling: `tau` stake-weighted
@@ -67,13 +41,13 @@ struct RewardRun {
 };
 
 RewardRun execute_run(const RewardExperimentConfig& config,
-                      const econ::RewardOptimizer& optimizer,
-                      const util::StakeDistribution& dist, util::Rng& rng,
+                      const econ::RewardOptimizer& optimizer, util::Rng& rng,
                       const util::InnerExecutor& exec) {
   RewardRun run;
   run.per_round_bi.assign(config.rounds_per_run, 0.0);
 
-  std::vector<std::int64_t> stakes = dist.sample_many(rng, config.node_count);
+  std::vector<std::int64_t> stakes =
+      config.stakes.sample_many(rng, config.node_count);
   std::int64_t total_stake = 0;
   for (const std::int64_t s : stakes) total_stake += s;
 
@@ -245,9 +219,11 @@ util::json::Value reward_spec_echo(const RewardExperimentConfig& config) {
   v.set("node_count", config.node_count);
   v.set("seed", config.seed);
   v.set("stakes_kind",
-        config.stakes.kind == StakeSpec::Kind::Uniform ? "uniform" : "normal");
-  v.set("stakes_a", config.stakes.a);
-  v.set("stakes_b", config.stakes.b);
+        config.stakes.kind() == util::StakeDistribution::Kind::Uniform
+            ? "uniform"
+            : "normal");
+  v.set("stakes_a", config.stakes.a());
+  v.set("stakes_b", config.stakes.b());
   v.set("runs", config.runs);
   v.set("rounds_per_run", config.rounds_per_run);
   v.set("leader_cost", config.costs.leader_cost());
@@ -272,13 +248,12 @@ RewardPartial run_reward_partial(const RewardExperimentConfig& config) {
   RS_REQUIRE(config.node_count > 2, "population too small");
 
   const econ::RewardOptimizer optimizer(config.optimizer);
-  const auto dist = config.stakes.make();
   return run_partial<RewardPayload>(
       {config.runs, config.rounds_per_run, config.seed, config.threads,
        config.inner_threads, config.shard},
       config.agg, reward_spec_echo(config),
       [&](std::size_t, util::Rng& rng, const RunContext& ctx) {
-        return execute_run(config, optimizer, *dist, rng,
+        return execute_run(config, optimizer, rng,
                            util::InnerExecutor(ctx.inner_pool));
       },
       [&config](RewardPayload& payload, const RewardRun& run) {

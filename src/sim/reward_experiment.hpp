@@ -13,7 +13,6 @@
 // in window order reproduce it bit for bit.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,26 +25,12 @@
 
 namespace roleshare::sim {
 
-/// Copyable description of a stake distribution (the paper's U(1,200),
-/// N(100,20), N(100,10), N(2000,25)).
-struct StakeSpec {
-  enum class Kind : std::uint8_t { Uniform, Normal };
-  Kind kind = Kind::Uniform;
-  double a = 1;  // Uniform: lo; Normal: mean
-  double b = 50; // Uniform: hi; Normal: sigma
-
-  static StakeSpec uniform(std::int64_t lo, std::int64_t hi);
-  static StakeSpec normal(double mean, double sigma);
-
-  std::string name() const;
-  std::unique_ptr<util::StakeDistribution> make() const;
-};
-
 struct RewardExperimentConfig {
   std::size_t node_count = 100'000;
   /// Root seed; run k draws from the independent stream root.split(k).
   std::uint64_t seed = 7;
-  StakeSpec stakes = StakeSpec::uniform(1, 200);
+  /// The paper's U(1,200), N(100,20), N(100,10) or N(2000,25).
+  util::StakeDistribution stakes = util::StakeDistribution::uniform(1, 200);
   std::size_t runs = 200;
   std::size_t rounds_per_run = 10;
   /// Worker threads for the run fan-out (0 = all hardware threads).

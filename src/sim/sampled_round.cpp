@@ -55,12 +55,11 @@ std::uint64_t sampled_priority(const Hash256& prev_seed, ledger::Round round,
 /// origin's private stream, scaled by the round's synchrony factor.
 /// hops == 0 means no relay path exists.
 net::TimeMs mean_field_arrival(util::Rng& origin_rng, const Network& net,
-                               NodeId origin, std::uint32_t hops,
-                               double delay_factor) {
+                               std::uint32_t hops, double delay_factor) {
   if (hops == 0) return net::kNever;
   net::TimeMs arrival = 0.0;
   for (std::uint32_t h = 0; h < hops; ++h)
-    arrival += net.delays().sample(origin_rng, origin, origin) * delay_factor;
+    arrival += net.delays().sample(origin_rng) * delay_factor;
   return arrival;
 }
 
@@ -231,7 +230,7 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
     util::Rng prng(ws.origin_seeds[p]);
     ws.proposer_priorities.push_back(sampled_priority(prev_seed, round, v));
     ws.proposal_arrivals.push_back(
-        mean_field_arrival(prng, net, v, hops, delay_factor));
+        mean_field_arrival(prng, net, hops, delay_factor));
     ws.proposal_blocks.push_back(ledger::Block::make(
         round, open.tip_hash, open.next_seed, net.keys()[v].public_key()));
     ws.proposal_hashes.push_back(ws.proposal_blocks.back().hash());
@@ -285,7 +284,7 @@ void RoundEngine::run_round_sparse_into(SparseRoundResult& out,
       const NodeId voter = static_cast<NodeId>(ws.origin_labels[j]);
       util::Rng vrng(ws.origin_seeds[j]);
       const net::TimeMs arrival =
-          mean_field_arrival(vrng, net, voter, hops, delay_factor);
+          mean_field_arrival(vrng, net, hops, delay_factor);
       if (arrival > params_.step_timeout_ms) continue;
       tally += ws.weights[ws.seat_slot[voter]];
       coin.add(consensus::coin_hash(

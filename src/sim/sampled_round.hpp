@@ -27,7 +27,7 @@
 //   - Gossip is mean-field: one population arrival time per (step, origin)
 //     message, drawn on the same per-origin streams the dense engine uses
 //     (gossip_root.split(step), seeds derived per origin) — hop count from
-//     the relay fraction, per-hop delays from the network's DelayModel
+//     the relay fraction, per-hop delays from the network's UniformDelay
 //     scaled by the synchrony factor. Every online node shares the same
 //     delay-filtered view, so one representative BA state machine stands
 //     in for the whole online population; offline and departed nodes see

@@ -66,9 +66,10 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
     game::GameConfig game_config{
         .snapshot = snap,
         .costs = config.costs,
+        .scheme = config.scheme,
         .committee_threshold = engine.params().step_threshold};
 
-    if (config.scheme == SchemeChoice::FoundationStakeProportional) {
+    if (config.scheme == econ::SchemeKind::StakeProportional) {
       game_config.bi = static_cast<double>(
           foundation.required_budget(round.round, snap));
       stats.bi_algos = round.non_empty_block
@@ -76,7 +77,6 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
                                  game_config.bi))
                            : 0.0;
     } else {
-      game_config.scheme = game::SchemeKind::RoleBased;
       const ledger::MicroAlgos bi =
           role_based.required_budget(round.round, snap);
       game_config.bi = static_cast<double>(bi);
@@ -170,7 +170,7 @@ util::json::Value strategic_spec_echo(const StrategicEnsembleConfig& config) {
   v.set("experiment", std::string(StrategicPayload::kKind));
   v.set("network", network_spec_echo(config.base.network));
   v.set("rounds", config.base.rounds);
-  v.set("scheme", config.base.scheme == SchemeChoice::FoundationStakeProportional
+  v.set("scheme", config.base.scheme == econ::SchemeKind::StakeProportional
                       ? "foundation"
                       : "role-based");
   v.set("leader_cost", config.base.costs.leader_cost());

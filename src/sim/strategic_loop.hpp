@@ -29,13 +29,12 @@
 
 namespace roleshare::sim {
 
-enum class SchemeChoice : std::uint8_t { FoundationStakeProportional,
-                                         RoleBasedAdaptive };
-
 struct StrategicLoopConfig {
   NetworkConfig network;
   std::size_t rounds = 20;
-  SchemeChoice scheme = SchemeChoice::FoundationStakeProportional;
+  /// StakeProportional: the Foundation's Table-III R_i. RoleBased: the
+  /// Algorithm-1 minimal B_i with the adaptive split.
+  econ::SchemeKind scheme = econ::SchemeKind::StakeProportional;
   econ::CostModel costs{};
   /// Strategy profile nodes start from (default: everyone cooperates).
   game::Strategy initial = game::Strategy::Cooperate;

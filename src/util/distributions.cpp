@@ -6,6 +6,28 @@
 
 namespace roleshare::util {
 
+StakeDistribution StakeDistribution::uniform(std::int64_t lo,
+                                             std::int64_t hi) {
+  RS_REQUIRE(lo >= 1, "stakes must be positive");
+  RS_REQUIRE(lo <= hi, "uniform stake range");
+  return {Kind::Uniform, static_cast<double>(lo), static_cast<double>(hi)};
+}
+
+StakeDistribution StakeDistribution::normal(double mean, double sigma) {
+  RS_REQUIRE(sigma >= 0.0, "normal stake sigma");
+  return {Kind::Normal, mean, sigma};
+}
+
+std::int64_t StakeDistribution::sample(Rng& rng) const {
+  if (kind_ == Kind::Uniform) {
+    return rng.uniform_int(static_cast<std::int64_t>(a_),
+                           static_cast<std::int64_t>(b_));
+  }
+  const double draw = rng.normal(a_, b_);
+  const auto rounded = static_cast<std::int64_t>(std::llround(draw));
+  return rounded < 1 ? 1 : rounded;
+}
+
 std::vector<std::int64_t> StakeDistribution::sample_many(Rng& rng,
                                                          std::size_t n) const {
   std::vector<std::int64_t> out;
@@ -14,63 +36,17 @@ std::vector<std::int64_t> StakeDistribution::sample_many(Rng& rng,
   return out;
 }
 
-UniformStake::UniformStake(std::int64_t lo, std::int64_t hi)
-    : lo_(lo), hi_(hi) {
-  RS_REQUIRE(lo >= 1, "stakes must be positive");
-  RS_REQUIRE(lo <= hi, "uniform stake range");
-}
-
-std::int64_t UniformStake::sample(Rng& rng) const {
-  return rng.uniform_int(lo_, hi_);
-}
-
-std::string UniformStake::name() const {
-  return "U(" + std::to_string(lo_) + "," + std::to_string(hi_) + ")";
-}
-
-NormalStake::NormalStake(double mean, double sigma, std::int64_t min_stake)
-    : mean_(mean), sigma_(sigma), min_stake_(min_stake) {
-  RS_REQUIRE(sigma >= 0.0, "normal stake sigma");
-  RS_REQUIRE(min_stake >= 1, "stakes must be positive");
-}
-
-std::int64_t NormalStake::sample(Rng& rng) const {
-  const double draw = rng.normal(mean_, sigma_);
-  const auto rounded = static_cast<std::int64_t>(std::llround(draw));
-  return rounded < min_stake_ ? min_stake_ : rounded;
-}
-
-std::string NormalStake::name() const {
+std::string StakeDistribution::name() const {
+  if (kind_ == Kind::Uniform) {
+    return "U(" + std::to_string(static_cast<std::int64_t>(a_)) + "," +
+           std::to_string(static_cast<std::int64_t>(b_)) + ")";
+  }
   auto fmt = [](double v) {
     // Print integers without a trailing ".0" so names match the paper.
     if (v == std::floor(v)) return std::to_string(static_cast<long long>(v));
     return std::to_string(v);
   };
-  return "N(" + fmt(mean_) + "," + fmt(sigma_) + ")";
-}
-
-ConstantStake::ConstantStake(std::int64_t value) : value_(value) {
-  RS_REQUIRE(value >= 1, "stakes must be positive");
-}
-
-std::int64_t ConstantStake::sample(Rng&) const { return value_; }
-
-std::string ConstantStake::name() const {
-  return "Const(" + std::to_string(value_) + ")";
-}
-
-std::unique_ptr<StakeDistribution> make_uniform_stake(std::int64_t lo,
-                                                      std::int64_t hi) {
-  return std::make_unique<UniformStake>(lo, hi);
-}
-
-std::unique_ptr<StakeDistribution> make_normal_stake(double mean, double sigma,
-                                                     std::int64_t min) {
-  return std::make_unique<NormalStake>(mean, sigma, min);
-}
-
-std::unique_ptr<StakeDistribution> make_constant_stake(std::int64_t value) {
-  return std::make_unique<ConstantStake>(value);
+  return "N(" + fmt(a_) + "," + fmt(b_) + ")";
 }
 
 }  // namespace roleshare::util

@@ -1,14 +1,13 @@
-// Stake-distribution samplers used throughout the paper's evaluation:
-// U(1,50) for the Fig-3 network experiments, U(1,200) / N(100,20) /
-// N(100,10) / N(2000,25) for the Fig-6/7 reward analysis.
+// Stake distributions of the paper's evaluation: U(1,50) for the Fig-3
+// network experiments, U(1,200) / N(100,20) / N(100,10) / N(2000,25) for
+// the Fig-6/7 reward analysis.
 //
 // Stakes are positive integers (whole Algos, as in the paper). Normal draws
-// are rounded and clamped below at `min_stake` so no account ends up with a
+// are rounded and clamped below at 1 so no account ends up with a
 // non-positive stake.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,62 +15,40 @@
 
 namespace roleshare::util {
 
-/// Abstract sampler for a single account's stake, in whole Algos.
+/// One account's stake distribution, in whole Algos: a copyable value,
+/// uniform or normal, with its two parameters.
 class StakeDistribution {
  public:
-  virtual ~StakeDistribution() = default;
+  enum class Kind : std::uint8_t { Uniform, Normal };
+
+  /// Discrete uniform on [lo, hi], inclusive; requires 1 <= lo <= hi.
+  static StakeDistribution uniform(std::int64_t lo, std::int64_t hi);
+  /// Rounded normal N(mean, sigma), clamped below at 1; requires
+  /// sigma >= 0.
+  static StakeDistribution normal(double mean, double sigma);
+
+  Kind kind() const { return kind_; }
+  /// Uniform: lo and hi (exact up to 2^53). Normal: mean and sigma.
+  double a() const { return a_; }
+  double b() const { return b_; }
 
   /// Draws one stake value (always >= 1).
-  virtual std::int64_t sample(Rng& rng) const = 0;
-
-  /// Human-readable name, e.g. "U(1,200)" — used in benchmark output rows.
-  virtual std::string name() const = 0;
+  std::int64_t sample(Rng& rng) const;
 
   /// Draws `n` stakes.
   std::vector<std::int64_t> sample_many(Rng& rng, std::size_t n) const;
-};
 
-/// Discrete uniform on [lo, hi], inclusive.
-class UniformStake final : public StakeDistribution {
- public:
-  UniformStake(std::int64_t lo, std::int64_t hi);
-  std::int64_t sample(Rng& rng) const override;
-  std::string name() const override;
+  /// The paper's notation, e.g. "U(1,200)" or "N(100,20)" — used in
+  /// benchmark output rows.
+  std::string name() const;
 
  private:
-  std::int64_t lo_;
-  std::int64_t hi_;
+  StakeDistribution(Kind kind, double a, double b)
+      : kind_(kind), a_(a), b_(b) {}
+
+  Kind kind_;
+  double a_;
+  double b_;
 };
-
-/// Rounded normal N(mean, sigma), clamped to be >= min_stake.
-class NormalStake final : public StakeDistribution {
- public:
-  NormalStake(double mean, double sigma, std::int64_t min_stake = 1);
-  std::int64_t sample(Rng& rng) const override;
-  std::string name() const override;
-
- private:
-  double mean_;
-  double sigma_;
-  std::int64_t min_stake_;
-};
-
-/// Every account holds exactly the same stake.
-class ConstantStake final : public StakeDistribution {
- public:
-  explicit ConstantStake(std::int64_t value);
-  std::int64_t sample(Rng& rng) const override;
-  std::string name() const override;
-
- private:
-  std::int64_t value_;
-};
-
-/// Factory helpers for the distributions named in the paper.
-std::unique_ptr<StakeDistribution> make_uniform_stake(std::int64_t lo,
-                                                      std::int64_t hi);
-std::unique_ptr<StakeDistribution> make_normal_stake(double mean, double sigma,
-                                                     std::int64_t min = 1);
-std::unique_ptr<StakeDistribution> make_constant_stake(std::int64_t value);
 
 }  // namespace roleshare::util

@@ -2,7 +2,7 @@
 // (DESIGN.md §5, "Certified reachability").
 //
 // Over random k-out digraphs and hand-built shapes (ring, two-way line,
-// star), random relay/online masks, Uniform and Constant hop delays and
+// star), random relay/online masks, uniform and zero-width hop delays and
 // delay factors 1-300, for every origin:
 //   - the reach pass's mask is exactly {v : propagate_into arrival < kNever};
 //   - a reach class's bound is never below a member's true BFS depth, and
@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -48,7 +47,7 @@ struct Case {
   std::size_t k = 1;          // k-out fan-out (clamped below n)
   double relay_share = 1.0;   // P(node relays)
   double online_share = 1.0;  // P(node is online)
-  bool constant = false;      // ConstantDelay(lo) instead of Uniform
+  bool constant = false;      // zero-width range [lo, lo] instead
   double lo = 0.0;
   double width = 0.0;         // Uniform hi = lo + width
   double factor = 1.0;
@@ -146,13 +145,12 @@ Verdict check_case(const Case& c) {
     relay.online[v] = rng.bernoulli(c.online_share) ? 1 : 0;
     relay.relays[v] = rng.bernoulli(c.relay_share) ? 1 : 0;
   }
-  const std::unique_ptr<roleshare::net::DelayModel> delays =
-      c.constant ? std::make_unique<roleshare::net::ConstantDelay>(c.lo)
-                 : roleshare::net::make_uniform_delay(c.lo, c.lo + c.width);
-  const GossipEngine engine(topology, *delays, c.factor);
+  const roleshare::net::UniformDelay delays(
+      c.lo, c.constant ? c.lo : c.lo + c.width);
+  const GossipEngine engine(topology, delays, c.factor);
   const auto timeout_for = [&](std::uint32_t depth) {
     return c.timeout_scale * static_cast<double>(depth) *
-           delays->max_delay() * c.factor;
+           delays.max_delay() * c.factor;
   };
 
   ReachClasses classes;

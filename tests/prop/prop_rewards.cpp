@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -30,7 +29,6 @@ namespace {
 using roleshare::econ::CostModel;
 using roleshare::econ::FoundationPool;
 using roleshare::econ::Payouts;
-using roleshare::econ::RewardScheme;
 using roleshare::econ::RewardSplit;
 using roleshare::econ::RoleBasedScheme;
 using roleshare::econ::RoleSnapshot;
@@ -56,17 +54,19 @@ std::string describe_snapshot(const RoleSnapshot& snap) {
 
 // The conservation contract every scheme must satisfy for any
 // (snapshot, budget) pair, whether or not the budget is the one the
-// scheme asked for.
-Verdict conservation_holds(RewardScheme& scheme, const RoleSnapshot& snap,
+// scheme asked for. Each property names its scheme, so the verdicts
+// need not.
+template <typename Scheme>
+Verdict conservation_holds(Scheme& scheme, const RoleSnapshot& snap,
                            MicroAlgos budget) {
   const MicroAlgos required =
       scheme.required_budget(/*round=*/1, snap);
   if (required < 0)
-    return Verdict{false, scheme.name() + ": negative required budget " +
-                              std::to_string(required)};
+    return Verdict{false,
+                   "negative required budget " + std::to_string(required)};
   const Payouts payouts = scheme.distribute(/*round=*/1, snap, budget);
   if (payouts.amounts.size() != snap.node_count())
-    return Verdict{false, scheme.name() + ": payout vector has " +
+    return Verdict{false, "payout vector has " +
                               std::to_string(payouts.amounts.size()) +
                               " entries for " +
                               std::to_string(snap.node_count()) + " nodes"};
@@ -74,22 +74,18 @@ Verdict conservation_holds(RewardScheme& scheme, const RoleSnapshot& snap,
   for (std::size_t v = 0; v < payouts.amounts.size(); ++v) {
     const MicroAlgos a = payouts.amounts[v];
     if (a < 0)
-      return Verdict{false, scheme.name() + ": negative payout " +
-                                std::to_string(a) + " to node " +
-                                std::to_string(v)};
+      return Verdict{false, "negative payout " + std::to_string(a) +
+                                " to node " + std::to_string(v)};
     if (snap.stake(static_cast<roleshare::ledger::NodeId>(v)) == 0 && a != 0)
-      return Verdict{false, scheme.name() + ": zero-stake node " +
-                                std::to_string(v) + " paid " +
-                                std::to_string(a)};
+      return Verdict{false, "zero-stake node " + std::to_string(v) +
+                                " paid " + std::to_string(a)};
     sum += a;
   }
   if (sum != payouts.total)
-    return Verdict{false, scheme.name() + ": total " +
-                              std::to_string(payouts.total) +
+    return Verdict{false, "total " + std::to_string(payouts.total) +
                               " != sum of amounts " + std::to_string(sum)};
   if (payouts.total > budget)
-    return Verdict{false, scheme.name() + ": disbursed " +
-                              std::to_string(payouts.total) +
+    return Verdict{false, "disbursed " + std::to_string(payouts.total) +
                               " from a budget of " + std::to_string(budget)};
   return Verdict{};
 }
@@ -239,35 +235,38 @@ PROP_TEST_WITH_PARAMS(PropRewards, PoolSchemeLoopConservesMicroAlgos, 300) {
                      pgen::boolean()),            // scheme pick
       [](const std::tuple<RoleSnapshot, std::int64_t, bool>& t) {
         const auto& [snap, rounds, role_based] = t;
-        std::unique_ptr<RewardScheme> scheme;
-        if (role_based)
-          scheme = std::make_unique<RoleBasedScheme>(CostModel{});
-        else
-          scheme = std::make_unique<StakeProportionalScheme>();
-        FoundationPool pool;
-        MicroAlgos paid_out = 0;
-        MicroAlgos withdrawn = 0;
-        for (std::int64_t r = 1; r <= rounds; ++r) {
-          pool.inject(
-              roleshare::econ::FoundationSchedule::reward_for_round(r));
-          const MicroAlgos want = scheme->required_budget(r, snap);
-          const MicroAlgos got = pool.withdraw(want);
-          withdrawn += got;
-          const Payouts payouts = scheme->distribute(r, snap, got);
-          if (payouts.total > got)
-            return Verdict{false, "round " + std::to_string(r) +
-                                      " disbursed " +
-                                      std::to_string(payouts.total) +
-                                      " of " + std::to_string(got)};
-          paid_out += payouts.total;
+        const auto run_loop = [&snap, rounds](auto& scheme) {
+          FoundationPool pool;
+          MicroAlgos paid_out = 0;
+          MicroAlgos withdrawn = 0;
+          for (std::int64_t r = 1; r <= rounds; ++r) {
+            pool.inject(
+                roleshare::econ::FoundationSchedule::reward_for_round(r));
+            const MicroAlgos want = scheme.required_budget(r, snap);
+            const MicroAlgos got = pool.withdraw(want);
+            withdrawn += got;
+            const Payouts payouts = scheme.distribute(r, snap, got);
+            if (payouts.total > got)
+              return Verdict{false, "round " + std::to_string(r) +
+                                        " disbursed " +
+                                        std::to_string(payouts.total) +
+                                        " of " + std::to_string(got)};
+            paid_out += payouts.total;
+          }
+          if (pool.emitted() != pool.balance() + pool.disbursed())
+            return Verdict{false, "pool identity broken after " +
+                                      std::to_string(rounds) + " rounds"};
+          if (paid_out > withdrawn)
+            return Verdict{false, "paid " + std::to_string(paid_out) +
+                                      " but only withdrew " +
+                                      std::to_string(withdrawn)};
+          return Verdict{};
+        };
+        if (role_based) {
+          RoleBasedScheme scheme(CostModel{});
+          return run_loop(scheme);
         }
-        if (pool.emitted() != pool.balance() + pool.disbursed())
-          return Verdict{false, "pool identity broken after " +
-                                    std::to_string(rounds) + " rounds"};
-        if (paid_out > withdrawn)
-          return Verdict{false, "paid " + std::to_string(paid_out) +
-                                    " but only withdrew " +
-                                    std::to_string(withdrawn)};
-        return Verdict{};
+        StakeProportionalScheme scheme;
+        return run_loop(scheme);
       });
 }

@@ -113,11 +113,15 @@ TEST(BenchUtil, ArgStringParsesAndDefaults) {
 }
 
 TEST(BenchUtil, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  // emit_json writes every key and string value through dump().
+  const auto dump = [](const std::string& s) {
+    return util::json::Value(s).dump();
+  };
+  EXPECT_EQ(dump("plain"), "\"plain\"");
+  EXPECT_EQ(dump("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(dump("back\\slash"), "\"back\\\\slash\"");
+  EXPECT_EQ(dump("line\nbreak"), "\"line\\nbreak\"");
+  EXPECT_EQ(dump(std::string(1, '\x01')), "\"\\u0001\"");
 }
 
 TEST(BenchUtil, EmitJsonEscapesStringValues) {

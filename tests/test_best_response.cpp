@@ -8,6 +8,7 @@ namespace {
 using consensus::Role;
 using econ::CostModel;
 using econ::RoleSnapshot;
+using econ::SchemeKind;
 
 GameConfig gal_config(double bi_algos) {
   return GameConfig{

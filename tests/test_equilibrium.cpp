@@ -10,6 +10,7 @@ namespace {
 using consensus::Role;
 using econ::CostModel;
 using econ::RoleSnapshot;
+using econ::SchemeKind;
 
 RoleSnapshot snapshot() {
   return RoleSnapshot({Role::Leader, Role::Leader, Role::Committee,

@@ -210,7 +210,7 @@ TEST(ExperimentRunner, StrategicEnsembleBitIdenticalAcrossThreadCounts) {
   config.base.network.node_count = 60;
   config.base.network.seed = 5;
   config.base.rounds = 3;
-  config.base.scheme = SchemeChoice::RoleBasedAdaptive;
+  config.base.scheme = econ::SchemeKind::RoleBased;
   config.runs = 4;
   config.threads = 1;
   const StrategicEnsembleResult serial = run_strategic_ensemble(config);

@@ -92,17 +92,12 @@ TEST(DefectionExperiment, RejectsEmptyConfig) {
   EXPECT_THROW(run_defection_experiment(config), std::invalid_argument);
 }
 
-TEST(StakeSpec, FactoriesAndNames) {
-  EXPECT_EQ(StakeSpec::uniform(1, 200).name(), "U(1,200)");
-  EXPECT_EQ(StakeSpec::normal(100, 20).name(), "N(100,20)");
-}
-
 TEST(RewardExperiment, ComputesPositiveFeasibleRewards) {
   RewardExperimentConfig config;
   config.node_count = 5'000;
   config.runs = 3;
   config.rounds_per_run = 3;
-  config.stakes = StakeSpec::uniform(1, 200);
+  config.stakes = util::StakeDistribution::uniform(1, 200);
   const RewardExperimentResult result = run_reward_partial(config).finalize();
   EXPECT_EQ(result.infeasible_rounds, 0u);
   EXPECT_EQ(result.bi_algos.size(), 9u);
@@ -141,7 +136,7 @@ TEST(RewardExperiment, MinStakeFilterReducesReward) {
   base.node_count = 4'000;
   base.runs = 2;
   base.rounds_per_run = 2;
-  base.stakes = StakeSpec::uniform(1, 200);
+  base.stakes = util::StakeDistribution::uniform(1, 200);
   RewardExperimentConfig filtered = base;
   filtered.min_other_stake = 7;
   const double bi_base = run_reward_partial(base).finalize().mean_bi;
@@ -156,9 +151,9 @@ TEST(RewardExperiment, NarrowDistributionNeedsSmallerReward) {
   uniform.node_count = 4'000;
   uniform.runs = 2;
   uniform.rounds_per_run = 2;
-  uniform.stakes = StakeSpec::uniform(1, 200);
+  uniform.stakes = util::StakeDistribution::uniform(1, 200);
   RewardExperimentConfig normal = uniform;
-  normal.stakes = StakeSpec::normal(100, 10);
+  normal.stakes = util::StakeDistribution::normal(100, 10);
   const double bi_uniform = run_reward_partial(uniform).finalize().mean_bi;
   const double bi_normal = run_reward_partial(normal).finalize().mean_bi;
   EXPECT_LT(bi_normal, bi_uniform * 0.5);
@@ -202,7 +197,7 @@ TEST(RewardExperiment, RoundWithoutOthersStakeCountsAsInfeasible) {
   config.seed = 1000;
   config.runs = 2;
   config.rounds_per_run = 3;
-  config.stakes = StakeSpec::uniform(1, 200);
+  config.stakes = util::StakeDistribution::uniform(1, 200);
   RewardExperimentResult result;
   ASSERT_NO_THROW(result = run_reward_partial(config).finalize());
   EXPECT_GT(result.infeasible_rounds, 0u);

@@ -8,6 +8,7 @@ namespace {
 using consensus::Role;
 using econ::CostModel;
 using econ::RoleSnapshot;
+using econ::SchemeKind;
 
 // Small population: 2 leaders, 3 committee, 4 others.
 GameConfig base_config(SchemeKind scheme, double bi_algos = 10.0) {

@@ -33,7 +33,7 @@ double reached_share(const std::vector<TimeMs>& arrivals,
 TEST(Gossip, FullCooperationReachesEveryone) {
   util::Rng rng(1);
   const Topology t = ring(10);
-  const ConstantDelay delay(10.0);
+  const UniformDelay delay(10.0, 10.0);
   const GossipEngine engine(t, delay);
   const RelaySet relay = RelaySet::all_cooperative(10);
   const auto arrivals = engine.propagate(0, 0.0, relay, rng);
@@ -46,7 +46,7 @@ TEST(Gossip, FullCooperationReachesEveryone) {
 TEST(Gossip, DefectorReceivesButDoesNotRelay) {
   util::Rng rng(1);
   const Topology t = ring(5);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(5);
   relay.relays[2] = false;  // node 2 defects
@@ -60,7 +60,7 @@ TEST(Gossip, DefectorReceivesButDoesNotRelay) {
 TEST(Gossip, OfflineNodeNeverReceives) {
   util::Rng rng(1);
   const Topology t = ring(4);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(4);
   relay.online[1] = false;
@@ -72,7 +72,7 @@ TEST(Gossip, OfflineNodeNeverReceives) {
 TEST(Gossip, OfflineOriginSendsNothing) {
   util::Rng rng(1);
   const Topology t = ring(4);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(4);
   relay.online[0] = false;
@@ -85,7 +85,7 @@ TEST(Gossip, DefectingOriginStillTransmits) {
   // still sends it; it only refuses to forward others' traffic.
   util::Rng rng(1);
   const Topology t = ring(4);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(4);
   relay.relays[0] = false;
@@ -96,7 +96,7 @@ TEST(Gossip, DefectingOriginStillTransmits) {
 TEST(Gossip, StartOffsetShiftsArrivals) {
   util::Rng rng(1);
   const Topology t = ring(3);
-  const ConstantDelay delay(2.0);
+  const UniformDelay delay(2.0, 2.0);
   const GossipEngine engine(t, delay);
   const RelaySet relay = RelaySet::all_cooperative(3);
   const auto arrivals = engine.propagate(0, 100.0, relay, rng);
@@ -107,7 +107,7 @@ TEST(Gossip, StartOffsetShiftsArrivals) {
 TEST(Gossip, DelayFactorScalesArrivals) {
   util::Rng rng(1);
   const Topology t = ring(3);
-  const ConstantDelay delay(2.0);
+  const UniformDelay delay(2.0, 2.0);
   const GossipEngine slow(t, delay, 4.0);
   const RelaySet relay = RelaySet::all_cooperative(3);
   const auto arrivals = slow.propagate(0, 0.0, relay, rng);
@@ -123,7 +123,7 @@ TEST(Gossip, RemovingRelaysNeverImprovesReachability) {
     util::Rng trng(99);
     return Topology::random_k_out(60, 4, trng);
   }();
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
 
   const RelaySet full = RelaySet::all_cooperative(60);
@@ -166,7 +166,7 @@ TEST(Gossip, RandomTopologyFullReachUnderStrongSynchrony) {
 TEST(Gossip, SizeMismatchRejected) {
   util::Rng rng(1);
   const Topology t = ring(3);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(2);
   EXPECT_THROW(engine.propagate(0, 0.0, relay, rng), std::invalid_argument);
@@ -174,7 +174,7 @@ TEST(Gossip, SizeMismatchRejected) {
 
 TEST(Gossip, RejectsNonFiniteDelayFactor) {
   const Topology t = ring(3);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   EXPECT_THROW(GossipEngine(t, delay, kNever), std::invalid_argument);
   EXPECT_THROW(GossipEngine(t, delay, std::nan("")), std::invalid_argument);
 }
@@ -212,7 +212,7 @@ TEST(Gossip, ReachPassMatchesDijkstraReachability) {
 
 TEST(Gossip, ReversePassCountsHopsThroughRelaysOnly) {
   const Topology t = ring(5);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(5);
   relay.relays[1] = 0;
@@ -229,7 +229,7 @@ TEST(Gossip, CertificateMarginCoversRoundoffAtTheBoundary) {
   // 15 × 0.1 = 1.5: at T = depth × max_delay × factor a bound without a
   // margin would count the last node in time when Dijkstra has it late.
   const Topology t = ring(16);
-  const ConstantDelay delay(0.1);
+  const UniformDelay delay(0.1, 0.1);
   const GossipEngine engine(t, delay);
   const RelaySet relay = RelaySet::all_cooperative(16);
   util::Rng rng(1);
@@ -259,29 +259,20 @@ TEST(Gossip, CertificateMarginCoversRoundoffAtTheBoundary) {
   EXPECT_FALSE(degraded.certifies(7, kDefaultStepTimeoutMs));
 }
 
-// A model whose samples have no finite bound: max_delay() is kNever.
-class UnboundedDelay final : public DelayModel {
- public:
-  TimeMs sample(util::Rng&, ledger::NodeId, ledger::NodeId) const override {
-    return 1.0;
-  }
-  TimeMs max_delay() const override { return kNever; }
-  std::string name() const override { return "UnboundedDelay"; }
-};
-
 TEST(Gossip, UnboundedDelaysNeverCertify) {
+  // Every engine's delays are bounded by construction: an unbounded range
+  // is refused before an engine can hold it.
   const Topology t = ring(3);
-  const ConstantDelay constant(1.0);
+  const UniformDelay constant(1.0, 1.0);
   EXPECT_TRUE(GossipEngine(t, constant).certifies(2, 2.5));
-  const UnboundedDelay unbounded;
-  EXPECT_FALSE(GossipEngine(t, unbounded).certifies(0, 1e9));
+  EXPECT_THROW(UniformDelay(1.0, kNever), std::invalid_argument);
 }
 
 TEST(ReachClasses, MutuallyReachingRelaysShareAClass) {
   // 0 <-> 1 -> 2 <-> 3: {0, 1} and {2, 3} are the two classes, and the
   // first reaches everything the second does.
   const Topology t = Topology::from_adjacency({{1}, {0, 2}, {3}, {2}});
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   const RelaySet relay = RelaySet::all_cooperative(4);
   ReachClasses classes;
@@ -305,7 +296,7 @@ TEST(ReachClasses, MutuallyReachingRelaysShareAClass) {
 
 TEST(ReachClasses, OfflineAndNonRelayingOriginsShareNoClass) {
   const Topology t = ring(4);
-  const ConstantDelay delay(1.0);
+  const UniformDelay delay(1.0, 1.0);
   const GossipEngine engine(t, delay);
   RelaySet relay = RelaySet::all_cooperative(4);
   relay.online[0] = 0;

@@ -322,7 +322,7 @@ TEST(StrategicEnsemble, BitIdenticalAcrossInnerThreads) {
     config.base.network.node_count = 60;
     config.base.network.seed = 23;
     config.base.rounds = 3;
-    config.base.scheme = sim::SchemeChoice::RoleBasedAdaptive;
+    config.base.scheme = econ::SchemeKind::RoleBased;
     config.runs = 2;
     config.inner_threads = inner;
     return sim::run_strategic_ensemble(config);

@@ -106,7 +106,7 @@ TEST(Integration, ObservedSnapshotSupportsTheorem3Equilibrium) {
       sync_set[v] = true;
 
   const game::AlgorandGame g(game::GameConfig{
-      snap, econ::CostModel{}, game::SchemeKind::RoleBased,
+      snap, econ::CostModel{}, econ::SchemeKind::RoleBased,
       static_cast<double>(bi), scheme.last_split(), sync_set, 0.685});
   const game::TheoremReport report = game::verify_theorem3(g);
   EXPECT_TRUE(report.holds) << report.detail;

@@ -105,16 +105,15 @@ std::string refusal(const std::string& dir,
 }
 
 TEST(MergePartials, HeaderRebuildsTheBenchThatWroteIt) {
-  // merge_partials turns "nodes": 60 into --nodes=60 (and top_fraction
-  // into --top-fraction); this locks that convention for every bench and
-  // every knob a header echoes. Building a bench runs nothing.
+  // merge_partials turns "nodes": 60 into --nodes=60; this locks that
+  // convention for every bench and every knob a header echoes. Building a
+  // bench runs nothing.
   const std::vector<std::vector<std::string>> flag_sets = {
       {},
       {"--agg=streaming"},
       {"--seed=7"},
-      {"--alpha=0.05"},
       {"--nodes=70", "--runs=5", "--rounds=4", "--agg=streaming",
-       "--seed=11", "--alpha=0.2", "--beta=0.25", "--top-fraction=0.05"}};
+       "--seed=11"}};
   for (const char* name :
        {"fig3_defection", "fig6_bi_distributions", "fig7_reward_comparison",
         "scenario_sweep", "strategic_ensemble", "fig_longhorizon"}) {
@@ -131,9 +130,6 @@ TEST(MergePartials, HeaderRebuildsTheBenchThatWroteIt) {
   // The knobs above really reach the headers that echo them.
   EXPECT_NE(bench_of("scenario_sweep", {"--seed=7"}).config_echo,
             bench_of("scenario_sweep", {}).config_echo);
-  EXPECT_NE(bench_of("fig_longhorizon", {"--top-fraction=0.05"})
-                .config_echo.find("\"top_fraction\":0.05"),
-            std::string::npos);
 }
 
 TEST(MergePartials, OutOfOrderMixedFormatShardsMatchTheWholeRangeSeries) {
@@ -288,62 +284,6 @@ TEST(MergePartials, StorePublishesTheFullRangeForALaterCacheHit) {
   const orch::WindowOutcome hit = bench.run_window(whole);
   EXPECT_TRUE(hit.store_hit);
   EXPECT_EQ(hit.executed, 0u);
-  fs::remove_all(dir);
-}
-
-// The store key and the --partial-in check are built from the header,
-// so fig_longhorizon's header must echo --alpha/--beta/--top-fraction
-// whenever they leave their defaults. Small sparse runs: 2000 nodes,
-// 20 rounds.
-const std::vector<std::string> kLongHorizon = {"--nodes=2000", "--runs=2",
-                                               "--rounds=20"};
-const std::vector<std::string> kLongHorizonAlpha = {
-    "--nodes=2000", "--runs=2", "--rounds=20", "--alpha=0.05"};
-
-TEST(LongHorizonHeader, AlphaIsPartOfTheStoreKey) {
-  const std::string dir = test_dir();
-  const auto run = [&](const std::vector<std::string>& flags) {
-    ShardKnobs knobs;
-    const ShardableBench bench = bench_of("fig_longhorizon", flags);
-    knobs.runs = bench.runs;
-    knobs.shard = sim::RunShard{0, 1};
-    knobs.store_dir = dir + "/store";
-    return bench.run_window(knobs);
-  };
-  EXPECT_FALSE(run(kLongHorizon).store_hit);
-  const orch::WindowOutcome other = run(kLongHorizonAlpha);
-  EXPECT_FALSE(other.store_hit);
-  EXPECT_EQ(other.executed, 1u);
-  EXPECT_TRUE(run(kLongHorizonAlpha).store_hit);
-  EXPECT_TRUE(run(kLongHorizon).store_hit);
-  fs::remove_all(dir);
-}
-
-TEST(LongHorizonHeader, ResumeUnderAnotherAlphaNamesIt) {
-  const std::string dir = test_dir();
-  const auto resume = [&](const std::vector<std::string>& written_under,
-                          const std::vector<std::string>& resumed_under) {
-    const std::string checkpoint = write_shard(
-        bench_of("fig_longhorizon", written_under), 0, 2, dir + "/ck.bin");
-    const ShardableBench bench = bench_of("fig_longhorizon", resumed_under);
-    ShardKnobs knobs;
-    knobs.runs = bench.runs;
-    knobs.partial_in = checkpoint;
-    knobs.partial_out = dir + "/resumed.bin";
-    try {
-      bench.run_window(knobs);
-    } catch (const std::invalid_argument& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
-  // Both directions: the resumer echoes alpha and the file does not, and
-  // the file echoes alpha and the resumer does not.
-  EXPECT_NE(resume(kLongHorizon, kLongHorizonAlpha).find("\"alpha\""),
-            std::string::npos);
-  EXPECT_NE(resume(kLongHorizonAlpha, kLongHorizon).find("\"alpha\""),
-            std::string::npos);
-  EXPECT_EQ(resume(kLongHorizonAlpha, kLongHorizonAlpha), "");
   fs::remove_all(dir);
 }
 

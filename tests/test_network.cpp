@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,16 @@ TEST(Network, RejectsBadRates) {
   EXPECT_THROW(Network{config}, std::invalid_argument);
 }
 
+/// What building a Network from `config` throws, or "no exception".
+std::string refusal(const NetworkConfig& config) {
+  try {
+    const Network net(config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
 // The node count is checked before anything is allocated: zero nodes is
 // not reported by the topology, and a count past the NodeId range is
 // refused instead of wrapping node ids.
@@ -169,12 +180,7 @@ TEST(Network, RejectsNodeCountsBeforeBuilding) {
   const auto message_for = [](std::size_t node_count) {
     NetworkConfig config = small_config();
     config.node_count = node_count;
-    try {
-      const Network net(config);
-    } catch (const std::invalid_argument& e) {
-      return std::string(e.what());
-    }
-    return std::string("no exception");
+    return refusal(config);
   };
   const std::string empty = message_for(0);
   EXPECT_NE(empty.find("network needs at least 4 nodes"), std::string::npos)
@@ -183,6 +189,44 @@ TEST(Network, RejectsNodeCountsBeforeBuilding) {
   EXPECT_NE(huge.find("network node count exceeds the NodeId range"),
             std::string::npos)
       << huge;
+}
+
+TEST(Network, RefusesBadStakeAndDelayRangesUpFront) {
+  // The config check builds the stake and delay types, so a bad range is
+  // refused naming its fields before the keys or the topology are built.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto stake_refusal = [](std::int64_t lo, std::int64_t hi) {
+    NetworkConfig config = small_config();
+    config.stake_lo = lo;
+    config.stake_hi = hi;
+    return refusal(config);
+  };
+  for (const std::string& message :
+       {stake_refusal(0, 50), stake_refusal(-3, 50), stake_refusal(9, 8)}) {
+    EXPECT_NE(message.find("NetworkConfig stake_lo, stake_hi"),
+              std::string::npos)
+        << message;
+  }
+  const auto delay_refusal = [](double lo, double hi) {
+    NetworkConfig config = small_config();
+    config.delay_lo_ms = lo;
+    config.delay_hi_ms = hi;
+    return refusal(config);
+  };
+  for (const std::string& message :
+       {delay_refusal(-1.0, 120.0), delay_refusal(20.0, -1.0),
+        delay_refusal(120.0, 20.0), delay_refusal(20.0, inf),
+        delay_refusal(nan, 120.0)}) {
+    EXPECT_NE(message.find("NetworkConfig delay_lo_ms, delay_hi_ms"),
+              std::string::npos)
+        << message;
+  }
+  // The edges of both ranges still build.
+  NetworkConfig edges = small_config();
+  edges.stake_lo = edges.stake_hi = 1;
+  edges.delay_lo_ms = edges.delay_hi_ms = 0.0;
+  EXPECT_EQ(refusal(edges), "no exception");
 }
 
 TEST(Network, GenesisChainReady) {

@@ -50,7 +50,7 @@ StrategicEnsembleConfig small_strategic(AggBackend agg) {
   config.base.network.node_count = 40;
   config.base.network.seed = 5;
   config.base.rounds = 3;
-  config.base.scheme = SchemeChoice::RoleBasedAdaptive;
+  config.base.scheme = econ::SchemeKind::RoleBased;
   config.runs = kRuns;
   config.agg = agg;
   return config;

@@ -17,9 +17,8 @@ using consensus::Role;
 
 econ::RoleSnapshot random_snapshot(util::Rng& rng, std::size_t n) {
   std::vector<Role> roles(n, Role::Other);
-  std::vector<std::int64_t> stakes(n);
-  const util::UniformStake dist(1, 100);
-  for (auto& s : stakes) s = dist.sample(rng);
+  std::vector<std::int64_t> stakes =
+      util::StakeDistribution::uniform(1, 100).sample_many(rng, n);
   const std::size_t leaders =
       1 + static_cast<std::size_t>(rng.uniform_int(0, 2));
   const std::size_t committee =
@@ -44,20 +43,20 @@ TEST_P(PayoutConservation, HoldsOnRandomPopulations) {
   econ::RoleBasedScheme role_based{econ::CostModel{}};
   role_based.required_budget(1, snap);  // fix the split for distribute()
 
-  for (econ::RewardScheme* scheme :
-       std::initializer_list<econ::RewardScheme*>{&stake_prop, &role_based}) {
-    const econ::Payouts p = scheme->distribute(1, snap, budget);
+  const auto check = [&](const econ::Payouts& p, const char* scheme) {
     ledger::MicroAlgos sum = 0;
     for (std::size_t v = 0; v < p.amounts.size(); ++v) {
-      ASSERT_GE(p.amounts[v], 0) << scheme->name();
+      ASSERT_GE(p.amounts[v], 0) << scheme;
       if (snap.stake(static_cast<ledger::NodeId>(v)) == 0) {
-        ASSERT_EQ(p.amounts[v], 0) << scheme->name();
+        ASSERT_EQ(p.amounts[v], 0) << scheme;
       }
       sum += p.amounts[v];
     }
-    ASSERT_EQ(sum, p.total) << scheme->name();
-    ASSERT_LE(sum, budget) << scheme->name();
-  }
+    ASSERT_EQ(sum, p.total) << scheme;
+    ASSERT_LE(sum, budget) << scheme;
+  };
+  check(stake_prop.distribute(1, snap, budget), "stake-proportional");
+  check(role_based.distribute(1, snap, budget), "role-based");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PayoutConservation, ::testing::Range(0, 12));
@@ -105,7 +104,7 @@ TEST_P(EquilibriumAtOptimum, HoldsOnRandomPopulations) {
       sync_set[v] = true;
 
   const game::AlgorandGame g(game::GameConfig{
-      snap, econ::CostModel{}, game::SchemeKind::RoleBased, r.min_bi,
+      snap, econ::CostModel{}, econ::SchemeKind::RoleBased, r.min_bi,
       r.split, sync_set, 0.685});
   EXPECT_TRUE(game::verify_theorem3(g).holds);
   EXPECT_TRUE(g.block_created(game::theorem3_profile(g)));
@@ -162,8 +161,8 @@ TEST_P(ScannerAgreesWithBruteForce, OnRandomProfiles) {
   const game::GameConfig config{
       snap,
       econ::CostModel{},
-      GetParam() % 2 == 0 ? game::SchemeKind::StakeProportional
-                          : game::SchemeKind::RoleBased,
+      GetParam() % 2 == 0 ? econ::SchemeKind::StakeProportional
+                          : econ::SchemeKind::RoleBased,
       1e7 * rng.uniform01(),
       econ::RewardSplit(0.1 + 0.3 * rng.uniform01(),
                         0.1 + 0.3 * rng.uniform01()),

@@ -218,13 +218,5 @@ TEST(PotShare, EmptyPotPaysNothing) {
   EXPECT_EQ(pot_share(0.3, 26e6, 10.0, 40.0), 0.3 * 26e6 * 10.0 / 40.0);
 }
 
-TEST(Schemes, Names) {
-  EXPECT_EQ(StakeProportionalScheme{}.name(),
-            "foundation-stake-proportional");
-  EXPECT_EQ(RoleBasedScheme(CostModel{}).name(), "role-based-adaptive");
-  EXPECT_EQ(RoleBasedScheme(CostModel{}, RewardSplit(0.1, 0.1)).name(),
-            "role-based-fixed-split");
-}
-
 }  // namespace
 }  // namespace roleshare::econ

@@ -240,7 +240,7 @@ TEST(StrategicLoop, ChurnKeepsTheLoopDeterministic) {
   // churn reshapes the live role sets (the role-based optimizer requires
   // a non-empty Others set, which a shrunken committee-heavy population
   // cannot guarantee).
-  config.scheme = SchemeChoice::FoundationStakeProportional;
+  config.scheme = econ::SchemeKind::StakeProportional;
   config.churn.leave_probability = 0.1;
   config.churn.join_probability = 0.2;
   config.churn.min_live = 30;

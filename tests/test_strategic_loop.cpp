@@ -7,7 +7,9 @@
 namespace roleshare::sim {
 namespace {
 
-StrategicLoopConfig base_config(SchemeChoice scheme, std::uint64_t seed) {
+using econ::SchemeKind;
+
+StrategicLoopConfig base_config(SchemeKind scheme, std::uint64_t seed) {
   StrategicLoopConfig config;
   config.network.node_count = 100;
   config.network.seed = seed;
@@ -18,7 +20,7 @@ StrategicLoopConfig base_config(SchemeChoice scheme, std::uint64_t seed) {
 
 TEST(StrategicLoop, FoundationSchemeUnravelsCooperation) {
   const StrategicLoopResult result = run_strategic_loop(
-      base_config(SchemeChoice::FoundationStakeProportional, 71), nullptr);
+      base_config(SchemeKind::StakeProportional, 71), nullptr);
   ASSERT_EQ(result.rounds.size(), 10u);
   // Round 1 starts fully cooperative...
   EXPECT_DOUBLE_EQ(result.rounds.front().cooperation_fraction, 1.0);
@@ -31,7 +33,7 @@ TEST(StrategicLoop, FoundationSchemeUnravelsCooperation) {
 
 TEST(StrategicLoop, RoleBasedSchemeSustainsCooperation) {
   const StrategicLoopResult result = run_strategic_loop(
-      base_config(SchemeChoice::RoleBasedAdaptive, 71), nullptr);
+      base_config(SchemeKind::RoleBased, 71), nullptr);
   // Theorem 3: cooperation is self-enforcing for everyone who matters;
   // the loop stays (almost) fully cooperative throughout.
   EXPECT_GT(result.final_cooperation, 0.9);
@@ -42,9 +44,9 @@ TEST(StrategicLoop, RoleBasedSchemeSustainsCooperation) {
 
 TEST(StrategicLoop, RoleBasedKeepsConsensusAlive) {
   const StrategicLoopResult role_based = run_strategic_loop(
-      base_config(SchemeChoice::RoleBasedAdaptive, 72), nullptr);
+      base_config(SchemeKind::RoleBased, 72), nullptr);
   const StrategicLoopResult foundation = run_strategic_loop(
-      base_config(SchemeChoice::FoundationStakeProportional, 72), nullptr);
+      base_config(SchemeKind::StakeProportional, 72), nullptr);
   // Average final-consensus share over the last half of the horizon.
   auto tail_final = [](const StrategicLoopResult& r) {
     double sum = 0;
@@ -59,7 +61,7 @@ TEST(StrategicLoop, RoleBasedKeepsConsensusAlive) {
 
 TEST(StrategicLoop, RoleBasedPaysLessThanFoundation) {
   const StrategicLoopResult role_based = run_strategic_loop(
-      base_config(SchemeChoice::RoleBasedAdaptive, 73), nullptr);
+      base_config(SchemeKind::RoleBased, 73), nullptr);
   // The role-based loop keeps producing blocks AND pays less than the
   // Foundation schedule would (20 Algos per successful round).
   double successful_rounds = 0;
@@ -72,9 +74,9 @@ TEST(StrategicLoop, RoleBasedPaysLessThanFoundation) {
 TEST(StrategicLoop, AllDefectStartCannotRecover) {
   // Theorem 1: All-D is absorbing under either scheme — cooperation never
   // restarts once everyone defects.
-  for (const SchemeChoice scheme :
-       {SchemeChoice::FoundationStakeProportional,
-        SchemeChoice::RoleBasedAdaptive}) {
+  for (const SchemeKind scheme :
+       {SchemeKind::StakeProportional,
+        SchemeKind::RoleBased}) {
     StrategicLoopConfig config = base_config(scheme, 74);
     config.initial = game::Strategy::Defect;
     config.rounds = 5;
@@ -88,7 +90,7 @@ TEST(StrategicLoop, ParallelBestResponseSweepMatchesSerial) {
   // The per-node best-response sweep reads only the frozen previous
   // profile, so a pool must not change any per-round statistic.
   const StrategicLoopConfig config =
-      base_config(SchemeChoice::RoleBasedAdaptive, 77);
+      base_config(SchemeKind::RoleBased, 77);
   util::ThreadPool pool(4);
   const StrategicLoopResult a = run_strategic_loop(config, nullptr);
   const StrategicLoopResult b = run_strategic_loop(config, &pool);
@@ -105,9 +107,9 @@ TEST(StrategicLoop, ParallelBestResponseSweepMatchesSerial) {
 
 TEST(StrategicLoop, Deterministic) {
   const auto a = run_strategic_loop(
-      base_config(SchemeChoice::RoleBasedAdaptive, 75), nullptr);
+      base_config(SchemeKind::RoleBased, 75), nullptr);
   const auto b = run_strategic_loop(
-      base_config(SchemeChoice::RoleBasedAdaptive, 75), nullptr);
+      base_config(SchemeKind::RoleBased, 75), nullptr);
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.rounds[i].cooperation_fraction,
@@ -118,7 +120,7 @@ TEST(StrategicLoop, Deterministic) {
 
 TEST(StrategicLoop, RejectsZeroRounds) {
   StrategicLoopConfig config =
-      base_config(SchemeChoice::RoleBasedAdaptive, 76);
+      base_config(SchemeKind::RoleBased, 76);
   config.rounds = 0;
   EXPECT_THROW(run_strategic_loop(config, nullptr), std::invalid_argument);
 }

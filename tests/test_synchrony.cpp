@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 
+#include "crypto/hash.hpp"
 #include "net/delay_model.hpp"
 
 namespace roleshare::net {
@@ -79,7 +82,7 @@ TEST(DelayModels, UniformStaysInRange) {
   util::Rng rng(1);
   const UniformDelay d(20.0, 120.0);
   for (int i = 0; i < 1000; ++i) {
-    const TimeMs t = d.sample(rng, 0, 1);
+    const TimeMs t = d.sample(rng);
     EXPECT_GE(t, 20.0);
     EXPECT_LT(t, 120.0);
   }
@@ -88,26 +91,22 @@ TEST(DelayModels, UniformStaysInRange) {
 TEST(DelayModels, UniformDegenerateRange) {
   util::Rng rng(1);
   const UniformDelay d(50.0, 50.0);
-  EXPECT_DOUBLE_EQ(d.sample(rng, 0, 1), 50.0);
+  EXPECT_DOUBLE_EQ(d.sample(rng), 50.0);
 }
 
 TEST(DelayModels, ConstantIsConstant) {
+  // A zero-width range is the constant delay the tests' topologies use.
   util::Rng rng(3);
-  const ConstantDelay d(7.0);
-  EXPECT_DOUBLE_EQ(d.sample(rng, 0, 1), 7.0);
-  EXPECT_DOUBLE_EQ(d.sample(rng, 5, 9), 7.0);
-}
-
-TEST(DelayModels, FactoriesAndNames) {
-  EXPECT_NE(make_uniform_delay(1, 2)->name().find("UniformDelay"),
-            std::string::npos);
-  EXPECT_NE(ConstantDelay(1).name().find("ConstDelay"), std::string::npos);
+  const UniformDelay d(7.0, 7.0);
+  EXPECT_EQ(d.sample(rng), 7.0);
+  EXPECT_EQ(d.sample(rng), 7.0);
+  EXPECT_EQ(d.max_delay(), 7.0);
 }
 
 TEST(DelayModels, RejectBadParameters) {
   EXPECT_THROW(UniformDelay(-1.0, 5.0), std::invalid_argument);
   EXPECT_THROW(UniformDelay(5.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(ConstantDelay(-2.0), std::invalid_argument);
+  EXPECT_THROW(UniformDelay(-2.0, -2.0), std::invalid_argument);
 }
 
 TEST(DelayModels, RejectNonFiniteParameters) {
@@ -118,8 +117,7 @@ TEST(DelayModels, RejectNonFiniteParameters) {
   EXPECT_THROW(UniformDelay(0.0, inf), std::invalid_argument);
   EXPECT_THROW(UniformDelay(inf, inf), std::invalid_argument);
   EXPECT_THROW(UniformDelay(nan, 5.0), std::invalid_argument);
-  EXPECT_THROW(ConstantDelay{inf}, std::invalid_argument);
-  EXPECT_THROW(ConstantDelay{nan}, std::invalid_argument);
+  EXPECT_THROW(UniformDelay(nan, nan), std::invalid_argument);
 }
 
 TEST(DelayModels, MaxDelayBoundsEverySample) {
@@ -127,8 +125,25 @@ TEST(DelayModels, MaxDelayBoundsEverySample) {
   EXPECT_EQ(uniform.max_delay(), 120.0);
   util::Rng rng(9);
   for (int i = 0; i < 10'000; ++i)
-    EXPECT_LE(uniform.sample(rng, 0, 1), uniform.max_delay());
-  EXPECT_EQ(ConstantDelay(7.5).max_delay(), 7.5);
+    EXPECT_LE(uniform.sample(rng), uniform.max_delay());
+}
+
+TEST(UniformDelay, SamplesArePinned) {
+  // SHA-256 over the bit patterns of 10,000 draws on [20, 120] ms from
+  // seed 2020, recorded with the virtual delay model this type replaced.
+  const UniformDelay delay(20.0, 120.0);
+  util::Rng rng(2020);
+  crypto::HashBuilder hash("roleshare.test.delays");
+  for (int i = 0; i < 10'000; ++i)
+    hash.add_u64(std::bit_cast<std::uint64_t>(delay.sample(rng)));
+  EXPECT_EQ(hash.build().to_hex(),
+            "9b65158a5a07f149a235ee3f0304220febb8ace7e991849e415f2980193c91c1");
+
+  // A zero-width range draws nothing: the stream is where it was.
+  util::Rng drawn(9);
+  util::Rng untouched(9);
+  EXPECT_EQ(UniformDelay(50.0, 50.0).sample(drawn), 50.0);
+  EXPECT_EQ(drawn(), untouched());
 }
 
 }  // namespace
