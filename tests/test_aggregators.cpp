@@ -9,6 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "crypto/hash.hpp"
+#include "crypto/sha256.hpp"
 #include "sim/defection_experiment.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -227,6 +229,42 @@ TEST(RoundAccumulator, ShardedMergeEqualsSingleFeed) {
       }
     }
   }
+}
+
+TEST(RoundAccumulator, JsonPastReservoirCapacityIsPinned) {
+  // 600 samples a round, past the reservoir capacity (256): the streaming
+  // document holds reservoir replacements (rng_draws > 0) and moved P²
+  // markers, and the merge of two 300-sample halves draws in the
+  // reservoir merge and clears p2_live. The two-run goldens reach none
+  // of these.
+  util::Rng rng(29);
+  const auto exact = make_accumulator(AggBackend::Exact, 3);
+  const auto streaming = make_accumulator(AggBackend::Streaming, 3);
+  const auto left = make_accumulator(AggBackend::Streaming, 3);
+  const auto right = make_accumulator(AggBackend::Streaming, 3);
+  for (std::size_t run = 0; run < 600; ++run) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      const double x = rng.normal(50.0, 20.0);
+      exact->record(r, x);
+      streaming->record(r, x);
+      (run < 300 ? *left : *right).record(r, x);
+    }
+  }
+  left->merge(*right);
+  const util::json::Value merged = left->to_json();
+  const util::json::Value& round0 = merged.at("round_stats").as_array()[0];
+  EXPECT_GT(round0.at("rng_draws").as_size(), 0u);
+  EXPECT_FALSE(round0.at("p2_live").as_bool());
+
+  const auto digest = [](const RoundAccumulator& acc) {
+    return crypto::Hash256(crypto::sha256(acc.to_json().dump())).to_hex();
+  };
+  EXPECT_EQ(digest(*exact),
+            "92d8833f7a2ece5a1202d392d2ebb52a1eda4d048ce4212bbf4d93d44b4e80f2");
+  EXPECT_EQ(digest(*streaming),
+            "9ffe69bcfa387734303a8115cb88d27cc4adca67a67c91dd212844551636c992");
+  EXPECT_EQ(digest(*left),
+            "60b9b00460c1ebea4d4525fe5059a6b6cd7ab726694d98e0c7d6e7d06d5f195c");
 }
 
 // ---------------------------------------------------------------------
