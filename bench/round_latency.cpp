@@ -597,26 +597,24 @@ int main(int argc, char** argv) {
     // outcome of the serial pass into both reduction backends. The exact
     // matrix grows with nodes x rounds; the streaming sketch must stay at
     // O(rounds) — the state a paper-scale sharded sweep ships per shard.
-    const auto exact = sim::make_accumulator(sim::AggBackend::Exact, rounds);
-    const auto streaming =
-        sim::make_accumulator(sim::AggBackend::Streaming, rounds);
+    sim::RoundAccumulator exact(sim::AggBackend::Exact, rounds);
+    sim::RoundAccumulator streaming(sim::AggBackend::Streaming, rounds);
     for (std::size_t r = 0; r < rounds; ++r) {
       for (const sim::NodeOutcome outcome : m.serial.outcomes[r]) {
         const double sample = static_cast<double>(outcome);
-        exact->record(r, sample);
-        streaming->record(r, sample);
+        exact.record(r, sample);
+        streaming.record(r, sample);
       }
     }
-    const double mem_ratio =
-        static_cast<double>(exact->memory_bytes()) /
-        static_cast<double>(streaming->memory_bytes());
+    const double mem_ratio = static_cast<double>(exact.memory_bytes()) /
+                             static_cast<double>(streaming.memory_bytes());
     std::printf("accumulator memory (%zu samples/round): exact %.1f KiB, "
                 "streaming %.1f KiB (%.1fx smaller)\n",
-                nodes, static_cast<double>(exact->memory_bytes()) / 1024.0,
-                static_cast<double>(streaming->memory_bytes()) / 1024.0,
+                nodes, static_cast<double>(exact.memory_bytes()) / 1024.0,
+                static_cast<double>(streaming.memory_bytes()) / 1024.0,
                 mem_ratio);
-    fields.emplace_back("exact_accum_bytes", exact->memory_bytes());
-    fields.emplace_back("streaming_accum_bytes", streaming->memory_bytes());
+    fields.emplace_back("exact_accum_bytes", exact.memory_bytes());
+    fields.emplace_back("streaming_accum_bytes", streaming.memory_bytes());
     fields.emplace_back("accum_memory_ratio", mem_ratio);
   }
   fields.emplace_back("wall_ms", m.serial.wall_ms + m.parallel.wall_ms);

@@ -81,20 +81,26 @@ DefectionRun execute_run(const DefectionExperimentConfig& config,
   return run;
 }
 
-// DefectionPayload's entries after the metrics block, in document order.
+// DefectionPayload's entries in document order: the outcome entries of
+// the "metrics" block, then the series after it.
+enum Outcome : std::size_t { kFinal, kTentative, kNone };
 enum Series : std::size_t { kLive, kCoop };
 
+const ReductionLayout kOutcomeLayout{{"final", "tentative", "none"}, {}};
 const ReductionLayout kLayout{{"live", "coop"}, {}};
 
 }  // namespace
 
 DefectionPayload::DefectionPayload(std::size_t rounds, AggBackend backend)
-    : metrics_(rounds, backend), state_(kLayout, backend, rounds) {}
+    : outcomes_(kOutcomeLayout, backend, rounds),
+      state_(kLayout, backend, rounds) {}
 
 void DefectionPayload::record_round(std::size_t round_index, double final_pct,
                                     double tentative_pct, double none_pct,
                                     double live, double coop_pct) {
-  metrics_.record(round_index, final_pct, tentative_pct, none_pct);
+  outcomes_.accumulator(kFinal).record(round_index, final_pct);
+  outcomes_.accumulator(kTentative).record(round_index, tentative_pct);
+  outcomes_.accumulator(kNone).record(round_index, none_pct);
   state_.accumulator(kLive).record(round_index, live);
   state_.accumulator(kCoop).record(round_index, coop_pct);
   const auto live_count = static_cast<std::size_t>(live);
@@ -108,7 +114,7 @@ void DefectionPayload::record_run_progress(bool progress) {
 }
 
 void DefectionPayload::merge(const DefectionPayload& next) {
-  metrics_.merge(next.metrics_);
+  outcomes_.merge(next.outcomes_);
   state_.merge(next.state_);
   runs_with_progress_ += next.runs_with_progress_;
   if (next.any_live_) {
@@ -123,7 +129,15 @@ void DefectionPayload::merge(const DefectionPayload& next) {
 DefectionSeries DefectionPayload::finalize(const PartialEnvelope& envelope,
                                            double trim_fraction) const {
   DefectionSeries series;
-  series.rounds = metrics_.aggregate(trim_fraction);
+  const std::vector<double> final_series =
+      outcomes_.accumulator(kFinal).trimmed_mean_series(trim_fraction);
+  const std::vector<double> tentative_series =
+      outcomes_.accumulator(kTentative).trimmed_mean_series(trim_fraction);
+  const std::vector<double> none_series =
+      outcomes_.accumulator(kNone).trimmed_mean_series(trim_fraction);
+  series.rounds.resize(final_series.size());
+  for (std::size_t r = 0; r < series.rounds.size(); ++r)
+    series.rounds[r] = {final_series[r], tentative_series[r], none_series[r]};
   series.runs_with_progress = static_cast<double>(runs_with_progress_) /
                               static_cast<double>(envelope.runs_executed());
   series.live_series = state_.accumulator(kLive).mean_series();
@@ -136,7 +150,7 @@ DefectionSeries DefectionPayload::finalize(const PartialEnvelope& envelope,
 
 util::json::Value DefectionPayload::to_json() const {
   util::json::Value head = util::json::Value::object();
-  head.set("metrics", metrics_.to_json());
+  head.set("metrics", outcomes_.to_json());
   util::json::Value v = state_.to_json(std::move(head));
   v.set("runs_with_progress", runs_with_progress_);
   v.set("any_live", any_live_);
@@ -148,8 +162,9 @@ util::json::Value DefectionPayload::to_json() const {
 DefectionPayload DefectionPayload::from_json(const util::json::Value& value,
                                              const PartialEnvelope& envelope) {
   DefectionPayload p(
-      OutcomeMetrics::from_json(value.at("metrics"), envelope.backend,
-                                envelope.rounds, "metrics."),
+      ReductionState::from_json(kOutcomeLayout, value.at("metrics"),
+                                envelope.backend, envelope.rounds,
+                                "metrics."),
       ReductionState::from_json(kLayout, value, envelope.backend,
                                 envelope.rounds));
   p.runs_with_progress_ = value.at("runs_with_progress").as_size();

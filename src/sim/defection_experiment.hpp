@@ -28,7 +28,6 @@
 
 #include "consensus/params.hpp"
 #include "sim/experiment_runner.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/partial.hpp"
 #include "sim/scenario_policy.hpp"
@@ -67,6 +66,13 @@ struct DefectionExperimentConfig {
   RunShard shard{};
 };
 
+/// Trimmed-mean outcome fractions for one round index.
+struct RoundAggregate {
+  double final_pct = 0.0;      // % of nodes extracting a final block
+  double tentative_pct = 0.0;  // % extracting only a tentative block
+  double none_pct = 0.0;       // % extracting no block
+};
+
 struct DefectionSeries {
   std::vector<RoundAggregate> rounds;
   /// Fraction of executed runs in which the chain gained at least one
@@ -87,10 +93,11 @@ struct DefectionSeries {
 };
 
 /// The experiment-specific half of a DefectionPartial: the three outcome
-/// accumulators (the "metrics" block) and the live/cooperation series,
-/// plus the progress and live-count counters. Window bookkeeping and
-/// compatibility checks live in the shared PartialEnvelope
-/// (sim/partial.hpp).
+/// accumulators (final, tentative, none: the document's "metrics" block)
+/// and the live/cooperation series, each group in its own
+/// ReductionState, plus the progress and live-count counters. Window
+/// bookkeeping and compatibility checks live in the shared
+/// PartialEnvelope (sim/partial.hpp).
 class DefectionPayload {
  public:
   static constexpr std::string_view kKind = "defection";
@@ -114,7 +121,7 @@ class DefectionPayload {
                            double trim_fraction) const;
 
   std::size_t accumulator_bytes() const {
-    return metrics_.memory_bytes() + state_.memory_bytes();
+    return outcomes_.memory_bytes() + state_.memory_bytes();
   }
 
   util::json::Value to_json() const;
@@ -122,11 +129,11 @@ class DefectionPayload {
                                     const PartialEnvelope& envelope);
 
  private:
-  DefectionPayload(OutcomeMetrics metrics, ReductionState state)
-      : metrics_(std::move(metrics)), state_(std::move(state)) {}
+  DefectionPayload(ReductionState outcomes, ReductionState state)
+      : outcomes_(std::move(outcomes)), state_(std::move(state)) {}
 
-  OutcomeMetrics metrics_;
-  ReductionState state_;  // live, coop
+  ReductionState outcomes_;  // final, tentative, none
+  ReductionState state_;     // live, coop
   std::size_t runs_with_progress_ = 0;
   std::size_t min_live_ = 0;
   std::size_t max_live_ = 0;

@@ -29,9 +29,9 @@ util::json::Value network_spec_echo(const NetworkConfig& config) {
 
 void append_agg_echo(util::json::Value& echo, AggBackend agg) {
   echo.set("agg", to_string(agg));
-  echo.set("reservoir_capacity", StreamingAccumulator::kReservoirCapacity);
+  echo.set("reservoir_capacity", RoundAccumulator::kReservoirCapacity);
   util::json::Value grid = util::json::Value::array();
-  for (const double q : StreamingAccumulator::kP2Grid) grid.push_back(q);
+  for (const double q : RoundAccumulator::kP2Grid) grid.push_back(q);
   echo.set("p2_grid", std::move(grid));
 }
 
@@ -278,19 +278,9 @@ ReductionState::ReductionState(const ReductionLayout& layout,
                                AggBackend backend, std::size_t rounds)
     : layout_(layout), backend_(backend), rounds_(rounds) {
   for (std::size_t i = 0; i < layout.accumulators.size(); ++i)
-    accumulators_.push_back(make_accumulator(backend, rounds));
+    accumulators_.emplace_back(backend, rounds);
   banks_.assign(layout.banks.size(), ScalarBank(backend));
 }
-
-ReductionState::ReductionState(
-    const ReductionLayout& layout, AggBackend backend, std::size_t rounds,
-    std::vector<std::unique_ptr<RoundAccumulator>> accumulators,
-    std::vector<ScalarBank> banks)
-    : layout_(layout),
-      backend_(backend),
-      rounds_(rounds),
-      accumulators_(std::move(accumulators)),
-      banks_(std::move(banks)) {}
 
 ReductionState ReductionState::from_json(const ReductionLayout& layout,
                                          const util::json::Value& object,
@@ -299,41 +289,43 @@ ReductionState ReductionState::from_json(const ReductionLayout& layout,
                                          std::string_view context) {
   const auto entry = [&](std::string_view key) {
     return "partial entry \"" + std::string(context) + std::string(key) +
-           "\" ";
+           "\"";
   };
   const auto check_backend = [&](std::string_view key, AggBackend found) {
-    RS_REQUIRE(found == backend, entry(key) + "is " + to_string(found) +
+    RS_REQUIRE(found == backend, entry(key) + " is " + to_string(found) +
                                      " but its envelope is " +
                                      to_string(backend));
   };
-  std::vector<std::unique_ptr<RoundAccumulator>> accumulators;
+  // Built without entries, then read entry by entry in layout order.
+  ReductionState state(ReductionLayout{}, backend, rounds);
+  state.layout_ = layout;
   for (const std::string_view key : layout.accumulators) {
-    accumulators.push_back(accumulator_from_json(object.at(key)));
-    check_backend(key, accumulators.back()->backend());
-    RS_REQUIRE(accumulators.back()->rounds() == rounds,
-               entry(key) + "has " +
-                   std::to_string(accumulators.back()->rounds()) +
+    const RoundAccumulator& acc = state.accumulators_.emplace_back(
+        RoundAccumulator::from_json(object.at(key), entry(key)));
+    check_backend(key, acc.backend());
+    RS_REQUIRE(acc.rounds() == rounds,
+               entry(key) + " has " + std::to_string(acc.rounds()) +
                    " rounds but its envelope has " + std::to_string(rounds));
   }
-  std::vector<ScalarBank> banks;
   for (const std::string_view key : layout.banks) {
-    banks.push_back(ScalarBank::from_json(object.at(key)));
-    check_backend(key, banks.back().backend());
+    const ScalarBank& bank =
+        state.banks_.emplace_back(ScalarBank::from_json(object.at(key)));
+    check_backend(key, bank.backend());
   }
-  return ReductionState(layout, backend, rounds, std::move(accumulators),
-                        std::move(banks));
+  return state;
 }
 
 void ReductionState::merge(const ReductionState& next) {
   for (std::size_t i = 0; i < accumulators_.size(); ++i)
-    accumulators_[i]->merge(*next.accumulators_[i]);
+    accumulators_[i].merge(next.accumulators_[i]);
   for (std::size_t i = 0; i < banks_.size(); ++i)
     banks_[i].merge(next.banks_[i]);
 }
 
 std::size_t ReductionState::memory_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& acc : accumulators_) bytes += acc->memory_bytes();
+  for (const RoundAccumulator& acc : accumulators_)
+    bytes += acc.memory_bytes();
   for (const ScalarBank& bank : banks_) bytes += bank.memory_bytes();
   return bytes;
 }
@@ -341,7 +333,7 @@ std::size_t ReductionState::memory_bytes() const {
 util::json::Value ReductionState::to_json(util::json::Value head) const {
   for (std::size_t i = 0; i < accumulators_.size(); ++i)
     head.set(std::string(layout_.accumulators[i]),
-             accumulators_[i]->to_json());
+             accumulators_[i].to_json());
   for (std::size_t i = 0; i < banks_.size(); ++i)
     head.set(std::string(layout_.banks[i]), banks_[i].to_json());
   return head;

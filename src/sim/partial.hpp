@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,8 +66,8 @@ util::json::Value network_spec_echo(const NetworkConfig& config);
 
 /// Appends the reduction tail every spec echo ends with: the backend
 /// ("agg") and the streaming sketch shape ("reservoir_capacity",
-/// "p2_grid"). The shape is a constant of StreamingAccumulator; it stays
-/// in the echo so every spec hash of an earlier build still matches.
+/// "p2_grid"). The shape is a constant of RoundAccumulator; it stays in
+/// the echo so every spec hash of an earlier build still matches.
 void append_agg_echo(util::json::Value& echo, AggBackend agg);
 
 /// FNV-1a 64-bit digest of a canonical spec-echo JSON value, as a fixed-
@@ -201,8 +200,8 @@ class ReductionState {
 
   /// Reads every entry of `layout` from the members of `object`. Throws
   /// std::invalid_argument naming the entry (`context` + key) when its
-  /// backend is not `backend` or, for an accumulator, its round count is
-  /// not `rounds`.
+  /// backend is not `backend`, when an accumulator's round count is not
+  /// `rounds`, or when RoundAccumulator::from_json refuses it.
   static ReductionState from_json(const ReductionLayout& layout,
                                   const util::json::Value& object,
                                   AggBackend backend, std::size_t rounds,
@@ -212,9 +211,9 @@ class ReductionState {
   std::size_t rounds() const { return rounds_; }
 
   /// Entry i of layout.accumulators / layout.banks.
-  RoundAccumulator& accumulator(std::size_t i) { return *accumulators_[i]; }
+  RoundAccumulator& accumulator(std::size_t i) { return accumulators_[i]; }
   const RoundAccumulator& accumulator(std::size_t i) const {
-    return *accumulators_[i];
+    return accumulators_[i];
   }
   ScalarBank& bank(std::size_t i) { return banks_[i]; }
   const ScalarBank& bank(std::size_t i) const { return banks_[i]; }
@@ -230,15 +229,10 @@ class ReductionState {
       util::json::Value head = util::json::Value::object()) const;
 
  private:
-  ReductionState(const ReductionLayout& layout, AggBackend backend,
-                 std::size_t rounds,
-                 std::vector<std::unique_ptr<RoundAccumulator>> accumulators,
-                 std::vector<ScalarBank> banks);
-
   ReductionLayout layout_;
   AggBackend backend_;
   std::size_t rounds_;
-  std::vector<std::unique_ptr<RoundAccumulator>> accumulators_;
+  std::vector<RoundAccumulator> accumulators_;
   std::vector<ScalarBank> banks_;
 };
 

@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -28,7 +27,6 @@ namespace {
 
 using roleshare::sim::AggBackend;
 using roleshare::sim::RoundAccumulator;
-using roleshare::sim::make_accumulator;
 using roleshare::util::proptest::Verdict;
 namespace pgen = roleshare::util::proptest::gen;
 
@@ -86,18 +84,18 @@ PROP_TEST_WITH_PARAMS(PropPartials, ExactShardSplitIsByteIdentical, 1000) {
       matrix_and_tiling(),
       [](const std::tuple<SampleMatrix, Tiling>& t) {
         const auto& [samples, tiling] = t;
-        auto whole = make_accumulator(AggBackend::Exact, kRounds);
-        record_runs(*whole, samples, 0, kRuns);
+        RoundAccumulator whole(AggBackend::Exact, kRounds);
+        record_runs(whole, samples, 0, kRuns);
 
-        auto merged = make_accumulator(AggBackend::Exact, kRounds);
+        RoundAccumulator merged(AggBackend::Exact, kRounds);
         for (const auto& [begin, end] : tiling) {
-          auto shard = make_accumulator(AggBackend::Exact, kRounds);
-          record_runs(*shard, samples, begin, end);
-          merged->merge(*shard);
+          RoundAccumulator shard(AggBackend::Exact, kRounds);
+          record_runs(shard, samples, begin, end);
+          merged.merge(shard);
         }
 
-        const std::string a = whole->to_json().dump();
-        const std::string b = merged->to_json().dump();
+        const std::string a = whole.to_json().dump();
+        const std::string b = merged.to_json().dump();
         if (a != b)
           return Verdict{false,
                          "serialized state diverged:\n  whole:  " + a +
@@ -122,20 +120,20 @@ PROP_TEST_WITH_PARAMS(PropPartials, ExactMergeIsAssociative, 1000) {
         const std::size_t c2 = std::max(cut_a, cut_b);
         // Windows [0,c1), [c1,c2), [c2,kRuns) — middle may be empty.
         const auto shard = [&](std::size_t begin, std::size_t end) {
-          auto acc = make_accumulator(AggBackend::Exact, kRounds);
-          record_runs(*acc, samples, begin, end);
+          RoundAccumulator acc(AggBackend::Exact, kRounds);
+          record_runs(acc, samples, begin, end);
           return acc;
         };
-        auto left = shard(0, c1);
-        left->merge(*shard(c1, c2));
-        left->merge(*shard(c2, kRuns));
+        RoundAccumulator left = shard(0, c1);
+        left.merge(shard(c1, c2));
+        left.merge(shard(c2, kRuns));
 
-        auto mid = shard(c1, c2);
-        mid->merge(*shard(c2, kRuns));
-        auto right = shard(0, c1);
-        right->merge(*mid);
+        RoundAccumulator mid = shard(c1, c2);
+        mid.merge(shard(c2, kRuns));
+        RoundAccumulator right = shard(0, c1);
+        right.merge(mid);
 
-        return left->to_json().dump() == right->to_json().dump();
+        return left.to_json().dump() == right.to_json().dump();
       });
 }
 
@@ -148,18 +146,18 @@ PROP_TEST_WITH_PARAMS(PropPartials, StreamingShardMeansMatchExact, 1000) {
       matrix_and_tiling(),
       [](const std::tuple<SampleMatrix, Tiling>& t) {
         const auto& [samples, tiling] = t;
-        auto exact = make_accumulator(AggBackend::Exact, kRounds);
-        record_runs(*exact, samples, 0, kRuns);
+        RoundAccumulator exact(AggBackend::Exact, kRounds);
+        record_runs(exact, samples, 0, kRuns);
 
-        auto merged = make_accumulator(AggBackend::Streaming, kRounds);
+        RoundAccumulator merged(AggBackend::Streaming, kRounds);
         for (const auto& [begin, end] : tiling) {
-          auto shard = make_accumulator(AggBackend::Streaming, kRounds);
-          record_runs(*shard, samples, begin, end);
-          merged->merge(*shard);
+          RoundAccumulator shard(AggBackend::Streaming, kRounds);
+          record_runs(shard, samples, begin, end);
+          merged.merge(shard);
         }
 
-        const std::vector<double> want = exact->mean_series();
-        const std::vector<double> got = merged->mean_series();
+        const std::vector<double> want = exact.mean_series();
+        const std::vector<double> got = merged.mean_series();
         if (want.size() != got.size())
           return Verdict{false, "series length mismatch"};
         for (std::size_t i = 0; i < want.size(); ++i) {
@@ -191,16 +189,16 @@ PROP_TEST_WITH_PARAMS(PropPartials, EmptyRoundsReduceToNaN, 500) {
       [](const std::tuple<SampleMatrix, std::size_t, bool>& t) {
         auto [samples, hole, streaming] = t;
         for (auto& run : samples) run[hole].clear();
-        auto acc = make_accumulator(
+        RoundAccumulator acc(
             streaming ? AggBackend::Streaming : AggBackend::Exact, kRounds);
-        record_runs(*acc, samples, 0, kRuns);
-        if (!acc->empty_round(hole))
+        record_runs(acc, samples, 0, kRuns);
+        if (!acc.empty_round(hole))
           return Verdict{false, "cleared round not reported empty"};
-        if (!std::isnan(acc->mean_series()[hole]))
+        if (!std::isnan(acc.mean_series()[hole]))
           return Verdict{false, "mean of an empty round is not NaN"};
-        if (!std::isnan(acc->trimmed_mean_series(0.2)[hole]))
+        if (!std::isnan(acc.trimmed_mean_series(0.2)[hole]))
           return Verdict{false, "trimmed mean of an empty round is not NaN"};
-        if (!std::isnan(acc->percentile_series(50.0)[hole]))
+        if (!std::isnan(acc.percentile_series(50.0)[hole]))
           return Verdict{false, "median of an empty round is not NaN"};
         return Verdict{};
       });
@@ -213,16 +211,15 @@ PROP_TEST_WITH_PARAMS(PropPartials, AccumulatorJsonRoundTrips, 500) {
       pgen::tuple_of(sample_matrix(kRuns, kRounds), pgen::boolean()),
       [](const std::tuple<SampleMatrix, bool>& t) {
         const auto& [samples, streaming] = t;
-        auto acc = make_accumulator(
+        RoundAccumulator acc(
             streaming ? AggBackend::Streaming : AggBackend::Exact, kRounds);
-        record_runs(*acc, samples, 0, kRuns);
-        const std::string text = acc->to_json().dump();
-        const std::unique_ptr<RoundAccumulator> back =
-            roleshare::sim::accumulator_from_json(
-                roleshare::util::json::parse(text));
-        if (back->backend() != acc->backend())
+        record_runs(acc, samples, 0, kRuns);
+        const std::string text = acc.to_json().dump();
+        const RoundAccumulator back =
+            RoundAccumulator::from_json(roleshare::util::json::parse(text));
+        if (back.backend() != acc.backend())
           return Verdict{false, "backend changed across round-trip"};
-        const std::string again = back->to_json().dump();
+        const std::string again = back.to_json().dump();
         if (again != text)
           return Verdict{false, "serialization not a fixpoint:\n  " + text +
                                     "\n  " + again};

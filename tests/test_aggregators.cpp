@@ -1,4 +1,4 @@
-// The mergeable accumulator layer: exact-vs-streaming agreement, merge
+// The mergeable per-round reduction: exact-vs-streaming agreement, merge
 // diagnostics, JSON round-trips, O(rounds) memory, and the sharded
 // defection-experiment workflow's bit-identity guarantee.
 #include "sim/aggregators.hpp"
@@ -6,7 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/hash.hpp"
@@ -14,6 +15,7 @@
 #include "sim/defection_experiment.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace roleshare::sim {
 namespace {
@@ -29,39 +31,60 @@ TEST(AggBackend, NamesRoundTrip) {
   EXPECT_THROW(parse_agg_backend("columnar"), std::invalid_argument);
 }
 
-TEST(ExactAccumulator, MatchesPerRoundSamplesBitwise) {
+TEST(RoundAccumulator, ExactSeriesAreTheStatsOfEachRound) {
+  // The exact backend reduces each round's samples, in record order,
+  // with util::stats: the paper's trimmed mean, the mean, percentiles.
   util::Rng rng(3);
-  PerRoundSamples reference(4);
-  const auto acc = make_accumulator(AggBackend::Exact, 4);
+  RoundAccumulator acc(AggBackend::Exact, 4);
+  std::vector<std::vector<double>> rows(4);
   for (std::size_t run = 0; run < 40; ++run) {
     for (std::size_t r = 0; r < 4; ++r) {
       const double x = rng.normal(50.0, 20.0);
-      reference.record(r, x);
-      acc->record(r, x);
+      rows[r].push_back(x);
+      acc.record(r, x);
     }
   }
-  EXPECT_EQ(acc->trimmed_mean_series(0.2), reference.trimmed_mean_series(0.2));
-  EXPECT_EQ(acc->mean_series(), reference.mean_series());
-  EXPECT_EQ(acc->percentile_series(75.0), reference.percentile_series(75.0));
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(acc.count(r), 40u);
+    EXPECT_EQ(acc.trimmed_mean_series(0.2)[r],
+              util::trimmed_mean(rows[r], 0.2));
+    EXPECT_EQ(acc.mean_series()[r], util::mean(rows[r]));
+    EXPECT_EQ(acc.percentile_series(75.0)[r], util::percentile(rows[r], 75.0));
+  }
 }
 
-TEST(PerRoundSamples, MergeMismatchNamesBothRoundCounts) {
-  PerRoundSamples a(2), b(3);
-  try {
-    a.merge(b);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("this has 2 rounds"), std::string::npos) << what;
-    EXPECT_NE(what.find("other has 3"), std::string::npos) << what;
+TEST(RoundAccumulator, BoundsChecked) {
+  for (const AggBackend backend : {AggBackend::Exact, AggBackend::Streaming}) {
+    RoundAccumulator acc(backend, 2);
+    EXPECT_THROW(acc.record(2, 1.0), std::invalid_argument)
+        << to_string(backend);
+    EXPECT_THROW(static_cast<void>(acc.count(5)), std::invalid_argument)
+        << to_string(backend);
+    EXPECT_THROW(RoundAccumulator(backend, 0), std::invalid_argument)
+        << to_string(backend);
+  }
+}
+
+TEST(RoundAccumulator, MergeMismatchNamesBothRoundCounts) {
+  for (const AggBackend backend : {AggBackend::Exact, AggBackend::Streaming}) {
+    RoundAccumulator a(backend, 2);
+    const RoundAccumulator b(backend, 3);
+    try {
+      a.merge(b);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("this has 2 rounds"), std::string::npos) << what;
+      EXPECT_NE(what.find("other has 3"), std::string::npos) << what;
+    }
   }
 }
 
 TEST(RoundAccumulator, MergeRejectsBackendMismatchNamingBoth) {
-  const auto exact = make_accumulator(AggBackend::Exact, 2);
-  const auto streaming = make_accumulator(AggBackend::Streaming, 2);
+  RoundAccumulator exact(AggBackend::Exact, 2);
+  const RoundAccumulator streaming(AggBackend::Streaming, 2);
   try {
-    exact->merge(*streaming);
+    exact.merge(streaming);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -70,19 +93,76 @@ TEST(RoundAccumulator, MergeRejectsBackendMismatchNamingBoth) {
   }
 }
 
+/// An exact accumulator's sample matrix as its document writes it.
+std::vector<std::vector<double>> exact_rows(const RoundAccumulator& acc) {
+  const util::json::Value doc = acc.to_json();
+  std::vector<std::vector<double>> rows;
+  for (const util::json::Value& row : doc.at("samples").as_array()) {
+    rows.emplace_back();
+    for (const util::json::Value& x : row.as_array())
+      rows.back().push_back(x.as_number());
+  }
+  return rows;
+}
+
+TEST(RoundAccumulator, ExactMergePreservesInsertionOrder) {
+  // The load-bearing exact-backend property: a merge appends the other
+  // side's samples after this side's, round by round, so merging run
+  // windows in window order rebuilds the serial matrix.
+  RoundAccumulator a(AggBackend::Exact, 2), b(AggBackend::Exact, 2);
+  a.record(0, 1.0);
+  a.record(1, 2.0);
+  b.record(0, 3.0);
+  a.merge(b);
+  EXPECT_EQ(a.count(0), 2u);
+  EXPECT_EQ(a.count(1), 1u);
+  EXPECT_EQ(exact_rows(a),
+            (std::vector<std::vector<double>>{{1.0, 3.0}, {2.0}}));
+}
+
+TEST(RoundAccumulator, MergeWithAsymmetricPerRoundCounts) {
+  // Runs of different lengths: the left operand recorded rounds {0, 1},
+  // the right only round 1 plus extra samples for round 2 the left never
+  // saw. Merge must append per round without requiring equal counts.
+  for (const AggBackend backend : {AggBackend::Exact, AggBackend::Streaming}) {
+    RoundAccumulator a(backend, 3), b(backend, 3);
+    a.record(0, 1.0);
+    a.record(1, 2.0);
+    b.record(1, 4.0);
+    b.record(2, 8.0);
+    b.record(2, 16.0);
+    a.merge(b);
+    EXPECT_EQ(a.count(0), 1u);
+    EXPECT_EQ(a.count(1), 2u);
+    EXPECT_EQ(a.count(2), 2u);
+    // The merged state reduces normally; no round is empty here.
+    const auto means = a.mean_series();
+    EXPECT_DOUBLE_EQ(means[0], 1.0) << to_string(backend);
+    EXPECT_DOUBLE_EQ(means[1], 3.0) << to_string(backend);
+    EXPECT_DOUBLE_EQ(means[2], 12.0) << to_string(backend);
+  }
+  RoundAccumulator a(AggBackend::Exact, 3), b(AggBackend::Exact, 3);
+  a.record(1, 2.0);
+  b.record(1, 4.0);
+  b.record(2, 8.0);
+  a.merge(b);
+  EXPECT_EQ(exact_rows(a),
+            (std::vector<std::vector<double>>{{}, {2.0, 4.0}, {8.0}}));
+}
+
 TEST(RoundAccumulator, EmptyRoundsReduceToNaNUnderBothBackends) {
   // The churn-emptied-cohort convention must hold identically for both
   // backends: quiet NaN, never a throw or a fabricated 0.0.
   for (const AggBackend backend : {AggBackend::Exact, AggBackend::Streaming}) {
-    const auto acc = make_accumulator(backend, 3);
-    acc->record(0, 5.0);
-    acc->record(2, 7.0);
-    EXPECT_TRUE(acc->empty_round(1));
-    EXPECT_FALSE(acc->empty_round(0));
+    RoundAccumulator acc(backend, 3);
+    acc.record(0, 5.0);
+    acc.record(2, 7.0);
+    EXPECT_TRUE(acc.empty_round(1));
+    EXPECT_FALSE(acc.empty_round(0));
     for (const auto& series :
-         {acc->trimmed_mean_series(0.2), acc->mean_series(),
-          acc->percentile_series(50.0), acc->percentile_series(0.0),
-          acc->percentile_series(100.0)}) {
+         {acc.trimmed_mean_series(0.2), acc.mean_series(),
+          acc.percentile_series(50.0), acc.percentile_series(0.0),
+          acc.percentile_series(100.0)}) {
       ASSERT_EQ(series.size(), 3u);
       EXPECT_EQ(series[0], 5.0) << to_string(backend);
       EXPECT_TRUE(std::isnan(series[1])) << to_string(backend);
@@ -91,104 +171,138 @@ TEST(RoundAccumulator, EmptyRoundsReduceToNaNUnderBothBackends) {
   }
 }
 
-TEST(StreamingAccumulator, ExactWhileRunsFitTheReservoir) {
+TEST(RoundAccumulator, StreamingExactWhileRunsFitTheReservoir) {
   // At or below the reservoir capacity, the streaming backend IS exact
   // (the paper's default 100-run sweeps under the default capacity 256).
   util::Rng rng(9);
-  const auto exact = make_accumulator(AggBackend::Exact, 3);
-  const auto streaming = make_accumulator(AggBackend::Streaming, 3);
+  RoundAccumulator exact(AggBackend::Exact, 3);
+  RoundAccumulator streaming(AggBackend::Streaming, 3);
   for (std::size_t run = 0; run < 100; ++run) {
     for (std::size_t r = 0; r < 3; ++r) {
       const double x = rng.uniform_real(0.0, 100.0);
-      exact->record(r, x);
-      streaming->record(r, x);
+      exact.record(r, x);
+      streaming.record(r, x);
     }
   }
-  EXPECT_EQ(streaming->trimmed_mean_series(0.2),
-            exact->trimmed_mean_series(0.2));
-  EXPECT_EQ(streaming->percentile_series(90.0),
-            exact->percentile_series(90.0));
+  EXPECT_EQ(streaming.trimmed_mean_series(0.2),
+            exact.trimmed_mean_series(0.2));
+  EXPECT_EQ(streaming.percentile_series(90.0), exact.percentile_series(90.0));
   for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_NEAR(streaming->mean_series()[r], exact->mean_series()[r], 1e-9);
-    EXPECT_EQ(streaming->count(r), exact->count(r));
+    EXPECT_NEAR(streaming.mean_series()[r], exact.mean_series()[r], 1e-9);
+    EXPECT_EQ(streaming.count(r), exact.count(r));
   }
 }
 
-TEST(StreamingAccumulator, ErrorBoundVsExactBeyondCapacity) {
+TEST(RoundAccumulator, StreamingErrorBoundVsExactBeyondCapacity) {
   // The documented error bound: 20k samples/round vs capacity 256. The
   // trimmed mean / median come from the reservoir (rank SE ~
   // sqrt(p(1-p)/256) -> a few percent of sigma), on-grid percentiles
   // from P². Mean / min / max stay exact (RunningStats).
   util::Rng rng(17);
-  const auto exact = make_accumulator(AggBackend::Exact, 2);
-  const auto streaming = make_accumulator(AggBackend::Streaming, 2);
+  RoundAccumulator exact(AggBackend::Exact, 2);
+  RoundAccumulator streaming(AggBackend::Streaming, 2);
   for (std::size_t run = 0; run < 20'000; ++run) {
     for (std::size_t r = 0; r < 2; ++r) {
       const double x = rng.normal(100.0, 15.0);
-      exact->record(r, x);
-      streaming->record(r, x);
+      exact.record(r, x);
+      streaming.record(r, x);
     }
   }
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_NEAR(streaming->mean_series()[r], exact->mean_series()[r], 1e-9);
-    EXPECT_NEAR(streaming->trimmed_mean_series(0.2)[r],
-                exact->trimmed_mean_series(0.2)[r], 4.0);  // ~0.25 sigma
-    EXPECT_NEAR(streaming->percentile_series(50.0)[r],
-                exact->percentile_series(50.0)[r], 2.0);  // P² grid
-    EXPECT_NEAR(streaming->percentile_series(95.0)[r],
-                exact->percentile_series(95.0)[r], 3.0);
-    EXPECT_EQ(streaming->percentile_series(0.0)[r],
-              exact->percentile_series(0.0)[r]);  // min: exact
-    EXPECT_EQ(streaming->percentile_series(100.0)[r],
-              exact->percentile_series(100.0)[r]);  // max: exact
+    EXPECT_NEAR(streaming.mean_series()[r], exact.mean_series()[r], 1e-9);
+    EXPECT_NEAR(streaming.trimmed_mean_series(0.2)[r],
+                exact.trimmed_mean_series(0.2)[r], 4.0);  // ~0.25 sigma
+    EXPECT_NEAR(streaming.percentile_series(50.0)[r],
+                exact.percentile_series(50.0)[r], 2.0);  // P² grid
+    EXPECT_NEAR(streaming.percentile_series(95.0)[r],
+                exact.percentile_series(95.0)[r], 3.0);
+    EXPECT_EQ(streaming.percentile_series(0.0)[r],
+              exact.percentile_series(0.0)[r]);  // min: exact
+    EXPECT_EQ(streaming.percentile_series(100.0)[r],
+              exact.percentile_series(100.0)[r]);  // max: exact
   }
 }
 
-TEST(StreamingAccumulator, MemoryIndependentOfRunCount) {
-  const auto small = make_accumulator(AggBackend::Streaming, 5);
-  const auto large = make_accumulator(AggBackend::Streaming, 5);
-  const auto exact_small = make_accumulator(AggBackend::Exact, 5);
-  const auto exact_large = make_accumulator(AggBackend::Exact, 5);
+TEST(RoundAccumulator, StreamingMemoryIndependentOfRunCount) {
+  RoundAccumulator small(AggBackend::Streaming, 5);
+  RoundAccumulator large(AggBackend::Streaming, 5);
+  RoundAccumulator exact_small(AggBackend::Exact, 5);
+  RoundAccumulator exact_large(AggBackend::Exact, 5);
   util::Rng rng(23);
   for (std::size_t run = 0; run < 100; ++run)
     for (std::size_t r = 0; r < 5; ++r) {
       const double x = rng.uniform01();
-      small->record(r, x);
-      exact_small->record(r, x);
+      small.record(r, x);
+      exact_small.record(r, x);
     }
   for (std::size_t run = 0; run < 50'000; ++run)
     for (std::size_t r = 0; r < 5; ++r) {
       const double x = rng.uniform01();
-      large->record(r, x);
-      exact_large->record(r, x);
+      large.record(r, x);
+      exact_large.record(r, x);
     }
   // O(rounds): 500x the runs, identical streaming footprint.
-  EXPECT_EQ(large->memory_bytes(), small->memory_bytes());
+  EXPECT_EQ(large.memory_bytes(), small.memory_bytes());
   // The exact matrix grows roughly linearly instead.
-  EXPECT_GT(exact_large->memory_bytes(), exact_small->memory_bytes() * 100);
+  EXPECT_GT(exact_large.memory_bytes(), exact_small.memory_bytes() * 100);
   // And at this scale streaming is far below exact.
-  EXPECT_LT(large->memory_bytes() * 10, exact_large->memory_bytes());
+  EXPECT_LT(large.memory_bytes() * 10, exact_large.memory_bytes());
 }
 
 TEST(RoundAccumulator, JsonRoundTripIsExactForBothBackends) {
   util::Rng rng(31);
   for (const AggBackend backend : {AggBackend::Exact, AggBackend::Streaming}) {
-    const auto acc = make_accumulator(backend, 3);
+    RoundAccumulator acc(backend, 3);
     for (std::size_t run = 0; run < 700; ++run)
       for (std::size_t r = 0; r < 3; ++r)
-        acc->record(r, rng.normal(0.0, 1.0));
-    const auto restored = accumulator_from_json(
-        util::json::parse(acc->to_json().dump()));
-    EXPECT_EQ(restored->backend(), backend);
-    EXPECT_EQ(restored->rounds(), acc->rounds());
+        acc.record(r, rng.normal(0.0, 1.0));
+    const RoundAccumulator restored = RoundAccumulator::from_json(
+        util::json::parse(acc.to_json().dump()));
+    EXPECT_EQ(restored.backend(), backend);
+    EXPECT_EQ(restored.rounds(), acc.rounds());
     // Every series reproduces bit for bit after the %.17g round-trip.
-    EXPECT_EQ(restored->trimmed_mean_series(0.2),
-              acc->trimmed_mean_series(0.2));
-    EXPECT_EQ(restored->mean_series(), acc->mean_series());
-    EXPECT_EQ(restored->percentile_series(50.0),
-              acc->percentile_series(50.0));
-    EXPECT_EQ(restored->percentile_series(33.0),
-              acc->percentile_series(33.0));
+    EXPECT_EQ(restored.trimmed_mean_series(0.2),
+              acc.trimmed_mean_series(0.2));
+    EXPECT_EQ(restored.mean_series(), acc.mean_series());
+    EXPECT_EQ(restored.percentile_series(50.0), acc.percentile_series(50.0));
+    EXPECT_EQ(restored.percentile_series(33.0), acc.percentile_series(33.0));
+  }
+}
+
+TEST(RoundAccumulator, StreamingSketchShapeIsCheckedOnRead) {
+  // Capacity and grid are constants; every document still carries them,
+  // and a read refuses one that differs, naming the entry, instead of
+  // merging it into a partial of the real shape.
+  RoundAccumulator acc(AggBackend::Streaming, 2);
+  acc.record(0, 1.0);
+  const util::json::Value doc = acc.to_json();
+  EXPECT_EQ(doc.at("reservoir_capacity").as_size(),
+            RoundAccumulator::kReservoirCapacity);
+  const auto with_member = [&](std::string_view key, util::json::Value v) {
+    util::json::Value out = util::json::Value::object();
+    for (const auto& [k, member] : doc.as_object())
+      out.set(k, k == key ? v : member);
+    return out;
+  };
+
+  const util::json::Value capacity =
+      with_member("reservoir_capacity", util::json::Value(128));
+  util::json::Value other_grid = util::json::Value::array();
+  for (const double q : {5.0, 25.0, 50.0, 75.0, 99.0}) other_grid.push_back(q);
+  const util::json::Value grid = with_member("p2_grid", other_grid);
+  for (const auto& [bad, what] :
+       {std::pair{capacity, "reservoir capacity 128"},
+        std::pair{grid, "P2 grid [5,25,50,75,99]"}}) {
+    try {
+      RoundAccumulator::from_json(bad, "partial entry \"metrics.none\"");
+      ADD_FAILURE() << what << " loaded";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("partial entry \"metrics.none\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+    }
   }
 }
 
@@ -200,32 +314,29 @@ TEST(RoundAccumulator, ShardedMergeEqualsSingleFeed) {
   for (std::size_t i = 0; i < 6'000; ++i) stream.push_back(rng.normal(10, 2));
 
   for (const AggBackend backend : {AggBackend::Exact, AggBackend::Streaming}) {
-    const auto whole = make_accumulator(backend, 2);
-    const auto left = make_accumulator(backend, 2);
-    const auto right = make_accumulator(backend, 2);
+    RoundAccumulator whole(backend, 2), left(backend, 2), right(backend, 2);
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::size_t r = i % 2;
-      whole->record(r, stream[i]);
-      (i < stream.size() / 2 ? *left : *right).record(r, stream[i]);
+      whole.record(r, stream[i]);
+      (i < stream.size() / 2 ? left : right).record(r, stream[i]);
     }
-    left->merge(*right);
+    left.merge(right);
     for (std::size_t r = 0; r < 2; ++r)
-      EXPECT_EQ(left->count(r), whole->count(r));
+      EXPECT_EQ(left.count(r), whole.count(r));
     if (backend == AggBackend::Exact) {
-      EXPECT_EQ(left->trimmed_mean_series(0.2),
-                whole->trimmed_mean_series(0.2));
-      EXPECT_EQ(left->percentile_series(25.0),
-                whole->percentile_series(25.0));
-      EXPECT_EQ(left->mean_series(), whole->mean_series());
+      EXPECT_EQ(left.trimmed_mean_series(0.2),
+                whole.trimmed_mean_series(0.2));
+      EXPECT_EQ(left.percentile_series(25.0), whole.percentile_series(25.0));
+      EXPECT_EQ(left.mean_series(), whole.mean_series());
     } else {
       for (std::size_t r = 0; r < 2; ++r) {
-        EXPECT_NEAR(left->mean_series()[r], whole->mean_series()[r], 1e-9);
-        EXPECT_EQ(left->percentile_series(0.0)[r],
-                  whole->percentile_series(0.0)[r]);
-        EXPECT_NEAR(left->trimmed_mean_series(0.2)[r],
-                    whole->trimmed_mean_series(0.2)[r], 0.5);
-        EXPECT_NEAR(left->percentile_series(50.0)[r],
-                    whole->percentile_series(50.0)[r], 0.5);
+        EXPECT_NEAR(left.mean_series()[r], whole.mean_series()[r], 1e-9);
+        EXPECT_EQ(left.percentile_series(0.0)[r],
+                  whole.percentile_series(0.0)[r]);
+        EXPECT_NEAR(left.trimmed_mean_series(0.2)[r],
+                    whole.trimmed_mean_series(0.2)[r], 0.5);
+        EXPECT_NEAR(left.percentile_series(50.0)[r],
+                    whole.percentile_series(50.0)[r], 0.5);
       }
     }
   }
@@ -238,20 +349,20 @@ TEST(RoundAccumulator, JsonPastReservoirCapacityIsPinned) {
   // reservoir merge and clears p2_live. The two-run goldens reach none
   // of these.
   util::Rng rng(29);
-  const auto exact = make_accumulator(AggBackend::Exact, 3);
-  const auto streaming = make_accumulator(AggBackend::Streaming, 3);
-  const auto left = make_accumulator(AggBackend::Streaming, 3);
-  const auto right = make_accumulator(AggBackend::Streaming, 3);
+  RoundAccumulator exact(AggBackend::Exact, 3);
+  RoundAccumulator streaming(AggBackend::Streaming, 3);
+  RoundAccumulator left(AggBackend::Streaming, 3);
+  RoundAccumulator right(AggBackend::Streaming, 3);
   for (std::size_t run = 0; run < 600; ++run) {
     for (std::size_t r = 0; r < 3; ++r) {
       const double x = rng.normal(50.0, 20.0);
-      exact->record(r, x);
-      streaming->record(r, x);
-      (run < 300 ? *left : *right).record(r, x);
+      exact.record(r, x);
+      streaming.record(r, x);
+      (run < 300 ? left : right).record(r, x);
     }
   }
-  left->merge(*right);
-  const util::json::Value merged = left->to_json();
+  left.merge(right);
+  const util::json::Value merged = left.to_json();
   const util::json::Value& round0 = merged.at("round_stats").as_array()[0];
   EXPECT_GT(round0.at("rng_draws").as_size(), 0u);
   EXPECT_FALSE(round0.at("p2_live").as_bool());
@@ -259,11 +370,11 @@ TEST(RoundAccumulator, JsonPastReservoirCapacityIsPinned) {
   const auto digest = [](const RoundAccumulator& acc) {
     return crypto::Hash256(crypto::sha256(acc.to_json().dump())).to_hex();
   };
-  EXPECT_EQ(digest(*exact),
+  EXPECT_EQ(digest(exact),
             "92d8833f7a2ece5a1202d392d2ebb52a1eda4d048ce4212bbf4d93d44b4e80f2");
-  EXPECT_EQ(digest(*streaming),
+  EXPECT_EQ(digest(streaming),
             "9ffe69bcfa387734303a8115cb88d27cc4adca67a67c91dd212844551636c992");
-  EXPECT_EQ(digest(*left),
+  EXPECT_EQ(digest(left),
             "60b9b00460c1ebea4d4525fe5059a6b6cd7ab726694d98e0c7d6e7d06d5f195c");
 }
 

@@ -223,79 +223,6 @@ TEST(ExperimentRunner, StrategicEnsembleBitIdenticalAcrossThreadCounts) {
             parallel.mean_total_reward_algos);
 }
 
-TEST(OutcomeMetrics, MergeMatchesDirectRecording) {
-  OutcomeMetrics direct(2), left(2), right(2);
-  direct.record(0, 80.0, 15.0, 5.0);
-  direct.record(0, 60.0, 30.0, 10.0);
-  direct.record(1, 90.0, 10.0, 0.0);
-  left.record(0, 80.0, 15.0, 5.0);
-  right.record(0, 60.0, 30.0, 10.0);
-  right.record(1, 90.0, 10.0, 0.0);
-  left.merge(right);
-  EXPECT_EQ(left.runs_recorded(0), direct.runs_recorded(0));
-  const auto a = direct.aggregate(0.0);
-  const auto b = left.aggregate(0.0);
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    EXPECT_EQ(a[r].final_pct, b[r].final_pct);
-    EXPECT_EQ(a[r].tentative_pct, b[r].tentative_pct);
-    EXPECT_EQ(a[r].none_pct, b[r].none_pct);
-  }
-}
-
-TEST(PerRoundSamples, MergePreservesInsertionOrder) {
-  PerRoundSamples a(2), b(2);
-  a.record(0, 1.0);
-  a.record(1, 2.0);
-  b.record(0, 3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(0), 2u);
-  EXPECT_EQ(a.samples(0), (std::vector<double>{1.0, 3.0}));
-  EXPECT_EQ(a.count(1), 1u);
-  PerRoundSamples mismatched(3);
-  EXPECT_THROW(a.merge(mismatched), std::invalid_argument);
-}
-
-TEST(PerRoundSamples, MergeWithAsymmetricPerRoundCounts) {
-  // Runs of different lengths: the left operand recorded rounds {0, 1},
-  // the right only round 1 plus extra samples for round 2 the left never
-  // saw. Merge must append per round without requiring equal counts.
-  PerRoundSamples a(3), b(3);
-  a.record(0, 1.0);
-  a.record(1, 2.0);
-  b.record(1, 4.0);
-  b.record(2, 8.0);
-  b.record(2, 16.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(0), 1u);
-  EXPECT_EQ(a.count(1), 2u);
-  EXPECT_EQ(a.count(2), 2u);
-  EXPECT_EQ(a.samples(1), (std::vector<double>{2.0, 4.0}));
-  EXPECT_EQ(a.samples(2), (std::vector<double>{8.0, 16.0}));
-  // The merged matrix reduces normally; no round is empty here.
-  const auto means = a.mean_series();
-  EXPECT_DOUBLE_EQ(means[0], 1.0);
-  EXPECT_DOUBLE_EQ(means[1], 3.0);
-  EXPECT_DOUBLE_EQ(means[2], 12.0);
-}
-
-TEST(PerRoundSamples, EmptyRoundsReduceToNaNDeterministically) {
-  // A round with zero samples (churn emptying a cohort) must yield quiet
-  // NaN in every series — never UB, a throw, or a fabricated 0.0.
-  PerRoundSamples samples(3);
-  samples.record(0, 5.0);
-  samples.record(2, 7.0);
-  EXPECT_TRUE(samples.empty_round(1));
-  EXPECT_FALSE(samples.empty_round(0));
-  for (const auto& series :
-       {samples.trimmed_mean_series(0.2), samples.mean_series(),
-        samples.percentile_series(50.0)}) {
-    ASSERT_EQ(series.size(), 3u);
-    EXPECT_EQ(series[0], 5.0);
-    EXPECT_TRUE(std::isnan(series[1]));
-    EXPECT_EQ(series[2], 7.0);
-  }
-}
-
 TEST(ResolveParallelism, OuterClampedToRunCount) {
   // A single-run workload must not let the outer level block inner
   // parallelism (the round_latency shape), and more generally outer can

@@ -1,36 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "sim/defection_experiment.hpp"
-#include "sim/metrics.hpp"
 #include "sim/reward_experiment.hpp"
 
 namespace roleshare::sim {
 namespace {
-
-TEST(OutcomeMetrics, AggregatesTrimmedMeans) {
-  OutcomeMetrics metrics(2);
-  RoundResult r;
-  r.final_fraction = 1.0;
-  r.tentative_fraction = 0.0;
-  r.none_fraction = 0.0;
-  metrics.record(0, r);
-  r.final_fraction = 0.5;
-  r.tentative_fraction = 0.25;
-  r.none_fraction = 0.25;
-  metrics.record(0, r);
-  EXPECT_EQ(metrics.runs_recorded(0), 2u);
-  EXPECT_EQ(metrics.runs_recorded(1), 0u);
-  const auto agg = metrics.aggregate(0.0);
-  EXPECT_NEAR(agg[0].final_pct, 75.0, 1e-9);
-  EXPECT_NEAR(agg[0].tentative_pct, 12.5, 1e-9);
-}
-
-TEST(OutcomeMetrics, BoundsChecked) {
-  OutcomeMetrics metrics(2);
-  RoundResult r;
-  EXPECT_THROW(metrics.record(5, r), std::invalid_argument);
-  EXPECT_THROW(OutcomeMetrics(0), std::invalid_argument);
-}
 
 TEST(DefectionExperiment, ZeroDefectionStaysHealthy) {
   DefectionExperimentConfig config;
