@@ -168,67 +168,55 @@ Value decode_tree(framed::Reader& r,
   }
 }
 
-class JsonCodec final : public PartialCodec {
- public:
-  std::string encode(const Value& doc) const override {
-    return doc.dump() + "\n";
+std::string encode_binary(const Value& doc) {
+  // Columns go first so the reader resolves references in file order;
+  // the second walk assigns indices in the same DFS order the first walk
+  // hoisted them.
+  std::vector<std::vector<double>> columns;
+  collect_columns(doc, columns);
+
+  framed::Writer w(kBinaryMagic, kBinaryVersion);
+  w.begin_section("columns");
+  w.put_u32(static_cast<std::uint32_t>(columns.size()));
+  for (const std::vector<double>& column : columns) w.put_f64_column(column);
+  w.end_section();
+  w.begin_section("tree");
+  std::size_t column_cursor = 0;
+  encode_tree(doc, w, column_cursor);
+  RS_REQUIRE(column_cursor == columns.size(),
+             "partial_codec: column passes disagree — encoder bug");
+  w.end_section();
+  return w.finish();
+}
+
+Value decode_binary(std::string_view bytes, std::string_view origin) {
+  framed::Reader r(bytes, kBinaryMagic, kBinaryVersion, std::string(origin));
+  r.begin_section("columns");
+  const std::uint32_t column_count = r.get_u32();
+  std::vector<std::vector<double>> columns;
+  columns.reserve(column_count);
+  for (std::uint32_t i = 0; i < column_count; ++i)
+    columns.push_back(r.get_f64_column());
+  r.end_section();
+  r.begin_section("tree");
+  Value doc = decode_tree(r, columns, 0);
+  r.end_section();
+  r.finish();
+  return doc;
+}
+
+Value decode_json(std::string_view bytes, std::string_view origin) {
+  try {
+    return util::json::parse(bytes);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(origin) + ": " + e.what());
   }
+}
 
-  Value decode(std::string_view bytes,
-               std::string_view origin) const override {
-    try {
-      return util::json::parse(bytes);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string(origin) + ": " + e.what());
-    }
-  }
-};
-
-class BinaryCodec final : public PartialCodec {
- public:
-  std::string encode(const Value& doc) const override {
-    // Columns go first so the reader resolves references in file order;
-    // the second walk assigns indices in the same DFS order the first
-    // walk hoisted them.
-    std::vector<std::vector<double>> columns;
-    collect_columns(doc, columns);
-
-    framed::Writer w(kBinaryMagic, kBinaryVersion);
-    w.begin_section("columns");
-    w.put_u32(static_cast<std::uint32_t>(columns.size()));
-    for (const std::vector<double>& column : columns)
-      w.put_f64_column(column);
-    w.end_section();
-    w.begin_section("tree");
-    std::size_t column_cursor = 0;
-    encode_tree(doc, w, column_cursor);
-    RS_REQUIRE(column_cursor == columns.size(),
-               "partial_codec: column passes disagree — encoder bug");
-    w.end_section();
-    return w.finish();
-  }
-
-  Value decode(std::string_view bytes,
-               std::string_view origin) const override {
-    framed::Reader r(bytes, kBinaryMagic, kBinaryVersion,
-                     std::string(origin));
-    r.begin_section("columns");
-    const std::uint32_t column_count = r.get_u32();
-    std::vector<std::vector<double>> columns;
-    columns.reserve(column_count);
-    for (std::uint32_t i = 0; i < column_count; ++i)
-      columns.push_back(r.get_f64_column());
-    r.end_section();
-    r.begin_section("tree");
-    Value doc = decode_tree(r, columns, 0);
-    r.end_section();
-    r.finish();
-    return doc;
-  }
-};
-
-const JsonCodec kJsonCodec;
-const BinaryCodec kBinaryCodec;
+[[noreturn]] void unknown_format(PartialFormat format) {
+  throw std::invalid_argument("unknown PartialFormat value " +
+                              std::to_string(static_cast<int>(format)));
+}
 
 }  // namespace
 
@@ -239,19 +227,32 @@ const char* to_string(PartialFormat format) {
     case PartialFormat::Binary:
       return "bin";
   }
-  throw std::invalid_argument("unknown PartialFormat value " +
-                              std::to_string(static_cast<int>(format)));
+  unknown_format(format);
 }
 
-const PartialCodec& partial_codec(PartialFormat format) {
-  switch (format) {
+PartialCodec::PartialCodec(PartialFormat format) : format_(format) {
+  to_string(format);  // refuses a value outside the enum
+}
+
+std::string PartialCodec::encode(const Value& doc) const {
+  switch (format_) {
     case PartialFormat::Json:
-      return kJsonCodec;
+      return doc.dump() + "\n";
     case PartialFormat::Binary:
-      return kBinaryCodec;
+      return encode_binary(doc);
   }
-  throw std::invalid_argument("unknown PartialFormat value " +
-                              std::to_string(static_cast<int>(format)));
+  unknown_format(format_);
+}
+
+Value PartialCodec::decode(std::string_view bytes,
+                           std::string_view origin) const {
+  switch (format_) {
+    case PartialFormat::Json:
+      return decode_json(bytes, origin);
+    case PartialFormat::Binary:
+      return decode_binary(bytes, origin);
+  }
+  unknown_format(format_);
 }
 
 PartialFormat detect_partial_format(std::string_view bytes,
@@ -271,8 +272,8 @@ PartialFormat detect_partial_format(std::string_view bytes,
 
 util::json::Value decode_partial_document(std::string_view bytes,
                                           std::string_view origin) {
-  const PartialFormat format = detect_partial_format(bytes, origin);
-  return partial_codec(format).decode(bytes, origin);
+  return PartialCodec(detect_partial_format(bytes, origin))
+      .decode(bytes, origin);
 }
 
 }  // namespace roleshare::sim

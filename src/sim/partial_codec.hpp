@@ -6,18 +6,19 @@
 // strategic / longhorizon) and the bench-level shard documents that
 // wrap them — is built on the deterministic util::json value tree
 // (insertion-ordered members, %.17g doubles). A PartialCodec turns one
-// such document into bytes and back:
+// such document into bytes and back in one of two formats
+// (PartialFormat):
 //
-//   BinaryCodec  the one encoding the shard workflow writes: a framed
-//                columnar encoding (util/framed_io), magic "RSBP" +
-//                version, a "columns" section holding every all-finite
-//                numeric array as a raw f64 column, and a "tree" section
-//                with the tagged structure referencing the columns by
-//                index. Every section is checksummed, so a corrupted
-//                file is refused instead of read as other numbers.
-//   JsonCodec    doc.dump() + "\n", the text form earlier builds wrote.
-//                Still read, so their files load; written only by tests
-//                and the benchmark, which times both codecs.
+//   Binary  the one encoding the shard workflow writes: a framed
+//           columnar encoding (util/framed_io), magic "RSBP" + version,
+//           a "columns" section holding every all-finite numeric array
+//           as a raw f64 column, and a "tree" section with the tagged
+//           structure referencing the columns by index. Every section is
+//           checksummed, so a corrupted file is refused instead of read
+//           as other numbers.
+//   Json    doc.dump() + "\n", the text form earlier builds wrote. Still
+//           read, so their files load; written only by tests and the
+//           benchmark, which times both formats.
 //
 // The codec contract, enforced by tests/prop/prop_partial_codec.cpp:
 // for every document D, decode(encode(D)) dumps byte-identically to
@@ -48,22 +49,29 @@ enum class PartialFormat : std::uint8_t { Json, Binary };
 /// "json" / "bin"; fails loudly on a value outside the enum.
 const char* to_string(PartialFormat format);
 
+/// The codec of one format: a plain value that switches on it.
 class PartialCodec {
  public:
-  virtual ~PartialCodec() = default;
+  /// Fails loudly on a value outside the enum.
+  explicit PartialCodec(PartialFormat format);
 
   /// Serializes one shard-partial document.
-  virtual std::string encode(const util::json::Value& doc) const = 0;
+  std::string encode(const util::json::Value& doc) const;
 
   /// Inverts encode. `origin` names the byte source (a file path) in
   /// every error. Throws util::framed::Error (binary) or
   /// std::invalid_argument (JSON) on malformed input.
-  virtual util::json::Value decode(std::string_view bytes,
-                                   std::string_view origin) const = 0;
+  util::json::Value decode(std::string_view bytes,
+                           std::string_view origin) const;
+
+ private:
+  PartialFormat format_;
 };
 
-/// The process-wide codec instances (stateless).
-const PartialCodec& partial_codec(PartialFormat format);
+/// PartialCodec(format), the spelling every writer uses.
+inline PartialCodec partial_codec(PartialFormat format) {
+  return PartialCodec(format);
+}
 
 /// Sniffs the format from the leading bytes; throws std::invalid_argument
 /// naming `origin` when the bytes open neither a binary frame nor a JSON

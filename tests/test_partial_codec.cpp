@@ -71,6 +71,8 @@ std::string canonical_dump(const Value& doc) {
 TEST(PartialCodec, FormatNamesRoundTrip) {
   EXPECT_STREQ(to_string(PartialFormat::Json), "json");
   EXPECT_STREQ(to_string(PartialFormat::Binary), "bin");
+  EXPECT_THROW(PartialCodec(static_cast<PartialFormat>(7)),
+               std::invalid_argument);
 }
 
 TEST(PartialCodec, BothFormatsDecodeToTheCanonicalDocument) {
