@@ -293,7 +293,12 @@ void load_partial_document(
                                   " is " + id.dump() + ", this bench's is " +
                                   expected);
     }
-    exec.partials.push_back(PartialT::from_json(panels[i].at("partial")));
+    try {
+      exec.partials.push_back(PartialT::from_json(panels[i].at("partial")));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(origin + " panel " + std::to_string(i) +
+                                  ": " + e.what());
+    }
   }
   exec.window_begin = doc.at("run_begin").as_size();
   exec.cursor = doc.at("run_end").as_size();

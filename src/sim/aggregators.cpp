@@ -299,25 +299,30 @@ RoundAccumulator RoundAccumulator::from_json(const util::json::Value& value,
              name + " has " + std::to_string(stats.size()) +
                  " round_stats entries for " + std::to_string(rounds) +
                  " rounds");
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const util::json::Value& s = stats[r];
-    RoundSketch& sketch = acc.sketches_[r];
+  const auto read_round = [](const util::json::Value& s, std::size_t r,
+                             RoundSketch& sketch) {
     sketch.stats = util::RunningStats::from_state(
         s.at("n").as_size(), s.at("mean").as_number(), s.at("m2").as_number(),
         s.at("min").as_number(), s.at("max").as_number());
+    // Both counts take every recorded sample, and a merge adds the other
+    // side's count to each, so they agree in every document a writer
+    // produces.
+    const std::size_t seen = s.at("seen").as_size();
+    RS_REQUIRE(seen == sketch.stats.count(),
+               "the reservoir has seen " + std::to_string(seen) +
+                   " samples but the round counts " +
+                   std::to_string(sketch.stats.count()));
     std::vector<double> samples;
     for (const util::json::Value& x : s.at("reservoir").as_array())
       samples.push_back(x.as_number());
     sketch.reservoir = util::ReservoirSample::from_state(
-        kReservoirCapacity, reservoir_seed_for_round(r),
-        s.at("seen").as_size(), s.at("rng_draws").as_size(),
-        std::move(samples));
+        kReservoirCapacity, reservoir_seed_for_round(r), seen,
+        s.at("rng_draws").as_size(), std::move(samples));
     sketch.p2_live = s.at("p2_live").as_bool();
     const auto& p2s = s.at("p2").as_array();
     RS_REQUIRE(p2s.size() == kP2Grid.size(),
-               name + " has " + std::to_string(p2s.size()) +
-                   " P2 estimators in round " + std::to_string(r) +
-                   " for a grid of " + std::to_string(kP2Grid.size()));
+               std::to_string(p2s.size()) + " P2 estimators for a grid of " +
+                   std::to_string(kP2Grid.size()));
     sketch.p2.clear();
     for (const util::json::Value& p : p2s) {
       util::P2Quantile::State st;
@@ -327,13 +332,22 @@ RoundAccumulator RoundAccumulator::from_json(const util::json::Value& value,
       const auto& pos = p.at("positions").as_array();
       const auto& des = p.at("desired").as_array();
       RS_REQUIRE(h.size() == 5 && pos.size() == 5 && des.size() == 5,
-                 name + ": P2 marker arrays must have 5 entries");
+                 "P2 marker arrays must have 5 entries");
       for (std::size_t i = 0; i < 5; ++i) {
         st.heights[i] = h[i].as_number();
         st.positions[i] = pos[i].as_number();
         st.desired[i] = des[i].as_number();
       }
       sketch.p2.push_back(util::P2Quantile::from_state(st));
+    }
+  };
+  for (std::size_t r = 0; r < rounds; ++r) {
+    // A refusal inside a round names the entry and the round.
+    try {
+      read_round(stats[r], r, acc.sketches_[r]);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(name + ", round " + std::to_string(r) +
+                                  ": " + e.what());
     }
   }
   return acc;

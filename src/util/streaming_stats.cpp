@@ -184,6 +184,16 @@ ReservoirSample ReservoirSample::from_state(std::size_t capacity,
              "reservoir state larger than its capacity");
   RS_REQUIRE(seen >= samples.size(),
              "reservoir seen count below retained sample count");
+  // Any history draws at most `capacity` times per sample seen: an add
+  // past capacity draws once, and a merge draws at most `capacity` times
+  // while adding at least one to `seen`. The bound keeps an edited count
+  // from stalling the replay below. (draws - 1) / capacity < seen is
+  // draws <= seen * capacity without the overflow.
+  RS_REQUIRE(draws == 0 || (draws - 1) / capacity < seen,
+             "reservoir state claims " + std::to_string(draws) +
+                 " draws for " + std::to_string(seen) +
+                 " samples seen, more than its capacity (" +
+                 std::to_string(capacity) + ") per sample");
   r.seen_ = seen;
   r.samples_ = std::move(samples);
   // Fast-forward the private stream to where `draws` decisions left it —

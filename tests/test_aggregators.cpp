@@ -269,6 +269,30 @@ TEST(RoundAccumulator, JsonRoundTripIsExactForBothBackends) {
   }
 }
 
+/// `object` with member `key` replaced by `v`, other members in order.
+util::json::Value with_member(const util::json::Value& object,
+                              std::string_view key, util::json::Value v) {
+  util::json::Value out = util::json::Value::object();
+  for (const auto& [k, member] : object.as_object())
+    out.set(k, k == key ? v : member);
+  return out;
+}
+
+/// Expects from_json to refuse `doc`, naming the entry and `what`.
+void expect_read_refused(const util::json::Value& doc,
+                         const std::string& what) {
+  try {
+    RoundAccumulator::from_json(doc, "partial entry \"metrics.none\"");
+    ADD_FAILURE() << what << " loaded";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("partial entry \"metrics.none\""),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
+}
+
 TEST(RoundAccumulator, StreamingSketchShapeIsCheckedOnRead) {
   // Capacity and grid are constants; every document still carries them,
   // and a read refuses one that differs, naming the entry, instead of
@@ -278,32 +302,36 @@ TEST(RoundAccumulator, StreamingSketchShapeIsCheckedOnRead) {
   const util::json::Value doc = acc.to_json();
   EXPECT_EQ(doc.at("reservoir_capacity").as_size(),
             RoundAccumulator::kReservoirCapacity);
-  const auto with_member = [&](std::string_view key, util::json::Value v) {
-    util::json::Value out = util::json::Value::object();
-    for (const auto& [k, member] : doc.as_object())
-      out.set(k, k == key ? v : member);
-    return out;
-  };
+  expect_read_refused(
+      with_member(doc, "reservoir_capacity", util::json::Value(128)),
+      "reservoir capacity 128");
+  util::json::Value grid = util::json::Value::array();
+  for (const double q : {5.0, 25.0, 50.0, 75.0, 99.0}) grid.push_back(q);
+  expect_read_refused(with_member(doc, "p2_grid", grid),
+                      "P2 grid [5,25,50,75,99]");
+}
 
-  const util::json::Value capacity =
-      with_member("reservoir_capacity", util::json::Value(128));
-  util::json::Value other_grid = util::json::Value::array();
-  for (const double q : {5.0, 25.0, 50.0, 75.0, 99.0}) other_grid.push_back(q);
-  const util::json::Value grid = with_member("p2_grid", other_grid);
-  for (const auto& [bad, what] :
-       {std::pair{capacity, "reservoir capacity 128"},
-        std::pair{grid, "P2 grid [5,25,50,75,99]"}}) {
-    try {
-      RoundAccumulator::from_json(bad, "partial entry \"metrics.none\"");
-      ADD_FAILURE() << what << " loaded";
-    } catch (const std::invalid_argument& e) {
-      const std::string message = e.what();
-      EXPECT_NE(message.find("partial entry \"metrics.none\""),
-                std::string::npos)
-          << message;
-      EXPECT_NE(message.find(what), std::string::npos) << message;
-    }
-  }
+TEST(RoundAccumulator, StreamingSeenMustMatchCount) {
+  // The round's count (n) and the reservoir's seen count both take every
+  // recorded sample, and a merge adds the other side's count to each. A
+  // document where they differ, or whose draw count no history reaches,
+  // is refused naming the entry and the round.
+  RoundAccumulator acc(AggBackend::Streaming, 2);
+  for (std::size_t run = 0; run < 300; ++run) acc.record(1, 0.5 * run);
+  const util::json::Value doc = acc.to_json();
+  const auto with_round1 = [&](std::string_view key, util::json::Value v) {
+    const auto& rounds = doc.at("round_stats").as_array();
+    util::json::Value stats = util::json::Value::array();
+    stats.push_back(rounds[0]);
+    stats.push_back(with_member(rounds[1], key, std::move(v)));
+    return with_member(doc, "round_stats", std::move(stats));
+  };
+  EXPECT_NO_THROW(RoundAccumulator::from_json(with_round1("seen", 300)));
+  expect_read_refused(with_round1("seen", 301),
+                      "round 1: precondition failed");
+  expect_read_refused(with_round1("seen", 301), "has seen 301 samples");
+  expect_read_refused(with_round1("rng_draws", 90'000'000'000.0),
+                      "round 1: precondition failed");
 }
 
 TEST(RoundAccumulator, ShardedMergeEqualsSingleFeed) {

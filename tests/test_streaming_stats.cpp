@@ -168,6 +168,32 @@ TEST(ReservoirSample, StateRoundTripContinuesIdentically) {
   EXPECT_EQ(restored.draws(), original.draws());
 }
 
+TEST(ReservoirSample, ImpossibleDrawCountIsRefused) {
+  // Any history draws at most `capacity` times per sample seen, so a
+  // larger count (one edited number in a JSON partial) is refused instead
+  // of replayed draw by draw.
+  const std::vector<double> kept(8, 1.0);
+  EXPECT_NO_THROW(ReservoirSample::from_state(8, 1, 10, 80, kept));
+  EXPECT_THROW(ReservoirSample::from_state(8, 1, 10, 81, kept),
+               std::invalid_argument);
+  EXPECT_THROW(ReservoirSample::from_state(8, 1, 10, 1'000'000, kept),
+               std::invalid_argument);
+  // Adds and draw-heavy merges (each up to `capacity` draws for one more
+  // sample seen) stay within the bound, and their state still loads.
+  ReservoirSample r(4, 3);
+  for (int i = 0; i < 50; ++i) {
+    r.add(i);
+    ReservoirSample one(4, 100 + i);
+    one.add(-i);
+    r.merge(one);
+  }
+  EXPECT_GT(r.draws(), r.seen());
+  EXPECT_LE(r.draws(), r.seen() * r.capacity());
+  EXPECT_NO_THROW(ReservoirSample::from_state(
+      4, r.seed_material(), r.seen(), r.draws(),
+      std::vector<double>(r.samples())));
+}
+
 TEST(ReservoirSample, StateRoundTripAfterMergeContinuesIdentically) {
   // merge() consumes private-stream draws too; the serialized draw count
   // must fast-forward past them so a restored reservoir replays ANY
