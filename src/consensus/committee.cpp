@@ -20,20 +20,6 @@ const CommitteeMember* Committee::find(ledger::NodeId node) const {
   return nullptr;
 }
 
-Committee elect_committee(const std::vector<crypto::KeyPair>& keys,
-                          const std::vector<std::int64_t>& stakes,
-                          std::uint64_t round, std::uint32_t step,
-                          const crypto::Hash256& prev_seed,
-                          std::uint64_t expected_stake,
-                          std::int64_t total_stake,
-                          const util::InnerExecutor& exec) {
-  Committee committee;
-  std::vector<crypto::SortitionResult> draws;
-  elect_committee_into(keys, stakes, round, step, prev_seed, expected_stake,
-                       total_stake, committee, draws, exec);
-  return committee;
-}
-
 void elect_committee_into(const std::vector<crypto::KeyPair>& keys,
                           const std::vector<std::int64_t>& stakes,
                           std::uint64_t round, std::uint32_t step,

@@ -31,23 +31,14 @@ struct Committee {
   const CommitteeMember* find(ledger::NodeId node) const;
 };
 
-/// Elects the committee for (round, step) given every node's key and stake.
-/// `expected_stake` is tau for the step's role; `total_stake` is W.
-/// The per-node VRF draws fan out across `exec` (default: serial); members
-/// are collected in node order afterwards, so the elected committee is
-/// identical for every executor.
-Committee elect_committee(const std::vector<crypto::KeyPair>& keys,
-                          const std::vector<std::int64_t>& stakes,
-                          std::uint64_t round, std::uint32_t step,
-                          const crypto::Hash256& prev_seed,
-                          std::uint64_t expected_stake,
-                          std::int64_t total_stake,
-                          const util::InnerExecutor& exec = {});
-
-/// Allocation-free form: election result goes into `committee` (members
-/// cleared and refilled, capacity kept) and the per-node VRF draws use
-/// `draws_scratch` as working memory. Bit-identical to elect_committee().
-/// The round engine calls it with the SignerTable it built once.
+/// Elects the committee for (round, step) given every node's signer and
+/// stake. `expected_stake` is tau for the step's role; `total_stake` is W.
+/// The result goes into `committee` (members cleared and refilled,
+/// capacity kept) and the per-node VRF draws use `draws_scratch` as
+/// working memory, so a repeated election allocates nothing. The draws
+/// fan out across `exec` (default: serial); members are collected in node
+/// order afterwards, so the elected committee is identical for every
+/// executor. The round engine calls it with the SignerTable it built once.
 void elect_committee_into(const crypto::SignerTable& signers,
                           const std::vector<std::int64_t>& stakes,
                           std::uint64_t round, std::uint32_t step,

@@ -31,16 +31,6 @@ bool verify_vote(const Vote& vote, const crypto::Hash256& prev_seed,
   return sub_users > 0 && sub_users == vote.weight;
 }
 
-std::vector<std::uint8_t> verify_votes(std::span<const Vote> votes,
-                                       const crypto::Hash256& prev_seed,
-                                       const std::vector<std::int64_t>& stakes,
-                                       const crypto::SortitionParams& params,
-                                       const util::InnerExecutor& exec) {
-  std::vector<std::uint8_t> valid;
-  verify_votes_into(votes, prev_seed, stakes, params, valid, exec);
-  return valid;
-}
-
 void verify_votes_into(std::span<const Vote> votes,
                        const crypto::Hash256& prev_seed,
                        const std::vector<std::int64_t>& stakes,

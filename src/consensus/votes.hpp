@@ -36,18 +36,11 @@ bool verify_vote(const Vote& vote, const crypto::Hash256& prev_seed,
                  std::int64_t stake, const crypto::SortitionParams& params);
 
 /// Verifies a batch of votes, fanning the per-vote proof checks out across
-/// `exec`. Verdicts are written at their vote index (std::uint8_t, not
-/// bool — std::vector<bool> packs bits and would race under the fan-out),
-/// so the result is identical for every executor. `stakes` is indexed by
-/// voter id.
-std::vector<std::uint8_t> verify_votes(std::span<const Vote> votes,
-                                       const crypto::Hash256& prev_seed,
-                                       const std::vector<std::int64_t>& stakes,
-                                       const crypto::SortitionParams& params,
-                                       const util::InnerExecutor& exec = {});
-
-/// Allocation-free form: verdicts go into `valid` (assigned to votes.size(),
-/// capacity kept across calls). Bit-identical to verify_votes().
+/// `exec`. Verdicts go into `valid` (assigned to votes.size(), capacity
+/// kept across calls) at their vote index (std::uint8_t, not bool —
+/// std::vector<bool> packs bits and would race under the fan-out), so the
+/// result is identical for every executor. `stakes` is indexed by voter
+/// id.
 void verify_votes_into(std::span<const Vote> votes,
                        const crypto::Hash256& prev_seed,
                        const std::vector<std::int64_t>& stakes,

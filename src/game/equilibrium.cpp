@@ -47,11 +47,6 @@ std::optional<DeviationWitness> find_profitable_deviation(
   return std::nullopt;
 }
 
-bool is_nash(const AlgorandGame& game, const Profile& profile,
-             double tolerance) {
-  return !find_profitable_deviation(game, profile, tolerance).has_value();
-}
-
 TheoremReport verify_lemma1(const AlgorandGame& game, util::Rng& rng,
                             std::size_t samples) {
   const std::size_t n = game.player_count();

@@ -53,9 +53,6 @@ std::optional<DeviationWitness> find_profitable_deviation(
     const AlgorandGame& game, const Profile& profile,
     double tolerance = 1e-9);
 
-bool is_nash(const AlgorandGame& game, const Profile& profile,
-             double tolerance = 1e-9);
-
 /// Report from checking one of the paper's formal results on a concrete
 /// game instance.
 struct TheoremReport {

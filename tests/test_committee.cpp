@@ -22,6 +22,16 @@ Population make_population(std::size_t n, std::int64_t stake_each,
   return p;
 }
 
+/// elect_committee_into a fresh committee.
+Committee elect(const Population& p, std::uint64_t round, std::uint32_t step,
+                const crypto::Hash256& seed, std::uint64_t tau) {
+  Committee committee;
+  std::vector<crypto::SortitionResult> draws;
+  elect_committee_into(p.keys, p.stakes, round, step, seed, tau, p.total,
+                       committee, draws);
+  return committee;
+}
+
 TEST(Committee, ExpectedTotalWeightNearTau) {
   const Population p = make_population(400, 25);
   const std::uint64_t tau = 1000;
@@ -29,8 +39,7 @@ TEST(Committee, ExpectedTotalWeightNearTau) {
   const int rounds = 30;
   for (int r = 0; r < rounds; ++r) {
     const auto seed = crypto::HashBuilder("cseed").add_u64(r).build();
-    const Committee c = elect_committee(p.keys, p.stakes, r, 1, seed, tau,
-                                        p.total);
+    const Committee c = elect(p, r, 1, seed, tau);
     sum += static_cast<double>(c.total_weight());
   }
   EXPECT_NEAR(sum / rounds, static_cast<double>(tau), 60.0);
@@ -40,7 +49,7 @@ TEST(Committee, MembersHavePositiveWeightAndValidProofs) {
   const Population p = make_population(100, 50);
   const auto seed = crypto::HashBuilder("cseed").add_u64(7).build();
   const Committee c =
-      elect_committee(p.keys, p.stakes, 3, 2, seed, 500, p.total);
+      elect(p, 3, 2, seed, 500);
   const crypto::VrfInput input{3, 2, seed};
   const crypto::SortitionParams params{500, p.total};
   for (const CommitteeMember& m : c.members) {
@@ -56,9 +65,9 @@ TEST(Committee, DifferentStepsDifferentCommittees) {
   const Population p = make_population(300, 25);
   const auto seed = crypto::HashBuilder("cseed").add_u64(1).build();
   const Committee a =
-      elect_committee(p.keys, p.stakes, 1, 1, seed, 800, p.total);
+      elect(p, 1, 1, seed, 800);
   const Committee b =
-      elect_committee(p.keys, p.stakes, 1, 2, seed, 800, p.total);
+      elect(p, 1, 2, seed, 800);
   ASSERT_FALSE(a.members.empty());
   ASSERT_FALSE(b.members.empty());
   // Committees are re-drawn per step; identical membership is vanishingly
@@ -75,9 +84,9 @@ TEST(Committee, DeterministicForSameInputs) {
   const Population p = make_population(100, 30);
   const auto seed = crypto::HashBuilder("cseed").add_u64(2).build();
   const Committee a =
-      elect_committee(p.keys, p.stakes, 5, 3, seed, 400, p.total);
+      elect(p, 5, 3, seed, 400);
   const Committee b =
-      elect_committee(p.keys, p.stakes, 5, 3, seed, 400, p.total);
+      elect(p, 5, 3, seed, 400);
   ASSERT_EQ(a.members.size(), b.members.size());
   for (std::size_t i = 0; i < a.members.size(); ++i) {
     EXPECT_EQ(a.members[i].node, b.members[i].node);
@@ -93,7 +102,7 @@ TEST(Committee, ZeroStakeNodesNeverElected) {
   const auto seed = crypto::HashBuilder("cseed").add_u64(3).build();
   for (int r = 0; r < 20; ++r) {
     const Committee c =
-        elect_committee(p.keys, p.stakes, r, 1, seed, 300, p.total);
+        elect(p, r, 1, seed, 300);
     EXPECT_FALSE(c.contains(7));
     EXPECT_FALSE(c.contains(8));
   }
@@ -103,7 +112,7 @@ TEST(Committee, FindAndContains) {
   const Population p = make_population(60, 40);
   const auto seed = crypto::HashBuilder("cseed").add_u64(4).build();
   const Committee c =
-      elect_committee(p.keys, p.stakes, 1, 1, seed, 1200, p.total);
+      elect(p, 1, 1, seed, 1200);
   ASSERT_FALSE(c.members.empty());
   const CommitteeMember& first = c.members.front();
   EXPECT_TRUE(c.contains(first.node));
@@ -119,7 +128,7 @@ TEST(Committee, HigherStakeElectedMoreOften) {
   for (int r = 0; r < 200; ++r) {
     const auto seed = crypto::HashBuilder("cseed").add_u64(100 + r).build();
     const Committee c =
-        elect_committee(p.keys, p.stakes, r, 1, seed, 50, p.total);
+        elect(p, r, 1, seed, 50);
     if (c.contains(0)) ++whale;
     if (c.contains(1)) ++minnow;
   }
@@ -129,8 +138,11 @@ TEST(Committee, HigherStakeElectedMoreOften) {
 TEST(Committee, SizeMismatchRejected) {
   const Population p = make_population(10, 5);
   std::vector<std::int64_t> short_stakes(5, 5);
-  EXPECT_THROW(elect_committee(p.keys, short_stakes, 1, 1,
-                               crypto::Hash256::zero(), 10, 50),
+  Committee committee;
+  std::vector<crypto::SortitionResult> draws;
+  EXPECT_THROW(elect_committee_into(p.keys, short_stakes, 1, 1,
+                                    crypto::Hash256::zero(), 10, 50,
+                                    committee, draws),
                std::invalid_argument);
 }
 

@@ -192,7 +192,9 @@ TEST(Equilibrium, AllDefectRemainsNashInGalPlus) {
   const auto y = sync_set_for(snapshot(), {5});
   const AlgorandGame game(
       galplus_config(50e6, econ::RewardSplit(0.2, 0.3), y));
-  EXPECT_TRUE(is_nash(game, all_defect(game.player_count())));
+  EXPECT_FALSE(
+      find_profitable_deviation(game, all_defect(game.player_count()))
+          .has_value());
 }
 
 TEST(Equilibrium, FindDeviationRespectsTolerance) {

@@ -87,12 +87,16 @@ TEST(CommitteeElection, ExecutorDoesNotChangeTheCommittee) {
       std::accumulate(stakes.begin(), stakes.end(), std::int64_t{0});
   const crypto::Hash256 seed = net.chain().current_seed();
 
-  const consensus::Committee serial = consensus::elect_committee(
-      net.keys(), stakes, 1, consensus::kReductionStep1, seed, 1000, total);
+  consensus::Committee serial, parallel;
+  std::vector<crypto::SortitionResult> draws;
+  consensus::elect_committee_into(net.keys(), stakes, 1,
+                                  consensus::kReductionStep1, seed, 1000,
+                                  total, serial, draws);
   util::ThreadPool pool(2);
-  const consensus::Committee parallel = consensus::elect_committee(
-      net.keys(), stakes, 1, consensus::kReductionStep1, seed, 1000, total,
-      util::InnerExecutor(&pool));
+  consensus::elect_committee_into(net.keys(), stakes, 1,
+                                  consensus::kReductionStep1, seed, 1000,
+                                  total, parallel, draws,
+                                  util::InnerExecutor(&pool));
 
   ASSERT_EQ(serial.members.size(), parallel.members.size());
   for (std::size_t i = 0; i < serial.members.size(); ++i) {
@@ -112,8 +116,11 @@ TEST(VoteVerification, BatchMatchesSingleVoteChecks) {
   const crypto::Hash256 seed = net.chain().current_seed();
   const crypto::SortitionParams params{1000, total};
 
-  const consensus::Committee committee = consensus::elect_committee(
-      net.keys(), stakes, 1, consensus::kReductionStep1, seed, 1000, total);
+  consensus::Committee committee;
+  std::vector<crypto::SortitionResult> draws;
+  consensus::elect_committee_into(net.keys(), stakes, 1,
+                                  consensus::kReductionStep1, seed, 1000,
+                                  total, committee, draws);
   ASSERT_FALSE(committee.members.empty());
   std::vector<consensus::Vote> votes;
   for (const consensus::CommitteeMember& m : committee.members) {
@@ -125,8 +132,9 @@ TEST(VoteVerification, BatchMatchesSingleVoteChecks) {
   votes.front().weight += 1;
 
   util::ThreadPool pool(2);
-  const auto batch = consensus::verify_votes(votes, seed, stakes, params,
-                                             util::InnerExecutor(&pool));
+  std::vector<std::uint8_t> batch;
+  consensus::verify_votes_into(votes, seed, stakes, params, batch,
+                               util::InnerExecutor(&pool));
   ASSERT_EQ(batch.size(), votes.size());
   for (std::size_t i = 0; i < votes.size(); ++i) {
     const bool single = consensus::verify_vote(
