@@ -202,7 +202,7 @@ inline void emit_json(const std::string& name, const JsonFields& fields) {
     return;
   }
   // One field per line; dump() prints numbers as %.17g and a non-finite
-  // one as null (NaN reaches here via PerRoundSamples' empty-round
+  // one as null (NaN reaches here via RoundAccumulator's empty-round
   // semantics under churn).
   std::string doc = "{\n  \"bench\": " + Value(name).dump();
   const auto append = [&doc](const std::string& key, const Value& value) {

@@ -12,7 +12,7 @@ namespace roleshare::util {
 
 /// Arithmetic mean; 0 for an empty sample (callers that must distinguish
 /// "no samples" from a true zero guard before calling — see
-/// sim::PerRoundSamples' empty-round semantics).
+/// sim::RoundAccumulator's empty-round semantics).
 double mean(const std::vector<double>& xs);
 
 /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.

@@ -11,8 +11,9 @@
 //   ReservoirSample — uniform fixed-capacity sample (Algorithm R) on a
 //                     deterministic stream; exact while the sample still
 //                     fits, an unbiased subsample after. Mergeable, so
-//                     shard partials can fold (P² cannot merge — see
-//                     StreamingAccumulator for how the two compose).
+//                     shard partials can fold (P² cannot merge — see the
+//                     streaming RoundAccumulator for how the two
+//                     compose).
 //
 // Error bound (tested in test_streaming_stats.cpp): with capacity K and
 // n > K samples, a reservoir quantile/trimmed-mean estimate has standard
@@ -101,6 +102,8 @@ class ReservoirSample {
 
   /// Serialization hooks for shard partials: capacity, seed, seen/draw
   /// counts and the retained samples reproduce the state exactly.
+  /// from_state refuses more than `capacity` draws per sample seen, a
+  /// count no history reaches, before it replays them.
   std::uint64_t seed_material() const { return seed_; }
   /// Raw draws consumed from the private stream so far.
   std::uint64_t draws() const { return draws_; }
