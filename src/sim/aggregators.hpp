@@ -102,10 +102,11 @@ class RoundAccumulator {
 
   /// Serialization for shard partials; from_json inverts it.
   util::json::Value to_json() const;
-  /// Throws std::invalid_argument on malformed input, and on a streaming
-  /// document whose sketch shape is not the constants above or whose
-  /// round counts disagree; those errors begin with `entry`, the name of
-  /// the document entry being read.
+  /// Throws std::invalid_argument on malformed input. A streaming document
+  /// no writer produces is refused naming `entry` (the document entry
+  /// being read): another sketch shape than the constants above, or a
+  /// round whose reservoir seen count differs from its count or that
+  /// claims more than kReservoirCapacity draws per sample seen.
   static RoundAccumulator from_json(const util::json::Value& value,
                                     std::string_view entry = "accumulator");
 
@@ -120,7 +121,6 @@ class RoundAccumulator {
     bool p2_live = true;
   };
 
-  static RoundSketch empty_sketch(std::size_t round_index);
   void check_round(std::size_t round_index) const;
 
   AggBackend backend_;
