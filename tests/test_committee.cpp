@@ -48,8 +48,7 @@ TEST(Committee, ExpectedTotalWeightNearTau) {
 TEST(Committee, MembersHavePositiveWeightAndValidProofs) {
   const Population p = make_population(100, 50);
   const auto seed = crypto::HashBuilder("cseed").add_u64(7).build();
-  const Committee c =
-      elect(p, 3, 2, seed, 500);
+  const Committee c = elect(p, 3, 2, seed, 500);
   const crypto::VrfInput input{3, 2, seed};
   const crypto::SortitionParams params{500, p.total};
   for (const CommitteeMember& m : c.members) {
@@ -64,10 +63,8 @@ TEST(Committee, MembersHavePositiveWeightAndValidProofs) {
 TEST(Committee, DifferentStepsDifferentCommittees) {
   const Population p = make_population(300, 25);
   const auto seed = crypto::HashBuilder("cseed").add_u64(1).build();
-  const Committee a =
-      elect(p, 1, 1, seed, 800);
-  const Committee b =
-      elect(p, 1, 2, seed, 800);
+  const Committee a = elect(p, 1, 1, seed, 800);
+  const Committee b = elect(p, 1, 2, seed, 800);
   ASSERT_FALSE(a.members.empty());
   ASSERT_FALSE(b.members.empty());
   // Committees are re-drawn per step; identical membership is vanishingly
@@ -83,10 +80,8 @@ TEST(Committee, DifferentStepsDifferentCommittees) {
 TEST(Committee, DeterministicForSameInputs) {
   const Population p = make_population(100, 30);
   const auto seed = crypto::HashBuilder("cseed").add_u64(2).build();
-  const Committee a =
-      elect(p, 5, 3, seed, 400);
-  const Committee b =
-      elect(p, 5, 3, seed, 400);
+  const Committee a = elect(p, 5, 3, seed, 400);
+  const Committee b = elect(p, 5, 3, seed, 400);
   ASSERT_EQ(a.members.size(), b.members.size());
   for (std::size_t i = 0; i < a.members.size(); ++i) {
     EXPECT_EQ(a.members[i].node, b.members[i].node);
@@ -101,8 +96,7 @@ TEST(Committee, ZeroStakeNodesNeverElected) {
   p.total -= 40;
   const auto seed = crypto::HashBuilder("cseed").add_u64(3).build();
   for (int r = 0; r < 20; ++r) {
-    const Committee c =
-        elect(p, r, 1, seed, 300);
+    const Committee c = elect(p, r, 1, seed, 300);
     EXPECT_FALSE(c.contains(7));
     EXPECT_FALSE(c.contains(8));
   }
@@ -111,8 +105,7 @@ TEST(Committee, ZeroStakeNodesNeverElected) {
 TEST(Committee, FindAndContains) {
   const Population p = make_population(60, 40);
   const auto seed = crypto::HashBuilder("cseed").add_u64(4).build();
-  const Committee c =
-      elect(p, 1, 1, seed, 1200);
+  const Committee c = elect(p, 1, 1, seed, 1200);
   ASSERT_FALSE(c.members.empty());
   const CommitteeMember& first = c.members.front();
   EXPECT_TRUE(c.contains(first.node));
@@ -127,8 +120,7 @@ TEST(Committee, HigherStakeElectedMoreOften) {
   int whale = 0, minnow = 0;
   for (int r = 0; r < 200; ++r) {
     const auto seed = crypto::HashBuilder("cseed").add_u64(100 + r).build();
-    const Committee c =
-        elect(p, r, 1, seed, 50);
+    const Committee c = elect(p, r, 1, seed, 50);
     if (c.contains(0)) ++whale;
     if (c.contains(1)) ++minnow;
   }
