@@ -17,12 +17,22 @@
 // long-horizon case reads the keys, stakes and accounts of a fresh
 // Network through the sparse path (DESIGN.md §10).
 //
+//
+// The programs that print their artifact instead of writing a series
+// document (Fig 5, Tables II-III, ne_verification) are pinned by the
+// SHA-256 of their stdout (`<program>.stdout` entries). Each runs in a
+// fresh directory of its own, because ne_verification also writes its
+// BENCH file into its working directory.
+//
 // The suite never rewrites digests.json. A mismatch names the artifact,
 // both digests and the bench command whose output `sha256sum` turns into
 // the fresh digest. Change the file only on purpose, and say why in
 // CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -63,21 +73,32 @@ std::string sha256_hex(const std::string& bytes) {
   return roleshare::crypto::Hash256(sha.finalize()).to_hex();
 }
 
+// "./build/<program> <args...>", the command a mismatch message prints.
+std::string program_command(const std::string& program,
+                            const std::vector<std::string>& args) {
+  std::string command = "./build/" + program;
+  for (const std::string& arg : args) command += " " + arg;
+  return command;
+}
+
 // Compares `actual` with the committed digest of `artifact`; a mismatch
-// prints the bench command whose `output_flag` file hashes to the fresh
-// digest.
+// prints `command`, which prints the fresh digest.
 void expect_digest(const std::string& artifact, const std::string& actual,
-                   const std::string& bench,
-                   const std::vector<std::string>& knobs,
-                   const std::string& output_flag, const std::string& file) {
+                   const std::string& command) {
   const std::string expected = committed_digest(artifact);
-  std::string command = "./build/" + bench;
-  for (const std::string& knob : knobs) command += " " + knob;
-  command += " " + output_flag + "=" + file + " && sha256sum " + file;
   EXPECT_EQ(actual, expected)
       << "golden mismatch for " << artifact << "\n  committed: " << expected
       << " (tests/golden/digests.json)\n  computed:  " << actual
       << "\n  print a fresh digest with: " << command;
+}
+
+// The bench command whose `output_flag` file hashes to the fresh digest.
+std::string file_digest_command(const std::string& bench,
+                                const std::vector<std::string>& knobs,
+                                const std::string& output_flag,
+                                const std::string& file) {
+  return program_command(bench, knobs) + " " + output_flag + "=" + file +
+         " && sha256sum " + file;
 }
 
 // Pins the series document under `artifact` and the partial document
@@ -96,9 +117,9 @@ void expect_golden(const std::string& artifact, const std::string& bench,
   const auto exec = roleshare::bench::run_figure(driver.panels, argv.argc(),
                                                  argv.argv());
   ASSERT_TRUE(exec);
-  expect_digest(artifact,
-                sha256_hex(roleshare::bench::read_text_file(path)), bench,
-                knobs, "--series-out", bench + ".json");
+  expect_digest(artifact, sha256_hex(roleshare::bench::read_text_file(path)),
+                file_digest_command(bench, knobs, "--series-out",
+                                    bench + ".json"));
 
   // The bytes --partial-out writes for the same window.
   const std::string partial =
@@ -106,8 +127,9 @@ void expect_golden(const std::string& artifact, const std::string& bench,
           .encode(roleshare::bench::partial_document(
               driver.panels.header, exec->window_begin, exec->cursor,
               exec->window_end, exec->partials, driver.panels.panel_meta));
-  expect_digest(artifact + ".partial", sha256_hex(partial), bench, knobs,
-                "--partial-out", bench + ".bin");
+  expect_digest(artifact + ".partial", sha256_hex(partial),
+                file_digest_command(bench, knobs, "--partial-out",
+                                    bench + ".bin"));
 }
 
 template <typename Driver>
@@ -189,6 +211,42 @@ TEST(Golden, FigLongHorizonStreamingSeries) {
                 {"--nodes=2000", "--runs=2", "--rounds=60", "--threads=1",
                  "--agg=streaming"},
                 roleshare::bench::make_longhorizon_driver);
+}
+
+// Runs `program` with `args` in a fresh directory and pins the SHA-256 of
+// its stdout under `<program>.stdout`.
+void expect_stdout_golden(const std::string& program,
+                          const std::vector<std::string>& args) {
+  std::string dir = ::testing::TempDir() + "golden_" + program + "_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr) << "cannot create " << dir;
+  std::string command =
+      "cd '" + dir + "' && '" ROLESHARE_PROGRAM_DIR "/" + program + "'";
+  for (const std::string& arg : args) command += " " + arg;
+  std::string out;
+  std::FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << "cannot run " << command;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;)
+    out.append(buf, n);
+  const int status = pclose(pipe);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(status, 0) << command << " failed";
+  expect_digest(program + ".stdout", sha256_hex(out),
+                program_command(program, args) + " | sha256sum");
+}
+
+TEST(Golden, Fig5AlphaBetaStdout) {
+  expect_stdout_golden("fig5_alpha_beta", {});
+}
+
+TEST(Golden, Table2CostsStdout) { expect_stdout_golden("table2_costs", {}); }
+
+TEST(Golden, Table3ScheduleStdout) {
+  expect_stdout_golden("table3_schedule", {});
+}
+
+TEST(Golden, NeVerificationStdout) {
+  expect_stdout_golden("ne_verification", {"--threads=1"});
 }
 
 }  // namespace
