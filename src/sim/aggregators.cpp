@@ -263,6 +263,7 @@ util::json::Value RoundAccumulator::to_json() const {
 }
 
 RoundAccumulator RoundAccumulator::from_json(const util::json::Value& value,
+                                             std::size_t max_count,
                                              std::string_view entry) {
   const std::string name(entry);
   const AggBackend backend =
@@ -270,6 +271,12 @@ RoundAccumulator RoundAccumulator::from_json(const util::json::Value& value,
   const std::size_t rounds = value.at("rounds").as_size();
   RS_REQUIRE(rounds > 0, name + " has zero rounds");
   RoundAccumulator acc(backend, rounds);
+  const auto check_count = [&](std::size_t r, std::size_t count) {
+    RS_REQUIRE(count <= max_count,
+               name + ", round " + std::to_string(r) + ": the round counts " +
+                   std::to_string(count) + " samples but its partial ran " +
+                   std::to_string(max_count) + " runs");
+  };
 
   if (backend == AggBackend::Exact) {
     const auto& matrix = value.at("samples").as_array();
@@ -277,9 +284,12 @@ RoundAccumulator RoundAccumulator::from_json(const util::json::Value& value,
                name + " has a sample matrix of " +
                    std::to_string(matrix.size()) + " rows for " +
                    std::to_string(rounds) + " rounds");
-    for (std::size_t r = 0; r < rounds; ++r)
-      for (const util::json::Value& x : matrix[r].as_array())
+    for (std::size_t r = 0; r < rounds; ++r) {
+      const auto& row = matrix[r].as_array();
+      check_count(r, row.size());
+      for (const util::json::Value& x : row)
         acc.samples_[r].push_back(x.as_number());
+    }
     return acc;
   }
 
@@ -342,6 +352,8 @@ RoundAccumulator RoundAccumulator::from_json(const util::json::Value& value,
     }
   };
   for (std::size_t r = 0; r < rounds; ++r) {
+    // The count comes first: the reservoir replays its draws on read.
+    check_count(r, stats[r].at("n").as_size());
     // A refusal inside a round names the entry and the round.
     try {
       read_round(stats[r], r, acc.sketches_[r]);

@@ -102,12 +102,16 @@ class RoundAccumulator {
 
   /// Serialization for shard partials; from_json inverts it.
   util::json::Value to_json() const;
-  /// Throws std::invalid_argument on malformed input. A streaming document
-  /// no writer produces is refused naming `entry` (the document entry
-  /// being read): another sketch shape than the constants above, or a
-  /// round whose reservoir seen count differs from its count or that
-  /// claims more than kReservoirCapacity draws per sample seen.
+  /// Throws std::invalid_argument on malformed input. A document no
+  /// writer produces is refused naming `entry` (the document entry being
+  /// read): a round that counts more than `max_count` samples (a partial
+  /// records at most one per executed run and round; checked before any
+  /// reservoir draw is replayed), or a streaming document with another
+  /// sketch shape than the constants above, or a round whose reservoir
+  /// seen count differs from its count or that claims more than
+  /// kReservoirCapacity draws per sample seen.
   static RoundAccumulator from_json(const util::json::Value& value,
+                                    std::size_t max_count,
                                     std::string_view entry = "accumulator");
 
  private:

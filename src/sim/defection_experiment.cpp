@@ -163,10 +163,8 @@ DefectionPayload DefectionPayload::from_json(const util::json::Value& value,
                                              const PartialEnvelope& envelope) {
   DefectionPayload p(
       ReductionState::from_json(kOutcomeLayout, value.at("metrics"),
-                                envelope.backend, envelope.rounds,
-                                "metrics."),
-      ReductionState::from_json(kLayout, value, envelope.backend,
-                                envelope.rounds));
+                                envelope, "metrics."),
+      ReductionState::from_json(kLayout, value, envelope));
   p.runs_with_progress_ = value.at("runs_with_progress").as_size();
   p.any_live_ = value.at("any_live").as_bool();
   p.min_live_ = value.at("min_live").as_size();

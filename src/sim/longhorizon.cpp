@@ -154,8 +154,8 @@ LongHorizonResult LongHorizonPayload::finalize(
 
 LongHorizonPayload LongHorizonPayload::from_json(
     const util::json::Value& value, const PartialEnvelope& envelope) {
-  return LongHorizonPayload(ReductionState::from_json(
-      kLayout, value, envelope.backend, envelope.rounds));
+  return LongHorizonPayload(
+      ReductionState::from_json(kLayout, value, envelope));
 }
 
 util::json::Value longhorizon_spec_echo(const LongHorizonConfig& config) {

@@ -284,9 +284,10 @@ ReductionState::ReductionState(const ReductionLayout& layout,
 
 ReductionState ReductionState::from_json(const ReductionLayout& layout,
                                          const util::json::Value& object,
-                                         AggBackend backend,
-                                         std::size_t rounds,
+                                         const PartialEnvelope& envelope,
                                          std::string_view context) {
+  const AggBackend backend = envelope.backend;
+  const std::size_t rounds = envelope.rounds;
   const auto entry = [&](std::string_view key) {
     return "partial entry \"" + std::string(context) + std::string(key) +
            "\"";
@@ -301,7 +302,8 @@ ReductionState ReductionState::from_json(const ReductionLayout& layout,
   state.layout_ = layout;
   for (const std::string_view key : layout.accumulators) {
     const RoundAccumulator& acc = state.accumulators_.emplace_back(
-        RoundAccumulator::from_json(object.at(key), entry(key)));
+        RoundAccumulator::from_json(object.at(key), envelope.runs_executed(),
+                                    entry(key)));
     check_backend(key, acc.backend());
     RS_REQUIRE(acc.rounds() == rounds,
                entry(key) + " has " + std::to_string(acc.rounds()) +

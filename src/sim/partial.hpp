@@ -200,11 +200,13 @@ class ReductionState {
 
   /// Reads every entry of `layout` from the members of `object`. Throws
   /// std::invalid_argument naming the entry (`context` + key) when its
-  /// backend is not `backend`, when an accumulator's round count is not
-  /// `rounds`, or when RoundAccumulator::from_json refuses it.
+  /// backend is not the envelope's, when an accumulator's round count is
+  /// not the envelope's, or when RoundAccumulator::from_json refuses it
+  /// (a round counting more samples than the envelope's executed runs is
+  /// one such refusal).
   static ReductionState from_json(const ReductionLayout& layout,
                                   const util::json::Value& object,
-                                  AggBackend backend, std::size_t rounds,
+                                  const PartialEnvelope& envelope,
                                   std::string_view context = {});
 
   AggBackend backend() const { return backend_; }

@@ -206,8 +206,7 @@ util::json::Value RewardPayload::to_json() const {
 
 RewardPayload RewardPayload::from_json(const util::json::Value& value,
                                        const PartialEnvelope& envelope) {
-  RewardPayload p(ReductionState::from_json(kLayout, value, envelope.backend,
-                                            envelope.rounds));
+  RewardPayload p(ReductionState::from_json(kLayout, value, envelope));
   p.infeasible_ = value.at("infeasible").as_size();
   return p;
 }

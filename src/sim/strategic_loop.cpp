@@ -160,8 +160,7 @@ StrategicEnsembleResult StrategicPayload::finalize(
 
 StrategicPayload StrategicPayload::from_json(const util::json::Value& value,
                                              const PartialEnvelope& envelope) {
-  return StrategicPayload(ReductionState::from_json(
-      kLayout, value, envelope.backend, envelope.rounds));
+  return StrategicPayload(ReductionState::from_json(kLayout, value, envelope));
 }
 
 util::json::Value strategic_spec_echo(const StrategicEnsembleConfig& config) {

@@ -36,9 +36,13 @@ namespace pgen = roleshare::util::proptest::gen;
 using SampleMatrix = std::vector<std::vector<std::vector<double>>>;
 using Tiling = std::vector<std::pair<std::size_t, std::size_t>>;
 
+// Values per cell at most: a round of `runs` runs counts at most
+// runs * kMaxCell samples.
+constexpr std::size_t kMaxCell = 3;
+
 roleshare::util::proptest::Gen<SampleMatrix> sample_matrix(
     std::size_t runs, std::size_t rounds) {
-  auto cell = pgen::vector_of(pgen::real_range(-100.0, 100.0), 0, 3);
+  auto cell = pgen::vector_of(pgen::real_range(-100.0, 100.0), 0, kMaxCell);
   auto run = pgen::vector_of(std::move(cell), rounds, rounds);
   return pgen::vector_of(std::move(run), runs, runs);
 }
@@ -216,7 +220,8 @@ PROP_TEST_WITH_PARAMS(PropPartials, AccumulatorJsonRoundTrips, 500) {
         record_runs(acc, samples, 0, kRuns);
         const std::string text = acc.to_json().dump();
         const RoundAccumulator back =
-            RoundAccumulator::from_json(roleshare::util::json::parse(text));
+            RoundAccumulator::from_json(roleshare::util::json::parse(text),
+                                        kRuns * kMaxCell);
         if (back.backend() != acc.backend())
           return Verdict{false, "backend changed across round-trip"};
         const std::string again = back.to_json().dump();

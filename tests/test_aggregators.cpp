@@ -254,7 +254,7 @@ TEST(RoundAccumulator, JsonRoundTripIsExactForBothBackends) {
       for (std::size_t r = 0; r < 3; ++r)
         acc.record(r, rng.normal(0.0, 1.0));
     const RoundAccumulator restored = RoundAccumulator::from_json(
-        util::json::parse(acc.to_json().dump()));
+        util::json::parse(acc.to_json().dump()), 700);
     EXPECT_EQ(restored.backend(), backend);
     EXPECT_EQ(restored.rounds(), acc.rounds());
     // Every series reproduces bit for bit after the %.17g round-trip.
@@ -275,11 +275,16 @@ util::json::Value with_member(const util::json::Value& object,
   return out;
 }
 
+/// The run count the documents below are read under: no round of theirs
+/// counts more samples.
+constexpr std::size_t kReadRuns = 300;
+
 /// Expects from_json to refuse `doc`, naming the entry and `what`.
 void expect_read_refused(const util::json::Value& doc,
                          const std::string& what) {
   try {
-    RoundAccumulator::from_json(doc, "partial entry \"metrics.none\"");
+    RoundAccumulator::from_json(doc, kReadRuns,
+                                "partial entry \"metrics.none\"");
     ADD_FAILURE() << what << " loaded";
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
@@ -323,7 +328,8 @@ TEST(RoundAccumulator, StreamingSeenMustMatchCount) {
     stats.push_back(with_member(rounds[1], key, std::move(v)));
     return with_member(doc, "round_stats", std::move(stats));
   };
-  EXPECT_NO_THROW(RoundAccumulator::from_json(with_round1("seen", 300)));
+  EXPECT_NO_THROW(
+      RoundAccumulator::from_json(with_round1("seen", 300), kReadRuns));
   expect_read_refused(with_round1("seen", 301),
                       "round 1: precondition failed");
   expect_read_refused(with_round1("seen", 301), "has seen 301 samples");

@@ -362,6 +362,36 @@ TEST(Partials, PayloadEntriesMustMatchTheirEnvelope) {
   }
 }
 
+// Every payload records at most one sample per executed run and round. A
+// streaming round that claims more is refused naming the entry and the
+// round, before its reservoir draws are replayed: an edited count could
+// otherwise stall the read.
+TEST(Partials, RoundCountIsBoundedByTheExecutedRuns) {
+  DefectionExperimentConfig config = small_defection(AggBackend::Streaming);
+  config.runs = 2;
+  const util::json::Value doc = run_defection_partial(config).to_json();
+  const std::vector<std::string> path{"payload", "metrics", "final",
+                                      "round_stats"};
+  const auto& rounds =
+      doc.at("payload").at("metrics").at("final").at("round_stats").as_array();
+  ASSERT_EQ(rounds[0].at("n").as_size(), 2u);
+  util::json::Value stats = util::json::Value::array();
+  stats.push_back(with_entry(with_entry(rounds[0], {"n"}, util::json::Value(3)),
+                             {"seen"}, util::json::Value(3)));
+  for (std::size_t r = 1; r < rounds.size(); ++r) stats.push_back(rounds[r]);
+  try {
+    DefectionPartial::from_json(with_entry(doc, path, stats));
+    ADD_FAILURE() << "a 2-run partial counting 3 samples in a round loaded";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("\"metrics.final\", round 0"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("counts 3 samples but its partial ran 2 runs"),
+              std::string::npos)
+        << message;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Kill-and-resume: checkpoint after R runs, "crash" (serialize +
 // reload), finish the window, compare bit-identical to an uninterrupted
