@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "consensus/params.hpp"
 #include "econ/optimizer.hpp"
 
 using namespace roleshare;
@@ -16,10 +17,13 @@ using namespace roleshare;
 int main(int, char**) {
   bench::print_header("Figure 5", "minimum B_i over reward splits (alpha, beta)");
 
+  // S_L = tau_proposer and S_M = 3 tau_step + tau_final (§V-B).
+  const consensus::ConsensusParams params;
   econ::BoundInputs in;
-  in.stake_leaders = 26;
-  in.stake_committee = 13'000;
-  in.stake_others = 50'000'000.0 - 26 - 13'000;
+  in.stake_leaders = static_cast<double>(params.expected_proposer_stake);
+  in.stake_committee =
+      static_cast<double>(params.expected_committee_stake_per_round());
+  in.stake_others = 50'000'000.0 - in.stake_leaders - in.stake_committee;
   in.min_stake_leader = 1;
   in.min_stake_committee = 1;
   in.min_stake_other = 10;

@@ -11,27 +11,7 @@ void TaskCosts::validate() const {
 
 CostModel::CostModel(TaskCosts tasks) : tasks_(tasks) { tasks.validate(); }
 
-CostModel::CostModel(TaskCosts tasks, bool direct, double cl, double cm,
-                     double ck, double cso)
-    : tasks_(tasks),
-      direct_(direct),
-      direct_cl_(cl),
-      direct_cm_(cm),
-      direct_ck_(ck),
-      direct_cso_(cso) {}
-
-CostModel CostModel::from_role_costs(double c_leader, double c_committee,
-                                     double c_other, double c_sortition) {
-  RS_REQUIRE(c_sortition >= 0.0, "sortition cost");
-  RS_REQUIRE(c_other >= c_sortition, "c_K >= c_so (cooperation includes sortition)");
-  RS_REQUIRE(c_committee >= c_other, "c_M >= c_K");
-  RS_REQUIRE(c_leader >= c_other, "c_L >= c_K");
-  return CostModel(TaskCosts{}, true, c_leader, c_committee, c_other,
-                   c_sortition);
-}
-
 double CostModel::fixed_cost() const {
-  if (direct_) return direct_ck_;
   return tasks_.cve + tasks_.cse + tasks_.cso + tasks_.cgo + tasks_.cvs +
          tasks_.cvc;
 }
@@ -48,21 +28,15 @@ double CostModel::cooperation_cost(consensus::Role role) const {
   RS_ENSURE(false, "unknown role");
 }
 
-double CostModel::leader_cost() const {
-  if (direct_) return direct_cl_;
-  return fixed_cost() + tasks_.cbl;
-}
+double CostModel::leader_cost() const { return fixed_cost() + tasks_.cbl; }
 
 double CostModel::committee_cost() const {
-  if (direct_) return direct_cm_;
   return fixed_cost() + tasks_.cbs + tasks_.cvo;
 }
 
 double CostModel::other_cost() const { return fixed_cost(); }
 
-double CostModel::defection_cost() const {
-  return direct_ ? direct_cso_ : tasks_.cso;
-}
+double CostModel::defection_cost() const { return tasks_.cso; }
 
 bool CostModel::role_performs(consensus::Role role, std::string_view task) {
   // Table II: leaders do everything except block selection and voting;

@@ -36,11 +36,6 @@ class CostModel {
   /// Defaults reproduce §V-A: c_L = 16, c_M = 12, c_K = 6, c_so = 5 µAlgos.
   explicit CostModel(TaskCosts tasks = TaskCosts{});
 
-  /// Directly specifies role costs.
-  /// Requires c_leader >= c_committee >= c_other >= c_sortition >= 0.
-  static CostModel from_role_costs(double c_leader, double c_committee,
-                                   double c_other, double c_sortition);
-
   const TaskCosts& tasks() const { return tasks_; }
 
   /// Eq (1): cost common to every cooperative node.
@@ -60,12 +55,7 @@ class CostModel {
   static bool role_performs(consensus::Role role, std::string_view task);
 
  private:
-  CostModel(TaskCosts tasks, bool direct, double cl, double cm, double ck,
-            double cso);
-
   TaskCosts tasks_;
-  bool direct_ = false;
-  double direct_cl_ = 0, direct_cm_ = 0, direct_ck_ = 0, direct_cso_ = 0;
 };
 
 /// Table II task identifiers, in presentation order.

@@ -8,12 +8,6 @@
 
 namespace roleshare::econ {
 
-RewardOptimizer::RewardOptimizer(OptimizerConfig config) : config_(config) {
-  RS_REQUIRE(config.margin >= 0.0, "margin must be non-negative");
-  RS_REQUIRE(config.min_share > 0.0 && config.min_share < 1e-2,
-             "min share in (0, 0.01)");
-}
-
 OptimizerResult RewardOptimizer::optimize(const BoundInputs& in,
                                           const CostModel& costs) const {
   in.validate();
@@ -36,10 +30,10 @@ OptimizerResult RewardOptimizer::optimize(const BoundInputs& in,
   // defecting) the online bound vanishes and gamma shrinks to the floor.
   double gamma = d_num > 0.0
                      ? d_num / (a_num + b_num + d_num * (1.0 + c_slope))
-                     : config_.min_share;
+                     : kMinShare;
   const double gamma_max = 1.0 / (1.0 + c_slope);
-  gamma = std::clamp(gamma, config_.min_share,
-                     gamma_max * (1.0 - config_.min_share));
+  gamma = std::clamp(gamma, kMinShare,
+                     gamma_max * (1.0 - kMinShare));
 
   // Equalizing allocation of the slack above the feasibility floors.
   const double slack = 1.0 - gamma * (1.0 + c_slope);
@@ -57,9 +51,9 @@ OptimizerResult RewardOptimizer::optimize(const BoundInputs& in,
   double alpha = alpha_min + slack * a_share;
   double beta = beta_min + slack * (1.0 - a_share);
   // Keep every share strictly positive.
-  alpha = std::max(alpha, config_.min_share);
-  beta = std::max(beta, config_.min_share);
-  if (alpha + beta >= 1.0 - config_.min_share) {
+  alpha = std::max(alpha, kMinShare);
+  beta = std::max(beta, kMinShare);
+  if (alpha + beta >= 1.0 - kMinShare) {
     const double scale = (1.0 - gamma) / (alpha + beta);
     alpha *= scale;
     beta *= scale;
@@ -69,7 +63,7 @@ OptimizerResult RewardOptimizer::optimize(const BoundInputs& in,
   result.bounds = compute_bi_bounds(result.split, in, costs);
   result.feasible = result.bounds.feasible;
   if (result.feasible) {
-    result.min_bi = result.bounds.required() * (1.0 + config_.margin);
+    result.min_bi = result.bounds.required() * (1.0 + kMargin);
   } else {
     result.min_bi = std::numeric_limits<double>::infinity();
   }

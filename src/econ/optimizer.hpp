@@ -25,27 +25,23 @@
 
 namespace roleshare::econ {
 
-struct OptimizerConfig {
-  /// Safety margin: the returned B_i is (1 + margin) × the binding bound,
-  /// so the Theorem-3 inequalities are strict.
-  double margin = 1e-6;
-  /// Floor on γ (and on the α/β slacks) to keep the split strictly
-  /// interior when the online bound vanishes (c_K == c_so).
-  double min_share = 1e-9;
-};
-
 struct OptimizerResult {
   RewardSplit split{0.01, 0.01};
   BiBounds bounds;
   /// Minimal incentive-compatible per-round reward, µAlgos
-  /// ((1 + margin) × binding bound).
+  /// ((1 + kMargin) × binding bound).
   double min_bi = 0;
   bool feasible = false;
 };
 
 class RewardOptimizer {
  public:
-  explicit RewardOptimizer(OptimizerConfig config = OptimizerConfig{});
+  /// Safety margin: the returned B_i is (1 + kMargin) × the binding bound,
+  /// so the Theorem-3 inequalities are strict.
+  static constexpr double kMargin = 1e-6;
+  /// Floor on γ (and on the α/β slacks) to keep the split strictly
+  /// interior when the online bound vanishes (c_K == c_so).
+  static constexpr double kMinShare = 1e-9;
 
   /// Runs Algorithm 1's ComputeParameters for one round's population.
   OptimizerResult optimize(const BoundInputs& inputs,
@@ -54,9 +50,6 @@ class RewardOptimizer {
   /// Convenience overload extracting the aggregates from a snapshot.
   OptimizerResult optimize(const RoleSnapshot& snapshot,
                            const CostModel& costs) const;
-
- private:
-  OptimizerConfig config_;
 };
 
 }  // namespace roleshare::econ

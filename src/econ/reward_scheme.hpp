@@ -1,12 +1,14 @@
-// The two reward schemes the paper compares: the Foundation's
-// stake-proportional baseline (Eq 3, stake_proportional.hpp) and the
-// role-based mechanism (Eq 5 + Algorithm 1, role_based.hpp).
+// The two reward schemes the paper compares, and the payout type of the
+// role-based one.
 //
-// Each scheme answers two questions per round: how large a reward B_i it
-// wants to withdraw from the pool (required_budget), and how that B_i is
-// divided among the online nodes given the round's role snapshot
-// (distribute). The sum of payouts never exceeds the budget: integer
-// floor rounding leaves dust in the pool.
+// The Foundation's stake-proportional baseline (Eq 3) withdraws the
+// Table-III R_i (FoundationSchedule::reward_for_round) and pays it as one
+// pot over the online stake: the game's reward_of calls pot_share with
+// the whole budget. The role-based mechanism (Eq 5 + Algorithm 1,
+// role_based.hpp) asks for the minimal incentive-compatible B_i and
+// divides it among the round's role pots; the sum of its payouts never
+// exceeds the budget, because integer floor rounding leaves dust in the
+// pool.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +18,7 @@
 
 namespace roleshare::econ {
 
-/// One round's reward disbursement.
+/// One round's role-based reward disbursement.
 struct Payouts {
   /// µAlgos per node, indexed like the snapshot.
   std::vector<ledger::MicroAlgos> amounts;

@@ -52,19 +52,4 @@ std::int64_t RoleSnapshot::min_stake_of(consensus::Role r) const {
   return counts_[idx(r)] == 0 ? 0 : stake_min_[idx(r)];
 }
 
-RoleSnapshot RoleSnapshot::filtered_others(std::int64_t min_stake) const {
-  RS_REQUIRE(min_stake >= 0, "min stake filter");
-  std::vector<consensus::Role> roles;
-  std::vector<std::int64_t> stakes;
-  roles.reserve(roles_.size());
-  stakes.reserve(stakes_.size());
-  for (std::size_t v = 0; v < roles_.size(); ++v) {
-    if (roles_[v] == consensus::Role::Other && stakes_[v] < min_stake)
-      continue;
-    roles.push_back(roles_[v]);
-    stakes.push_back(stakes_[v]);
-  }
-  return RoleSnapshot(std::move(roles), std::move(stakes));
-}
-
 }  // namespace roleshare::econ

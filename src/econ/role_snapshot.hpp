@@ -1,6 +1,7 @@
 // Per-round snapshot of who holds which role and which stake — the input
-// both reward schemes and the Theorem-3 bounds operate on (the paper's
-// L, M, K sets with S_L, S_M, S_K and the per-role minimum stakes).
+// the reward schemes, the game and the Theorem-3 bounds operate on (the
+// paper's L, M, K sets with S_L, S_M, S_K and the per-role minimum
+// stakes).
 #pragma once
 
 #include <array>
@@ -41,11 +42,6 @@ class RoleSnapshot {
   /// Minimum stake within a role (s*_l, s*_m, s*_k). Returns 0 when the
   /// role is empty.
   std::int64_t min_stake_of(consensus::Role r) const;
-
-  /// Copy with every node of stake < `min_stake` excluded from the Other
-  /// set (they keep no role and receive nothing) — the Fig-7(c) filter
-  /// U_w(1,200). Leaders/committee are never dropped.
-  RoleSnapshot filtered_others(std::int64_t min_stake) const;
 
  private:
   void recompute_aggregates();

@@ -1,9 +1,9 @@
 // Role-based reward payouts evaluated on a round's touched set only.
 //
 // RoleBasedScheme::distribute walks the full population snapshot — O(N)
-// per round, which the sparse round path cannot afford. But under the
-// fixed-split scheme the α and β pots only ever pay the round's leaders
-// and committee members, all of whom the sparse round already collected
+// per round, which the sparse round path cannot afford. But under a
+// given split the α and β pots only ever pay the round's leaders and
+// committee members, all of whom the sparse round already collected
 // (sim/sampled_round.hpp's touched list), and the role stake sums the
 // shares divide by are available without a population walk:
 //
@@ -45,7 +45,7 @@ struct SparsePayoutTotals {
   std::int64_t other_stake = 0;
 };
 
-/// Computes the fixed-split role payouts for the touched set: `roles`,
+/// Computes `split`'s role payouts for the touched set: `roles`,
 /// `stakes` and `amounts` are parallel (observed role, reward stake in
 /// Algos — 0 when offline); `online_stake` is the round's total online
 /// stake in Algos. Writes each touched node's µAlgo payout into `amounts`

@@ -33,7 +33,7 @@ namespace roleshare::game {
 
 struct GameConfig {
   econ::RoleSnapshot snapshot;
-  econ::CostModel costs;
+  econ::CostModel costs{};
   econ::SchemeKind scheme = econ::SchemeKind::StakeProportional;
   /// Reward B_i distributed when a block is created, µAlgos.
   double bi = 0;

@@ -46,14 +46,11 @@ DefectionRun execute_run(const DefectionExperimentConfig& config,
   RoundEngine engine(network, params, inner_pool);
   // The policy layer only engages when it changes anything; a disabled
   // policy keeps the run bit-identical to the pre-policy experiment.
+  // Adaptive candidates best-respond in the game this run's consensus
+  // actually plays.
   std::optional<ScenarioPolicy> policy;
-  if (config.policy.enabled()) {
-    ScenarioPolicyConfig policy_config = config.policy;
-    // Adaptive candidates must best-respond in the game this run's
-    // consensus actually plays.
-    policy_config.committee_threshold = params.step_threshold;
-    policy.emplace(policy_config, network);
-  }
+  if (config.policy.enabled())
+    policy.emplace(config.policy, network, params.step_threshold);
 
   DefectionRun run;
   run.rounds.reserve(config.rounds);
@@ -196,10 +193,7 @@ util::json::Value defection_spec_echo(
   policy.set("kind", std::string(to_string(config.policy.kind)));
   policy.set("defect_at_bottom", config.policy.defect_at_bottom);
   policy.set("defect_at_top", config.policy.defect_at_top);
-  policy.set("leader_cost", config.policy.costs.leader_cost());
-  policy.set("committee_cost", config.policy.costs.committee_cost());
-  policy.set("other_cost", config.policy.costs.other_cost());
-  policy.set("defection_cost", config.policy.costs.defection_cost());
+  append_cost_echo(policy);
   policy.set("churn_leave", config.policy.churn.leave_probability);
   policy.set("churn_join", config.policy.churn.join_probability);
   policy.set("churn_min_live", config.policy.churn.min_live);

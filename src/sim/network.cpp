@@ -69,10 +69,8 @@ Network::Network(const NetworkConfig& config)
     accounts_.add_account(ledger::algos(dist.sample(stake_rng)));
 
   // Behaviour assignment: a random subset defects, a random subset is
-  // faulty, the rest honest (or selfish when selfish_residual).
-  behaviors_.assign(config.node_count, config.selfish_residual
-                                           ? BehaviorType::Selfish
-                                           : BehaviorType::Honest);
+  // faulty, the rest honest.
+  behaviors_.assign(config.node_count, BehaviorType::Honest);
   util::Rng behavior_rng = master_rng_.split("behaviors");
   const auto n_defect = static_cast<std::size_t>(
       config.defection_rate * static_cast<double>(config.node_count) + 0.5);
@@ -88,8 +86,9 @@ Network::Network(const NetworkConfig& config)
   strategies_.assign(config.node_count, game::Strategy::Cooperate);
   live_mask_.assign(config.node_count, 1);
   live_count_ = config.node_count;
+  // Honest, scripted and faulty nodes draw nothing from this stream.
   util::Rng init_rng = master_rng_.split("initial-strategies");
-  decide_strategies(econ::CostModel{}, 0.0, init_rng);
+  decide_strategies(init_rng);
 }
 
 void Network::set_behavior(ledger::NodeId v, BehaviorType b) {
@@ -109,17 +108,9 @@ void Network::set_live(ledger::NodeId v, bool is_live) {
   }
 }
 
-void Network::decide_strategies(const econ::CostModel& costs,
-                                double last_reward_per_stake,
-                                util::Rng& rng) {
-  const std::int64_t total = accounts_.total_stake();
-  for (std::size_t v = 0; v < behaviors_.size(); ++v) {
-    SelfishContext ctx;
-    ctx.stake = accounts_.stake(static_cast<ledger::NodeId>(v));
-    ctx.last_reward_per_stake = last_reward_per_stake;
-    set_election_odds(ctx, total);
-    strategies_[v] = choose_strategy(behaviors_[v], costs, ctx, rng);
-  }
+void Network::decide_strategies(util::Rng& rng) {
+  for (std::size_t v = 0; v < behaviors_.size(); ++v)
+    strategies_[v] = choose_strategy(behaviors_[v], 0.0, rng);
 }
 
 void Network::set_strategies(std::vector<game::Strategy> strategies) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "crypto/keypair.hpp"
-#include "econ/cost_model.hpp"
 #include "ledger/account_table.hpp"
 #include "ledger/blockchain.hpp"
 #include "net/delay_model.hpp"
@@ -26,11 +25,8 @@ struct NetworkConfig {
   /// Fraction of nodes scripted to defect (Fig 3: 0.05 .. 0.30) — selected
   /// uniformly at random.
   double defection_rate = 0.0;
-  /// Fraction of faulty (offline) nodes.
+  /// Fraction of faulty (offline) nodes; the rest are honest.
   double faulty_rate = 0.0;
-  /// Remaining nodes' behaviour: honest by default; set true to make them
-  /// payoff-driven selfish deciders instead.
-  bool selfish_residual = false;
   /// Per-hop delay range (uniform), ms.
   double delay_lo_ms = 20.0;
   double delay_hi_ms = 120.0;
@@ -71,11 +67,11 @@ class Network {
     return strategies_;
   }
 
-  /// Re-evaluates every node's strategy for the next round.
-  /// `last_reward_per_stake` is the observed per-unit reward of the
-  /// previous round (µAlgos per Algo), driving the selfish rule.
-  void decide_strategies(const econ::CostModel& costs,
-                         double last_reward_per_stake, util::Rng& rng);
+  /// Re-evaluates every node's strategy for the next round from its
+  /// behaviour (choose_strategy). Stake-correlated nodes defect with
+  /// probability 0 here: the scenario policy that assigns them decides
+  /// them with their own.
+  void decide_strategies(util::Rng& rng);
 
   /// Overrides the strategies for the upcoming round directly (used by the
   /// best-response strategic loop, which computes them game-theoretically

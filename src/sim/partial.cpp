@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "econ/cost_model.hpp"
 #include "sim/network.hpp"
 #include "util/framed_io.hpp"
 
@@ -18,13 +19,23 @@ util::json::Value network_spec_echo(const NetworkConfig& config) {
   net.set("stake_hi", config.stake_hi);
   net.set("defection_rate", config.defection_rate);
   net.set("faulty_rate", config.faulty_rate);
-  net.set("selfish_residual", util::json::Value(config.selfish_residual));
+  // Every network's residual nodes are honest; the key stays, so spec
+  // hashes and store keys keep their bytes.
+  net.set("selfish_residual", util::json::Value(false));
   net.set("delay_lo_ms", config.delay_lo_ms);
   net.set("delay_hi_ms", config.delay_hi_ms);
   net.set("degrade_probability", config.synchrony.degrade_probability);
   net.set("degraded_delay_factor", config.synchrony.degraded_delay_factor);
   net.set("max_degraded_rounds", config.synchrony.max_degraded_rounds);
   return net;
+}
+
+void append_cost_echo(util::json::Value& echo) {
+  const econ::CostModel costs;
+  echo.set("leader_cost", costs.leader_cost());
+  echo.set("committee_cost", costs.committee_cost());
+  echo.set("other_cost", costs.other_cost());
+  echo.set("defection_cost", costs.defection_cost());
 }
 
 void append_agg_echo(util::json::Value& echo, AggBackend agg) {

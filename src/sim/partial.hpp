@@ -64,6 +64,12 @@ struct NetworkConfig;
 /// shared by the defection and strategic spec hashes.
 util::json::Value network_spec_echo(const NetworkConfig& config);
 
+/// Appends the role costs every experiment runs under (econ::CostModel{}'s
+/// c_L, c_M, c_K and c_so) as "leader_cost", "committee_cost",
+/// "other_cost" and "defection_cost". No config sets them; they stay in
+/// the echo so every spec hash of an earlier build still matches.
+void append_cost_echo(util::json::Value& echo);
+
 /// Appends the reduction tail every spec echo ends with: the backend
 /// ("agg") and the streaming sketch shape ("reservoir_capacity",
 /// "p2_grid"). The shape is a constant of RoundAccumulator; it stays in

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "consensus/params.hpp"
 #include "econ/foundation_schedule.hpp"
+#include "econ/optimizer.hpp"
 #include "sim/experiment_runner.hpp"
 #include "util/alias_sampler.hpp"
 #include "util/require.hpp"
@@ -12,6 +14,16 @@
 namespace roleshare::sim {
 
 namespace {
+
+/// The §V-B committee-stake expectations each round samples: S_L =
+/// tau_proposer and S_M = 3 tau_step + tau_final.
+const consensus::ConsensusParams kParams{};
+
+/// Per-round transaction churn: kTxParties stake-weighted draws, each
+/// moving U(kTxLo, kTxHi) Algos (negative = send, positive = receive).
+constexpr std::size_t kTxParties = 1000;
+constexpr std::int64_t kTxLo = -4;
+constexpr std::int64_t kTxHi = 4;
 
 /// Draws a role's member set by sub-user sampling: `tau` stake-weighted
 /// draws; distinct drawn nodes form the set, and each one's `in_role`
@@ -40,9 +52,13 @@ struct RewardRun {
   std::size_t infeasible = 0;
 };
 
-RewardRun execute_run(const RewardExperimentConfig& config,
-                      const econ::RewardOptimizer& optimizer, util::Rng& rng,
+RewardRun execute_run(const RewardExperimentConfig& config, util::Rng& rng,
                       const util::InnerExecutor& exec) {
+  const std::uint64_t leader_stake = kParams.expected_proposer_stake;
+  const std::uint64_t committee_stake =
+      kParams.expected_committee_stake_per_round();
+  const econ::RewardOptimizer optimizer;
+  const econ::CostModel costs;
   RewardRun run;
   run.per_round_bi.assign(config.rounds_per_run, 0.0);
 
@@ -71,9 +87,9 @@ RewardRun execute_run(const RewardExperimentConfig& config,
 
     std::fill(in_role.begin(), in_role.end(), std::uint8_t{0});
     const std::int64_t min_leader = sample_role_min_stake(
-        sampler, stakes, config.leader_stake, rng, in_role);
+        sampler, stakes, leader_stake, rng, in_role);
     const std::int64_t min_committee = sample_role_min_stake(
-        sampler, stakes, config.committee_stake, rng, in_role);
+        sampler, stakes, committee_stake, rng, in_role);
 
     // Others: everyone else. s*_k is the min stake among others at or
     // above the Fig-7(c) threshold; S_K excludes filtered nodes. The
@@ -100,8 +116,8 @@ RewardRun execute_run(const RewardExperimentConfig& config,
     }
 
     econ::BoundInputs inputs;
-    inputs.stake_leaders = static_cast<double>(config.leader_stake);
-    inputs.stake_committee = static_cast<double>(config.committee_stake);
+    inputs.stake_leaders = static_cast<double>(leader_stake);
+    inputs.stake_committee = static_cast<double>(committee_stake);
     inputs.stake_others = static_cast<double>(others_stake);
     inputs.min_stake_leader =
         static_cast<double>(std::max<std::int64_t>(1, min_leader));
@@ -115,7 +131,7 @@ RewardRun execute_run(const RewardExperimentConfig& config,
     // infeasible, as an empty role is in RoleBasedScheme::required_budget.
     // The churn below still runs, so the draws that follow are unchanged.
     const econ::OptimizerResult opt =
-        others_stake > 0 ? optimizer.optimize(inputs, config.costs)
+        others_stake > 0 ? optimizer.optimize(inputs, costs)
                          : econ::OptimizerResult{};
     if (!opt.feasible) {
       ++run.infeasible;
@@ -128,9 +144,9 @@ RewardRun execute_run(const RewardExperimentConfig& config,
     }
 
     // Transaction churn: stake-weighted parties exchange a few Algos.
-    for (std::size_t t = 0; t < config.tx_parties; ++t) {
+    for (std::size_t t = 0; t < kTxParties; ++t) {
       const std::size_t v = sampler.sample(rng);
-      const std::int64_t delta = rng.uniform_int(config.tx_lo, config.tx_hi);
+      const std::int64_t delta = rng.uniform_int(kTxLo, kTxHi);
       const std::int64_t updated =
           std::max<std::int64_t>(1, stakes[v] + delta);
       total_stake += updated - stakes[v];
@@ -225,17 +241,14 @@ util::json::Value reward_spec_echo(const RewardExperimentConfig& config) {
   v.set("stakes_b", config.stakes.b());
   v.set("runs", config.runs);
   v.set("rounds_per_run", config.rounds_per_run);
-  v.set("leader_cost", config.costs.leader_cost());
-  v.set("committee_cost", config.costs.committee_cost());
-  v.set("other_cost", config.costs.other_cost());
-  v.set("defection_cost", config.costs.defection_cost());
-  v.set("optimizer_margin", config.optimizer.margin);
-  v.set("optimizer_min_share", config.optimizer.min_share);
-  v.set("leader_stake", config.leader_stake);
-  v.set("committee_stake", config.committee_stake);
-  v.set("tx_parties", config.tx_parties);
-  v.set("tx_lo", config.tx_lo);
-  v.set("tx_hi", config.tx_hi);
+  append_cost_echo(v);
+  v.set("optimizer_margin", econ::RewardOptimizer::kMargin);
+  v.set("optimizer_min_share", econ::RewardOptimizer::kMinShare);
+  v.set("leader_stake", kParams.expected_proposer_stake);
+  v.set("committee_stake", kParams.expected_committee_stake_per_round());
+  v.set("tx_parties", kTxParties);
+  v.set("tx_lo", kTxLo);
+  v.set("tx_hi", kTxHi);
   v.set("min_other_stake", config.min_other_stake
                                ? Value(*config.min_other_stake)
                                : Value());
@@ -246,14 +259,12 @@ util::json::Value reward_spec_echo(const RewardExperimentConfig& config) {
 RewardPartial run_reward_partial(const RewardExperimentConfig& config) {
   RS_REQUIRE(config.node_count > 2, "population too small");
 
-  const econ::RewardOptimizer optimizer(config.optimizer);
   return run_partial<RewardPayload>(
       {config.runs, config.rounds_per_run, config.seed, config.threads,
        config.inner_threads, config.shard},
       config.agg, reward_spec_echo(config),
-      [&](std::size_t, util::Rng& rng, const RunContext& ctx) {
-        return execute_run(config, optimizer, rng,
-                           util::InnerExecutor(ctx.inner_pool));
+      [&config](std::size_t, util::Rng& rng, const RunContext& ctx) {
+        return execute_run(config, rng, util::InnerExecutor(ctx.inner_pool));
       },
       [&config](RewardPayload& payload, const RewardRun& run) {
         // Replayed in run order, feeding every bank in exactly the sample

@@ -1,10 +1,12 @@
 // The Fig-6 / Fig-7 economic experiment (§V-B): a population of hundreds of
 // thousands of accounts with a configurable stake distribution, per-round
 // committee sampling (sub-user draws, exactly Algorand's committee-stake
-// accounting where S_L = tau_proposer and S_M = 3*tau_step + tau_final),
-// per-round transaction churn among stake-weighted parties, and per-round
-// computation of the minimal incentive-compatible reward B_i via
-// Algorithm 1 — compared against the Foundation's Table-III schedule.
+// accounting where S_L = tau_proposer and S_M = 3*tau_step + tau_final,
+// read from consensus::ConsensusParams{}), per-round transaction churn
+// among stake-weighted parties, and per-round computation of the minimal
+// incentive-compatible reward B_i via Algorithm 1 (role costs
+// econ::CostModel{}) — compared against the Foundation's Table-III
+// schedule.
 //
 // Sharded execution rides the shared sim::ExperimentPartial envelope
 // (sim/partial.hpp): run_reward_partial executes the config's shard
@@ -17,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "econ/optimizer.hpp"
 #include "sim/aggregators.hpp"
 #include "sim/experiment_runner.hpp"
 #include "sim/partial.hpp"
@@ -42,16 +43,6 @@ struct RewardExperimentConfig {
   /// integer sums and minima, so the merged result is exact and identical
   /// for every inner thread count.
   std::size_t inner_threads = 1;
-  econ::CostModel costs{};
-  econ::OptimizerConfig optimizer{};
-  /// Committee-stake expectations (paper: S_L = 26, S_M = 13,000).
-  std::uint64_t leader_stake = 26;
-  std::uint64_t committee_stake = 13'000;
-  /// Per-round transaction churn: `tx_parties` stake-weighted draws, each
-  /// moving U(tx_lo, tx_hi) Algos (negative = send, positive = receive).
-  std::size_t tx_parties = 1000;
-  std::int64_t tx_lo = -4;
-  std::int64_t tx_hi = 4;
   /// Fig-7(c): Other nodes with stake < w are excluded from the reward set.
   std::optional<std::int64_t> min_other_stake;
   /// Reduction backend for the per-round B_i series and the run-scalar

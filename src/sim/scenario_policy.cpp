@@ -4,6 +4,7 @@
 #include <numeric>
 #include <optional>
 
+#include "econ/foundation_schedule.hpp"
 #include "game/best_response.hpp"
 #include "game/game_model.hpp"
 #include "util/require.hpp"
@@ -50,9 +51,10 @@ std::size_t apply_churn(Network& net, const ChurnSchedule& schedule,
 }
 
 ScenarioPolicy::ScenarioPolicy(const ScenarioPolicyConfig& config,
-                               Network& net)
+                               Network& net, double committee_threshold)
     : config_(config),
       net_(&net),
+      committee_threshold_(committee_threshold),
       policy_root_(scenario_policy_root(net.config().seed)),
       profile_(net.strategies()) {
   require_probability(config_.defect_at_bottom,
@@ -74,13 +76,12 @@ ScenarioPolicy::ScenarioPolicy(const ScenarioPolicyConfig& config,
       }
       break;
     case PolicyKind::StakeCorrelatedDefect: {
-      // Every non-scripted, non-faulty node becomes a stake-correlated
-      // defector; percentiles are ranks over the full population's initial
-      // stakes (ties broken by node id, so the ranking is deterministic).
+      // Every honest node becomes a stake-correlated defector;
+      // percentiles are ranks over the full population's initial stakes
+      // (ties broken by node id, so the ranking is deterministic).
       for (std::size_t v = 0; v < n; ++v) {
         const auto id = static_cast<ledger::NodeId>(v);
-        if (net.behavior(id) == BehaviorType::Honest ||
-            net.behavior(id) == BehaviorType::Selfish)
+        if (net.behavior(id) == BehaviorType::Honest)
           net.set_behavior(id, BehaviorType::StakeCorrelatedDefect);
       }
       const std::vector<std::int64_t> stakes = net.accounts().stakes();
@@ -116,27 +117,16 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
   if (config_.churn.enabled())
     apply_churn(net, config_.churn, policy_root_, round_index);
 
-  // Observed per-stake reward rate of the previous round — what the
-  // Foundation schedule paid, spread over the live stake (µAlgos/Algo) —
-  // plus, for adaptive candidates, the full one-round game it induces.
-  double last_rate = 0.0;
+  // Adaptive candidates play the stake-proportional game G_Al the last
+  // round induced (it ignores the split), at the Table-III reward.
   std::optional<game::AlgorandGame> game;
-  if (last != nullptr && last->roles_true.has_value()) {
-    const econ::RoleSnapshot& snap = *last->roles_true;
-    const double bi = static_cast<double>(
-        foundation_.required_budget(last->round, snap));
-    const std::int64_t snap_stake = snap.total_stake();
-    if (last->non_empty_block && snap_stake > 0)
-      last_rate = bi / static_cast<double>(snap_stake);
-    if (config_.kind == PolicyKind::AdaptiveDefect) {
-      // Adaptive candidates play the stake-proportional game G_Al, which
-      // ignores the split.
-      game.emplace(game::GameConfig{
-          .snapshot = snap,
-          .costs = config_.costs,
-          .bi = bi,
-          .committee_threshold = config_.committee_threshold});
-    }
+  if (config_.kind == PolicyKind::AdaptiveDefect && last != nullptr &&
+      last->roles_true.has_value()) {
+    game.emplace(game::GameConfig{
+        .snapshot = *last->roles_true,
+        .bi = static_cast<double>(
+            econ::FoundationSchedule::reward_for_round(last->round)),
+        .committee_threshold = committee_threshold_});
   }
 
   // Per-node strategy decisions. Every draw comes from the independent
@@ -145,14 +135,6 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
   // executor's scheduling cannot change a single decision.
   const util::Rng strategy_root =
       policy_root_.split("strategies").split(round_index);
-  // Election-probability estimates run against *live* stake — the pool
-  // the round engine actually measures sortition over once departed
-  // stakes are zeroed.
-  std::int64_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto id = static_cast<ledger::NodeId>(v);
-    if (net.live(id)) total += net.accounts().stake(id);
-  }
   // One scanner over the frozen previous profile serves every adaptive
   // best response of the sweep.
   std::optional<game::DeviationScanner> scanner;
@@ -172,12 +154,7 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
         continue;
       }
       util::Rng rng = strategy_root.split(v);
-      SelfishContext ctx;
-      ctx.stake = net.accounts().stake(id);
-      ctx.last_reward_per_stake = last_rate;
-      set_election_odds(ctx, total);
-      ctx.defect_probability = defect_probability(v);
-      next[v] = choose_strategy(behavior, config_.costs, ctx, rng);
+      next[v] = choose_strategy(behavior, defect_probability(v), rng);
     }
   });
   profile_ = std::move(next);

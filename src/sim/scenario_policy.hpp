@@ -15,8 +15,8 @@
 //      - StakeCorrelatedDefect nodes defect with a probability
 //        interpolated over their stake percentile (the paper's claim that
 //        large stakeholders have the most to lose from a failed block);
-//      - the legacy types (Honest / ScriptedDefect / Malicious / Selfish /
-//        Faulty) keep their §III-C rules, now re-drawn per round.
+//      - Honest, ScriptedDefect and Faulty nodes keep their fixed
+//        §III-C strategies.
 //
 // Every draw comes from the per-(round, node) stream
 // scenario_policy_root(seed).split(purpose).split(round).split(node), so
@@ -30,8 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "econ/cost_model.hpp"
-#include "econ/stake_proportional.hpp"
 #include "game/strategy.hpp"
 #include "sim/network.hpp"
 #include "sim/round_engine.hpp"
@@ -91,13 +89,6 @@ struct ScenarioPolicyConfig {
   /// incentive claim corresponds to defect_at_top < defect_at_bottom.
   double defect_at_bottom = 0.0;
   double defect_at_top = 0.0;
-  /// Cost matrix behind the adaptive / selfish decision rules.
-  econ::CostModel costs{};
-  /// Committee vote threshold T of the one-round game adaptive candidates
-  /// best-respond in. Experiment drivers overwrite it with the consensus
-  /// params the round engine actually runs under (ConsensusParams
-  /// .step_threshold), so the policy reasons about the same game.
-  double committee_threshold = 0.685;
   ChurnSchedule churn{};
 
   /// Whether the policy layer changes anything relative to the frozen
@@ -127,9 +118,13 @@ class ScenarioPolicy {
   /// Binds the policy to `net` (borrowed; must outlive the policy) and
   /// re-labels behaviours for the chosen kind: AdaptiveDefect converts
   /// the network's scripted defectors into adaptive ones (same cohort,
-  /// reactive decision), StakeCorrelatedDefect converts the honest /
-  /// selfish residual and precomputes stake percentiles.
-  ScenarioPolicy(const ScenarioPolicyConfig& config, Network& net);
+  /// reactive decision), StakeCorrelatedDefect converts the honest
+  /// residual and precomputes stake percentiles. `committee_threshold` is
+  /// the vote threshold T of the one-round game adaptive candidates
+  /// best-respond in: the ConsensusParams::step_threshold the round
+  /// engine runs under, so the policy reasons about the same game.
+  ScenarioPolicy(const ScenarioPolicyConfig& config, Network& net,
+                 double committee_threshold);
 
   const ScenarioPolicyConfig& config() const { return config_; }
 
@@ -147,10 +142,9 @@ class ScenarioPolicy {
 
   ScenarioPolicyConfig config_;
   Network* net_;
+  double committee_threshold_;
   util::Rng policy_root_;
   std::vector<double> stake_percentile_;  // per node, in [0, 1]
-  /// Observed-reward source for the adaptive rule (Table-III schedule).
-  econ::StakeProportionalScheme foundation_;
   /// Strategies installed for the upcoming round; the "previous profile"
   /// adaptive nodes best-respond against.
   game::Profile profile_;

@@ -1,9 +1,7 @@
 #include "sim/strategic_loop.hpp"
 
 #include "econ/foundation_schedule.hpp"
-#include "econ/optimizer.hpp"
 #include "econ/role_based.hpp"
-#include "econ/stake_proportional.hpp"
 #include "game/best_response.hpp"
 #include "sim/experiment_runner.hpp"
 #include "util/require.hpp"
@@ -22,8 +20,7 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
                          net.accounts().total_stake()),
                      inner_pool);
 
-  econ::StakeProportionalScheme foundation;
-  econ::RoleBasedScheme role_based(config.costs);
+  econ::RoleBasedScheme role_based{econ::CostModel{}};
 
   game::Profile profile(net.node_count(), config.initial);
   StrategicLoopResult result;
@@ -65,13 +62,12 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
     const econ::RoleSnapshot& snap = *round.roles_true;
     game::GameConfig game_config{
         .snapshot = snap,
-        .costs = config.costs,
         .scheme = config.scheme,
         .committee_threshold = engine.params().step_threshold};
 
     if (config.scheme == econ::SchemeKind::StakeProportional) {
       game_config.bi = static_cast<double>(
-          foundation.required_budget(round.round, snap));
+          econ::FoundationSchedule::reward_for_round(round.round));
       stats.bi_algos = round.non_empty_block
                            ? ledger::to_algos(static_cast<ledger::MicroAlgos>(
                                  game_config.bi))
@@ -172,10 +168,7 @@ util::json::Value strategic_spec_echo(const StrategicEnsembleConfig& config) {
   v.set("scheme", config.base.scheme == econ::SchemeKind::StakeProportional
                       ? "foundation"
                       : "role-based");
-  v.set("leader_cost", config.base.costs.leader_cost());
-  v.set("committee_cost", config.base.costs.committee_cost());
-  v.set("other_cost", config.base.costs.other_cost());
-  v.set("defection_cost", config.base.costs.defection_cost());
+  append_cost_echo(v);
   v.set("initial_strategy", static_cast<int>(config.base.initial));
   v.set("churn_leave", config.base.churn.leave_probability);
   v.set("churn_join", config.base.churn.join_probability);

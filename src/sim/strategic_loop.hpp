@@ -35,7 +35,6 @@ struct StrategicLoopConfig {
   /// StakeProportional: the Foundation's Table-III R_i. RoleBased: the
   /// Algorithm-1 minimal B_i with the adaptive split.
   econ::SchemeKind scheme = econ::SchemeKind::StakeProportional;
-  econ::CostModel costs{};
   /// Strategy profile nodes start from (default: everyone cooperates).
   game::Strategy initial = game::Strategy::Cooperate;
   /// Optional churn schedule: nodes leave/join between rounds on

@@ -71,13 +71,12 @@ Gen<sim::NetworkConfig> network_config(std::size_t min_nodes,
              pgen::int_range(10, 100),                // stake_hi
              pgen::real_range(0.0, 0.35),             // defection_rate
              pgen::real_range(0.0, 0.15),             // faulty_rate
-             pgen::boolean(),                         // selfish_residual
              pgen::real_range(5.0, 40.0),             // delay_lo_ms
              pgen::real_range(60.0, 200.0),           // delay_hi_ms
              pgen::real_range(0.0, 0.3))              // degrade prob
       .map([](const auto& t) {
-        const auto& [nodes, seed, fan, slo, shi, defect, faulty, selfish,
-                     dlo, dhi, degrade] = t;
+        const auto& [nodes, seed, fan, slo, shi, defect, faulty, dlo, dhi,
+                     degrade] = t;
         sim::NetworkConfig c;
         c.node_count = nodes;
         c.seed = static_cast<std::uint64_t>(seed);
@@ -86,7 +85,6 @@ Gen<sim::NetworkConfig> network_config(std::size_t min_nodes,
         c.stake_hi = shi;
         c.defection_rate = defect;
         c.faulty_rate = faulty;
-        c.selfish_residual = selfish;
         c.delay_lo_ms = dlo;
         c.delay_hi_ms = dhi;
         c.synchrony.degrade_probability = degrade;

@@ -142,7 +142,8 @@ PROP_TEST_WITH_PARAMS(PropConsensus, RoundInvariantsUnderRandomScenarios,
         RoundEngine engine(net,
                            roleshare::consensus::ConsensusParams::scaled_for(
                                net.accounts().total_stake()));
-        ScenarioPolicy policy(policy_config, net);
+        ScenarioPolicy policy(policy_config, net,
+                              engine.params().step_threshold);
         RoundResult last;
         const RoundResult* last_ptr = nullptr;
         for (std::size_t r = 0; r < rounds; ++r) {
@@ -184,7 +185,8 @@ PROP_TEST_WITH_PARAMS(PropConsensus, RoundsAreDeterministicInTheSeed, 10) {
           RoundEngine engine(
               net, roleshare::consensus::ConsensusParams::scaled_for(
                        net.accounts().total_stake()));
-          ScenarioPolicy policy(policy_config, net);
+          ScenarioPolicy policy(policy_config, net,
+                              engine.params().step_threshold);
           std::string trace;
           RoundResult last;
           const RoundResult* last_ptr = nullptr;

@@ -1,9 +1,9 @@
-// Property suite: reward-conservation invariants for every scheme and
-// exact pool accounting, over randomized populations and budgets
-// (seeding contract in DESIGN.md §8).
+// Property suite: reward-conservation invariants for both role-based
+// payouts and exact pool accounting, over randomized populations and
+// budgets (seeding contract in DESIGN.md §8).
 //
 // The paper's economic layer promises integer µAlgo conservation: a
-// scheme never disburses more than its budget (floor rounding leaves
+// payout never disburses more than its budget (floor rounding leaves
 // dust in the pool, never mints), pays nothing to zero-stake nodes, and
 // the Foundation pool's ledger identity emitted == balance + disbursed
 // holds after any operation sequence.
@@ -20,7 +20,7 @@
 #include "econ/reward_pool.hpp"
 #include "econ/role_based.hpp"
 #include "econ/role_snapshot.hpp"
-#include "econ/stake_proportional.hpp"
+#include "econ/sparse_payout.hpp"
 #include "gen/domain_gen.hpp"
 #include "util/proptest.hpp"
 
@@ -32,7 +32,6 @@ using roleshare::econ::Payouts;
 using roleshare::econ::RewardSplit;
 using roleshare::econ::RoleBasedScheme;
 using roleshare::econ::RoleSnapshot;
-using roleshare::econ::StakeProportionalScheme;
 using roleshare::ledger::MicroAlgos;
 using roleshare::util::proptest::Verdict;
 namespace pgen = roleshare::util::proptest::gen;
@@ -52,12 +51,10 @@ std::string describe_snapshot(const RoleSnapshot& snap) {
   return out + "}";
 }
 
-// The conservation contract every scheme must satisfy for any
+// The conservation contract the role-based scheme must satisfy for any
 // (snapshot, budget) pair, whether or not the budget is the one the
-// scheme asked for. Each property names its scheme, so the verdicts
-// need not.
-template <typename Scheme>
-Verdict conservation_holds(Scheme& scheme, const RoleSnapshot& snap,
+// scheme asked for.
+Verdict conservation_holds(RoleBasedScheme& scheme, const RoleSnapshot& snap,
                            MicroAlgos budget) {
   const MicroAlgos required =
       scheme.required_budget(/*round=*/1, snap);
@@ -104,18 +101,8 @@ auto snapshot_budget_printer() {
 
 }  // namespace
 
-// ISSUE acceptance: reward conservation at >= 1000 randomized cases for
-// every scheme. Each check draws an independent (population, budget).
-PROP_TEST_WITH_PARAMS(PropRewards, StakeProportionalConservesBudget, 1000) {
-  prop.check(
-      snapshot_and_budget(),
-      [](const std::tuple<RoleSnapshot, std::int64_t>& t) {
-        StakeProportionalScheme scheme;
-        return conservation_holds(scheme, std::get<0>(t), std::get<1>(t));
-      },
-      snapshot_budget_printer());
-}
-
+// Reward conservation at >= 1000 randomized cases. Each check draws an
+// independent (population, budget).
 PROP_TEST_WITH_PARAMS(PropRewards, RoleBasedAdaptiveConservesBudget, 1000) {
   prop.check(
       snapshot_and_budget(),
@@ -126,51 +113,60 @@ PROP_TEST_WITH_PARAMS(PropRewards, RoleBasedAdaptiveConservesBudget, 1000) {
       snapshot_budget_printer());
 }
 
-PROP_TEST_WITH_PARAMS(PropRewards, RoleBasedFixedSplitConservesBudget, 1000) {
+// The fixed-split payout fig_longhorizon compounds, over random splits,
+// touched sets and budgets: every amount is non-negative, Others and
+// zero-stake entries get nothing, the amounts sum to `paid`, and
+// paid + others_pot never exceeds the budget. The touched set is the
+// whole snapshot; `untouched` is online stake held by Others outside it.
+PROP_TEST_WITH_PARAMS(PropRewards, DistributeTouchedConservesBudget, 1000) {
+  using Case =
+      std::tuple<RoleSnapshot, std::int64_t, double, double, std::int64_t>;
   prop.check(
       pgen::tuple_of(roleshare::testgen::role_snapshot(1, 24),
-                     pgen::int_range(0, 2'000'000'000),
-                     pgen::real_range(0.01, 0.45),   // alpha
-                     pgen::real_range(0.01, 0.45)),  // beta
-      [](const std::tuple<RoleSnapshot, std::int64_t, double, double>& t) {
-        const auto& [snap, budget, alpha, beta] = t;
-        RoleBasedScheme scheme(CostModel{}, RewardSplit(alpha, beta));
-        return conservation_holds(scheme, snap, budget);
+                     pgen::int_range(0, 2'000'000'000),  // budget
+                     pgen::real_range(0.01, 0.45),       // alpha
+                     pgen::real_range(0.01, 0.45),       // beta
+                     pgen::int_range(0, 1'000'000)),     // untouched
+      [](const Case& t) {
+        const auto& [snap, budget, alpha, beta, untouched] = t;
+        std::vector<MicroAlgos> amounts(snap.node_count(), -1);
+        const roleshare::econ::SparsePayoutTotals totals =
+            roleshare::econ::distribute_touched(
+                RewardSplit(alpha, beta), budget, snap.roles(),
+                snap.stakes(), snap.total_stake() + untouched, amounts);
+        MicroAlgos sum = 0;
+        for (std::size_t i = 0; i < amounts.size(); ++i) {
+          const auto id = static_cast<roleshare::ledger::NodeId>(i);
+          if (amounts[i] < 0)
+            return Verdict{false, "negative payout " +
+                                      std::to_string(amounts[i]) +
+                                      " to entry " + std::to_string(i)};
+          if ((snap.role(id) == roleshare::consensus::Role::Other ||
+               snap.stake(id) == 0) &&
+              amounts[i] != 0)
+            return Verdict{false, "Other or zero-stake entry " +
+                                      std::to_string(i) + " paid " +
+                                      std::to_string(amounts[i])};
+          sum += amounts[i];
+        }
+        if (sum != totals.paid)
+          return Verdict{false, "paid " + std::to_string(totals.paid) +
+                                    " != sum of amounts " +
+                                    std::to_string(sum)};
+        if (totals.paid + totals.others_pot > budget)
+          return Verdict{false, "paid " + std::to_string(totals.paid) +
+                                    " + others pot " +
+                                    std::to_string(totals.others_pot) +
+                                    " exceeds the budget " +
+                                    std::to_string(budget)};
+        return Verdict{};
       },
-      [](const std::tuple<RoleSnapshot, std::int64_t, double, double>& t) {
+      [](const Case& t) {
         return describe_snapshot(std::get<0>(t)) +
                " budget=" + std::to_string(std::get<1>(t)) + " split=(" +
                std::to_string(std::get<2>(t)) + ", " +
-               std::to_string(std::get<3>(t)) + ")";
-      });
-}
-
-// Fig-7(c)'s U_w filter must not break conservation: filtered Others get
-// nothing, everyone else still shares at most the budget.
-PROP_TEST_WITH_PARAMS(PropRewards, MinStakeFilterStillConserves, 1000) {
-  prop.check(
-      pgen::tuple_of(roleshare::testgen::role_snapshot(1, 24),
-                     pgen::int_range(0, 2'000'000'000),
-                     pgen::int_range(0, 5'000)),  // min_other_stake
-      [](const std::tuple<RoleSnapshot, std::int64_t, std::int64_t>& t) {
-        const auto& [snap, budget, threshold] = t;
-        RoleBasedScheme scheme(CostModel{},
-                               roleshare::econ::OptimizerConfig{}, threshold);
-        Verdict v = conservation_holds(scheme, snap, budget);
-        if (!v.ok) return v;
-        const Payouts payouts = scheme.distribute(1, snap, budget);
-        for (std::size_t i = 0; i < payouts.amounts.size(); ++i) {
-          const auto id = static_cast<roleshare::ledger::NodeId>(i);
-          if (snap.role(id) == roleshare::consensus::Role::Other &&
-              snap.stake(id) < threshold && payouts.amounts[i] != 0)
-            return Verdict{false,
-                           "filtered node " + std::to_string(i) + " (stake " +
-                               std::to_string(snap.stake(id)) +
-                               " < threshold " + std::to_string(threshold) +
-                               ") was paid " +
-                               std::to_string(payouts.amounts[i])};
-        }
-        return Verdict{};
+               std::to_string(std::get<3>(t)) +
+               ") untouched=" + std::to_string(std::get<4>(t));
       });
 }
 
@@ -225,48 +221,39 @@ PROP_TEST_WITH_PARAMS(PropRewards, FoundationPoolAccountingIdentity, 1000) {
       });
 }
 
-// End-to-end round loop: schedule emission -> pool -> scheme budget ->
-// distribution. Whatever the scheme does, µAlgos are conserved globally:
-// emitted == balance + disbursed and payouts never exceed withdrawals.
+// End-to-end round loop: schedule emission -> pool -> role-based budget
+// -> distribution. µAlgos are conserved globally: emitted == balance +
+// disbursed and payouts never exceed withdrawals.
 PROP_TEST_WITH_PARAMS(PropRewards, PoolSchemeLoopConservesMicroAlgos, 300) {
   prop.check(
       pgen::tuple_of(roleshare::testgen::role_snapshot(1, 24),
-                     pgen::int_range(1, 40),      // rounds
-                     pgen::boolean()),            // scheme pick
-      [](const std::tuple<RoleSnapshot, std::int64_t, bool>& t) {
-        const auto& [snap, rounds, role_based] = t;
-        const auto run_loop = [&snap, rounds](auto& scheme) {
-          FoundationPool pool;
-          MicroAlgos paid_out = 0;
-          MicroAlgos withdrawn = 0;
-          for (std::int64_t r = 1; r <= rounds; ++r) {
-            pool.inject(
-                roleshare::econ::FoundationSchedule::reward_for_round(r));
-            const MicroAlgos want = scheme.required_budget(r, snap);
-            const MicroAlgos got = pool.withdraw(want);
-            withdrawn += got;
-            const Payouts payouts = scheme.distribute(r, snap, got);
-            if (payouts.total > got)
-              return Verdict{false, "round " + std::to_string(r) +
-                                        " disbursed " +
-                                        std::to_string(payouts.total) +
-                                        " of " + std::to_string(got)};
-            paid_out += payouts.total;
-          }
-          if (pool.emitted() != pool.balance() + pool.disbursed())
-            return Verdict{false, "pool identity broken after " +
-                                      std::to_string(rounds) + " rounds"};
-          if (paid_out > withdrawn)
-            return Verdict{false, "paid " + std::to_string(paid_out) +
-                                      " but only withdrew " +
-                                      std::to_string(withdrawn)};
-          return Verdict{};
-        };
-        if (role_based) {
-          RoleBasedScheme scheme(CostModel{});
-          return run_loop(scheme);
+                     pgen::int_range(1, 40)),  // rounds
+      [](const std::tuple<RoleSnapshot, std::int64_t>& t) {
+        const auto& [snap, rounds] = t;
+        RoleBasedScheme scheme(CostModel{});
+        FoundationPool pool;
+        MicroAlgos paid_out = 0;
+        MicroAlgos withdrawn = 0;
+        for (std::int64_t r = 1; r <= rounds; ++r) {
+          pool.inject(roleshare::econ::FoundationSchedule::reward_for_round(r));
+          const MicroAlgos want = scheme.required_budget(r, snap);
+          const MicroAlgos got = pool.withdraw(want);
+          withdrawn += got;
+          const Payouts payouts = scheme.distribute(r, snap, got);
+          if (payouts.total > got)
+            return Verdict{false, "round " + std::to_string(r) +
+                                      " disbursed " +
+                                      std::to_string(payouts.total) + " of " +
+                                      std::to_string(got)};
+          paid_out += payouts.total;
         }
-        StakeProportionalScheme scheme;
-        return run_loop(scheme);
+        if (pool.emitted() != pool.balance() + pool.disbursed())
+          return Verdict{false, "pool identity broken after " +
+                                    std::to_string(rounds) + " rounds"};
+        if (paid_out > withdrawn)
+          return Verdict{false, "paid " + std::to_string(paid_out) +
+                                    " but only withdrew " +
+                                    std::to_string(withdrawn)};
+        return Verdict{};
       });
 }

@@ -51,24 +51,6 @@ TEST(CostModel, RoleCostOrdering) {
   EXPECT_GT(costs.other_cost(), costs.defection_cost());
 }
 
-TEST(CostModel, FromRoleCosts) {
-  const CostModel costs = CostModel::from_role_costs(20, 15, 8, 4);
-  EXPECT_DOUBLE_EQ(costs.leader_cost(), 20.0);
-  EXPECT_DOUBLE_EQ(costs.committee_cost(), 15.0);
-  EXPECT_DOUBLE_EQ(costs.other_cost(), 8.0);
-  EXPECT_DOUBLE_EQ(costs.defection_cost(), 4.0);
-  EXPECT_DOUBLE_EQ(costs.fixed_cost(), 8.0);
-}
-
-TEST(CostModel, FromRoleCostsRejectsInvertedOrdering) {
-  EXPECT_THROW(CostModel::from_role_costs(5, 15, 8, 4),
-               std::invalid_argument);  // c_L < c_K
-  EXPECT_THROW(CostModel::from_role_costs(20, 6, 8, 4),
-               std::invalid_argument);  // c_M < c_K
-  EXPECT_THROW(CostModel::from_role_costs(20, 15, 3, 4),
-               std::invalid_argument);  // c_K < c_so
-}
-
 TEST(TaskCosts, ValidateRejectsNegative) {
   TaskCosts t;
   t.cvo = -1;

@@ -87,6 +87,18 @@ TEST(GameModel, StakeProportionalPayoffsFollowEq4) {
   EXPECT_NEAR(game.payoff(p, 0), ri * 5 - 16.0, 1e-6);   // leader
   EXPECT_NEAR(game.payoff(p, 2), ri * 10 - 12.0, 1e-6);  // committee
   EXPECT_NEAR(game.payoff(p, 5), ri * 20 - 6.0, 1e-6);   // other
+
+  // A zero-stake online player earns no reward: its share of S_N is 0.
+  std::vector<Role> roles = config.snapshot.roles();
+  std::vector<std::int64_t> stakes = config.snapshot.stakes();
+  roles.push_back(Role::Other);
+  stakes.push_back(0);
+  GameConfig with_zero = config;
+  with_zero.snapshot = RoleSnapshot(std::move(roles), std::move(stakes));
+  const AlgorandGame zero_game(with_zero);
+  const Profile zp = all_cooperate(zero_game.player_count());
+  EXPECT_DOUBLE_EQ(zero_game.payoff(zp, 9), -6.0);  // c_K, no reward
+  EXPECT_NEAR(zero_game.payoff(zp, 5), ri * 20 - 6.0, 1e-6);
 }
 
 TEST(GameModel, StakeProportionalDefectorKeepsReward) {

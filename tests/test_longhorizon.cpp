@@ -25,9 +25,10 @@ LongHorizonConfig tiny_config() {
 }
 
 // distribute_touched's digit-for-digit contract against the paper scheme:
-// over a full-population snapshot, the Leader/Committee amounts must match
-// RoleBasedScheme::distribute exactly, and they must be invariant to
-// restricting the touched set to just the elected nodes.
+// over a full-population snapshot and the split the scheme chose, the
+// Leader/Committee amounts must match RoleBasedScheme::distribute exactly,
+// and they must be invariant to restricting the touched set to just the
+// elected nodes.
 TEST(SparsePayout, MatchesRoleBasedSchemeForElectedRoles) {
   util::Rng rng(31);
   const std::size_t n = 400;
@@ -43,10 +44,11 @@ TEST(SparsePayout, MatchesRoleBasedSchemeForElectedRoles) {
     }
   }
   const econ::RoleSnapshot snapshot(roles, stakes);
-  const econ::RewardSplit split(0.30, 0.30);
   const ledger::MicroAlgos budget = 26'000'000;
 
-  econ::RoleBasedScheme scheme(econ::CostModel{}, split);
+  econ::RoleBasedScheme scheme(econ::CostModel{});
+  ASSERT_GT(scheme.required_budget(1, snapshot), 0);
+  const econ::RewardSplit split = scheme.last_split();
   const econ::Payouts dense = scheme.distribute(1, snapshot, budget);
 
   // Full-population touched set.

@@ -106,29 +106,6 @@ TEST(Network, StrategiesFollowBehaviors) {
   }
 }
 
-TEST(Network, SelfishResidualReactsToRewards) {
-  NetworkConfig config = small_config();
-  config.selfish_residual = true;
-  Network net(config);
-  util::Rng rng(1);
-  // No rewards observed: all selfish nodes defect.
-  net.decide_strategies(econ::CostModel{}, 0.0, rng);
-  for (std::size_t v = 0; v < net.node_count(); ++v) {
-    if (net.behavior(static_cast<ledger::NodeId>(v)) ==
-        BehaviorType::Selfish) {
-      EXPECT_EQ(net.strategies()[v], game::Strategy::Defect);
-    }
-  }
-  // Generous observed rate: they cooperate.
-  net.decide_strategies(econ::CostModel{}, 100.0, rng);
-  for (std::size_t v = 0; v < net.node_count(); ++v) {
-    if (net.behavior(static_cast<ledger::NodeId>(v)) ==
-        BehaviorType::Selfish) {
-      EXPECT_EQ(net.strategies()[v], game::Strategy::Cooperate);
-    }
-  }
-}
-
 TEST(Network, SetBehaviorOverrides) {
   Network net(small_config());
   net.set_behavior(3, BehaviorType::Faulty);

@@ -76,7 +76,9 @@ TEST(Optimizer, DeterministicAcrossCalls) {
 TEST(Optimizer, HigherCommitteeCostsRaiseBi) {
   const RewardOptimizer opt;
   const OptimizerResult base = opt.optimize(paper_inputs(), CostModel{});
-  const CostModel expensive = CostModel::from_role_costs(16, 200, 6, 5);
+  TaskCosts tasks;
+  tasks.cvo = 192.0;  // c_M = 6 + 2 + 192 = 200 µAlgos
+  const CostModel expensive(tasks);
   const OptimizerResult costly = opt.optimize(paper_inputs(), expensive);
   ASSERT_TRUE(base.feasible);
   ASSERT_TRUE(costly.feasible);
@@ -97,25 +99,11 @@ TEST(Optimizer, SnapshotOverloadAgreesWithInputs) {
 }
 
 TEST(Optimizer, MarginMakesInequalityStrict) {
-  OptimizerConfig config;
-  config.margin = 0.05;
-  const RewardOptimizer opt(config);
+  const RewardOptimizer opt;
   const OptimizerResult r = opt.optimize(paper_inputs(), CostModel{});
   ASSERT_TRUE(r.feasible);
-  EXPECT_NEAR(r.min_bi, r.bounds.required() * 1.05,
-              r.bounds.required() * 1e-9);
-}
-
-TEST(Optimizer, RejectsBadConfig) {
-  OptimizerConfig config;
-  config.margin = -0.1;
-  EXPECT_THROW(RewardOptimizer{config}, std::invalid_argument);
-  config = OptimizerConfig{};
-  config.min_share = 0.0;
-  EXPECT_THROW(RewardOptimizer{config}, std::invalid_argument);
-  config = OptimizerConfig{};
-  config.min_share = 0.5;
-  EXPECT_THROW(RewardOptimizer{config}, std::invalid_argument);
+  EXPECT_EQ(r.min_bi, r.bounds.required() * (1.0 + RewardOptimizer::kMargin));
+  EXPECT_GT(r.min_bi, r.bounds.required());
 }
 
 TEST(Optimizer, ClosedFormMatchesAnalyticOptimum) {

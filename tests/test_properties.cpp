@@ -5,7 +5,6 @@
 
 #include "econ/optimizer.hpp"
 #include "econ/role_based.hpp"
-#include "econ/stake_proportional.hpp"
 #include "game/equilibrium.hpp"
 #include "sim/round_engine.hpp"
 #include "util/distributions.hpp"
@@ -30,7 +29,7 @@ econ::RoleSnapshot random_snapshot(util::Rng& rng, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------
-// Property: for every scheme and random population/budget, payouts are
+// Property: for random populations and budgets, role-based payouts are
 // non-negative, sum to <= budget, and only stake-holders are paid.
 class PayoutConservation : public ::testing::TestWithParam<int> {};
 
@@ -39,24 +38,20 @@ TEST_P(PayoutConservation, HoldsOnRandomPopulations) {
   const econ::RoleSnapshot snap = random_snapshot(rng, 40);
   const ledger::MicroAlgos budget = rng.uniform_int(0, 50'000'000);
 
-  econ::StakeProportionalScheme stake_prop;
   econ::RoleBasedScheme role_based{econ::CostModel{}};
   role_based.required_budget(1, snap);  // fix the split for distribute()
 
-  const auto check = [&](const econ::Payouts& p, const char* scheme) {
-    ledger::MicroAlgos sum = 0;
-    for (std::size_t v = 0; v < p.amounts.size(); ++v) {
-      ASSERT_GE(p.amounts[v], 0) << scheme;
-      if (snap.stake(static_cast<ledger::NodeId>(v)) == 0) {
-        ASSERT_EQ(p.amounts[v], 0) << scheme;
-      }
-      sum += p.amounts[v];
+  const econ::Payouts p = role_based.distribute(1, snap, budget);
+  ledger::MicroAlgos sum = 0;
+  for (std::size_t v = 0; v < p.amounts.size(); ++v) {
+    ASSERT_GE(p.amounts[v], 0);
+    if (snap.stake(static_cast<ledger::NodeId>(v)) == 0) {
+      ASSERT_EQ(p.amounts[v], 0);
     }
-    ASSERT_EQ(sum, p.total) << scheme;
-    ASSERT_LE(sum, budget) << scheme;
-  };
-  check(stake_prop.distribute(1, snap, budget), "stake-proportional");
-  check(role_based.distribute(1, snap, budget), "role-based");
+    sum += p.amounts[v];
+  }
+  ASSERT_EQ(sum, p.total);
+  ASSERT_LE(sum, budget);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PayoutConservation, ::testing::Range(0, 12));

@@ -52,26 +52,6 @@ TEST(RoleSnapshot, PerNodeAccessors) {
   EXPECT_EQ(s.stake(5), 10);
 }
 
-TEST(RoleSnapshot, FilteredOthersDropsSmallStakes) {
-  // Fig-7(c): U_w filter removes Others with stake < w; roles keep.
-  const RoleSnapshot s = sample_snapshot();
-  const RoleSnapshot f = s.filtered_others(3);
-  EXPECT_EQ(f.node_count(), 7u);  // Other with stake 1 dropped
-  EXPECT_EQ(f.count(Role::Other), 2u);
-  EXPECT_EQ(f.min_stake_of(Role::Other), 3);
-  EXPECT_EQ(f.stake_of(Role::Other), 13);
-  // Leaders/committee never dropped, even with small stakes.
-  EXPECT_EQ(f.count(Role::Committee), 3u);
-  EXPECT_EQ(f.min_stake_of(Role::Committee), 2);
-}
-
-TEST(RoleSnapshot, FilteredOthersZeroThresholdIsIdentity) {
-  const RoleSnapshot s = sample_snapshot();
-  const RoleSnapshot f = s.filtered_others(0);
-  EXPECT_EQ(f.node_count(), s.node_count());
-  EXPECT_EQ(f.total_stake(), s.total_stake());
-}
-
 TEST(RoleSnapshot, RejectsMismatchedSizes) {
   EXPECT_THROW(RoleSnapshot({Role::Leader}, {1, 2}), std::invalid_argument);
 }

@@ -36,7 +36,8 @@ TEST(ScenarioPolicy, AdaptiveConvertsTheScriptedCohort) {
 
   ScenarioPolicyConfig config;
   config.kind = PolicyKind::AdaptiveDefect;
-  ScenarioPolicy policy(config, net);
+  ScenarioPolicy policy(config, net,
+                        consensus::ConsensusParams{}.step_threshold);
   std::size_t adaptive = 0;
   for (std::size_t v = 0; v < net.node_count(); ++v) {
     EXPECT_NE(net.behavior(v), BehaviorType::ScriptedDefect);
@@ -58,7 +59,8 @@ TEST(ScenarioPolicy, StakeCorrelatedDefectionFallsWithStake) {
   config.kind = PolicyKind::StakeCorrelatedDefect;
   config.defect_at_bottom = 0.8;
   config.defect_at_top = 0.0;
-  ScenarioPolicy policy(config, net);
+  ScenarioPolicy policy(config, net,
+                        consensus::ConsensusParams{}.step_threshold);
 
   // Identify the bottom and top stake quartiles.
   std::vector<std::size_t> order(net.node_count());
@@ -278,21 +280,17 @@ TEST(Behavior, PolicyDrivenTypesHaveExhaustiveNames) {
 
 TEST(Behavior, StakeCorrelatedUsesTheContextProbability) {
   util::Rng rng(7);
-  SelfishContext always;
-  always.defect_probability = 1.0;
-  EXPECT_EQ(choose_strategy(BehaviorType::StakeCorrelatedDefect,
-                            econ::CostModel{}, always, rng),
+  EXPECT_EQ(choose_strategy(BehaviorType::StakeCorrelatedDefect, 1.0, rng),
             Strategy::Defect);
-  SelfishContext never;
-  never.defect_probability = 0.0;
-  EXPECT_EQ(choose_strategy(BehaviorType::StakeCorrelatedDefect,
-                            econ::CostModel{}, never, rng),
+  EXPECT_EQ(choose_strategy(BehaviorType::StakeCorrelatedDefect, 0.0, rng),
             Strategy::Cooperate);
-  SelfishContext invalid;
-  invalid.defect_probability = 1.5;
-  EXPECT_THROW(choose_strategy(BehaviorType::StakeCorrelatedDefect,
-                               econ::CostModel{}, invalid, rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      choose_strategy(BehaviorType::StakeCorrelatedDefect, 1.5, rng),
+      std::invalid_argument);
+  // An adaptive defector cooperates until the policy has a round for it
+  // to best-respond to.
+  EXPECT_EQ(choose_strategy(BehaviorType::AdaptiveDefect, 1.0, rng),
+            Strategy::Cooperate);
 }
 
 }  // namespace
