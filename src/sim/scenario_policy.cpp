@@ -146,11 +146,10 @@ std::size_t ScenarioPolicy::begin_round(std::size_t round_index,
       const auto id = static_cast<ledger::NodeId>(v);
       if (!net.live(id)) continue;  // departed nodes stay Offline
       const BehaviorType behavior = net.behavior(id);
-      if (behavior == BehaviorType::AdaptiveDefect) {
-        // Cooperate until there is a round to react to; afterwards play
-        // the best response in the game the last round induced.
-        next[v] = scanner ? game::best_response(*scanner, id)
-                          : game::Strategy::Cooperate;
+      if (scanner && behavior == BehaviorType::AdaptiveDefect) {
+        // The best response in the game the last round induced; before
+        // there is one, choose_strategy cooperates.
+        next[v] = game::best_response(*scanner, id);
         continue;
       }
       util::Rng rng = strategy_root.split(v);

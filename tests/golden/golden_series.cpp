@@ -17,7 +17,6 @@
 // long-horizon case reads the keys, stakes and accounts of a fresh
 // Network through the sparse path (DESIGN.md §10).
 //
-//
 // The programs that print their artifact instead of writing a series
 // document (Fig 5, Tables II-III, ne_verification) are pinned by the
 // SHA-256 of their stdout (`<program>.stdout` entries). Each runs in a
