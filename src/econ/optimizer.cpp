@@ -32,8 +32,7 @@ OptimizerResult RewardOptimizer::optimize(const BoundInputs& in,
                      ? d_num / (a_num + b_num + d_num * (1.0 + c_slope))
                      : kMinShare;
   const double gamma_max = 1.0 / (1.0 + c_slope);
-  gamma = std::clamp(gamma, kMinShare,
-                     gamma_max * (1.0 - kMinShare));
+  gamma = std::clamp(gamma, kMinShare, gamma_max * (1.0 - kMinShare));
 
   // Equalizing allocation of the slack above the feasibility floors.
   const double slack = 1.0 - gamma * (1.0 + c_slope);
